@@ -18,9 +18,13 @@ from .labels import (
     EqualityScheme,
     LabelNode,
     SchemeError,
+    ShapeCodec,
     build_walker,
+    flat_codes,
     parse_label_file,
+    shape_from_str,
     shape_of,
+    shape_to_str,
     write_label_file,
 )
 
@@ -155,24 +159,14 @@ def write_decoder_file(scheme: EqualityScheme) -> str:
     """
     if scheme.decoder_spec is None:
         raise CliError(EXIT_CONTRACT, "scheme decoder is not serializable")
-    from .labels import shape_to_str
-
-    shapes = []
-    index = {}
-    for sh in scheme.shapes:
-        if sh not in index:
-            index[sh] = len(shapes)
-            shapes.append(sh)
-    lines = []
+    codec = ShapeCodec(scheme.shapes)
+    shape_lines = [f"shape {i} {shape_to_str(sh)}" for i, sh in enumerate(codec.shapes)]
     if scheme.s <= 4 and scheme.k <= 4:
-        lines.append(f"decoder table s={scheme.s} k={scheme.k}")
-        for i, sh in enumerate(shapes):
-            lines.append(f"shape {i} {shape_to_str(sh)}")
+        lines = [f"decoder table s={scheme.s} k={scheme.k}", *shape_lines]
         walker = scheme.walker
-        for xi, sx in enumerate(shapes):
-            for yi, sy in enumerate(shapes):
-                ax = _shape_arity(sx)
-                ay = _shape_arity(sy)
+        for xi, sx in enumerate(codec.shapes):
+            for yi, sy in enumerate(codec.shapes):
+                ax, ay = codec.arities[xi], codec.arities[yi]
                 for mask in range(1 << (ax * ay)):
                     def eq(i, j, mask=mask, ay=ay):
                         return bool(mask >> (i * ay + j) & 1)
@@ -184,20 +178,12 @@ def write_decoder_file(scheme: EqualityScheme) -> str:
                     bits = format(mask, f"0{max(ax * ay, 1)}b") if ax * ay else "-"
                     lines.append(f"t {xi} {yi} {bits} {out}")
     else:
-        lines.append(f"decoder tree {json.dumps(scheme.decoder_spec)}")
-        for i, sh in enumerate(shapes):
-            lines.append(f"shape {i} {shape_to_str(sh)}")
+        lines = [f"decoder tree {json.dumps(scheme.decoder_spec)}", *shape_lines]
     return "\n".join(lines) + "\n"
-
-
-def _shape_arity(sh) -> int:
-    return sh.arity + sum(_shape_arity(c) for c in sh.children)
 
 
 def parse_decoder_file(text: str):
     """Returns a decode(label_x, label_y) callable over LabelNodes."""
-    from .labels import flat_codes, shape_from_str
-
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     lines = [l for l in lines if l]
     if not lines:

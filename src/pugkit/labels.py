@@ -10,8 +10,10 @@ one-sided compression argument go through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 EqOracle = Callable[[int, int], bool]
 
@@ -43,11 +45,15 @@ class ShapeNode:
     children: tuple["ShapeNode", ...]
     slot0: int
 
-    def tag_int(self) -> int:
-        v = 0
-        for b in self.tag:
-            v = v << 1 | b
-        return v
+
+def shape_arity(shape: ShapeNode) -> int:
+    """Number of code slots in a shape: its own and its descendants'."""
+    return shape.arity + sum(shape_arity(c) for c in shape.children)
+
+
+def bits_for(count: int) -> int:
+    """Bits needed to write any of `count` values (0 for count <= 1)."""
+    return max(count - 1, 0).bit_length()
 
 
 def shape_of(label: LabelNode) -> ShapeNode:
@@ -124,15 +130,6 @@ class EqualityScheme:
 
         return self.walker(self.shapes[u], self.shapes[v], eq)
 
-    def decode_with_values(self, u: int, v: int,
-                           vals_u: Sequence[int], vals_v: Sequence[int]) -> int:
-        """Decode with substituted code values (used after compression)."""
-
-        def eq(i: int, j: int) -> bool:
-            return vals_u[i] == vals_v[j]
-
-        return self.walker(self.shapes[u], self.shapes[v], eq)
-
     def check_exact(self, adjacency: Callable[[int, int], bool]) -> bool:
         """Exhaustive all-pairs check against an adjacency oracle."""
         for u in range(self.n):
@@ -151,6 +148,124 @@ def pair_eq_matrix(scheme: EqualityScheme, u: int, v: int) -> list[list[bool]]:
     """The full equality matrix Q_{u,v} (row = u's slots, column = v's)."""
     cu, cv = scheme.codes[u], scheme.codes[v]
     return [[a == b for b in cv] for a in cu]
+
+
+# ---------------------------------------------------------------------------
+# Packed labels and their bulk decoder.
+# ---------------------------------------------------------------------------
+
+class ShapeCodec:
+    """The packed label layout [shape id][one value per code slot].
+
+    Shapes are interned in first-seen order.  A label holds its shape id in
+    the low `shape_bits` bits, then one `value_width`-bit value per code
+    slot in preorder; `width` leaves room for the largest arity `k`.
+    """
+
+    def __init__(self, shapes: Sequence[ShapeNode], value_width: int = 0):
+        self.shapes: list[ShapeNode] = []
+        self.index: dict[ShapeNode, int] = {}
+        for sh in shapes:
+            if sh not in self.index:
+                self.index[sh] = len(self.shapes)
+                self.shapes.append(sh)
+        self.arities = [shape_arity(sh) for sh in self.shapes]
+        self.k = max(self.arities, default=0)
+        self.shape_bits = bits_for(len(self.shapes))
+        self.value_width = value_width
+        self.width = self.shape_bits + self.k * value_width
+
+    def pack(self, shape: ShapeNode, values: Sequence[int]) -> int:
+        bits, shift = self.index[shape], self.shape_bits
+        for val in values:
+            bits |= val << shift
+            shift += self.value_width
+        return bits
+
+    def parse(self, bits: int) -> tuple[int, list[int]]:
+        """(shape id, one value per code slot) of a packed label."""
+        sid = bits & ((1 << self.shape_bits) - 1)
+        rest = bits >> self.shape_bits
+        mask = (1 << self.value_width) - 1
+        vals = []
+        for _ in range(self.arities[sid]):
+            vals.append(rest & mask)
+            rest >>= self.value_width
+        return sid, vals
+
+
+class CompiledDecoder:
+    """A scheme's walker evaluated over packed labels, one pair or in bulk.
+
+    An equality-based decoder sees only the two shapes and the equality
+    pattern Q of their codes.  `decode` runs the walker lazily on one pair.
+    `decode_stack` computes Q for blocks of pairs with numpy, keys each pair
+    exactly by its shape-id pair and packed Q bits, and runs the walker once
+    per distinct key; later pairs with that key read the memo.  The memo
+    belongs to this object and so dies with the scheme that owns it.
+    """
+
+    #: Q cells compared per block; bounds the size of the decode temporaries.
+    BLOCK_CELLS = 1 << 16
+
+    def __init__(self, codec: ShapeCodec, walker: Walker):
+        self.codec = codec
+        self.walker = walker
+        self.memo: dict[bytes, int] = {}
+
+    def decode(self, bx: int, by: int) -> int:
+        sx, vx = self.codec.parse(bx)
+        sy, vy = self.codec.parse(by)
+        return self.walker(self.codec.shapes[sx], self.codec.shapes[sy],
+                           lambda i, j: vx[i] == vy[j])
+
+    def decode_matrix(self, labels: Sequence[int]) -> np.ndarray:
+        return self.decode_stack([labels])[0]
+
+    def decode_stack(self, label_sets: Sequence[Sequence[int]]) -> np.ndarray:
+        """Decode every pair u < v of each label set.
+
+        Returns a (sets, n, n) int8 array whose strict upper triangle holds
+        decode(labels[u], labels[v]) and whose lower triangle mirrors it.
+        """
+        codec, k = self.codec, self.codec.k
+        c, n = len(label_sets), len(label_sets[0]) if label_sets else 0
+        ids = np.empty((c, n), dtype=np.int64)
+        vals = np.full((c, n, k), -1, dtype=np.int64)
+        for i, labels in enumerate(label_sets):
+            for v, bits in enumerate(labels):
+                ids[i, v], row = codec.parse(bits)
+                vals[i, v, :len(row)] = row
+        # padding slots hold -1 on the x side and -2 on the y side, so they
+        # never compare equal and Q is zero outside each pair's arities
+        vals_y = np.where(vals < 0, -2, vals)
+        out = np.zeros((c, n, n), dtype=np.int8)
+        rows = max(1, self.BLOCK_CELLS // max(c * n * k * k, 1))
+        for lo in range(0, n, rows):
+            r, v = np.nonzero(np.arange(n) > np.arange(lo, min(n, lo + rows))[:, None])
+            u, cells = r + lo, c * len(r)
+            if not cells:
+                continue
+            q = (vals[:, u, :, None] == vals_y[:, v, None, :]).reshape(cells, k, k)
+            pair = (ids[:, u] * len(codec.shapes) + ids[:, v]).reshape(cells, 1)
+            keys = np.concatenate([pair.view(np.uint8),
+                                   np.packbits(q.reshape(cells, k * k), axis=1)], axis=1)
+            keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))
+            uniq, first, inverse = np.unique(keys.ravel(), return_index=True,
+                                             return_inverse=True)
+            res = np.array([self._lookup(key.tobytes(), q[i], int(pair[i, 0]))
+                            for key, i in zip(uniq, first)], dtype=np.int8)
+            out[:, u, v] = res[inverse].reshape(c, len(u))
+        return out + out.transpose(0, 2, 1)
+
+    def _lookup(self, key: bytes, q: np.ndarray, pair: int) -> int:
+        out = self.memo.get(key)
+        if out is None:
+            xi, yi = divmod(pair, len(self.codec.shapes))
+            sub = q[:self.codec.arities[xi], :self.codec.arities[yi]]
+            out = self.memo[key] = self.walker(self.codec.shapes[xi], self.codec.shapes[yi],
+                                               lambda i, j: bool(sub[i, j]))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +298,7 @@ def build_walker(spec: dict) -> Walker:
 # An empty tag is '-'.  Codes are the preorder-flattened code list.
 # ---------------------------------------------------------------------------
 
-def _node_to_str(node: LabelNode) -> str:
-    tag = "".join(map(str, node.tag)) or "-"
-    kids = "".join(f"({_node_to_str(c)})" for c in node.children)
-    return f"{tag}:{len(node.codes)}{kids}"
-
-
-def _node_from_str(s: str, codes: list[int]) -> tuple[LabelNode, str]:
+def _shape_from_str(s: str, counter: list[int]) -> tuple[ShapeNode, str]:
     tag_s, rest = s.split(":", 1)
     tag = () if tag_s == "-" else tuple(int(b) for b in tag_s)
     num = ""
@@ -197,8 +306,8 @@ def _node_from_str(s: str, codes: list[int]) -> tuple[LabelNode, str]:
         num += rest[0]
         rest = rest[1:]
     arity = int(num)
-    own = tuple(codes[:arity])
-    del codes[:arity]
+    slot0 = counter[0]
+    counter[0] += arity
     kids = []
     while rest.startswith("("):
         depth = 0
@@ -208,7 +317,7 @@ def _node_from_str(s: str, codes: list[int]) -> tuple[LabelNode, str]:
             elif ch == ")":
                 depth -= 1
                 if depth == 0:
-                    child, leftover = _node_from_str(rest[1:i], codes)
+                    child, leftover = _shape_from_str(rest[1:i], counter)
                     if leftover:
                         raise ValueError("trailing shape text")
                     kids.append(child)
@@ -216,7 +325,7 @@ def _node_from_str(s: str, codes: list[int]) -> tuple[LabelNode, str]:
                     break
         else:
             raise ValueError("unbalanced shape parentheses")
-    return LabelNode(tag, own, tuple(kids)), rest
+    return ShapeNode(tag, arity, tuple(kids), slot0), rest
 
 
 def shape_to_str(shape: ShapeNode) -> str:
@@ -226,24 +335,21 @@ def shape_to_str(shape: ShapeNode) -> str:
 
 
 def shape_from_str(s: str) -> ShapeNode:
-    node, rest = _node_from_str(s, [0] * s.count(":") * 64)
+    shape, rest = _shape_from_str(s, [0])
     if rest:
         raise ValueError("trailing shape text")
+    return shape
 
-    def convert(n: LabelNode, counter: list[int]) -> ShapeNode:
-        slot0 = counter[0]
-        counter[0] += len(n.codes)
-        kids = tuple(convert(c, counter) for c in n.children)
-        return ShapeNode(n.tag, len(n.codes), kids, slot0)
 
-    return convert(node, [0])
+def _label_from_shape(shape: ShapeNode, codes: Sequence[int]) -> LabelNode:
+    own = tuple(codes[shape.slot0:shape.slot0 + shape.arity])
+    return LabelNode(shape.tag, own, tuple(_label_from_shape(c, codes) for c in shape.children))
 
 
 def write_label_file(scheme: EqualityScheme, graph_name: str) -> str:
     lines = [f"labels {graph_name} s={scheme.s} k={scheme.k} width={scheme.s + scheme.k}"]
-    for v, label in enumerate(scheme.labels):
-        codes = ",".join(map(str, flat_codes(label))) or "-"
-        lines.append(f"v {v} {_node_to_str(label)} {codes}")
+    for v, (shape, codes) in enumerate(zip(scheme.shapes, scheme.codes)):
+        lines.append(f"v {v} {shape_to_str(shape)} {','.join(map(str, codes)) or '-'}")
     return "\n".join(lines) + "\n"
 
 
@@ -269,10 +375,10 @@ def parse_label_file(text: str) -> tuple[list[LabelNode], str, dict]:
             raise ValueError(f"line {lineno}: expected 'v <id> <shape> <codes>'")
         vid = int(parts[1])
         codes = [] if parts[3] == "-" else [int(c) for c in parts[3].split(",")]
-        node, leftover = _node_from_str(parts[2], codes)
-        if leftover or codes:
+        shape = shape_from_str(parts[2])
+        if shape_arity(shape) != len(codes):
             raise ValueError(f"line {lineno}: malformed label")
-        labels[vid] = node
+        labels[vid] = _label_from_shape(shape, codes)
     if name is None:
         raise ValueError("empty label file")
     ordered = [labels[i] for i in range(len(labels))]

@@ -16,15 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph
+from .labels import bits_for
 from .rng import derive_seed
 from .sketch import SketchScheme, boost_copies
 
 #: Distinguished "distance exceeds k" sentinel (outside {0..k}).
 BOTTOM = -1
-
-
-def _bits_for(count: int) -> int:
-    return max(count - 1, 0).bit_length()
 
 
 class FiniteFamilyDistanceSketch:
@@ -37,8 +34,8 @@ class FiniteFamilyDistanceSketch:
         self.family = list(family)
         self.k = k
         self.delta = 0.0
-        self.gid_bits = _bits_for(len(self.family))
-        self.vid_bits = _bits_for(max(g.n for g in self.family))
+        self.gid_bits = bits_for(len(self.family))
+        self.vid_bits = bits_for(max(g.n for g in self.family))
         self.width = self.gid_bits + self.vid_bits
         if self.width > 62:
             raise ValueError("vertex/graph id overflow of the width budget")

@@ -16,7 +16,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import Graph
-from .labels import EqualityScheme, LabelNode, register_walker
+from .labels import (
+    CompiledDecoder,
+    EqualityScheme,
+    LabelNode,
+    ShapeCodec,
+    bits_for,
+    register_walker,
+)
 from .rng import derive_seed, rng_for
 from .structure import forest_partition
 
@@ -28,19 +35,6 @@ def _pack(fields: Sequence[tuple[int, int]]) -> int:
         out |= (val & ((1 << width) - 1)) << shift
         shift += width
     return out
-
-
-def _unpack(bits: int, widths: Sequence[int]) -> list[int]:
-    out = []
-    shift = 0
-    for w in widths:
-        out.append(bits >> shift & ((1 << w) - 1))
-        shift += w
-    return out
-
-
-def _bits_for(count: int) -> int:
-    return max(count - 1, 0).bit_length()
 
 
 class SketchScheme:
@@ -61,8 +55,14 @@ class SketchScheme:
         raise NotImplementedError
 
     def decode_matrix(self, labels: list[int]) -> "np.ndarray | None":
-        """Optional bulk decoder: n x n 0/1 output matrix (None = no fast path)."""
+        """Optional bulk decoder: an n x n 0/1 matrix whose strict upper
+        triangle is decode(labels[u], labels[v]) (None = no fast path)."""
         return None
+
+    def decode_stack(self, label_sets: list[list[int]]) -> "np.ndarray | None":
+        """`decode_matrix` of several label sets, stacked (None = no fast path)."""
+        mats = [self.decode_matrix(labels) for labels in label_sets]
+        return None if any(m is None for m in mats) else np.stack(mats)
 
 
 class CompressedEqualityScheme(SketchScheme):
@@ -79,28 +79,18 @@ class CompressedEqualityScheme(SketchScheme):
         self.n = scheme.n
         k = max(scheme.k, 1)
         self.alphabet = 3 * k * k
-        self.value_width = _bits_for(self.alphabet)
         self._canon = scheme.canonical_code_map()
-        table: list = []
-        index: dict = {}
-        for sh in scheme.shapes:
-            if sh not in index:
-                index[sh] = len(table)
-                table.append(sh)
-        self._shape_table = table
-        self._shape_index = index
-        self.shape_bits = _bits_for(len(table))
-        self.width = self.shape_bits + scheme.k * self.value_width
+        self.codec = ShapeCodec(scheme.shapes, bits_for(self.alphabet))
+        self._decoder = CompiledDecoder(self.codec, scheme.walker)
+        self.width = self.codec.width
         self.delta = 1 / 3
 
     def _hash(self, seed: int, value: int) -> int:
         return derive_seed(seed, "ceq", self._canon[value]) % self.alphabet
 
     def _encode_one(self, v: int, seed: int) -> int:
-        fields = [(self._shape_index[self.scheme.shapes[v]], self.shape_bits)]
-        for c in self.scheme.codes[v]:
-            fields.append((self._hash(seed, c), self.value_width))
-        return _pack(fields)
+        return self.codec.pack(self.scheme.shapes[v],
+                               [self._hash(seed, c) for c in self.scheme.codes[v]])
 
     def encode(self, seed: int) -> list[int]:
         return [self._encode_one(v, seed) for v in range(self.n)]
@@ -108,29 +98,14 @@ class CompressedEqualityScheme(SketchScheme):
     def encode_pair(self, u: int, v: int, seed: int) -> tuple[int, int]:
         return self._encode_one(u, seed), self._encode_one(v, seed)
 
-    def _parse(self, bits: int):
-        idx = bits & ((1 << self.shape_bits) - 1)
-        shape = self._shape_table[idx]
-        rest = bits >> self.shape_bits
-        vals = []
-        mask = (1 << self.value_width) - 1
-        for _ in range(self._arity(shape)):
-            vals.append(rest & mask)
-            rest >>= self.value_width
-        return shape, vals
-
-    @staticmethod
-    def _arity(shape) -> int:
-        return shape.arity + sum(CompressedEqualityScheme._arity(c) for c in shape.children)
-
     def decode(self, bx: int, by: int) -> int:
-        sx, vx = self._parse(bx)
-        sy, vy = self._parse(by)
+        return self._decoder.decode(bx, by)
 
-        def eq(i: int, j: int) -> bool:
-            return vx[i] == vy[j]
+    def decode_matrix(self, labels: list[int]):
+        return self._decoder.decode_matrix(labels)
 
-        return self.scheme.walker(sx, sy, eq)
+    def decode_stack(self, label_sets: list[list[int]]):
+        return self._decoder.decode_stack(label_sets)
 
 
 def compress_equality_scheme(scheme: EqualityScheme) -> CompressedEqualityScheme:
@@ -208,17 +183,14 @@ class BoostedScheme(SketchScheme):
         return int(2 * votes > self.copies)
 
     def decode_matrix(self, labels: list[int]):
+        # all copies go to the base decoder in one stacked call
         w = self.base.width
         mask = (1 << w) - 1
-        total = None
-        for i in range(self.copies):
-            sub = [l >> (i * w) & mask for l in labels]
-            m = self.base.decode_matrix(sub)
-            if m is None:
-                return None
-            m = m.astype(np.int32)
-            total = m if total is None else total + m
-        return (2 * total > self.copies).astype(np.int8)
+        votes = self.base.decode_stack(
+            [[l >> (i * w) & mask for l in labels] for i in range(self.copies)])
+        if votes is None:
+            return None
+        return (2 * votes.sum(axis=0, dtype=np.int32) > self.copies).astype(np.int8)
 
 
 def boost(sch: SketchScheme, delta_target: float) -> SketchScheme:
@@ -279,7 +251,7 @@ class ArboricitySketch(SketchScheme):
             [f[v] for f in fp.parents if f[v] is not None] for v in range(g.n)
         ]
         self.buckets = 6 * self.alpha
-        self.r_bits = _bits_for(self.buckets)
+        self.r_bits = bits_for(self.buckets)
         self.width = self.r_bits + self.buckets
         self.delta = 1 / 3
         self._r_cache: dict[int, np.ndarray] = {}
@@ -316,9 +288,14 @@ class ArboricitySketch(SketchScheme):
         return int(bool(bloom_x >> ry & 1 or bloom_y >> rx & 1))
 
     def decode_matrix(self, labels: list[int]):
-        r = np.array([l & ((1 << self.r_bits) - 1) for l in labels], dtype=np.int64)
-        bloom = np.array([l >> self.r_bits for l in labels], dtype=np.int64)
-        hit = (bloom[:, None] >> r[None, :]) & 1
+        # one row of 0/1 bucket bits per label, so any alpha fits; the rows
+        # are 2**r_bits >= buckets wide, so every r indexes a column
+        r = np.array([l & ((1 << self.r_bits) - 1) for l in labels], dtype=np.intp)
+        size = ((1 << self.r_bits) + 7) // 8
+        raw = b"".join((l >> self.r_bits).to_bytes(size, "little") for l in labels)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(labels), size),
+                             axis=1, bitorder="little")
+        hit = bits[:, r]
         return (hit | hit.T).astype(np.int8)
 
 
@@ -336,34 +313,31 @@ class DeterministicLabeling:
     width: int
     decode: Callable[[int, int], int]
     attempts: int = 1
+    decode_matrix: Callable[[list[int]], "np.ndarray | None"] | None = None
 
     def check_exact(self, g: Graph) -> bool:
-        return all(
-            self.decode(self.labels[u], self.labels[v]) == int(g.has_edge(u, v))
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-        )
+        return _count_errors(self.decode, self.decode_matrix, list(self.labels), g) == 0
 
 
 class DerandomizationError(RuntimeError):
     """The sampled scheme kept violating its error contract."""
 
 
-def count_errors(sch: SketchScheme, labels: list[int], g: Graph) -> int:
-    mat = sch.decode_matrix(labels)
+def _count_errors(decode, decode_matrix, labels: list[int], g: Graph) -> int:
+    """Pairs u < v whose decoded bit differs from g: in bulk when
+    `decode_matrix` gives a matrix, else one `decode` call per pair."""
+    mat = decode_matrix(labels) if decode_matrix is not None else None
     if mat is not None:
         adj = np.zeros((g.n, g.n), dtype=np.int8)
         for u, v in g.edges():
-            adj[u, v] = adj[v, u] = 1
-        diff = mat != adj
-        np.fill_diagonal(diff, False)
-        return int(diff.sum()) // 2
-    errs = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if sch.decode(labels[u], labels[v]) != int(g.has_edge(u, v)):
-                errs += 1
-    return errs
+            adj[u, v] = 1
+        return int(np.count_nonzero(np.triu(mat != adj + adj.T, 1)))
+    return sum(decode(labels[u], labels[v]) != int(g.has_edge(u, v))
+               for u in range(g.n) for v in range(u + 1, g.n))
+
+
+def count_errors(sch: SketchScheme, labels: list[int], g: Graph) -> int:
+    return _count_errors(sch.decode, sch.decode_matrix, labels, g)
 
 
 def derandomize(sch: SketchScheme, g: Graph, seed: int,
@@ -380,8 +354,9 @@ def derandomize(sch: SketchScheme, g: Graph, seed: int,
     for attempt in range(1, max_retries + 1):
         labels = boosted.encode(derive_seed(seed, "derand", attempt))
         if count_errors(boosted, labels, g) == 0:
-            return DeterministicLabeling(tuple(labels), boosted.width,
-                                         boosted.decode, attempts=attempt)
+            return DeterministicLabeling(tuple(labels), boosted.width, boosted.decode,
+                                         attempts=attempt,
+                                         decode_matrix=boosted.decode_matrix)
     raise DerandomizationError(
         f"no correct labeling in {max_retries} tries; scheme violates delta")
 
@@ -393,48 +368,18 @@ def naive_derandomize(scheme: EqualityScheme) -> DeterministicLabeling:
     ids this is the s + k*ceil(log n) of the naive bound.
     """
     canon = scheme.canonical_code_map()
-    value_width = _bits_for(max(len(canon), 2))
-    table: list = []
-    index: dict = {}
-    for sh in scheme.shapes:
-        if sh not in index:
-            index[sh] = len(table)
-            table.append(sh)
-    shape_bits = _bits_for(len(table))
-    width = shape_bits + scheme.k * value_width
-
-    def encode_one(v: int) -> int:
-        fields = [(index[scheme.shapes[v]], shape_bits)]
-        for c in scheme.codes[v]:
-            fields.append((canon[c], value_width))
-        return _pack(fields)
-
-    def arity(shape) -> int:
-        return shape.arity + sum(arity(c) for c in shape.children)
-
-    def parse(bits: int):
-        shape = table[bits & ((1 << shape_bits) - 1)]
-        rest = bits >> shape_bits
-        vals = []
-        mask = (1 << value_width) - 1
-        for _ in range(arity(shape)):
-            vals.append(rest & mask)
-            rest >>= value_width
-        return shape, vals
-
-    def decode(bx: int, by: int) -> int:
-        sx, vx = parse(bx)
-        sy, vy = parse(by)
-        return scheme.walker(sx, sy, lambda i, j: vx[i] == vy[j])
-
-    return DeterministicLabeling(tuple(encode_one(v) for v in range(scheme.n)),
-                                 width, decode)
+    codec = ShapeCodec(scheme.shapes, bits_for(max(len(canon), 2)))
+    decoder = CompiledDecoder(codec, scheme.walker)
+    labels = tuple(codec.pack(shape, [canon[c] for c in codes])
+                   for shape, codes in zip(scheme.shapes, scheme.codes))
+    return DeterministicLabeling(labels, codec.width, decoder.decode,
+                                 decode_matrix=decoder.decode_matrix)
 
 
 def naive_label_width(scheme: EqualityScheme) -> tuple[int, int, int]:
     """(s, k, per-code bits) of the naive derandomization."""
     canon = scheme.canonical_code_map()
-    return scheme.s, scheme.k, _bits_for(max(len(canon), 2))
+    return scheme.s, scheme.k, bits_for(max(len(canon), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +435,11 @@ def evaluate_error(sch: SketchScheme, g: Graph, trials: int, seed: int,
     edges = list(g.edges())
     if pairs == "adjacent" and not edges:
         raise ValueError("graph has no edges")
+    # rejection sampling below would never stop without a pair to draw
+    if g.n < 2:
+        raise ValueError("graph has fewer than two vertices")
+    if pairs == "nonadjacent" and len(edges) == g.n * (g.n - 1) // 2:
+        raise ValueError("graph has no non-adjacent pairs")
 
     def run_range(lo: int, hi: int) -> tuple[int, int, int, int]:
         # trial t derives its own streams from the global index, so the

@@ -1,0 +1,172 @@
+"""The shape codec and the compiled (bulk) decoder.
+
+Bulk decoding must agree with per-pair decoding on every pair u < v, for
+every scheme that has a bulk path, including the ones whose Q does not fit
+in a machine word and Bloom filters wider than 63 buckets.
+"""
+
+import pytest
+
+from pugkit import bipartite
+from pugkit.generators import (
+    equivalence_graph,
+    random_forest,
+    random_kdegenerate,
+    random_tp_free,
+)
+from pugkit.labels import (
+    CompiledDecoder,
+    EqualityScheme,
+    LabelNode,
+    SchemeError,
+    ShapeCodec,
+    flat_codes,
+    parse_label_file,
+    shape_arity,
+    shape_from_str,
+    shape_of,
+    shape_to_str,
+    write_label_file,
+)
+from pugkit.sketch import (
+    arboricity_scheme,
+    arboricity_sketch,
+    boost,
+    compress_equality_scheme,
+    count_errors,
+    naive_derandomize,
+)
+
+
+def _assert_bulk_matches(decode, mat, labels):
+    n = len(labels)
+    assert mat.shape == (n, n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            assert mat[u, v] == decode(labels[u], labels[v]), (u, v)
+
+
+def _compressed(name):
+    if name == "arboricity":
+        return compress_equality_scheme(arboricity_scheme(random_kdegenerate(24, 3, seed=2)))
+    if name == "equivalence":
+        g = equivalence_graph([5, 4, 4, 3, 2, 1])
+        return compress_equality_scheme(bipartite.equivalence_labels(g))
+    tp = bipartite.tp_free_labels(random_tp_free(16, 22, 2, seed=1), p=2, q=6)
+    assert tp.k >= 8  # k*k > 64: Q does not fit in one machine word
+    return compress_equality_scheme(tp)
+
+
+@pytest.mark.parametrize("name", ["arboricity", "equivalence", "tp-free"])
+def test_compressed_decode_matrix_matches_decode(name):
+    sk = _compressed(name)
+    for seed in range(4):
+        labels = sk.encode(seed)
+        _assert_bulk_matches(sk.decode, sk.decode_matrix(labels), labels)
+
+
+def test_boosted_compressed_decode_matrix_matches_decode():
+    g = random_forest(14, seed=6)
+    b = boost(compress_equality_scheme(arboricity_scheme(g)), 0.05)
+    assert b.copies > 1
+    for seed in range(3):
+        labels = b.encode(seed)
+        _assert_bulk_matches(b.decode, b.decode_matrix(labels), labels)
+
+
+def test_naive_decode_matrix_matches_decode():
+    for g in (random_kdegenerate(30, 3, seed=1), random_forest(40, seed=2)):
+        det = naive_derandomize(arboricity_scheme(g))
+        labels = list(det.labels)
+        _assert_bulk_matches(det.decode, det.decode_matrix(labels), labels)
+        assert det.check_exact(g)
+
+
+@pytest.mark.parametrize("alpha", [1, 3, 10, 12])
+def test_bloom_decode_matrix_matches_decode(alpha):
+    g = random_kdegenerate(40, alpha, seed=alpha)
+    sk = arboricity_sketch(g)
+    assert sk.alpha == alpha
+    for seed in range(2):
+        labels = sk.encode(seed)
+        _assert_bulk_matches(sk.decode, sk.decode_matrix(labels), labels)
+
+
+def test_bulk_decode_blocks_do_not_change_the_output(monkeypatch):
+    sk = compress_equality_scheme(arboricity_scheme(random_kdegenerate(30, 2, seed=4)))
+    labels = sk.encode(3)
+    whole = sk.decode_matrix(labels)
+    monkeypatch.setattr(CompiledDecoder, "BLOCK_CELLS", 1)  # one row per block
+    assert (compress_equality_scheme(sk.scheme).decode_matrix(labels) == whole).all()
+
+
+def test_walker_runs_once_per_key_and_memo_is_per_scheme():
+    calls = []
+
+    def walker(sx, sy, eq):
+        calls.append(1)
+        return int(eq(0, 0))
+
+    labels = [LabelNode(codes=(v % 3,)) for v in range(12)]
+    det = naive_derandomize(EqualityScheme(labels, walker))
+    mat = det.decode_matrix(list(det.labels))
+    assert len(calls) == 2  # one shape pair, Q in {0, 1}
+    det.decode_matrix(list(det.labels))
+    assert len(calls) == 2
+    naive_derandomize(EqualityScheme(labels, walker)).decode_matrix(list(det.labels))
+    assert len(calls) == 4
+    _assert_bulk_matches(det.decode, mat, list(det.labels))
+
+
+def _raising_scheme():
+    def walker(sx, sy, eq):
+        if eq(0, 0):
+            raise SchemeError("equal ids are outside this family")
+        return 0
+
+    return EqualityScheme([LabelNode(codes=(v % 4,)) for v in range(10)], walker)
+
+
+def test_walker_scheme_error_raised_from_bulk_path():
+    det = naive_derandomize(_raising_scheme())
+    with pytest.raises(SchemeError):
+        det.decode(det.labels[0], det.labels[4])
+    with pytest.raises(SchemeError):
+        det.decode_matrix(list(det.labels))
+    sk = compress_equality_scheme(_raising_scheme())
+    with pytest.raises(SchemeError):
+        sk.decode_matrix(sk.encode(1))
+    boosted = boost(sk, 0.05)
+    with pytest.raises(SchemeError):
+        count_errors(boosted, boosted.encode(1), equivalence_graph([10]))
+
+
+def test_shape_codec_round_trip():
+    labels = [LabelNode(tag=(1,), codes=(1, 2), children=(LabelNode(codes=(3,)),)),
+              LabelNode(codes=(4,)), LabelNode(codes=(5,))]
+    codec = ShapeCodec([shape_of(l) for l in labels], value_width=3)
+    assert codec.shapes == [shape_of(labels[0]), shape_of(labels[1])]
+    assert (codec.k, codec.shape_bits, codec.width) == (3, 1, 1 + 3 * 3)
+    for l in labels:
+        vals = [c % 8 for c in flat_codes(l)]
+        sid, parsed = codec.parse(codec.pack(shape_of(l), vals))
+        assert (codec.shapes[sid], parsed) == (shape_of(l), vals)
+
+
+@pytest.mark.parametrize("label", [
+    LabelNode(codes=tuple(range(100))),
+    LabelNode(tag=(1, 0), codes=(1,), children=(LabelNode(codes=tuple(range(100))),)),
+])
+def test_shape_from_str_wide_arity_round_trip(label):
+    # the shape parser once had room for only 64 codes per ':' in the string
+    shape = shape_of(label)
+    assert shape_from_str(shape_to_str(shape)) == shape
+    assert shape_arity(shape_from_str(shape_to_str(shape))) == len(flat_codes(label))
+    scheme = EqualityScheme([label, LabelNode(codes=(1,))], lambda sx, sy, eq: 0)
+    parsed, _, _ = parse_label_file(write_label_file(scheme, "wide"))
+    assert parsed == list(scheme.labels)
+
+
+def test_parse_label_file_rejects_missing_codes():
+    with pytest.raises(ValueError):
+        parse_label_file("labels g s=0 k=2 width=2\nv 0 -:2 5\n")

@@ -10,6 +10,7 @@ from pugkit.generators import (
     path,
     random_forest,
     random_graph,
+    random_kdegenerate,
 )
 from pugkit.labels import EqualityScheme, LabelNode, pair_eq_matrix
 from pugkit.sketch import (
@@ -312,3 +313,28 @@ def test_count_errors_agrees_with_loop():
         for v in range(u + 1, g.n)
     )
     assert count_errors(sk, labels, g) == slow
+
+
+def test_bloom_wide_alpha_count_errors_and_derandomize():
+    # 72 buckets once overflowed the int64 the Bloom filter was packed into
+    g = random_kdegenerate(60, 12, seed=1)
+    sk = arboricity_sketch(g)
+    assert sk.buckets > 63
+    labels = sk.encode(seed=2)
+    slow = sum(sk.decode(labels[u], labels[v]) != int(g.has_edge(u, v))
+               for u in range(g.n) for v in range(u + 1, g.n))
+    assert count_errors(sk, labels, g) == slow
+    assert derandomize(sk, g, seed=1).check_exact(g)
+
+
+def test_evaluate_error_rejects_graphs_without_a_pair_to_sample():
+    comp = compress_equality_scheme(arboricity_scheme(complete(30)))
+    with pytest.raises(ValueError):
+        evaluate_error(comp, complete(30), trials=10, seed=1, pairs="nonadjacent")
+    assert evaluate_error(comp, complete(30), trials=10, seed=1).adjacent.trials == 10
+    for n in (0, 1):
+        g = edgeless(n)
+        comp = compress_equality_scheme(arboricity_scheme(g))
+        for pairs in ("all", "adjacent", "nonadjacent"):
+            with pytest.raises(ValueError):
+                evaluate_error(comp, g, trials=10, seed=1, pairs=pairs)
