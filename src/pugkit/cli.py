@@ -15,6 +15,7 @@ from . import bipartite, generators, geometric, products, protocols, sketch, str
 from .combinators import DTNode
 from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, parse_graph, write_graph
 from .labels import (
+    CompiledDecoder,
     EqualityScheme,
     LabelNode,
     SchemeError,
@@ -22,6 +23,7 @@ from .labels import (
     build_walker,
     flat_codes,
     parse_label_file,
+    shape_arity,
     shape_from_str,
     shape_of,
     shape_to_str,
@@ -148,6 +150,12 @@ def _read_realization(args):
         raise CliError(EXIT_FORMAT, f"cannot read realization: {e}")
 
 
+def _q_field(mask: int, cells: int) -> str:
+    """The Q-bits field of a `decoder table` row: bit i*ay + j of `mask`
+    is Q[i][j], written most significant bit first; '-' when Q is empty."""
+    return format(mask, f"0{cells}b") if cells else "-"
+
+
 def write_decoder_file(scheme: EqualityScheme) -> str:
     """Decoder file grammar:
 
@@ -159,7 +167,7 @@ def write_decoder_file(scheme: EqualityScheme) -> str:
     """
     if scheme.decoder_spec is None:
         raise CliError(EXIT_CONTRACT, "scheme decoder is not serializable")
-    codec = ShapeCodec(scheme.shapes)
+    codec = scheme.codec
     shape_lines = [f"shape {i} {shape_to_str(sh)}" for i, sh in enumerate(codec.shapes)]
     if scheme.s <= 4 and scheme.k <= 4:
         lines = [f"decoder table s={scheme.s} k={scheme.k}", *shape_lines]
@@ -175,64 +183,58 @@ def write_decoder_file(scheme: EqualityScheme) -> str:
                         out = walker(sx, sy, eq)
                     except SchemeError:
                         continue
-                    bits = format(mask, f"0{max(ax * ay, 1)}b") if ax * ay else "-"
-                    lines.append(f"t {xi} {yi} {bits} {out}")
+                    lines.append(f"t {xi} {yi} {_q_field(mask, ax * ay)} {out}")
     else:
         lines = [f"decoder tree {json.dumps(scheme.decoder_spec)}", *shape_lines]
     return "\n".join(lines) + "\n"
 
 
 def parse_decoder_file(text: str):
-    """Returns a decode(label_x, label_y) callable over LabelNodes."""
+    """Returns a decode(label_x, label_y) callable over LabelNodes.
+
+    Both file kinds decode through a `CompiledDecoder`: a `decoder tree`
+    rebuilds the registered walker, and a `decoder table` is read as a
+    walker that asks Q through the equality oracle and looks up its row.
+    """
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     lines = [l for l in lines if l]
-    if not lines:
-        raise CliError(EXIT_FORMAT, "empty decoder file")
-    head = lines[0].split(None, 2)
-    shapes = {}
-    if head[:2] == ["decoder", "tree"]:
-        spec = json.loads(lines[0].split(None, 2)[2])
+    head = lines[0].split(None, 2) if lines else []
+    if head[:2] not in (["decoder", "tree"], ["decoder", "table"]):
+        raise CliError(EXIT_FORMAT, "decoder file must start with 'decoder tree|table'")
+    shape_ids, table = {}, {}
+    if head[1] == "tree":
+        if len(head) < 3:
+            raise CliError(EXIT_FORMAT, "decoder tree needs a JSON decoder spec")
         try:
-            walker = build_walker(spec)
-        except KeyError as e:
-            raise CliError(EXIT_FORMAT, f"unknown decoder spec: {e}")
-
-        def decode(lx: LabelNode, ly: LabelNode) -> int:
-            cx, cy = flat_codes(lx), flat_codes(ly)
-            return walker(shape_of(lx), shape_of(ly),
-                          lambda i, j: cx[i] == cy[j])
-
-        return decode
-    if head[:2] == ["decoder", "table"]:
-        table = {}
+            walker = build_walker(json.loads(head[2]))
+        except (KeyError, ValueError) as e:
+            raise CliError(EXIT_FORMAT, f"bad decoder spec: {e}")
+    else:
         for line in lines[1:]:
             parts = line.split()
-            if parts[0] == "shape":
-                shapes[shape_from_str(parts[2])] = int(parts[1])
-            elif parts[0] == "t":
+            if parts[0] == "shape" and len(parts) == 3:
+                shape_ids[shape_from_str(parts[2])] = int(parts[1])
+            elif parts[0] == "t" and len(parts) == 5:
                 table[(int(parts[1]), int(parts[2]), parts[3])] = int(parts[4])
             else:
                 raise CliError(EXIT_FORMAT, f"bad decoder line {line!r}")
 
-        def decode(lx: LabelNode, ly: LabelNode) -> int:
-            sx, sy = shape_of(lx), shape_of(ly)
-            if sx not in shapes or sy not in shapes:
+        def walker(sx, sy, eq) -> int:
+            if sx not in shape_ids or sy not in shape_ids:
                 raise CliError(EXIT_CONTRACT, "label shape unknown to decoder")
-            cx, cy = flat_codes(lx), flat_codes(ly)
-            ay = len(cy)
-            mask = 0
-            for i, a in enumerate(cx):
-                for j, b in enumerate(cy):
-                    if a == b:
-                        mask |= 1 << (i * ay + j)
-            bits = format(mask, f"0{max(len(cx) * ay, 1)}b") if cx and cy else "-"
-            key = (shapes[sx], shapes[sy], bits)
-            if key not in table:
+            ax, ay = shape_arity(sx), shape_arity(sy)
+            mask = sum(1 << (i * ay + j) for i in range(ax) for j in range(ay) if eq(i, j))
+            out = table.get((shape_ids[sx], shape_ids[sy], _q_field(mask, ax * ay)))
+            if out is None:
                 raise CliError(EXIT_CONTRACT, "pair missing from decoder table")
-            return table[key]
+            return out
 
-        return decode
-    raise CliError(EXIT_FORMAT, "decoder file must start with 'decoder tree|table'")
+    decoder = CompiledDecoder(ShapeCodec(list(shape_ids)), walker)
+
+    def decode(lx: LabelNode, ly: LabelNode) -> int:
+        return decoder.decode_pair(shape_of(lx), flat_codes(lx), shape_of(ly), flat_codes(ly))
+
+    return decode
 
 
 def cmd_label(args) -> int:
@@ -321,10 +323,12 @@ def cmd_query(args) -> int:
             labels, _, fields = parse_label_file(fh.read())
     except (OSError, ValueError) as e:
         raise CliError(EXIT_FORMAT, f"cannot read labels: {e}")
-    if not args.decoder:
-        raise CliError(EXIT_FORMAT, "query needs --decoder")
-    with open(args.decoder) as fh:
-        decode = parse_decoder_file(fh.read())
+    try:
+        with open(args.decoder) as fh:
+            text = fh.read()
+    except OSError as e:
+        raise CliError(EXIT_FORMAT, f"cannot read decoder: {e}")
+    decode = parse_decoder_file(text)
     u, v = args.u, args.v
     if not (0 <= u < len(labels) and 0 <= v < len(labels)):
         raise CliError(EXIT_FORMAT, "vertex id out of range")
@@ -336,7 +340,7 @@ def cmd_eval(args) -> int:
     g, _ = _read_graph(args.graph)
     sk = _build_sketch(g, args)
     rep = sketch.evaluate_error(sk, g, trials=args.trials, seed=args.seed,
-                                pairs=args.pairs, jobs=args.jobs)
+                                pairs=args.pairs)
     print("class trials errors rate wilson_lo wilson_hi")
     for label, est in (("adjacent", rep.adjacent), ("nonadjacent", rep.nonadjacent),
                        ("overall", rep.overall)):
@@ -517,7 +521,6 @@ def make_parser() -> argparse.ArgumentParser:
     e.add_argument("--trials", type=int, required=True)
     e.add_argument("--pairs", choices=("all", "adjacent", "nonadjacent"),
                    default="all")
-    e.add_argument("--jobs", type=int, default=1)
     e.set_defaults(func=cmd_eval)
 
     d = sub.add_parser("derand", help="derandomize a sketch into labels")

@@ -10,7 +10,9 @@ one-sided compression argument go through.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -101,6 +103,12 @@ class EqualityScheme:
         self.decoder_spec = decoder_spec
         self.shapes = tuple(shape_of(l) for l in self.labels)
         self.codes = tuple(flat_codes(l) for l in self.labels)
+        self.codec = ShapeCodec(self.shapes)
+        self.decoder = CompiledDecoder(self.codec, walker)
+        #: distinct code values renumbered to [0, #distinct), by sorted value
+        self.canon = {val: i for i, val in enumerate(sorted({c for cs in self.codes for c in cs}))}
+        #: per vertex, its canonical code values: with `codec.ids`, the bulk decoder input
+        self.values = [[self.canon[c] for c in codes] for codes in self.codes]
 
     @property
     def n(self) -> int:
@@ -123,25 +131,20 @@ class EqualityScheme:
         return len(self.codes[v])
 
     def decode(self, u: int, v: int) -> int:
-        cu, cv = self.codes[u], self.codes[v]
-
-        def eq(i: int, j: int) -> bool:
-            return cu[i] == cv[j]
-
-        return self.walker(self.shapes[u], self.shapes[v], eq)
+        return self.decoder.decode_pair(self.shapes[u], self.codes[u],
+                                        self.shapes[v], self.codes[v])
 
     def check_exact(self, adjacency: Callable[[int, int], bool]) -> bool:
-        """Exhaustive all-pairs check against an adjacency oracle."""
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if self.decode(u, v) != int(adjacency(u, v)):
-                    return False
+        """Exhaustive all-pairs check against an adjacency oracle: all pairs
+        are decoded in bulk, then each pair u < v is compared with one
+        `adjacency(u, v)` call."""
+        mat, n = self.decoder.decode_rows([self.codec.ids], [self.values])[0], self.n
+        for u in range(n):
+            want = np.fromiter(map(adjacency, repeat(u), range(u + 1, n)),
+                               dtype=np.int8, count=n - u - 1)
+            if (mat[u, u + 1:] != want).any():
+                return False
         return True
-
-    def canonical_code_map(self) -> dict[int, int]:
-        """Renumber distinct code values to [0, #distinct), by sorted value."""
-        distinct = sorted({c for codes in self.codes for c in codes})
-        return {val: i for i, val in enumerate(distinct)}
 
 
 def pair_eq_matrix(scheme: EqualityScheme, u: int, v: int) -> list[list[bool]]:
@@ -163,17 +166,24 @@ class ShapeCodec:
     """
 
     def __init__(self, shapes: Sequence[ShapeNode], value_width: int = 0):
-        self.shapes: list[ShapeNode] = []
         self.index: dict[ShapeNode, int] = {}
-        for sh in shapes:
-            if sh not in self.index:
-                self.index[sh] = len(self.shapes)
-                self.shapes.append(sh)
+        #: the shape id of each of `shapes`, in order
+        self.ids = [self.index.setdefault(sh, len(self.index)) for sh in shapes]
+        self.shapes = list(self.index)
         self.arities = [shape_arity(sh) for sh in self.shapes]
         self.k = max(self.arities, default=0)
         self.shape_bits = bits_for(len(self.shapes))
         self.value_width = value_width
-        self.width = self.shape_bits + self.k * value_width
+
+    @property
+    def width(self) -> int:
+        return self.shape_bits + self.k * self.value_width
+
+    def widened(self, value_width: int) -> "ShapeCodec":
+        """The same shape table, packing `value_width` bits per code value."""
+        codec = copy.copy(self)
+        codec.value_width = value_width
+        return codec
 
     def pack(self, shape: ShapeNode, values: Sequence[int]) -> int:
         bits, shift = self.index[shape], self.shape_bits
@@ -195,14 +205,18 @@ class ShapeCodec:
 
 
 class CompiledDecoder:
-    """A scheme's walker evaluated over packed labels, one pair or in bulk.
+    """The one evaluator of a scheme's walker, for one pair or in bulk.
 
     An equality-based decoder sees only the two shapes and the equality
-    pattern Q of their codes.  `decode` runs the walker lazily on one pair.
-    `decode_stack` computes Q for blocks of pairs with numpy, keys each pair
+    pattern Q of their codes.  `decode_pair` runs the walker lazily on one
+    pair, asking only the equality tests the walker needs.  `decode_rows`
+    decodes every pair of whole label sets given as shape ids and code
+    values: it computes Q for blocks of pairs with numpy, keys each pair
     exactly by its shape-id pair and packed Q bits, and runs the walker once
-    per distinct key; later pairs with that key read the memo.  The memo
-    belongs to this object and so dies with the scheme that owns it.
+    per distinct key, on the code values of the first pair with that key;
+    later pairs with that key read the memo.  `decode` and `decode_stack`
+    are the same entries over labels packed by the codec.  The memo belongs
+    to this object and so dies with the scheme that owns it.
     """
 
     #: Q cells compared per block; bounds the size of the decode temporaries.
@@ -213,59 +227,69 @@ class CompiledDecoder:
         self.walker = walker
         self.memo: dict[bytes, int] = {}
 
+    def decode_pair(self, shape_x: ShapeNode, vals_x: Sequence[int],
+                    shape_y: ShapeNode, vals_y: Sequence[int]) -> int:
+        return self.walker(shape_x, shape_y, lambda i, j: vals_x[i] == vals_y[j])
+
     def decode(self, bx: int, by: int) -> int:
         sx, vx = self.codec.parse(bx)
         sy, vy = self.codec.parse(by)
-        return self.walker(self.codec.shapes[sx], self.codec.shapes[sy],
-                           lambda i, j: vx[i] == vy[j])
+        return self.decode_pair(self.codec.shapes[sx], vx, self.codec.shapes[sy], vy)
 
     def decode_matrix(self, labels: Sequence[int]) -> np.ndarray:
         return self.decode_stack([labels])[0]
 
     def decode_stack(self, label_sets: Sequence[Sequence[int]]) -> np.ndarray:
+        """`decode_rows` of packed label sets."""
+        parsed = [[self.codec.parse(bits) for bits in labels] for labels in label_sets]
+        return self.decode_rows([[sid for sid, _ in p] for p in parsed],
+                                [[vals for _, vals in p] for p in parsed])
+
+    def decode_rows(self, ids: Sequence[Sequence[int]],
+                    rows: Sequence[Sequence[Sequence[int]]]) -> np.ndarray:
         """Decode every pair u < v of each label set.
 
-        Returns a (sets, n, n) int8 array whose strict upper triangle holds
-        decode(labels[u], labels[v]) and whose lower triangle mirrors it.
+        Vertex v of set s has shape id ids[s][v] and the code values
+        rows[s][v], all >= 0.  Returns a (sets, n, n) int8 array whose strict
+        upper triangle holds the decoded bit of (u, v) and whose lower
+        triangle mirrors it.
         """
         codec, k = self.codec, self.codec.k
-        c, n = len(label_sets), len(label_sets[0]) if label_sets else 0
-        ids = np.empty((c, n), dtype=np.int64)
-        vals = np.full((c, n, k), -1, dtype=np.int64)
-        for i, labels in enumerate(label_sets):
-            for v, bits in enumerate(labels):
-                ids[i, v], row = codec.parse(bits)
-                vals[i, v, :len(row)] = row
+        c, n = len(ids), len(ids[0]) if ids else 0
+        sid = np.array(ids, dtype=np.int64).reshape(c, n)
         # padding slots hold -1 on the x side and -2 on the y side, so they
         # never compare equal and Q is zero outside each pair's arities
+        vals = np.full((c, n, k), -1, dtype=np.int64)
+        vals[np.arange(k) < np.array(codec.arities, dtype=np.int64)[sid][..., None]] = \
+            np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype=np.int64)
+        # the narrowest signed type holding the values and -2: cheaper k*k compares
+        vals = vals.astype(np.min_scalar_type(-int(vals.max(initial=0)) - 2))
         vals_y = np.where(vals < 0, -2, vals)
         out = np.zeros((c, n, n), dtype=np.int8)
-        rows = max(1, self.BLOCK_CELLS // max(c * n * k * k, 1))
-        for lo in range(0, n, rows):
-            r, v = np.nonzero(np.arange(n) > np.arange(lo, min(n, lo + rows))[:, None])
+        memo, shapes, walk = self.memo, codec.shapes, self.decode_pair
+        rows_per_block = max(1, self.BLOCK_CELLS // max(c * n * k * k, 1))
+        for lo in range(0, n, rows_per_block):
+            r, v = np.nonzero(np.arange(n) > np.arange(lo, min(n, lo + rows_per_block))[:, None])
             u, cells = r + lo, c * len(r)
             if not cells:
                 continue
-            q = (vals[:, u, :, None] == vals_y[:, v, None, :]).reshape(cells, k, k)
-            pair = (ids[:, u] * len(codec.shapes) + ids[:, v]).reshape(cells, 1)
-            keys = np.concatenate([pair.view(np.uint8),
-                                   np.packbits(q.reshape(cells, k * k), axis=1)], axis=1)
+            q = (vals[:, u, :, None] == vals_y[:, v, None, :]).reshape(cells, k * k)
+            pair = (sid[:, u] * len(codec.shapes) + sid[:, v]).reshape(cells, 1)
+            keys = np.concatenate([pair.view(np.uint8), np.packbits(q, axis=1)], axis=1)
             keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))
             uniq, first, inverse = np.unique(keys.ravel(), return_index=True,
                                              return_inverse=True)
-            res = np.array([self._lookup(key.tobytes(), q[i], int(pair[i, 0]))
-                            for key, i in zip(uniq, first)], dtype=np.int8)
-            out[:, u, v] = res[inverse].reshape(c, len(u))
+            res = []
+            for key, i in zip(uniq.tolist(), first.tolist()):
+                bit = memo.get(key)
+                if bit is None:
+                    s, p = divmod(i, len(u))
+                    x, y = int(u[p]), int(v[p])
+                    bit = memo[key] = walk(shapes[ids[s][x]], rows[s][x],
+                                           shapes[ids[s][y]], rows[s][y])
+                res.append(bit)
+            out[:, u, v] = np.array(res, dtype=np.int8)[inverse].reshape(c, len(u))
         return out + out.transpose(0, 2, 1)
-
-    def _lookup(self, key: bytes, q: np.ndarray, pair: int) -> int:
-        out = self.memo.get(key)
-        if out is None:
-            xi, yi = divmod(pair, len(self.codec.shapes))
-            sub = q[:self.codec.arities[xi], :self.codec.arities[yi]]
-            out = self.memo[key] = self.walker(self.codec.shapes[xi], self.codec.shapes[yi],
-                                               lambda i, j: bool(sub[i, j]))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +305,8 @@ def register_walker(name: str, builder: Callable[[dict], Walker]) -> None:
 
 
 def build_walker(spec: dict) -> Walker:
-    name = spec.get("name")
-    if name not in _WALKER_BUILDERS:
+    name = spec.get("name") if isinstance(spec, dict) else spec
+    if not isinstance(name, str) or name not in _WALKER_BUILDERS:
         raise KeyError(f"unknown decoder spec {name!r}")
     return _WALKER_BUILDERS[name](spec)
 
@@ -374,6 +398,8 @@ def parse_label_file(text: str) -> tuple[list[LabelNode], str, dict]:
         if parts[0] != "v" or len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 'v <id> <shape> <codes>'")
         vid = int(parts[1])
+        if vid in labels:
+            raise ValueError(f"line {lineno}: duplicate vertex {vid}")
         codes = [] if parts[3] == "-" else [int(c) for c in parts[3].split(",")]
         shape = shape_from_str(parts[2])
         if shape_arity(shape) != len(codes):
@@ -381,5 +407,8 @@ def parse_label_file(text: str) -> tuple[list[LabelNode], str, dict]:
         labels[vid] = _label_from_shape(shape, codes)
     if name is None:
         raise ValueError("empty label file")
-    ordered = [labels[i] for i in range(len(labels))]
+    try:
+        ordered = [labels[i] for i in range(len(labels))]
+    except KeyError as e:
+        raise ValueError(f"vertex ids are not 0..{len(labels) - 1}: {e} is missing")
     return ordered, name, fields

@@ -98,13 +98,6 @@ def labels_to_protocol(scheme: EqualityScheme) -> Node:
     """
     n = scheme.n
     k = scheme.k
-    shapes = []
-    shape_index = {}
-    for sh in scheme.shapes:
-        if sh not in shape_index:
-            shape_index[sh] = len(shapes)
-            shapes.append(sh)
-    s_bits = max(len(shapes) - 1, 0).bit_length()
     tag_width = scheme.s
     max_code = max((c for codes in scheme.codes for c in codes), default=0) + 1
 
@@ -120,7 +113,7 @@ def labels_to_protocol(scheme: EqualityScheme) -> Node:
 
     prefix_of = []
     for x in range(n):
-        bits = [shape_index[scheme.shapes[x]] >> t & 1 for t in range(s_bits)]
+        bits = [scheme.codec.ids[x] >> t & 1 for t in range(scheme.codec.shape_bits)]
         tag = list(prefix_bits(scheme.labels[x]))
         tag += [0] * (tag_width - len(tag))
         prefix_of.append(tuple(bits + tag))

@@ -20,7 +20,6 @@ from .labels import (
     CompiledDecoder,
     EqualityScheme,
     LabelNode,
-    ShapeCodec,
     bits_for,
     register_walker,
 )
@@ -79,14 +78,13 @@ class CompressedEqualityScheme(SketchScheme):
         self.n = scheme.n
         k = max(scheme.k, 1)
         self.alphabet = 3 * k * k
-        self._canon = scheme.canonical_code_map()
-        self.codec = ShapeCodec(scheme.shapes, bits_for(self.alphabet))
+        self.codec = scheme.codec.widened(bits_for(self.alphabet))
         self._decoder = CompiledDecoder(self.codec, scheme.walker)
         self.width = self.codec.width
         self.delta = 1 / 3
 
     def _hash(self, seed: int, value: int) -> int:
-        return derive_seed(seed, "ceq", self._canon[value]) % self.alphabet
+        return derive_seed(seed, "ceq", self.scheme.canon[value]) % self.alphabet
 
     def _encode_one(self, v: int, seed: int) -> int:
         return self.codec.pack(self.scheme.shapes[v],
@@ -367,19 +365,16 @@ def naive_derandomize(scheme: EqualityScheme) -> DeterministicLabeling:
     Label width is s + k*ceil(log2(#distinct codes)); when codes are vertex
     ids this is the s + k*ceil(log n) of the naive bound.
     """
-    canon = scheme.canonical_code_map()
-    codec = ShapeCodec(scheme.shapes, bits_for(max(len(canon), 2)))
+    codec = scheme.codec.widened(bits_for(max(len(scheme.canon), 2)))
     decoder = CompiledDecoder(codec, scheme.walker)
-    labels = tuple(codec.pack(shape, [canon[c] for c in codes])
-                   for shape, codes in zip(scheme.shapes, scheme.codes))
+    labels = tuple(codec.pack(shape, vals) for shape, vals in zip(scheme.shapes, scheme.values))
     return DeterministicLabeling(labels, codec.width, decoder.decode,
                                  decode_matrix=decoder.decode_matrix)
 
 
 def naive_label_width(scheme: EqualityScheme) -> tuple[int, int, int]:
     """(s, k, per-code bits) of the naive derandomization."""
-    canon = scheme.canonical_code_map()
-    return scheme.s, scheme.k, bits_for(max(len(canon), 2))
+    return scheme.s, scheme.k, bits_for(max(len(scheme.canon), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +416,12 @@ class ErrorReport:
 
 
 def evaluate_error(sch: SketchScheme, g: Graph, trials: int, seed: int,
-                   pairs: str = "all", jobs: int = 1) -> ErrorReport:
+                   pairs: str = "all") -> ErrorReport:
     """Per-pair error estimate with a fresh encoding per trial.
 
     pairs: 'all' samples uniformly over vertex pairs, 'adjacent' /
-    'nonadjacent' restricts the pair class.  `jobs` splits trials into
-    deterministic per-block seed streams (results independent of jobs).
+    'nonadjacent' restricts the pair class.  Trial t derives its own
+    streams from (seed, t).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -441,50 +436,23 @@ def evaluate_error(sch: SketchScheme, g: Graph, trials: int, seed: int,
     if pairs == "nonadjacent" and len(edges) == g.n * (g.n - 1) // 2:
         raise ValueError("graph has no non-adjacent pairs")
 
-    def run_range(lo: int, hi: int) -> tuple[int, int, int, int]:
-        # trial t derives its own streams from the global index, so the
-        # result does not depend on how trials are split into blocks
-        err_adj = n_adj = err_non = n_non = 0
-        for t in range(lo, hi):
-            rng = rng_for(seed, "eval-pair", t)
-            if pairs == "adjacent":
-                u, v = edges[rng.randrange(len(edges))]
-            elif pairs == "nonadjacent":
-                while True:
-                    u = rng.randrange(g.n)
-                    v = rng.randrange(g.n)
-                    if u != v and not g.has_edge(u, v):
-                        break
-            else:
-                while True:
-                    u = rng.randrange(g.n)
-                    v = rng.randrange(g.n)
-                    if u != v:
-                        break
-            bu, bv = sch.encode_pair(u, v, derive_seed(seed, "eval-enc", t))
-            wrong = sch.decode(bu, bv) != int(g.has_edge(u, v))
-            if g.has_edge(u, v):
-                n_adj += 1
-                err_adj += wrong
-            else:
-                n_non += 1
-                err_non += wrong
-        return err_adj, n_adj, err_non, n_non
-
-    jobs = max(1, jobs)
-    bounds = [trials * b // jobs for b in range(jobs + 1)]
-    if jobs == 1:
-        results = [run_range(0, trials)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(run_range, bounds[:-1], bounds[1:]))
-    ea = sum(r[0] for r in results)
-    na = sum(r[1] for r in results)
-    en = sum(r[2] for r in results)
-    nn = sum(r[3] for r in results)
-    return ErrorReport(ErrorEstimate(ea, na), ErrorEstimate(en, nn))
+    adj, non = ErrorEstimate(0, 0), ErrorEstimate(0, 0)
+    for t in range(trials):
+        rng = rng_for(seed, "eval-pair", t)
+        if pairs == "adjacent":
+            u, v = edges[rng.randrange(len(edges))]
+        else:
+            while True:
+                u = rng.randrange(g.n)
+                v = rng.randrange(g.n)
+                if u != v and (pairs == "all" or not g.has_edge(u, v)):
+                    break
+        bu, bv = sch.encode_pair(u, v, derive_seed(seed, "eval-enc", t))
+        adjacent = g.has_edge(u, v)
+        est = adj if adjacent else non
+        est.trials += 1
+        est.errors += sch.decode(bu, bv) != int(adjacent)
+    return ErrorReport(adj, non)
 
 
 # ---------------------------------------------------------------------------

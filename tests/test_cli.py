@@ -96,14 +96,13 @@ def test_sketch_and_eval(tmp_path, capsys):
     assert int(adjacent.split()[2]) == 0  # one-sided
 
 
-def test_eval_jobs_deterministic(tmp_path, capsys):
+def test_eval_same_seed_deterministic(tmp_path, capsys):
     g = tmp_path / "g.graph"
     run(capsys, "gen", "forest", "--n", "15", "--seed", "2", "--out", str(g))
-    _, out1, _ = run(capsys, "eval", str(g), "--scheme", "compress:arboricity",
-                     "--seed", "3", "--trials", "500", "--jobs", "1")
-    _, out4, _ = run(capsys, "eval", str(g), "--scheme", "compress:arboricity",
-                     "--seed", "3", "--trials", "500", "--jobs", "4")
-    assert out1 == out4
+    argv = ("eval", str(g), "--scheme", "compress:arboricity", "--seed", "3", "--trials", "500")
+    code1, out1, _ = run(capsys, *argv)
+    code2, out2, _ = run(capsys, *argv)
+    assert code1 == code2 == 0 and out1 == out2
 
 
 def test_derand_modes(tmp_path, capsys):
@@ -201,3 +200,75 @@ def test_format_error_exit(tmp_path, capsys):
     bad.write_text("nonsense\n")
     code, _, _ = run(capsys, "chain-number", str(bad))
     assert code == 3
+
+
+def _labelled(tmp_path, capsys, g, name, *scheme):
+    """Writes g, then its label and decoder files; returns their paths."""
+    from pugkit.graphs import write_graph
+
+    gf, labels, dec = (tmp_path / f"{name}.{ext}" for ext in ("graph", "labels", "dec"))
+    gf.write_text(write_graph(g, name))
+    code, _, _ = run(capsys, "label", str(gf), *scheme, "--out", str(labels),
+                     "--decoder-out", str(dec))
+    assert code == 0
+    return labels, dec
+
+
+@pytest.mark.parametrize("kind", ["table", "tree"])
+def test_query_matches_scheme_decode_on_every_pair(tmp_path, capsys, kind):
+    from pugkit import bipartite
+    from pugkit.generators import random_forest, random_tp_free
+    from pugkit.sketch import arboricity_scheme
+
+    if kind == "table":
+        g = random_forest(10, seed=3)
+        sch = arboricity_scheme(g)
+        labels, dec = _labelled(tmp_path, capsys, g, "f", "--scheme", "arboricity")
+    else:
+        g = random_tp_free(9, 12, 2, seed=1)
+        sch = bipartite.tp_free_labels(g, p=2, q=4)
+        labels, dec = _labelled(tmp_path, capsys, g, "t", "--scheme", "tp-free",
+                                "--p", "2", "--q", "4")
+    assert dec.read_text().startswith(f"decoder {kind}")
+    for u in range(sch.n):
+        for v in range(sch.n):
+            if u != v:
+                code, out, _ = run(capsys, "query", str(labels), str(u), str(v),
+                                   "--decoder", str(dec))
+                assert (code, out) == (0, f"{u} {v} {sch.decode(u, v)}\n")
+
+
+@pytest.mark.parametrize("case", ["missing-decoder", "short-table-row", "bare-tree",
+                                  "tree-spec-not-object", "sparse-label-ids",
+                                  "duplicate-label-id"])
+def test_query_malformed_files_exit_3(tmp_path, capsys, case):
+    from pugkit.generators import path
+
+    labels, dec = _labelled(tmp_path, capsys, path(8), "p", "--scheme", "arboricity")
+    text = labels.read_text()
+    if case == "missing-decoder":
+        dec = tmp_path / "absent.dec"
+    elif case == "short-table-row":
+        dec.write_text(dec.read_text() + "t 0 0\n")
+    elif case == "bare-tree":
+        dec.write_text("decoder tree\n")
+    elif case == "tree-spec-not-object":
+        dec.write_text("decoder tree [1]\n")
+    elif case == "sparse-label-ids":
+        labels.write_text(text.replace("\nv 7 ", "\nv 30 "))
+    else:
+        labels.write_text(text + text.splitlines()[1] + "\n")
+    code, out, err = run(capsys, "query", str(labels), "0", "1", "--decoder", str(dec))
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("drop, message", [("shape ", "label shape unknown"),
+                                           ("t ", "pair missing")])
+def test_query_table_contract_errors_exit_2(tmp_path, capsys, drop, message):
+    from pugkit.generators import path
+
+    labels, dec = _labelled(tmp_path, capsys, path(8), "p", "--scheme", "arboricity")
+    lines = dec.read_text().splitlines(keepends=True)
+    dec.write_text("".join(l for l in lines if not l.startswith(drop)))
+    code, _, err = run(capsys, "query", str(labels), "0", "1", "--decoder", str(dec))
+    assert code == 2 and message in err

@@ -9,11 +9,15 @@ import pytest
 
 from pugkit import bipartite
 from pugkit.generators import (
+    bipartite_equivalence_graph,
     equivalence_graph,
+    path,
+    random_chain_graph,
     random_forest,
     random_kdegenerate,
     random_tp_free,
 )
+from pugkit.geometric import interval_graph_from, interval_scheme, random_intervals
 from pugkit.labels import (
     CompiledDecoder,
     EqualityScheme,
@@ -36,6 +40,7 @@ from pugkit.sketch import (
     count_errors,
     naive_derandomize,
 )
+from pugkit.structure import chain_number
 
 
 def _assert_bulk_matches(decode, mat, labels):
@@ -170,3 +175,55 @@ def test_shape_from_str_wide_arity_round_trip(label):
 def test_parse_label_file_rejects_missing_codes():
     with pytest.raises(ValueError):
         parse_label_file("labels g s=0 k=2 width=2\nv 0 -:2 5\n")
+
+
+def _scheme(name):
+    if name == "arboricity":
+        return arboricity_scheme(random_kdegenerate(30, 3, seed=3))
+    if name == "equivalence":
+        return bipartite.equivalence_labels(equivalence_graph([5, 4, 4, 3, 2, 1]))
+    if name == "chain-graph":
+        sch = bipartite.chain_graph_labels(random_chain_graph(8, 10, seed=2), k=10)
+        assert sch.k == 0  # prefix bits only: the shapes alone decide
+        return sch
+    if name == "tp-free":
+        sch = bipartite.tp_free_labels(random_tp_free(16, 22, 2, seed=1), p=2, q=6)
+        assert sch.k >= 8
+        return sch
+    if name == "interval":
+        iv = random_intervals(24, seed=0)
+        g = interval_graph_from(iv)
+        return interval_scheme(g, iv, k=max(chain_number(g, cap=6).value, 1))
+    return bipartite.bipartite_equivalence_labels(
+        bipartite_equivalence_graph([(3, 4), (2, 1), (1, 3)]))
+
+
+@pytest.mark.parametrize("name", ["arboricity", "equivalence", "chain-graph", "tp-free",
+                                  "interval", "bip-equivalence"])
+def test_check_exact_and_bulk_match_direct_walker(name):
+    sch = _scheme(name)
+    direct = {}
+    for u in range(sch.n):
+        for v in range(u + 1, sch.n):
+            cu, cv = sch.codes[u], sch.codes[v]
+            direct[u, v] = sch.walker(sch.shapes[u], sch.shapes[v],
+                                      lambda i, j: cu[i] == cv[j])
+    mat = sch.decoder.decode_rows([sch.codec.ids], [sch.values])[0]
+    assert {pair: mat[pair] for pair in direct} == direct
+    assert sch.check_exact(lambda u, v: direct[u, v])
+    first = min(direct)
+    assert not sch.check_exact(lambda u, v: direct[u, v] ^ ((u, v) == first))
+
+
+def test_check_exact_rejects_a_wrong_label():
+    g = path(5)
+    sch = arboricity_scheme(g)
+    assert sch.check_exact(g.has_edge)
+    # vertex 0 now carries vertex 3's label, so it decodes 3's edge to 2
+    wrong = EqualityScheme((sch.labels[3],) + sch.labels[1:], sch.walker)
+    assert not wrong.check_exact(g.has_edge)
+
+
+def test_walker_scheme_error_raised_from_check_exact():
+    with pytest.raises(SchemeError):
+        _raising_scheme().check_exact(lambda u, v: False)
