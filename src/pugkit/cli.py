@@ -189,6 +189,11 @@ def write_decoder_file(scheme: EqualityScheme) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: What a walker raises when built from wrong-typed spec parameters or run
+#: on labels it does not fit.
+_SPEC_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError, RecursionError)
+
+
 def parse_decoder_file(text: str):
     """Returns a decode(label_x, label_y) callable over LabelNodes.
 
@@ -207,8 +212,8 @@ def parse_decoder_file(text: str):
             raise CliError(EXIT_FORMAT, "decoder tree needs a JSON decoder spec")
         try:
             walker = build_walker(json.loads(head[2]))
-        except (KeyError, ValueError) as e:
-            raise CliError(EXIT_FORMAT, f"bad decoder spec: {e}")
+        except _SPEC_ERRORS as e:
+            raise CliError(EXIT_FORMAT, f"bad decoder spec: {e!r}")
     else:
         for line in lines[1:]:
             parts = line.split()
@@ -232,7 +237,15 @@ def parse_decoder_file(text: str):
     decoder = CompiledDecoder(ShapeCodec(list(shape_ids)), walker)
 
     def decode(lx: LabelNode, ly: LabelNode) -> int:
-        return decoder.decode_pair(shape_of(lx), flat_codes(lx), shape_of(ly), flat_codes(ly))
+        # the walker comes from the file, so a walker that cannot run on these
+        # labels means a malformed file; a SchemeError is still the family's
+        # own contract violation
+        try:
+            return decoder.decode_pair(shape_of(lx), flat_codes(lx), shape_of(ly), flat_codes(ly))
+        except SchemeError:
+            raise
+        except _SPEC_ERRORS as e:
+            raise CliError(EXIT_FORMAT, f"decoder does not fit the labels: {e!r}")
 
     return decode
 
@@ -248,7 +261,7 @@ def cmd_label(args) -> int:
     from .sketch import naive_label_width
 
     s, k, w = naive_label_width(scheme)
-    tuples = max(tuple_count(l) for l in scheme.labels)
+    tuples = max((tuple_count(l) for l in scheme.labels), default=0)
     print(f"scheme={scheme.name} s={scheme.s} k={scheme.k} "
           f"naive-bits={scheme.s + scheme.k * w} tuples={tuples}", file=sys.stderr)
     return EXIT_OK

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .graphs import ColoredBipartiteGraph, Graph, cartesian_product
+from .graphs import ColoredBipartiteGraph, Graph, cartesian_product, product_graph
 from .rng import derive_seed, rng_for
 
 
@@ -229,41 +229,32 @@ def random_fpp_free(blocks: int, bx: int, by: int, p: int, seed: int) -> Colored
 
 # --- strong / direct / lexicographic products (generators only) -------------
 
-def _product(gs: Sequence[Graph], rule) -> tuple[Graph, list[tuple[int, ...]]]:
-    if not gs:
-        raise ValueError("empty factor list")
-    coords = [tuple(t) for t in itertools.product(*[range(g.n) for g in gs])]
-    index = {t: i for i, t in enumerate(coords)}
-    edges = []
-    for i, t in enumerate(coords):
-        for j in range(i + 1, len(coords)):
-            if rule(gs, t, coords[j]):
-                edges.append((i, j))
-    return Graph(len(coords), edges), coords
-
-
 def strong_product(gs: Sequence[Graph]) -> tuple[Graph, list[tuple[int, ...]]]:
-    def rule(gs, v, w):
-        return all(v[i] == w[i] or gs[i].has_edge(v[i], w[i]) for i in range(len(gs)))
+    """Adjacent iff distinct and every coordinate pair is equal or an edge."""
 
-    return _product(gs, rule)
+    def adjacent(t):
+        closed = [(t[i],) + g.neighbors(t[i]) for i, g in enumerate(gs)]
+        return (w for w in itertools.product(*closed) if w != t)
+
+    return product_graph(gs, adjacent)
 
 
 def direct_product(gs: Sequence[Graph]) -> tuple[Graph, list[tuple[int, ...]]]:
-    def rule(gs, v, w):
-        return all(gs[i].has_edge(v[i], w[i]) for i in range(len(gs)))
-
-    return _product(gs, rule)
+    """Adjacent iff every coordinate pair is an edge of its factor."""
+    return product_graph(gs, lambda t: itertools.product(
+        *[g.neighbors(t[i]) for i, g in enumerate(gs)]))
 
 
 def lexicographic_product(gs: Sequence[Graph]) -> tuple[Graph, list[tuple[int, ...]]]:
-    def rule(gs, v, w):
-        for i in range(len(gs)):
-            if v[i] != w[i]:
-                return gs[i].has_edge(v[i], w[i])
-        return False
+    """Adjacent iff the first differing coordinate pair is an edge."""
 
-    return _product(gs, rule)
+    def adjacent(t):
+        for i, g in enumerate(gs):
+            for rest in itertools.product(*[range(h.n) for h in gs[i + 1:]]):
+                for w in g.neighbors(t[i]):
+                    yield t[:i] + (w,) + rest
+
+    return product_graph(gs, adjacent)
 
 
 #: Families reachable from the CLI `gen` command.

@@ -8,7 +8,7 @@ for O(1) probes; decoders and brute-force oracles probe adjacency heavily.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 #: Build per-vertex bitsets only below this vertex count.
 BITSET_THRESHOLD = 4096
@@ -310,13 +310,13 @@ def bip_transform(g: Graph) -> ColoredBipartiteGraph:
     return ColoredBipartiteGraph(g.n, g.n, edges)
 
 
-def cartesian_product(gs: Sequence[Graph], cap: int = VERTEX_CAP) -> tuple[Graph, list[tuple[int, ...]]]:
-    """Cartesian product of `gs`.
-
-    Returns (product graph, vertex-id -> coordinate tuple).  Adjacent iff
-    exactly one coordinate pair is an edge of its factor and the rest are
-    equal.
-    """
+def product_graph(gs: Sequence[Graph],
+                  adjacent: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]],
+                  cap: int = VERTEX_CAP) -> tuple[Graph, list[tuple[int, ...]]]:
+    """A product of `gs`: (product graph, vertex-id -> coordinate tuple),
+    with the tuples in `itertools.product` order.  `adjacent(t)` yields
+    every tuple adjacent to t.  The vertex count is checked against `cap`
+    before anything is allocated."""
     if not gs:
         raise ValueError("empty factor list")
     total = 1
@@ -328,14 +328,20 @@ def cartesian_product(gs: Sequence[Graph], cap: int = VERTEX_CAP) -> tuple[Graph
             raise ValueError(f"product vertex count exceeds cap {cap}")
     coords = [tuple(t) for t in itertools.product(*[range(g.n) for g in gs])]
     index = {t: i for i, t in enumerate(coords)}
-    edges = []
-    for i, t in enumerate(coords):
+    edges = [(i, j) for i, t in enumerate(coords) for s in adjacent(t) if (j := index[s]) > i]
+    return Graph(total, edges), coords
+
+
+def cartesian_product(gs: Sequence[Graph], cap: int = VERTEX_CAP) -> tuple[Graph, list[tuple[int, ...]]]:
+    """Cartesian product of `gs`: adjacent iff exactly one coordinate pair
+    is an edge of its factor and the rest are equal."""
+
+    def adjacent(t):
         for pos, g in enumerate(gs):
             for w in g.neighbors(t[pos]):
-                if w > t[pos]:
-                    s = t[:pos] + (w,) + t[pos + 1:]
-                    edges.append((i, index[s]))
-    return Graph(total, edges), coords
+                yield t[:pos] + (w,) + t[pos + 1:]
+
+    return product_graph(gs, adjacent, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .graphs import Graph
 from .labels import bits_for
 from .rng import derive_seed
-from .sketch import SketchScheme, boost_copies
+from .sketch import SketchScheme, boost_copies, join_copies, split_copies
 
 #: Distinguished "distance exceeds k" sentinel (outside {0..k}).
 BOTTOM = -1
@@ -64,9 +64,7 @@ class BoostedDistanceSketch:
     def __init__(self, base, delta_target: float):
         self.base = base
         self.k = base.k
-        self.copies = boost_copies(delta_target, base.delta if base.delta > 0 else 1e-18)
-        if base.delta == 0:
-            self.copies = 1
+        self.copies = 1 if base.delta == 0 else boost_copies(delta_target, base.delta)
         self.width = self.copies * base.width
         self.delta = delta_target if self.copies > 1 else base.delta
 
@@ -75,21 +73,12 @@ class BoostedDistanceSketch:
             self.base.encode_factor(graph_index, derive_seed(seed, "dcopy", i))
             for i in range(self.copies)
         ]
-        w = self.base.width
-        out = []
-        for v in range(len(parts[0])):
-            bits = 0
-            for i in range(self.copies):
-                bits |= parts[i][v] << (i * w)
-            out.append(bits)
-        return out
+        return [join_copies(copies, self.base.width) for copies in zip(*parts)]
 
     def decode(self, bx: int, by: int) -> int:
-        w = self.base.width
-        mask = (1 << w) - 1
+        w, c = self.base.width, self.copies
         votes: dict[int, int] = {}
-        for i in range(self.copies):
-            out = self.base.decode(bx >> (i * w) & mask, by >> (i * w) & mask)
+        for out in map(self.base.decode, split_copies(bx, w, c), split_copies(by, w, c)):
             votes[out] = votes.get(out, 0) + 1
         best = max(votes.items(), key=lambda kv: (kv[1], kv[0] == BOTTOM))
         if 2 * best[1] <= self.copies and len(votes) > 1:

@@ -27,13 +27,19 @@ from .rng import derive_seed, rng_for
 from .structure import forest_partition
 
 
-def _pack(fields: Sequence[tuple[int, int]]) -> int:
+def join_copies(copies: Sequence[int], width: int) -> int:
+    """One label from independent copies: copy i of a `width`-bit label
+    sits at bits [i*width, (i+1)*width)."""
     out = 0
-    shift = 0
-    for val, width in fields:
-        out |= (val & ((1 << width) - 1)) << shift
-        shift += width
+    for i, bits in enumerate(copies):
+        out |= bits << (i * width)
     return out
+
+
+def split_copies(bits: int, width: int, copies: int) -> list[int]:
+    """The `copies` labels that `join_copies` joined into `bits`."""
+    mask = (1 << width) - 1
+    return [bits >> (i * width) & mask for i in range(copies)]
 
 
 class SketchScheme:
@@ -53,15 +59,20 @@ class SketchScheme:
     def decode(self, bx: int, by: int) -> int:
         raise NotImplementedError
 
-    def decode_matrix(self, labels: list[int]) -> "np.ndarray | None":
-        """Optional bulk decoder: an n x n 0/1 matrix whose strict upper
-        triangle is decode(labels[u], labels[v]) (None = no fast path)."""
-        return None
+    def decode_matrix(self, labels: list[int]) -> np.ndarray:
+        """The n x n 0/1 matrix of decode(labels[u], labels[v]) for u < v,
+        mirrored below the diagonal.  This is the per-pair reference; bulk
+        decoders override it."""
+        n = len(labels)
+        out = np.zeros((n, n), dtype=np.int8)
+        for u in range(n):
+            for v in range(u + 1, n):
+                out[u, v] = out[v, u] = self.decode(labels[u], labels[v])
+        return out
 
-    def decode_stack(self, label_sets: list[list[int]]) -> "np.ndarray | None":
-        """`decode_matrix` of several label sets, stacked (None = no fast path)."""
-        mats = [self.decode_matrix(labels) for labels in label_sets]
-        return None if any(m is None for m in mats) else np.stack(mats)
+    def decode_stack(self, label_sets: list[list[int]]) -> np.ndarray:
+        """`decode_matrix` of several label sets, stacked."""
+        return np.stack([self.decode_matrix(labels) for labels in label_sets])
 
 
 class CompressedEqualityScheme(SketchScheme):
@@ -159,35 +170,22 @@ class BoostedScheme(SketchScheme):
 
     def encode(self, seed: int) -> list[int]:
         parts = [self.base.encode(derive_seed(seed, "copy", i)) for i in range(self.copies)]
-        w = self.base.width
-        return [_pack([(parts[i][v], w) for i in range(self.copies)]) for v in range(self.n)]
+        return [join_copies(copies, self.base.width) for copies in zip(*parts)]
 
     def encode_pair(self, u: int, v: int, seed: int) -> tuple[int, int]:
-        w = self.base.width
-        fu, fv = [], []
-        for i in range(self.copies):
-            bu, bv = self.base.encode_pair(u, v, derive_seed(seed, "copy", i))
-            fu.append((bu, w))
-            fv.append((bv, w))
-        return _pack(fu), _pack(fv)
+        fu, fv = zip(*(self.base.encode_pair(u, v, derive_seed(seed, "copy", i))
+                       for i in range(self.copies)))
+        return join_copies(fu, self.base.width), join_copies(fv, self.base.width)
 
     def decode(self, bx: int, by: int) -> int:
-        w = self.base.width
-        votes = 0
-        for i in range(self.copies):
-            cx = bx >> (i * w) & ((1 << w) - 1)
-            cy = by >> (i * w) & ((1 << w) - 1)
-            votes += self.base.decode(cx, cy)
-        return int(2 * votes > self.copies)
+        w, c = self.base.width, self.copies
+        votes = sum(map(self.base.decode, split_copies(bx, w, c), split_copies(by, w, c)))
+        return int(2 * votes > c)
 
-    def decode_matrix(self, labels: list[int]):
+    def decode_matrix(self, labels: list[int]) -> np.ndarray:
         # all copies go to the base decoder in one stacked call
-        w = self.base.width
-        mask = (1 << w) - 1
-        votes = self.base.decode_stack(
-            [[l >> (i * w) & mask for l in labels] for i in range(self.copies)])
-        if votes is None:
-            return None
+        split = [split_copies(l, self.base.width, self.copies) for l in labels]
+        votes = self.base.decode_stack([[s[i] for s in split] for i in range(self.copies)])
         return (2 * votes.sum(axis=0, dtype=np.int32) > self.copies).astype(np.int8)
 
 
@@ -307,35 +305,35 @@ def arboricity_sketch(g: Graph) -> ArboricitySketch:
 
 @dataclass
 class DeterministicLabeling:
+    """Zero-error labels and the one decoder that reads them."""
+
     labels: tuple[int, ...]
     width: int
-    decode: Callable[[int, int], int]
+    decoder: "SketchScheme | CompiledDecoder"
     attempts: int = 1
-    decode_matrix: Callable[[list[int]], "np.ndarray | None"] | None = None
+
+    @property
+    def decode(self) -> Callable[[int, int], int]:
+        return self.decoder.decode
+
+    @property
+    def decode_matrix(self) -> Callable[[list[int]], np.ndarray]:
+        return self.decoder.decode_matrix
 
     def check_exact(self, g: Graph) -> bool:
-        return _count_errors(self.decode, self.decode_matrix, list(self.labels), g) == 0
+        return count_errors(self.decoder, list(self.labels), g) == 0
 
 
 class DerandomizationError(RuntimeError):
     """The sampled scheme kept violating its error contract."""
 
 
-def _count_errors(decode, decode_matrix, labels: list[int], g: Graph) -> int:
-    """Pairs u < v whose decoded bit differs from g: in bulk when
-    `decode_matrix` gives a matrix, else one `decode` call per pair."""
-    mat = decode_matrix(labels) if decode_matrix is not None else None
-    if mat is not None:
-        adj = np.zeros((g.n, g.n), dtype=np.int8)
-        for u, v in g.edges():
-            adj[u, v] = 1
-        return int(np.count_nonzero(np.triu(mat != adj + adj.T, 1)))
-    return sum(decode(labels[u], labels[v]) != int(g.has_edge(u, v))
-               for u in range(g.n) for v in range(u + 1, g.n))
-
-
-def count_errors(sch: SketchScheme, labels: list[int], g: Graph) -> int:
-    return _count_errors(sch.decode, sch.decode_matrix, labels, g)
+def count_errors(sch: "SketchScheme | CompiledDecoder", labels: list[int], g: Graph) -> int:
+    """Pairs u < v whose bit in `sch.decode_matrix(labels)` differs from g."""
+    adj = np.zeros((g.n, g.n), dtype=np.int8)
+    for u, v in g.edges():
+        adj[u, v] = 1
+    return int(np.count_nonzero(np.triu(sch.decode_matrix(labels) != adj + adj.T, 1)))
 
 
 def derandomize(sch: SketchScheme, g: Graph, seed: int,
@@ -352,9 +350,7 @@ def derandomize(sch: SketchScheme, g: Graph, seed: int,
     for attempt in range(1, max_retries + 1):
         labels = boosted.encode(derive_seed(seed, "derand", attempt))
         if count_errors(boosted, labels, g) == 0:
-            return DeterministicLabeling(tuple(labels), boosted.width, boosted.decode,
-                                         attempts=attempt,
-                                         decode_matrix=boosted.decode_matrix)
+            return DeterministicLabeling(tuple(labels), boosted.width, boosted, attempts=attempt)
     raise DerandomizationError(
         f"no correct labeling in {max_retries} tries; scheme violates delta")
 
@@ -366,10 +362,8 @@ def naive_derandomize(scheme: EqualityScheme) -> DeterministicLabeling:
     ids this is the s + k*ceil(log n) of the naive bound.
     """
     codec = scheme.codec.widened(bits_for(max(len(scheme.canon), 2)))
-    decoder = CompiledDecoder(codec, scheme.walker)
     labels = tuple(codec.pack(shape, vals) for shape, vals in zip(scheme.shapes, scheme.values))
-    return DeterministicLabeling(labels, codec.width, decoder.decode,
-                                 decode_matrix=decoder.decode_matrix)
+    return DeterministicLabeling(labels, codec.width, CompiledDecoder(codec, scheme.walker))
 
 
 def naive_label_width(scheme: EqualityScheme) -> tuple[int, int, int]:

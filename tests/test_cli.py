@@ -3,6 +3,7 @@ import os
 import pytest
 
 from pugkit.cli import main
+from pugkit.labels import SchemeError
 from pugkit.twinwidth import write_certificate
 
 
@@ -239,14 +240,21 @@ def test_query_matches_scheme_decode_on_every_pair(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("case", ["missing-decoder", "short-table-row", "bare-tree",
-                                  "tree-spec-not-object", "sparse-label-ids",
-                                  "duplicate-label-id"])
+                                  "tree-spec-not-object", "tree-spec-wrong-type",
+                                  "sparse-label-ids", "duplicate-label-id"])
 def test_query_malformed_files_exit_3(tmp_path, capsys, case):
-    from pugkit.generators import path
+    from pugkit.generators import biclique, path
 
     labels, dec = _labelled(tmp_path, capsys, path(8), "p", "--scheme", "arboricity")
     text = labels.read_text()
-    if case == "missing-decoder":
+    pair = ("0", "1")
+    if case == "tree-spec-wrong-type":
+        # X vertex 0 and Y vertex 5 make the chain walker read its bit count
+        labels, dec = _labelled(tmp_path, capsys, biclique(5, 6), "b",
+                                "--scheme", "chain-graph", "--k", "2")
+        dec.write_text('decoder tree {"name": "chain-graph", "bits": "x"}\n')
+        pair = ("0", "5")
+    elif case == "missing-decoder":
         dec = tmp_path / "absent.dec"
     elif case == "short-table-row":
         dec.write_text(dec.read_text() + "t 0 0\n")
@@ -258,8 +266,32 @@ def test_query_malformed_files_exit_3(tmp_path, capsys, case):
         labels.write_text(text.replace("\nv 7 ", "\nv 30 "))
     else:
         labels.write_text(text + text.splitlines()[1] + "\n")
-    code, out, err = run(capsys, "query", str(labels), "0", "1", "--decoder", str(dec))
+    code, out, err = run(capsys, "query", str(labels), *pair, "--decoder", str(dec))
     assert code == 3 and out == "" and err.startswith("error:")
+
+
+def test_query_tree_walker_scheme_error_exit_2(tmp_path, capsys, monkeypatch):
+    from pugkit import labels as labels_mod
+    from pugkit.generators import path
+
+    def contract(spec):
+        def walk(sx, sy, eq):
+            raise SchemeError("outside the family")
+        return walk
+
+    monkeypatch.setitem(labels_mod._WALKER_BUILDERS, "contract", contract)
+    labels, dec = _labelled(tmp_path, capsys, path(8), "p", "--scheme", "arboricity")
+    dec.write_text('decoder tree {"name": "contract"}\n')
+    code, out, err = run(capsys, "query", str(labels), "0", "1", "--decoder", str(dec))
+    assert (code, out) == (2, "") and "outside the family" in err
+
+
+def test_label_empty_graph(tmp_path, capsys):
+    gf, out = tmp_path / "e0.graph", tmp_path / "e0.labels"
+    gf.write_text("graph e0 0\n")
+    code, _, err = run(capsys, "label", str(gf), "--scheme", "arboricity", "--out", str(out))
+    assert code == 0 and "tuples=0" in err
+    assert out.read_text() == "labels e0 s=0 k=0 width=0\n"
 
 
 @pytest.mark.parametrize("drop, message", [("shape ", "label shape unknown"),

@@ -1,8 +1,9 @@
 """The shape codec and the compiled (bulk) decoder.
 
 Bulk decoding must agree with per-pair decoding on every pair u < v, for
-every scheme that has a bulk path, including the ones whose Q does not fit
-in a machine word and Bloom filters wider than 63 buckets.
+every sketch, including the ones whose Q does not fit in a machine word,
+Bloom filters wider than 63 buckets, and sketches that decode all pairs
+through the per-pair reference.
 """
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from pugkit import bipartite
 from pugkit.generators import (
     bipartite_equivalence_graph,
+    cycle,
     equivalence_graph,
     path,
     random_chain_graph,
@@ -18,6 +20,7 @@ from pugkit.generators import (
     random_tp_free,
 )
 from pugkit.geometric import interval_graph_from, interval_scheme, random_intervals
+from pugkit.graphs import cartesian_product
 from pugkit.labels import (
     CompiledDecoder,
     EqualityScheme,
@@ -32,12 +35,14 @@ from pugkit.labels import (
     shape_to_str,
     write_label_file,
 )
+from pugkit.products import adjacency_from_distance1
 from pugkit.sketch import (
     arboricity_scheme,
     arboricity_sketch,
     boost,
     compress_equality_scheme,
     count_errors,
+    derandomize,
     naive_derandomize,
 )
 from pugkit.structure import chain_number
@@ -46,6 +51,7 @@ from pugkit.structure import chain_number
 def _assert_bulk_matches(decode, mat, labels):
     n = len(labels)
     assert mat.shape == (n, n)
+    assert (mat == mat.T).all()
     for u in range(n):
         for v in range(u + 1, n):
             assert mat[u, v] == decode(labels[u], labels[v]), (u, v)
@@ -95,6 +101,63 @@ def test_bloom_decode_matrix_matches_decode(alpha):
     for seed in range(2):
         labels = sk.encode(seed)
         _assert_bulk_matches(sk.decode, sk.decode_matrix(labels), labels)
+
+
+def _sketch(name):
+    """(sketch, the graph it sketches)."""
+    if name == "compressed":
+        g = random_kdegenerate(24, 3, seed=2)
+        return compress_equality_scheme(arboricity_scheme(g)), g
+    if name == "boosted-compressed":
+        g = random_forest(14, seed=6)
+        return boost(compress_equality_scheme(arboricity_scheme(g)), 0.05), g
+    if name == "bloom":
+        g = random_kdegenerate(30, 3, seed=3)
+        return arboricity_sketch(g), g
+    if name == "boosted-bloom":
+        g = random_kdegenerate(20, 2, seed=5)
+        return boost(arboricity_sketch(g), 0.05), g
+    # decodes all pairs through the base-class per-pair reference
+    factors = [path(3), cycle(4)]
+    return adjacency_from_distance1(factors), cartesian_product(factors)[0]
+
+
+SKETCHES = ["compressed", "boosted-compressed", "bloom", "boosted-bloom", "product-adjacency"]
+
+
+@pytest.mark.parametrize("name", ["boosted-bloom", "product-adjacency"])
+def test_sketch_decode_matrix_matches_decode(name):
+    sk, _ = _sketch(name)
+    for seed in range(2):
+        labels = sk.encode(seed)
+        _assert_bulk_matches(sk.decode, sk.decode_matrix(labels), labels)
+
+
+@pytest.mark.parametrize("name", SKETCHES)
+def test_count_errors_matches_per_pair_loop(name):
+    sk, g = _sketch(name)
+    for seed in range(3):
+        labels = sk.encode(seed)
+        slow = sum(sk.decode(labels[u], labels[v]) != int(g.has_edge(u, v))
+                   for u in range(g.n) for v in range(u + 1, g.n))
+        assert count_errors(sk, labels, g) == slow
+
+
+@pytest.mark.parametrize("mode", ["bloom", "compressed", "naive"])
+def test_deterministic_labeling_decodes_through_its_decoder(mode):
+    g = random_forest(16, seed=4)
+    if mode == "naive":
+        det = naive_derandomize(arboricity_scheme(g))
+    else:
+        sk = arboricity_sketch(g) if mode == "bloom" else \
+            compress_equality_scheme(arboricity_scheme(g))
+        det = derandomize(sk, g, seed=2)
+    labels = list(det.labels)
+    mat = det.decode_matrix(labels)
+    _assert_bulk_matches(det.decode, mat, labels)
+    assert all(mat[u, v] == g.has_edge(u, v) for u in range(g.n) for v in range(u + 1, g.n))
+    assert det.check_exact(g)
+    assert (det.decode, det.decode_matrix) == (det.decoder.decode, det.decoder.decode_matrix)
 
 
 def test_bulk_decode_blocks_do_not_change_the_output(monkeypatch):

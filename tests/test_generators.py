@@ -1,23 +1,32 @@
+import itertools
+
 import pytest
 
 from pugkit.generators import (
     bipartite_equivalence_graph,
     chain_graph,
     co_half_graph,
+    complete,
+    cycle,
+    direct_product,
     equivalence_graph,
     f_graph,
     fstar_graph,
     generate,
     half_graph,
+    lexicographic_product,
     p7_bipartite,
+    path,
     random_chain_graph,
     random_forest,
     random_graph,
     s123,
+    strong_product,
     t_graph,
     threshold_graph,
     z_graph,
 )
+from pugkit.graphs import cartesian_product
 
 
 def test_half_graph_shape():
@@ -102,3 +111,38 @@ def test_generate_dispatch():
     assert (z.nx, z.ny) == (2, 4)
     with pytest.raises(ValueError):
         generate("nope")
+
+
+def _first_difference_is_edge(gs, v, w):
+    i = next(i for i in range(len(gs)) if v[i] != w[i])
+    return gs[i].has_edge(v[i], w[i])
+
+
+# each product's adjacency rule, read off its definition
+PRODUCT_RULES = {
+    cartesian_product: lambda gs, v, w: sum(a != b for a, b in zip(v, w)) == 1
+    and _first_difference_is_edge(gs, v, w),
+    strong_product: lambda gs, v, w: all(
+        a == b or g.has_edge(a, b) for g, a, b in zip(gs, v, w)),
+    direct_product: lambda gs, v, w: all(g.has_edge(a, b) for g, a, b in zip(gs, v, w)),
+    lexicographic_product: _first_difference_is_edge,
+}
+
+
+@pytest.mark.parametrize("product", list(PRODUCT_RULES), ids=lambda f: f.__name__)
+def test_products_match_their_definitions(product):
+    for gs in ([path(3), cycle(4), complete(2)], [complete(2), path(3)], [cycle(4)]):
+        g, coords = product(gs)
+        assert coords == list(itertools.product(*[range(h.n) for h in gs]))
+        rule = PRODUCT_RULES[product]
+        for i, j in itertools.combinations(range(g.n), 2):
+            assert g.has_edge(i, j) == rule(gs, coords[i], coords[j]), (coords[i], coords[j])
+
+
+@pytest.mark.parametrize("product", list(PRODUCT_RULES), ids=lambda f: f.__name__)
+def test_products_reject_over_cap_before_allocating(product):
+    # 2**64 coordinate tuples could never be allocated, so only a check made
+    # up front can raise here; 2**23 is the first power of two over the cap
+    for d in (64, 23):
+        with pytest.raises(ValueError, match="cap"):
+            product([path(2)] * d)

@@ -5,6 +5,7 @@ from pugkit.generators import cycle, path
 from pugkit.graphs import cartesian_product
 from pugkit.products import (
     BOTTOM,
+    BoostedDistanceSketch,
     FiniteFamilyDistanceSketch,
     ProductAdjacencySketch,
     ProductDistanceSketch,
@@ -13,6 +14,21 @@ from pugkit.products import (
     product_distance_encoder,
 )
 from pugkit.rng import rng_for
+from pugkit.sketch import split_copies
+
+
+def test_boosted_distance_sketch_copy_layout():
+    base = FiniteFamilyDistanceSketch([path(5)], k=2)
+    assert BoostedDistanceSketch(base, 0.01).copies == 1  # zero error: nothing to boost
+    base.delta = 0.2  # as if randomized, so the boost keeps several copies
+    b = BoostedDistanceSketch(base, 0.01)
+    assert b.copies > 1 and b.width == b.copies * base.width
+    labels, plain = b.encode_factor(0, seed=3), base.encode_factor(0, seed=0)
+    for v, bits in enumerate(labels):
+        assert split_copies(bits, base.width, b.copies) == [plain[v]] * b.copies
+    for u in range(5):
+        for v in range(5):
+            assert b.decode(labels[u], labels[v]) == base.decode(plain[u], plain[v])
 
 
 def test_finite_family_base():

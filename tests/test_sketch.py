@@ -16,6 +16,7 @@ from pugkit.labels import EqualityScheme, LabelNode, pair_eq_matrix
 from pugkit.sketch import (
     ArboricitySketch,
     DerandomizationError,
+    SketchScheme,
     arboricity_scheme,
     arboricity_sketch,
     boost,
@@ -167,8 +168,7 @@ def test_derandomize_zero_error_scheme_first_try():
         def decode(self, bx, by):
             return self._det.decode(bx, by)
 
-        def decode_matrix(self, labels):
-            return None
+        decode_matrix = SketchScheme.decode_matrix
 
     w = Wrap(g, det)
     out = derandomize(w, g, seed=1)
@@ -182,8 +182,7 @@ def test_derandomize_raises_on_broken_scheme():
         def decode(self, bx, by):
             return 0  # always wrong on edges
 
-        def decode_matrix(self, labels):
-            return None
+        decode_matrix = SketchScheme.decode_matrix
 
     with pytest.raises(DerandomizationError):
         derandomize(Broken(g), g, seed=0, max_retries=3)
