@@ -209,14 +209,16 @@ class CompiledDecoder:
 
     An equality-based decoder sees only the two shapes and the equality
     pattern Q of their codes.  `decode_pair` runs the walker lazily on one
-    pair, asking only the equality tests the walker needs.  `decode_rows`
-    decodes every pair of whole label sets given as shape ids and code
-    values: it computes Q for blocks of pairs with numpy, keys each pair
-    exactly by its shape-id pair and packed Q bits, and runs the walker once
-    per distinct key, on the code values of the first pair with that key;
-    later pairs with that key read the memo.  `decode` and `decode_stack`
-    are the same entries over labels packed by the codec.  The memo belongs
-    to this object and so dies with the scheme that owns it.
+    pair, asking only the equality tests the walker needs.  `decode_pairs`
+    is the bulk core over flat arrays of pairs: it computes Q for all of
+    them with numpy, keys each pair exactly by its shape-id pair and packed
+    Q bits, and runs the walker once per distinct key, on the code values of
+    the first pair with that key; later pairs with that key read the memo.
+    `decode_rows` decodes every pair of whole label sets through it, in
+    blocks of rows, and so does the compressed sketches' trial decoder.
+    `decode` and `decode_stack` are the per-pair and all-pairs entries over
+    labels packed by the codec.  The memo belongs to this object and so dies
+    with the scheme that owns it.
     """
 
     #: Q cells compared per block; bounds the size of the decode temporaries.
@@ -257,39 +259,65 @@ class CompiledDecoder:
         codec, k = self.codec, self.codec.k
         c, n = len(ids), len(ids[0]) if ids else 0
         sid = np.array(ids, dtype=np.int64).reshape(c, n)
-        # padding slots hold -1 on the x side and -2 on the y side, so they
-        # never compare equal and Q is zero outside each pair's arities
+        # padding slots hold -1 on the x side and -2 on the y side, as decode_pairs asks
         vals = np.full((c, n, k), -1, dtype=np.int64)
         vals[np.arange(k) < np.array(codec.arities, dtype=np.int64)[sid][..., None]] = \
             np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype=np.int64)
-        # the narrowest signed type holding the values and -2: cheaper k*k compares
-        vals = vals.astype(np.min_scalar_type(-int(vals.max(initial=0)) - 2))
+        vals = vals.astype(narrow_values(int(vals.max(initial=0))))
         vals_y = np.where(vals < 0, -2, vals)
         out = np.zeros((c, n, n), dtype=np.int8)
-        memo, shapes, walk = self.memo, codec.shapes, self.decode_pair
         rows_per_block = max(1, self.BLOCK_CELLS // max(c * n * k * k, 1))
         for lo in range(0, n, rows_per_block):
             r, v = np.nonzero(np.arange(n) > np.arange(lo, min(n, lo + rows_per_block))[:, None])
             u, cells = r + lo, c * len(r)
-            if not cells:
-                continue
-            q = (vals[:, u, :, None] == vals_y[:, v, None, :]).reshape(cells, k * k)
-            pair = (sid[:, u] * len(codec.shapes) + sid[:, v]).reshape(cells, 1)
-            keys = np.concatenate([pair.view(np.uint8), np.packbits(q, axis=1)], axis=1)
-            keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))
-            uniq, first, inverse = np.unique(keys.ravel(), return_index=True,
-                                             return_inverse=True)
-            res = []
-            for key, i in zip(uniq.tolist(), first.tolist()):
-                bit = memo.get(key)
-                if bit is None:
-                    s, p = divmod(i, len(u))
-                    x, y = int(u[p]), int(v[p])
-                    bit = memo[key] = walk(shapes[ids[s][x]], rows[s][x],
-                                           shapes[ids[s][y]], rows[s][y])
-                res.append(bit)
-            out[:, u, v] = np.array(res, dtype=np.int8)[inverse].reshape(c, len(u))
+            if cells:
+                def codes(p, u=u, v=v):
+                    s, i = divmod(p, len(u))
+                    return rows[s][u[i]], rows[s][v[i]]
+
+                out[:, u, v] = self.decode_pairs(
+                    sid[:, u].ravel(), vals[:, u].reshape(cells, k),
+                    sid[:, v].ravel(), vals_y[:, v].reshape(cells, k), codes).reshape(c, len(u))
         return out + out.transpose(0, 2, 1)
+
+    def decode_pairs(self, sid_x: np.ndarray, vals_x: np.ndarray,
+                     sid_y: np.ndarray, vals_y: np.ndarray,
+                     codes: Callable[[int], tuple[Sequence[int], Sequence[int]]] | None = None
+                     ) -> np.ndarray:
+        """The decoded bit of each pair p, as an int8 array.
+
+        The pair's x side has shape id sid_x[p] and code values vals_x[p], a
+        row of k values that are >= 0 on the shape's slots; the y side
+        likewise.  The padding after the slots is -1 in vals_x and -2 in
+        vals_y, so it never compares equal and Q is zero outside each pair's
+        arities.  Q is computed for all pairs at once, so the caller bounds
+        the block to about `BLOCK_CELLS` cells.  The walker reads pair p's
+        code values from `codes(p)`, the two lists, when the caller holds
+        them as lists, and otherwise from vals_x and vals_y.
+        """
+        k, shapes, arities = self.codec.k, self.codec.shapes, self.codec.arities
+        q = (vals_x[:, :, None] == vals_y[:, None, :]).reshape(len(vals_x), k * k)
+        pair = (sid_x * len(shapes) + sid_y).reshape(-1, 1)
+        keys = np.concatenate([pair.view(np.uint8), np.packbits(q, axis=1)], axis=1)
+        keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))
+        uniq, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        memo, keys = self.memo, uniq.tolist()
+        res = [memo.get(key) for key in keys]
+        new = [i for i, bit in enumerate(res) if bit is None]
+        if new:
+            # the walker runs on the code values of the first pair with each new key
+            at = first[new]
+            for i, p, sx, sy in zip(new, at.tolist(), sid_x[at].tolist(), sid_y[at].tolist()):
+                vx, vy = codes(p) if codes else (vals_x[p, :arities[sx]].tolist(),
+                                                 vals_y[p, :arities[sy]].tolist())
+                res[i] = memo[keys[i]] = self.decode_pair(shapes[sx], vx, shapes[sy], vy)
+        return np.array(res, dtype=np.int8)[inverse]
+
+
+def narrow_values(top: int) -> np.dtype:
+    """The narrowest signed type holding code values up to `top` and the
+    padding -2: Q then takes the cheapest k*k compares."""
+    return np.min_scalar_type(-top - 2)
 
 
 # ---------------------------------------------------------------------------

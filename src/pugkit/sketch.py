@@ -1,10 +1,13 @@
 """Randomized sketches: compression of equality schemes, boosting,
 derandomization, Monte-Carlo error evaluation, and PUG export.
 
-Encoders derive all their randomness as pure functions of (seed, tag), so
-encoding a single pair is distributed exactly like restricting a full
-encoding; `evaluate_error` exploits this to run fresh-encoding trials in
-O(label) time.
+Encoders derive all their randomness from `counter_hash` as pure functions
+of (seed, tag, id): a hashed code value, a vertex's Bloom bucket, a boost
+copy's seed.  So encoding a single pair equals restricting a full
+encoding, and `decode_trials` can decode the pairs of many fresh
+encodings at once: it hashes the per-trial seeds and the pairs' ids as
+arrays.  `evaluate_error` draws each trial's pair and encoding seed the same
+way and decodes its trials in blocks.
 """
 
 from __future__ import annotations
@@ -21,10 +24,14 @@ from .labels import (
     EqualityScheme,
     LabelNode,
     bits_for,
+    narrow_values,
     register_walker,
 )
-from .rng import derive_seed, rng_for
+from .rng import counter_hash, derive_seed
 from .structure import forest_partition
+
+# `counter_hash` tags: one per purpose, so the streams stay apart
+_TAG_CODE, _TAG_BUCKET, _TAG_COPY, _TAG_PAIR, _TAG_ENC = range(1, 6)
 
 
 def join_copies(copies: Sequence[int], width: int) -> int:
@@ -74,6 +81,14 @@ class SketchScheme:
         """`decode_matrix` of several label sets, stacked."""
         return np.stack([self.decode_matrix(labels) for labels in label_sets])
 
+    def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """The int8 bit decoded for the pair (us[t], vs[t]) under a fresh
+        encoding seeded by seeds[t], for every t.  This is the per-trial
+        reference; vectorised sketches override it."""
+        return np.array([self.decode(*self.encode_pair(u, v, s)) for u, v, s in
+                         zip(np.asarray(us).tolist(), np.asarray(vs).tolist(),
+                             np.asarray(seeds).tolist())], dtype=np.int8)
+
 
 class CompressedEqualityScheme(SketchScheme):
     """Equality scheme compressed by hashing codes into [3k^2] (one-sided).
@@ -93,19 +108,44 @@ class CompressedEqualityScheme(SketchScheme):
         self._decoder = CompiledDecoder(self.codec, scheme.walker)
         self.width = self.codec.width
         self.delta = 1 / 3
+        # per vertex: shape id, and canonical code values padded with -1 to k
+        self._sids = np.array(self.codec.ids, dtype=np.int64)
+        self._vals = np.full((self.n, self.codec.k), -1, dtype=np.int64)
+        for v, vals in enumerate(scheme.values):
+            self._vals[v, :len(vals)] = vals
+        self._dtype = narrow_values(self.alphabet - 1)
+
+    def _hashed(self, seed, values) -> np.ndarray:
+        """The hashed code of each canonical code value under `seed`."""
+        return counter_hash(seed, _TAG_CODE, values) % np.uint64(self.alphabet)
 
     def _hash(self, seed: int, value: int) -> int:
-        return derive_seed(seed, "ceq", self.scheme.canon[value]) % self.alphabet
-
-    def _encode_one(self, v: int, seed: int) -> int:
-        return self.codec.pack(self.scheme.shapes[v],
-                               [self._hash(seed, c) for c in self.scheme.codes[v]])
+        return int(self._hashed(seed, self.scheme.canon[value]))
 
     def encode(self, seed: int) -> list[int]:
-        return [self._encode_one(v, seed) for v in range(self.n)]
+        h = self._hashed(seed, np.arange(len(self.scheme.canon))).tolist()
+        return [self.codec.pack(shape, [h[c] for c in vals])
+                for shape, vals in zip(self.scheme.shapes, self.scheme.values)]
 
     def encode_pair(self, u: int, v: int, seed: int) -> tuple[int, int]:
-        return self._encode_one(u, seed), self._encode_one(v, seed)
+        vu, vv = self.scheme.values[u], self.scheme.values[v]
+        h = self._hashed(seed, np.array(vu + vv, dtype=np.int64)).tolist()
+        return (self.codec.pack(self.scheme.shapes[u], h[:len(vu)]),
+                self.codec.pack(self.scheme.shapes[v], h[len(vu):]))
+
+    def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        # blocks of at most BLOCK_CELLS Q cells, as decode_pairs asks
+        k = self.codec.k
+        step = max(1, self._decoder.BLOCK_CELLS // max(k * k, 1))
+        out = [np.zeros(0, dtype=np.int8)]
+        for lo in range(0, len(us), step):
+            u, v = us[lo:lo + step], vs[lo:lo + step]
+            s = np.asarray(seeds[lo:lo + step], dtype=np.uint64)[:, None]
+            hx, hy = (np.where(self._vals[w] < 0, pad,
+                               self._hashed(s, self._vals[w]).astype(self._dtype))
+                      for w, pad in ((u, -1), (v, -2)))
+            out.append(self._decoder.decode_pairs(self._sids[u], hx, self._sids[v], hy))
+        return np.concatenate(out)
 
     def decode(self, bx: int, by: int) -> int:
         return self._decoder.decode(bx, by)
@@ -168,14 +208,24 @@ class BoostedScheme(SketchScheme):
         self.width = self.copies * base.width
         self.delta = delta_target if self.copies > 1 else base.delta
 
+    def _copy_seeds(self, seed):
+        """The seed of each copy; for an array of seeds, one row per seed."""
+        return counter_hash(seed, _TAG_COPY, np.arange(self.copies))
+
     def encode(self, seed: int) -> list[int]:
-        parts = [self.base.encode(derive_seed(seed, "copy", i)) for i in range(self.copies)]
+        parts = [self.base.encode(s) for s in self._copy_seeds(seed).tolist()]
         return [join_copies(copies, self.base.width) for copies in zip(*parts)]
 
     def encode_pair(self, u: int, v: int, seed: int) -> tuple[int, int]:
-        fu, fv = zip(*(self.base.encode_pair(u, v, derive_seed(seed, "copy", i))
-                       for i in range(self.copies)))
+        fu, fv = zip(*(self.base.encode_pair(u, v, s) for s in self._copy_seeds(seed).tolist()))
         return join_copies(fu, self.base.width), join_copies(fv, self.base.width)
+
+    def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        # copies x trials go to the base in one call, trial-major
+        c = self.copies
+        copy_seeds = self._copy_seeds(np.asarray(seeds, dtype=np.uint64)[:, None])
+        votes = self.base.decode_trials(np.repeat(us, c), np.repeat(vs, c), copy_seeds.ravel())
+        return (2 * votes.reshape(-1, c).sum(axis=1, dtype=np.int32) > c).astype(np.int8)
 
     def decode(self, bx: int, by: int) -> int:
         w, c = self.base.width, self.copies
@@ -235,7 +285,8 @@ class ArboricitySketch(SketchScheme):
 
     Layout [r(x)][bloom bits]: r(x) ~ [6 alpha]; bloom marks the hashes of
     the parent ids.  Adjacent pairs decode 1 with probability 1 (one-sided);
-    non-adjacent error at most 2 alpha / (6 alpha) = 1/3.
+    non-adjacent error at most 2 alpha / (6 alpha) = 1/3.  The bucket r(v)
+    is a hash of (seed, v), so a label costs O(alpha) hashes, not O(n).
     """
 
     def __init__(self, g: Graph):
@@ -250,31 +301,38 @@ class ArboricitySketch(SketchScheme):
         self.r_bits = bits_for(self.buckets)
         self.width = self.r_bits + self.buckets
         self.delta = 1 / 3
-        self._r_cache: dict[int, np.ndarray] = {}
+        # parents padded with -1 to alpha columns: the trial decoder's input
+        self._parent_ids = np.full((self.n, self.alpha), -1, dtype=np.int64)
+        for v, ps in enumerate(self._parents):
+            self._parent_ids[v, :len(ps)] = ps
 
-    def _r_array(self, seed: int) -> np.ndarray:
-        arr = self._r_cache.get(seed)
-        if arr is None:
-            gen = np.random.default_rng(derive_seed(seed, "arb-r"))
-            arr = gen.integers(0, self.buckets, size=self.n)
-            if len(self._r_cache) > 8:
-                self._r_cache.clear()
-            self._r_cache[seed] = arr
-        return arr
+    def _bucket(self, seed, vs) -> np.ndarray:
+        """r(v) in [buckets] of each vertex id in `vs` under `seed`."""
+        return counter_hash(seed, _TAG_BUCKET, vs) % np.uint64(self.buckets)
 
-    def _encode_one(self, v: int, r) -> int:
+    def _label(self, r_v: int, r_parents: Sequence[int]) -> int:
         bloom = 0
-        for p in self._parents[v]:
-            bloom |= 1 << int(r[p])
-        return int(r[v]) | bloom << self.r_bits
+        for r in r_parents:
+            bloom |= 1 << r
+        return r_v | bloom << self.r_bits
 
     def encode(self, seed: int) -> list[int]:
-        r = self._r_array(seed)
-        return [self._encode_one(v, r) for v in range(self.n)]
+        r = self._bucket(seed, np.arange(self.n)).tolist()
+        return [self._label(r[v], [r[p] for p in ps]) for v, ps in enumerate(self._parents)]
 
     def encode_pair(self, u: int, v: int, seed: int) -> tuple[int, int]:
-        r = self._r_array(seed)
-        return self._encode_one(u, r), self._encode_one(v, r)
+        pu, pv = self._parents[u], self._parents[v]
+        r = self._bucket(seed, np.array([u, v, *pu, *pv], dtype=np.int64)).tolist()
+        return self._label(r[0], r[2:2 + len(pu)]), self._label(r[1], r[2 + len(pu):])
+
+    def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        # columns: u, v, then u's parents and v's parents (-1 padding)
+        us, vs, a = np.asarray(us), np.asarray(vs), self.alpha
+        ids = np.concatenate([us[:, None], vs[:, None], self._parent_ids[us],
+                              self._parent_ids[vs]], axis=1)
+        r = self._bucket(np.asarray(seeds, dtype=np.uint64)[:, None], ids)
+        marked = (r[:, 2:] == np.repeat(r[:, 1::-1], a, axis=1)) & (ids[:, 2:] >= 0)
+        return marked.any(axis=1).astype(np.int8)
 
     def decode(self, bx: int, by: int) -> int:
         rx = bx & ((1 << self.r_bits) - 1)
@@ -409,44 +467,68 @@ class ErrorReport:
                              self.adjacent.trials + self.nonadjacent.trials)
 
 
+#: trials sampled, encoded and decoded together; bounds evaluate_error's temporaries
+TRIAL_BLOCK = 4096
+
+
 def evaluate_error(sch: SketchScheme, g: Graph, trials: int, seed: int,
                    pairs: str = "all") -> ErrorReport:
     """Per-pair error estimate with a fresh encoding per trial.
 
-    pairs: 'all' samples uniformly over vertex pairs, 'adjacent' /
-    'nonadjacent' restricts the pair class.  Trial t derives its own
-    streams from (seed, t).
+    pairs: 'all' samples uniformly over ordered pairs u != v, 'adjacent' /
+    'nonadjacent' restricts the pair class.  Trial t draws its pair from
+    `counter_hash(seed, pair-tag, t, attempt)`, with attempt > 0 only where
+    'nonadjacent' rejects an edge, and its encoding seed from
+    `counter_hash(seed, encoding-tag, t)`; so the result does not depend on
+    how the trials are split into blocks of `TRIAL_BLOCK`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if pairs not in ("all", "adjacent", "nonadjacent"):
         raise ValueError("pairs must be all|adjacent|nonadjacent")
-    edges = list(g.edges())
-    if pairs == "adjacent" and not edges:
+    edges = np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2)
+    if pairs == "adjacent" and not len(edges):
         raise ValueError("graph has no edges")
     # rejection sampling below would never stop without a pair to draw
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         raise ValueError("graph has fewer than two vertices")
-    if pairs == "nonadjacent" and len(edges) == g.n * (g.n - 1) // 2:
+    if pairs == "nonadjacent" and len(edges) == n * (n - 1) // 2:
         raise ValueError("graph has no non-adjacent pairs")
+    # sorted edge keys min*n + max, then n*n, above every pair's key, so a
+    # search never runs off the end
+    edge_keys = np.append(np.sort(edges.min(axis=1) * n + edges.max(axis=1)), n * n)
 
-    adj, non = ErrorEstimate(0, 0), ErrorEstimate(0, 0)
-    for t in range(trials):
-        rng = rng_for(seed, "eval-pair", t)
+    def adjacent(u, v):
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        return edge_keys[np.searchsorted(edge_keys, keys)] == keys
+
+    def draw(t, attempt):
+        h = counter_hash(seed, _TAG_PAIR, t, attempt)
         if pairs == "adjacent":
-            u, v = edges[rng.randrange(len(edges))]
-        else:
-            while True:
-                u = rng.randrange(g.n)
-                v = rng.randrange(g.n)
-                if u != v and (pairs == "all" or not g.has_edge(u, v)):
-                    break
-        bu, bv = sch.encode_pair(u, v, derive_seed(seed, "eval-enc", t))
-        adjacent = g.has_edge(u, v)
-        est = adj if adjacent else non
-        est.trials += 1
-        est.errors += sch.decode(bu, bv) != int(adjacent)
-    return ErrorReport(adj, non)
+            return edges[(h % np.uint64(len(edges))).astype(np.int64)].T
+        # one draw is an ordered pair u != v: u, then v among the other n - 1
+        m = (h % np.uint64(n * (n - 1))).astype(np.int64)
+        u, w = np.divmod(m, n - 1)
+        return u, w + (w >= u)
+
+    adj_err = adj_trials = non_err = 0
+    for lo in range(0, trials, TRIAL_BLOCK):
+        t = np.arange(lo, min(trials, lo + TRIAL_BLOCK), dtype=np.uint64)
+        u, v = draw(t, 0)
+        is_adj = adjacent(u, v)
+        attempt = 0
+        while pairs == "nonadjacent" and is_adj.any():
+            attempt += 1
+            redo = np.flatnonzero(is_adj)
+            u[redo], v[redo] = draw(t[redo], attempt)
+            is_adj[redo] = adjacent(u[redo], v[redo])
+        wrong = sch.decode_trials(u, v, counter_hash(seed, _TAG_ENC, t)) != is_adj
+        adj_trials += int(np.count_nonzero(is_adj))
+        adj_err += int(np.count_nonzero(wrong & is_adj))
+        non_err += int(np.count_nonzero(wrong & ~is_adj))
+    return ErrorReport(ErrorEstimate(adj_err, adj_trials),
+                       ErrorEstimate(non_err, trials - adj_trials))
 
 
 # ---------------------------------------------------------------------------

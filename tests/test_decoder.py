@@ -3,9 +3,11 @@
 Bulk decoding must agree with per-pair decoding on every pair u < v, for
 every sketch, including the ones whose Q does not fit in a machine word,
 Bloom filters wider than 63 buckets, and sketches that decode all pairs
-through the per-pair reference.
+through the per-pair reference.  Likewise the vectorised trial decoder
+must agree with encoding and decoding each trial's pair on its own.
 """
 
+import numpy as np
 import pytest
 
 from pugkit import bipartite
@@ -35,7 +37,9 @@ from pugkit.labels import (
     shape_to_str,
     write_label_file,
 )
+from pugkit import sketch
 from pugkit.products import adjacency_from_distance1
+from pugkit.rng import counter_hash
 from pugkit.sketch import (
     arboricity_scheme,
     arboricity_sketch,
@@ -43,6 +47,7 @@ from pugkit.sketch import (
     compress_equality_scheme,
     count_errors,
     derandomize,
+    evaluate_error,
     naive_derandomize,
 )
 from pugkit.structure import chain_number
@@ -290,3 +295,96 @@ def test_check_exact_rejects_a_wrong_label():
 def test_walker_scheme_error_raised_from_check_exact():
     with pytest.raises(SchemeError):
         _raising_scheme().check_exact(lambda u, v: False)
+
+
+# ---------------------------------------------------------------------------
+# The trial decoder and its counter-based streams.
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_reference(seed, tag, *ids):
+    """counter_hash in Python ints: state <- mix((state + gamma) ^ word)."""
+    def mix(z):
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+        return z ^ z >> 31
+
+    h = seed & _MASK64
+    for word in (tag, *ids):
+        h = mix((h + 0x9E3779B97F4A7C15 & _MASK64) ^ word & _MASK64)
+    return h
+
+
+def test_counter_hash_known_answers():
+    # with no ids, counter_hash(s, 0) is splitmix64's next output from state s:
+    # the published stream from state 0 begins e220a839..., 6e789e6a...
+    assert int(counter_hash(0, 0)) == 0xE220A8397B1DCDAF
+    assert int(counter_hash(0x9E3779B97F4A7C15, 0)) == 0x6E789E6AA1B965F4
+    cases = [(0, 1), (5, 2, 7), (-1, 3, 0, 1), (1 << 70, 4, 123456789, 2),
+             (-(1 << 70) + 3, 5, _MASK64, 0, 9), (12345, 1, -1)]
+    for seed, tag, *ids in cases:
+        assert int(counter_hash(seed, tag, *ids)) == _splitmix64_reference(seed, tag, *ids)
+    # arrays broadcast, elementwise equal to the scalar calls
+    seeds = np.array([0, 1, _MASK64, 1 << 63], dtype=np.uint64)[:, None]
+    ids = np.arange(6)
+    got = counter_hash(seeds, 2, ids, 5)
+    assert got.dtype == np.uint64 and got.shape == (4, 6)
+    assert got.tolist() == [[_splitmix64_reference(s, 2, i, 5) for i in ids.tolist()]
+                            for s in seeds.ravel().tolist()]
+
+
+def _trial_sketch(name):
+    """(sketch, number of vertices) for the trial-decoder tests."""
+    if name.startswith("compressed-"):
+        sk = _compressed(name.split("-", 1)[1])
+        return sk, sk.n
+    if name.startswith("bloom-"):
+        alpha = int(name.split("-")[1])
+        sk = arboricity_sketch(random_kdegenerate(40, alpha, seed=alpha))
+        assert sk.alpha == alpha
+        return sk, sk.n
+    sk, g = _sketch(name)
+    return sk, g.n
+
+
+TRIAL_SKETCHES = ["compressed-arboricity", "compressed-equivalence", "compressed-tp-free",
+                  "bloom-1", "bloom-3", "bloom-12", "boosted-compressed", "boosted-bloom",
+                  "product-adjacency"]
+
+
+@pytest.mark.parametrize("name", TRIAL_SKETCHES)
+def test_decode_trials_matches_per_trial_decode(name):
+    sk, n = _trial_sketch(name)
+    trials = 40 if name == "product-adjacency" else 300
+    rng = np.random.default_rng(7)
+    us, vs = rng.integers(0, n, trials), rng.integers(0, n, trials)
+    seeds = counter_hash(11, 0, np.arange(trials))
+    seeds[:3] = [0, _MASK64, 1 << 63]
+    bits = sk.decode_trials(us, vs, seeds)
+    assert bits.dtype == np.int8 and bits.shape == (trials,)
+    want = [sk.decode(*sk.encode_pair(u, v, s))
+            for u, v, s in zip(us.tolist(), vs.tolist(), seeds.tolist())]
+    assert bits.tolist() == want
+    assert 0 < sum(want) < trials
+
+
+@pytest.mark.parametrize("name", ["bloom", "boosted-bloom"])
+def test_encode_pair_is_encode_restricted(name):
+    sk, g = _sketch(name)
+    for seed in (0, 77, _MASK64):
+        full = sk.encode(seed)
+        for u in range(0, g.n, 3):
+            for v in range(1, g.n, 4):
+                assert sk.encode_pair(u, v, seed) == (full[u], full[v]), (seed, u, v)
+
+
+@pytest.mark.parametrize("name", ["compressed", "bloom", "boosted-bloom"])
+def test_evaluate_error_does_not_depend_on_the_trial_block(name, monkeypatch):
+    sk, g = _sketch(name)
+    whole = [evaluate_error(sk, g, trials=500, seed=3, pairs=pairs)
+             for pairs in ("all", "adjacent", "nonadjacent")]
+    monkeypatch.setattr(sketch, "TRIAL_BLOCK", 7)
+    assert [evaluate_error(sk, g, trials=500, seed=3, pairs=pairs)
+            for pairs in ("all", "adjacent", "nonadjacent")] == whole

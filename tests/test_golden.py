@@ -3,7 +3,9 @@
 The digests were recorded before the shape codec and the bulk decoder were
 introduced; they hold as long as encoding, randomness streams and file
 formats stay the same.  Regenerate a digest only for an intended format
-change, and say so in the change log.
+change, and say so in the change log.  The sampled-sketch digests and the
+retry case's derandomization seed were re-recorded when the sketch encoders
+moved to `counter_hash` streams; the other digests did not change.
 """
 
 import hashlib
@@ -44,7 +46,7 @@ def golden_outputs() -> dict[str, str]:
     g = random_kdegenerate(30, 2, seed=7)
     sampled("bloom", arboricity_sketch(g), g, 11)
     g = random_forest(5, seed=15)  # the first sample fails: two attempts
-    sampled("bloom-retry", arboricity_sketch(g), g, 15)
+    sampled("bloom-retry", arboricity_sketch(g), g, 234)
     g = random_forest(14, seed=3)
     sampled("compress-arboricity", compress_equality_scheme(arboricity_scheme(g)), g, 5)
     for name, g in (("forest", random_forest(60, seed=4)),
@@ -65,13 +67,13 @@ GOLDEN = {
     "decoder.tree":
         "3ef82d30de23ca2256cceb52bd6afc7194a7c161fbbf0b2f381ee8bd4d244130",
     "sketch.bloom":
-        "0011cbafa06267dc0cb17913c09edd047add57ce2718a8e6e8a7b5bf8ceb0a41",
+        "b28d7403d43f17895bbcd3b3351624d64bf7f283a309efab981c70263a8b0ff7",
     "attempts.bloom": "1",
     "sketch.bloom-retry":
-        "af555c168bc23c049e51c3ed73580cb02e80e743a6ee21f1d41de9d4b2d05c71",
+        "c321399660e6cadf1c06296b40909042eb01e3db118909edad57605a16779746",
     "attempts.bloom-retry": "2",
     "sketch.compress-arboricity":
-        "a578125db39d6ba748ff4f3c38f3f71402cf210c7cda94320ff0ff05597b927e",
+        "53b09977ed777deac75903bd3d96098b27c6b38560ff1e22f028768022947b7d",
     "attempts.compress-arboricity": "1",
     "sketch.naive-forest":
         "06266e1f79a1ee62c7e5cded3a4382f32fe21b844a7edc9e00a2dbf5c8c684a6",

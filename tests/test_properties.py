@@ -6,14 +6,23 @@ deterministic and writes no `.hypothesis/` directory.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pugkit.cli import main
-from pugkit.generators import biclique, random_forest
+from pugkit.generators import biclique, random_forest, random_kdegenerate
 from pugkit.graphs import write_graph
 from pugkit.labels import _WALKER_BUILDERS
+from pugkit.rng import counter_hash
+from pugkit.sketch import (
+    arboricity_scheme,
+    arboricity_sketch,
+    boost,
+    compress_equality_scheme,
+    evaluate_error,
+)
 
 WALKERS = sorted(_WALKER_BUILDERS)
 
@@ -60,3 +69,31 @@ def test_query_with_any_tree_spec_exits_0_2_or_3(label_files, tmp_path, capsys, 
     out = capsys.readouterr().out
     assert code in (0, 2, 3)
     assert out.startswith(f"{u} {v} ") if code == 0 else out == ""
+
+
+_G = random_kdegenerate(14, 2, seed=3)
+_COMP = compress_equality_scheme(arboricity_scheme(_G))
+_ONE_SIDED = {"compressed": _COMP, "bloom": arboricity_sketch(_G),
+              "boosted-compressed": boost(_COMP, 0.05),
+              "boosted-bloom": boost(arboricity_sketch(_G), 0.05)}
+_EDGES = np.array(list(_G.edges()), dtype=np.int64)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(-(1 << 70), 1 << 70))
+def test_one_sided_under_any_seed(seed):
+    # equal codes hash equal, under `_hash` and in every encoded label
+    hashed = {}
+    for label, codes in zip(_COMP.encode(seed), _COMP.scheme.codes):
+        for code, value in zip(codes, _COMP.codec.parse(label)[1]):
+            assert hashed.setdefault(code, _COMP._hash(seed, code)) == value
+    # adjacent pairs decode 1 under every encoding, in both orders
+    us = np.concatenate([_EDGES[:, 0], _EDGES[:, 1]])
+    vs = np.concatenate([_EDGES[:, 1], _EDGES[:, 0]])
+    seeds = counter_hash(seed, 0, np.arange(len(us)))
+    for sk in _ONE_SIDED.values():
+        assert (sk.decode_trials(us, vs, seeds) == 1).all()
+    # any int is a seed, taken modulo 2**64 as derive_seed takes it
+    rep = evaluate_error(_COMP, _G, trials=30, seed=seed)
+    assert rep == evaluate_error(_COMP, _G, trials=30, seed=seed & ((1 << 64) - 1))
+    assert rep.adjacent.errors == 0

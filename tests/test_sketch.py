@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from pugkit.generators import (
@@ -169,6 +171,7 @@ def test_derandomize_zero_error_scheme_first_try():
             return self._det.decode(bx, by)
 
         decode_matrix = SketchScheme.decode_matrix
+        decode_trials = SketchScheme.decode_trials
 
     w = Wrap(g, det)
     out = derandomize(w, g, seed=1)
@@ -183,6 +186,7 @@ def test_derandomize_raises_on_broken_scheme():
             return 0  # always wrong on edges
 
         decode_matrix = SketchScheme.decode_matrix
+        decode_trials = SketchScheme.decode_trials
 
     with pytest.raises(DerandomizationError):
         derandomize(Broken(g), g, seed=0, max_retries=3)
@@ -333,3 +337,35 @@ def test_evaluate_error_rejects_graphs_without_a_pair_to_sample():
         for pairs in ("all", "adjacent", "nonadjacent"):
             with pytest.raises(ValueError):
                 evaluate_error(comp, g, trials=10, seed=1, pairs=pairs)
+
+
+class _PairRecorder(SketchScheme):
+    """Decodes every trial to 0 and counts the unordered pairs it is given."""
+
+    def __init__(self, n):
+        self.n, self.width, self.delta = n, 1, 0.0
+        self.seen = Counter()
+
+    def decode_trials(self, us, vs, seeds):
+        assert (us != vs).all()
+        self.seen.update(zip(np.minimum(us, vs).tolist(), np.maximum(us, vs).tolist()))
+        return np.zeros(len(us), dtype=np.int8)
+
+
+@pytest.mark.parametrize("pairs, allowed", [
+    ("all", {(0, 1), (1, 2), (2, 3), (0, 2), (0, 3), (1, 3)}),
+    ("adjacent", {(0, 1), (1, 2), (2, 3)}),
+    ("nonadjacent", {(0, 2), (0, 3), (1, 3)}),
+])
+def test_evaluate_error_draws_each_allowed_pair_uniformly(pairs, allowed):
+    g, trials = path(4), 6000
+    rec = _PairRecorder(g.n)
+    rep = evaluate_error(rec, g, trials=trials, seed=9, pairs=pairs)
+    assert set(rec.seen) == allowed
+    p = 1 / len(allowed)
+    sigma = math.sqrt(trials * p * (1 - p))
+    for pair, count in rec.seen.items():
+        assert abs(count - trials * p) <= 5 * sigma, (pair, count)
+    adjacent = sum(count for pair, count in rec.seen.items() if g.has_edge(*pair))
+    assert (rep.adjacent.errors, rep.adjacent.trials) == (adjacent, adjacent)
+    assert (rep.nonadjacent.errors, rep.nonadjacent.trials) == (0, trials - adjacent)
