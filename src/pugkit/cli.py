@@ -12,9 +12,9 @@ import json
 import sys
 
 from . import bipartite, generators, geometric, products, protocols, sketch, structure, twinwidth
-from .combinators import DTNode
 from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, parse_graph, write_graph
 from .labels import (
+    Ask,
     CompiledDecoder,
     EqualityScheme,
     LabelNode,
@@ -27,6 +27,7 @@ from .labels import (
     shape_from_str,
     shape_of,
     shape_to_str,
+    walker_tree,
     write_label_file,
 )
 
@@ -150,12 +151,6 @@ def _read_realization(args):
         raise CliError(EXIT_FORMAT, f"cannot read realization: {e}")
 
 
-def _q_field(mask: int, cells: int) -> str:
-    """The Q-bits field of a `decoder table` row: bit i*ay + j of `mask`
-    is Q[i][j], written most significant bit first; '-' when Q is empty."""
-    return format(mask, f"0{cells}b") if cells else "-"
-
-
 def write_decoder_file(scheme: EqualityScheme) -> str:
     """Decoder file grammar:
 
@@ -163,29 +158,33 @@ def write_decoder_file(scheme: EqualityScheme) -> str:
         shape <idx> <shape-string>       (one per distinct label shape)
     decoder table s=<s> k=<k>            (small schemes only)
         shape <idx> <shape-string>
-        t <sx> <sy> <Q-bits-rowmajor> <out>
+        t <sx> <sy> <Q-field> <out>
+
+    A table row is a leaf of the walker's decision tree (`walker_tree`) on
+    the shape pair, in preorder with the 0-branch first; SchemeError leaves
+    get none.  Its Q field holds Q[i][j] at position ax*ay-1-(i*ay+j): '0',
+    '1', or '*' where the path does not ask; '-' for no cells.
     """
     if scheme.decoder_spec is None:
         raise CliError(EXIT_CONTRACT, "scheme decoder is not serializable")
     codec = scheme.codec
     shape_lines = [f"shape {i} {shape_to_str(sh)}" for i, sh in enumerate(codec.shapes)]
-    if scheme.s <= 4 and scheme.k <= 4:
-        lines = [f"decoder table s={scheme.s} k={scheme.k}", *shape_lines]
-        walker = scheme.walker
-        for xi, sx in enumerate(codec.shapes):
-            for yi, sy in enumerate(codec.shapes):
-                ax, ay = codec.arities[xi], codec.arities[yi]
-                for mask in range(1 << (ax * ay)):
-                    def eq(i, j, mask=mask, ay=ay):
-                        return bool(mask >> (i * ay + j) & 1)
+    if not (scheme.s <= 4 and scheme.k <= 4):
+        return "\n".join([f"decoder tree {json.dumps(scheme.decoder_spec)}", *shape_lines]) + "\n"
+    lines = [f"decoder table s={scheme.s} k={scheme.k}", *shape_lines]
+    for xi, sx in enumerate(codec.shapes):
+        for yi, sy in enumerate(codec.shapes):
+            ay = codec.arities[yi]
 
-                    try:
-                        out = walker(sx, sy, eq)
-                    except SchemeError:
-                        continue
-                    lines.append(f"t {xi} {yi} {_q_field(mask, ax * ay)} {out}")
-    else:
-        lines = [f"decoder tree {json.dumps(scheme.decoder_spec)}", *shape_lines]
+            def emit(node, q):
+                if isinstance(node, Ask):
+                    pos = len(q) - 1 - (node.i * ay + node.j)
+                    emit(node.zero, q[:pos] + "0" + q[pos + 1:])
+                    emit(node.one, q[:pos] + "1" + q[pos + 1:])
+                elif node is not None:
+                    lines.append(f"t {xi} {yi} {q or '-'} {node}")
+
+            emit(walker_tree(scheme.walker, sx, sy), "*" * (codec.arities[xi] * ay))
     return "\n".join(lines) + "\n"
 
 
@@ -199,14 +198,16 @@ def parse_decoder_file(text: str):
 
     Both file kinds decode through a `CompiledDecoder`: a `decoder tree`
     rebuilds the registered walker, and a `decoder table` is read as a
-    walker that asks Q through the equality oracle and looks up its row.
+    walker that asks Q through the equality oracle and returns the output
+    of the row that matches it on the row's asked cells; rows sharing a care
+    mask share a dict, and care masks are tried in file order.
     """
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     lines = [l for l in lines if l]
     head = lines[0].split(None, 2) if lines else []
     if head[:2] not in (["decoder", "tree"], ["decoder", "table"]):
         raise CliError(EXIT_FORMAT, "decoder file must start with 'decoder tree|table'")
-    shape_ids, table = {}, {}
+    shape_ids = {}
     if head[1] == "tree":
         if len(head) < 3:
             raise CliError(EXIT_FORMAT, "decoder tree needs a JSON decoder spec")
@@ -215,24 +216,37 @@ def parse_decoder_file(text: str):
         except _SPEC_ERRORS as e:
             raise CliError(EXIT_FORMAT, f"bad decoder spec: {e!r}")
     else:
+        rows = []
         for line in lines[1:]:
             parts = line.split()
             if parts[0] == "shape" and len(parts) == 3:
                 shape_ids[shape_from_str(parts[2])] = int(parts[1])
             elif parts[0] == "t" and len(parts) == 5:
-                table[(int(parts[1]), int(parts[2]), parts[3])] = int(parts[4])
+                rows.append((int(parts[1]), int(parts[2]), parts[3], int(parts[4])))
             else:
                 raise CliError(EXIT_FORMAT, f"bad decoder line {line!r}")
+        # (sx, sy) -> care mask -> value mask -> out: bit i*ay + j of care is
+        # set where Q[i][j] is '0' or '1', and of value where it is '1'; a
+        # row naming a shape id the file does not list cannot match a label
+        arities, table = {sid: shape_arity(sh) for sh, sid in shape_ids.items()}, {}
+        for sx, sy, field, out in rows:
+            if sx in arities and sy in arities:
+                q = "" if field == "-" else field
+                if len(q) != arities[sx] * arities[sy] or q.strip("01*"):
+                    raise CliError(EXIT_FORMAT, f"bad Q field {field!r} for shapes {sx} {sy}")
+                care, value = (int("0" + q.replace("0", "1").replace("*", "0"), 2),
+                               int("0" + q.replace("*", "0"), 2))
+                table.setdefault((sx, sy), {}).setdefault(care, {})[value] = out
 
         def walker(sx, sy, eq) -> int:
             if sx not in shape_ids or sy not in shape_ids:
                 raise CliError(EXIT_CONTRACT, "label shape unknown to decoder")
             ax, ay = shape_arity(sx), shape_arity(sy)
-            mask = sum(1 << (i * ay + j) for i in range(ax) for j in range(ay) if eq(i, j))
-            out = table.get((shape_ids[sx], shape_ids[sy], _q_field(mask, ax * ay)))
-            if out is None:
-                raise CliError(EXIT_CONTRACT, "pair missing from decoder table")
-            return out
+            q = sum(1 << b for b in range(ax * ay) if eq(*divmod(b, ay)))
+            for care, outs in table.get((shape_ids[sx], shape_ids[sy]), {}).items():
+                if (out := outs.get(q & care)) is not None:
+                    return out
+            raise CliError(EXIT_CONTRACT, "pair missing from decoder table")
 
     decoder = CompiledDecoder(ShapeCodec(list(shape_ids)), walker)
 

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 #: Build per-vertex bitsets only below this vertex count.
 BITSET_THRESHOLD = 4096
 
-#: Guardrail on product vertex counts.
+#: Guardrail on vertex counts: of product graphs and of graph file headers.
 VERTEX_CAP = 1 << 22
 
 
@@ -379,6 +379,8 @@ def parse_graph(text: str) -> tuple[Graph | ColoredBipartiteGraph, str]:
                 header = ("bigraph", parts[1], int(parts[2]), int(parts[3]))
             else:
                 raise GraphFormatError(f"line {lineno}: bad header {line!r}")
+            if not all(0 <= size <= VERTEX_CAP for size in header[2:]):
+                raise GraphFormatError(f"line {lineno}: vertex count outside [0, {VERTEX_CAP}]")
             continue
         if parts[0] != "e" or len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>', got {line!r}")

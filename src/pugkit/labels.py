@@ -154,6 +154,56 @@ def pair_eq_matrix(scheme: EqualityScheme, u: int, v: int) -> list[list[bool]]:
 
 
 # ---------------------------------------------------------------------------
+# A walker's equality decision tree: decoder tables and protocols read it.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Ask:
+    """Inner node of an equality decision tree: ask Q[i][j], go on in zero or one."""
+
+    i: int
+    j: int
+    zero: "EqTree"
+    one: "EqTree"
+
+
+#: An `Ask`, an output bit, or None where the walker raises SchemeError.
+EqTree = Ask | int | None
+
+
+def walker_tree(walker: Walker, sx: ShapeNode, sy: ShapeNode) -> EqTree:
+    """The walker's equality decision tree on the shape pair (sx, sy).
+
+    The walker runs once per leaf, with an `eq` that replays a path of
+    answers and then answers 0; each cell it asks past the path also gets a
+    1-branch.  A cell asked again keeps its first answer, so the depth is at
+    most ax * ay.  Asking a cell outside the two shapes raises IndexError.
+    """
+    ax, ay = shape_arity(sx), shape_arity(sy)
+
+    def grow(path: list[int]) -> EqTree:
+        asked: dict[tuple[int, int], int] = {}
+
+        def eq(i: int, j: int) -> bool:
+            if not (0 <= i < ax and 0 <= j < ay):
+                raise IndexError(f"cell ({i}, {j}) is outside a {ax}x{ay} pattern")
+            if (i, j) not in asked:
+                asked[i, j] = path[len(asked)] if len(asked) < len(path) else 0
+            return bool(asked[i, j])
+
+        try:
+            node = walker(sx, sy, eq)
+        except SchemeError:
+            node = None
+        cells = list(asked)
+        for d in range(len(cells) - 1, len(path) - 1, -1):
+            node = Ask(*cells[d], node, grow(path + [0] * (d - len(path)) + [1]))
+        return node
+
+    return grow([])
+
+
+# ---------------------------------------------------------------------------
 # Packed labels and their bulk decoder.
 # ---------------------------------------------------------------------------
 
@@ -205,7 +255,7 @@ class ShapeCodec:
 
 
 class CompiledDecoder:
-    """The one evaluator of a scheme's walker, for one pair or in bulk.
+    """The one evaluator of a scheme's walker on codes, for one pair or in bulk.
 
     An equality-based decoder sees only the two shapes and the equality
     pattern Q of their codes.  `decode_pair` runs the walker lazily on one

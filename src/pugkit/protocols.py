@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .generators import half_graph
-from .graphs import ColoredBipartiteGraph, Graph, bip_transform
-from .labels import EqualityScheme, LabelNode, SchemeError, prefix_bits
+from .graphs import ColoredBipartiteGraph, Graph
+from .labels import Ask, EqTree, EqualityScheme, LabelNode, SchemeError, walker_tree
 
 
 @dataclass
@@ -67,6 +67,19 @@ def output_table(tree: Node, n: int) -> list[list[int]]:
     return [[run_protocol(tree, x, y)[0] for y in range(n)] for x in range(n)]
 
 
+def announce(party: str, values: Sequence[int], bits: int, then: Callable[[int], Node]) -> Node:
+    """`party` sends its value (values[x] for Alice, values[y] for Bob) in
+    `bits` bits, most significant first; `then(value)` goes on from there."""
+
+    def build(level: int, prefix: int) -> Node:
+        if level == bits:
+            return then(prefix)
+        m = tuple(v >> (bits - 1 - level) & 1 for v in values)
+        return CommNode(party, m, build(level + 1, prefix << 1), build(level + 1, prefix << 1 | 1))
+
+    return build(0, 0)
+
+
 def normalize_to_equality_nodes(tree: Node) -> Node:
     """Replace communication nodes by equality nodes of the same effect:
     an Alice node (A,m) becomes Eq(m(x), 1), a Bob node Eq(1, m(y))."""
@@ -89,68 +102,32 @@ def normalize_to_equality_nodes(tree: Node) -> Node:
 def labels_to_protocol(scheme: EqualityScheme) -> Node:
     """Protocol tree computing the scheme's decoder on vertex pairs.
 
-    Alice communicates her per-vertex prefix (shape index and padded
-    prefix bits), then k^2 equality nodes assemble the Q matrix; the leaf
-    carries the decoder output where it is already determined, otherwise
-    one final equality node lets Bob finish.  Depth is S + k^2 (+1 in the
-    undetermined case) with S the prefix width; for uniform-shape schemes
-    with s = 0 this is exactly k^2.
+    Alice sends her shape id bit by bit, then Bob sends his; the rest is
+    the walker's equality decision tree on that shape pair (`walker_tree`),
+    each asked cell (i, j) becoming an equality node on code i of x and
+    code j of y.  The shape id fixes the tags, so no prefix bit is sent.
+    Depth is 2 * shape_bits plus the walker's query depth, which is at most
+    k^2; for a single shape it is the query depth alone.  Shape ids no
+    vertex has, and patterns where the walker raises SchemeError, output 0.
     """
-    n = scheme.n
-    k = scheme.k
-    tag_width = scheme.s
-    max_code = max((c for codes in scheme.codes for c in codes), default=0) + 1
+    codec = scheme.codec
+    # walker_tree asks only slots that both shapes have, so the -1 filler
+    # for a slot a vertex lacks is never compared on its path
+    code = [tuple(cs[i] if i < len(cs) else -1 for cs in scheme.codes) for i in range(scheme.k)]
 
-    def a_code(i: int) -> tuple[int, ...]:
-        return tuple(
-            scheme.codes[x][i] if i < len(scheme.codes[x]) else max_code + x
-            for x in range(n))
+    def eq_tree(node: EqTree) -> Node:
+        if isinstance(node, Ask):
+            return EqNode(code[node.i], code[node.j], eq_tree(node.zero), eq_tree(node.one))
+        return Leaf(node or 0)
 
-    def b_code(j: int) -> tuple[int, ...]:
-        return tuple(
-            scheme.codes[y][j] if j < len(scheme.codes[y]) else max_code + n + y
-            for y in range(n))
+    def pair_tree(sx: int, sy: int) -> Node:
+        if max(sx, sy) >= len(codec.shapes):
+            return Leaf(0)
+        return eq_tree(walker_tree(scheme.walker, codec.shapes[sx], codec.shapes[sy]))
 
-    prefix_of = []
-    for x in range(n):
-        bits = [scheme.codec.ids[x] >> t & 1 for t in range(scheme.codec.shape_bits)]
-        tag = list(prefix_bits(scheme.labels[x]))
-        tag += [0] * (tag_width - len(tag))
-        prefix_of.append(tuple(bits + tag))
-
-    pairs = list(itertools.product(range(k), range(k)))
-
-    def outcome(shape_x, q_bits: dict[tuple[int, int], int], y: int) -> int:
-        def eq(i, j):
-            return bool(q_bits[(i, j)])
-
-        return scheme.walker(shape_x, scheme.shapes[y], eq)
-
-    def build_eq(level: int, shape_x, q_bits) -> Node:
-        if level == len(pairs):
-            outs = {outcome(shape_x, q_bits, y) for y in range(n)}
-            if len(outs) == 1:
-                return Leaf(outs.pop())
-            bvals = tuple(outcome(shape_x, q_bits, y) for y in range(n))
-            return EqNode((1,) * n, bvals, Leaf(0), Leaf(1))
-        i, j = pairs[level]
-        zero = build_eq(level + 1, shape_x, {**q_bits, (i, j): 0})
-        one = build_eq(level + 1, shape_x, {**q_bits, (i, j): 1})
-        return EqNode(a_code(i), b_code(j), zero, one)
-
-    def build_prefix(level: int, chosen: list[int]) -> Node:
-        if level == len(prefix_of[0]):
-            candidates = [x for x in range(n)
-                          if list(prefix_of[x]) == chosen]
-            if not candidates:
-                return Leaf(0)
-            return build_eq(0, scheme.shapes[candidates[0]], {})
-        m = tuple(prefix_of[x][level] for x in range(n))
-        return CommNode("A", m,
-                        build_prefix(level + 1, chosen + [0]),
-                        build_prefix(level + 1, chosen + [1]))
-
-    return build_prefix(0, [])
+    bits = codec.shape_bits
+    return announce("A", codec.ids, bits, lambda sx: announce("B", codec.ids, bits,
+                                                              lambda sy: pair_tree(sx, sy)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +387,8 @@ def reduce_gt_to_adjacency(n: int) -> tuple[Graph, list[int], list[int]]:
 def gt_protocol(n: int) -> Node:
     """Protocol for GT on [n] (1 iff x <= y): Alice announces x bit by bit,
     then a single equality node lets Bob answer."""
-    bits = max(n - 1, 1).bit_length()
-
-    def build(level: int, prefix: int) -> Node:
-        if level == bits:
-            x = prefix
-            bvals = tuple(int(x <= y) for y in range(n))
-            return EqNode((1,) * n, bvals, Leaf(0), Leaf(1))
-        m = tuple(x >> (bits - 1 - level) & 1 for x in range(n))
-        return CommNode("A", m,
-                        build(level + 1, prefix << 1),
-                        build(level + 1, prefix << 1 | 1))
-
-    return build(0, 0)
+    return announce("A", range(n), max(n - 1, 1).bit_length(),
+                    lambda x: EqNode((1,) * n, tuple(int(x <= y) for y in range(n)), Leaf(0), Leaf(1)))
 
 
 # ---------------------------------------------------------------------------

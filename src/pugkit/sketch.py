@@ -164,9 +164,10 @@ def compress_equality_scheme(scheme: EqualityScheme) -> CompressedEqualityScheme
 def boost_copies(delta_target: float, base_delta: float = 1 / 3) -> int:
     """Number of independent copies for majority voting (1 = no-op).
 
-    This is the textbook 3*ln(1/delta) count.  It is slightly optimistic
-    for base error exactly 1/3; use `exact_majority_copies` where the
-    target must truly hold (derandomization does).
+    This is the textbook 3*ln(1/delta) count.  For base error 1/3 the exact
+    majority tail at it, which `BoostedScheme.delta` reports, misses the
+    target: 0.173 at delta = 0.1, 0.145 at 0.05, 0.149 at 0.01.  Use
+    `exact_majority_copies` where the target must hold (derandomization does).
     """
     if not (0 < delta_target < 1 / 2):
         raise ValueError("delta target must be in (0, 1/2)")
@@ -206,7 +207,8 @@ class BoostedScheme(SketchScheme):
         self.copies = boost_copies(delta_target, base.delta) if copies is None else copies
         self.n = base.n
         self.width = self.copies * base.width
-        self.delta = delta_target if self.copies > 1 else base.delta
+        #: the proven per-pair error: the exact majority tail at this count
+        self.delta = majority_failure(self.copies, base.delta) if self.copies > 1 else base.delta
 
     def _copy_seeds(self, seed):
         """The seed of each copy; for an array of seeds, one row per seed."""

@@ -121,22 +121,6 @@ def twin_width_exact(g: Graph, cap_n: int = 8) -> tuple[int, list[Partition]]:
 # Convex twin-width for ordered bipartite graphs.
 # ---------------------------------------------------------------------------
 
-def _interval_partitions(n: int):
-    """All partitions of range(n) into consecutive intervals."""
-    if n == 0:
-        yield ()
-        return
-    for mask in range(1 << (n - 1)):
-        parts = []
-        start = 0
-        for i in range(n - 1):
-            if mask >> i & 1:
-                parts.append(tuple(range(start, i + 1)))
-                start = i + 1
-        parts.append(tuple(range(start, n)))
-        yield tuple(parts)
-
-
 def convex_division_width(g: ColoredBipartiteGraph, x_parts, y_parts) -> int:
     def impure(xp, yp) -> bool:
         edges = sum(1 for x in xp for y in yp if g.has_edge(x, y))

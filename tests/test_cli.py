@@ -241,7 +241,8 @@ def test_query_matches_scheme_decode_on_every_pair(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("case", ["missing-decoder", "short-table-row", "bare-tree",
                                   "tree-spec-not-object", "tree-spec-wrong-type",
-                                  "sparse-label-ids", "duplicate-label-id"])
+                                  "sparse-label-ids", "duplicate-label-id",
+                                  "q-field-wrong-length", "q-field-bad-char"])
 def test_query_malformed_files_exit_3(tmp_path, capsys, case):
     from pugkit.generators import biclique, path
 
@@ -258,6 +259,11 @@ def test_query_malformed_files_exit_3(tmp_path, capsys, case):
         dec = tmp_path / "absent.dec"
     elif case == "short-table-row":
         dec.write_text(dec.read_text() + "t 0 0\n")
+    elif case.startswith("q-field"):
+        # a copy of the first row with one Q cell too many, or a '2' cell
+        _, sx, sy, q, out = next(l for l in dec.read_text().splitlines() if l.startswith("t ")).split()
+        q = q + "*" if case == "q-field-wrong-length" else "2" + q[1:]
+        dec.write_text(dec.read_text() + f"t {sx} {sy} {q} {out}\n")
     elif case == "bare-tree":
         dec.write_text("decoder tree\n")
     elif case == "tree-spec-not-object":
@@ -304,3 +310,96 @@ def test_query_table_contract_errors_exit_2(tmp_path, capsys, drop, message):
     dec.write_text("".join(l for l in lines if not l.startswith(drop)))
     code, _, err = run(capsys, "query", str(labels), "0", "1", "--decoder", str(dec))
     assert code == 2 and message in err
+
+
+def _table_schemes():
+    from pugkit import bipartite
+    from pugkit.generators import (
+        bipartite_equivalence_graph,
+        half_graph_bipartite,
+        random_equivalence,
+        random_forest,
+        random_kdegenerate,
+    )
+    from pugkit.sketch import arboricity_scheme
+
+    return {
+        "forest": lambda: arboricity_scheme(random_forest(30, seed=2)),
+        "kdeg2": lambda: arboricity_scheme(random_kdegenerate(30, 2, seed=2)),
+        "kdeg3": lambda: arboricity_scheme(random_kdegenerate(30, 3, seed=2)),
+        "equivalence": lambda: bipartite.equivalence_labels(random_equivalence(20, 4, seed=3)),
+        "bip-equivalence": lambda: bipartite.bipartite_equivalence_labels(
+            bipartite_equivalence_graph([(2, 3), (1, 2), (3, 1)])),
+        "chain-graph": lambda: bipartite.chain_graph_labels(half_graph_bipartite(3), k=3),
+    }
+
+
+def full_mask_table(scheme) -> str:
+    """The reference decoder table that spells every cell: one row per Q
+    mask of each shape pair, bit i*ay + j of the mask written at position
+    ax*ay - 1 - (i*ay + j), and no row where the walker raises SchemeError."""
+    from pugkit.labels import shape_to_str
+
+    codec = scheme.codec
+    lines = [f"decoder table s={scheme.s} k={scheme.k}"]
+    lines += [f"shape {i} {shape_to_str(sh)}" for i, sh in enumerate(codec.shapes)]
+    for xi, sx in enumerate(codec.shapes):
+        for yi, sy in enumerate(codec.shapes):
+            ax, ay = codec.arities[xi], codec.arities[yi]
+            for mask in range(1 << (ax * ay)):
+                try:
+                    out = scheme.walker(sx, sy, lambda i, j: bool(mask >> (i * ay + j) & 1))
+                except SchemeError:
+                    continue
+                lines.append(f"t {xi} {yi} {format(mask, f'0{ax * ay}b') if ax * ay else '-'} {out}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("family", sorted(_table_schemes()))
+def test_decoder_tables_decode_every_pair(family):
+    from pugkit.cli import parse_decoder_file, write_decoder_file
+
+    sch = _table_schemes()[family]()
+    tree_rows, full = write_decoder_file(sch), full_mask_table(sch)
+    assert tree_rows.startswith("decoder table")
+    assert tree_rows.count("\nt ") <= full.count("\nt ")
+    for text in (tree_rows, full):
+        decode = parse_decoder_file(text)
+        for u in range(sch.n):
+            for v in range(sch.n):
+                assert decode(sch.labels[u], sch.labels[v]) == sch.decode(u, v)
+
+
+def test_sketch_prints_the_proven_boosted_delta(tmp_path, capsys):
+    from pugkit.sketch import majority_failure
+
+    g = tmp_path / "f.graph"
+    run(capsys, "gen", "forest", "--n", "30", "--seed", "3", "--out", str(g))
+    code, _, err = run(capsys, "sketch", str(g), "--scheme", "arboricity-bloom",
+                       "--delta", "0.05", "--seed", "1", "--out", str(tmp_path / "f.sk"))
+    assert code == 0
+    assert f"delta<={majority_failure(9, 1 / 3):g}" in err and "delta<=0.05" not in err
+
+
+@pytest.mark.parametrize("header", ["graph g 99999999999", "bigraph b 1 99999999999"])
+@pytest.mark.parametrize("command", [["label", "--scheme", "arboricity"], ["chain-number"]],
+                         ids=["label", "chain-number"])
+def test_oversized_graph_header_exits_3(tmp_path, header, command):
+    import resource
+    import subprocess
+    import sys
+
+    import pugkit
+
+    def cap_memory():
+        # a reader that sized arrays from the header would fail here, not
+        # exhaust the machine
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    gf = tmp_path / "big.graph"
+    gf.write_text(header + "\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pugkit.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "pugkit.cli", command[0], str(gf), *command[1:]],
+                          capture_output=True, text=True, timeout=120, env=env,
+                          preexec_fn=cap_memory)
+    assert proc.returncode == 3 and "vertex count" in proc.stderr

@@ -24,6 +24,7 @@ from pugkit.generators import (
 from pugkit.geometric import interval_graph_from, interval_scheme, random_intervals
 from pugkit.graphs import cartesian_product
 from pugkit.labels import (
+    Ask,
     CompiledDecoder,
     EqualityScheme,
     LabelNode,
@@ -35,6 +36,7 @@ from pugkit.labels import (
     shape_from_str,
     shape_of,
     shape_to_str,
+    walker_tree,
     write_label_file,
 )
 from pugkit import sketch
@@ -388,3 +390,23 @@ def test_evaluate_error_does_not_depend_on_the_trial_block(name, monkeypatch):
     monkeypatch.setattr(sketch, "TRIAL_BLOCK", 7)
     assert [evaluate_error(sk, g, trials=500, seed=3, pairs=pairs)
             for pairs in ("all", "adjacent", "nonadjacent")] == whole
+
+
+def _probe_walker(sx, sy, eq):
+    if eq(0, 1):
+        return int(eq(0, 1))  # asked again: no second branch
+    if eq(1, 0):
+        raise SchemeError("Q[1][0] without Q[0][1]")
+    return 0
+
+
+def test_walker_tree_branches_once_per_cell_and_marks_violations():
+    from pugkit.cli import write_decoder_file
+
+    sh = shape_of(LabelNode(codes=(0, 1)))
+    assert walker_tree(_probe_walker, sh, sh) == Ask(0, 1, Ask(1, 0, 0, None), 1)
+    with pytest.raises(IndexError):
+        walker_tree(lambda sx, sy, eq: eq(0, 2), sh, sh)
+    # one row per non-violation leaf, preorder, '*' for the cells not asked
+    sch = EqualityScheme([LabelNode(codes=(0, 1))], _probe_walker, decoder_spec={"name": "probe"})
+    assert write_decoder_file(sch).splitlines()[2:] == ["t 0 0 *00* 0", "t 0 0 **1* 1"]

@@ -5,10 +5,16 @@ introduced; they hold as long as encoding, randomness streams and file
 formats stay the same.  Regenerate a digest only for an intended format
 change, and say so in the change log.  The sampled-sketch digests and the
 retry case's derandomization seed were re-recorded when the sketch encoders
-moved to `counter_hash` streams; the other digests did not change.
+moved to `counter_hash` streams; the other digests did not change.  The
+`decoder.table` digest was re-recorded when decoder tables went from one row
+per full Q mask to one row per leaf of the walker's equality decision tree.
+
+`python -m tests.test_golden` prints the current outputs as JSON, so that a
+re-record can be reviewed against `GOLDEN`.
 """
 
 import hashlib
+import json
 
 from pugkit import bipartite, cli
 from pugkit.generators import random_forest, random_kdegenerate, random_tp_free
@@ -63,7 +69,7 @@ GOLDEN = {
     "labels.tp-free":
         "11e4f6fd5e33f7d9a5452b69184306e96283070bb9efa58beb426d3e3b120f71",
     "decoder.table":
-        "06b01edbca26c64e440995f6bdf5e10954691efed9ea0c4d9224af2ab3c11871",
+        "c9d3a6ffc97c6d660216304e8bc70a401e47cf8f4ef0503b9e53e7780c63e97c",
     "decoder.tree":
         "3ef82d30de23ca2256cceb52bd6afc7194a7c161fbbf0b2f381ee8bd4d244130",
     "sketch.bloom":
@@ -84,3 +90,7 @@ GOLDEN = {
 
 def test_outputs_match_golden_digests():
     assert golden_outputs() == GOLDEN
+
+
+if __name__ == "__main__":
+    print(json.dumps(golden_outputs(), indent=2))

@@ -45,7 +45,8 @@ SPECS = st.deferred(lambda: st.builds(
 @pytest.fixture(scope="module")
 def label_files(tmp_path_factory):
     """Label files with tagged shapes (chain-graph) and with codes only
-    (arboricity), each with a pair of vertices to query."""
+    (arboricity), each with a pair of vertices to query; each one's decoder
+    table sits next to it, with the suffix .dec."""
     tmp = tmp_path_factory.mktemp("props")
     out = {}
     for name, g, scheme, pair in (
@@ -53,7 +54,8 @@ def label_files(tmp_path_factory):
             ("f", random_forest(8, seed=1), ["--scheme", "arboricity"], ("1", "2"))):
         gf, labels = tmp / f"{name}.graph", tmp / f"{name}.labels"
         gf.write_text(write_graph(g, name))
-        assert main(["label", str(gf), *scheme, "--out", str(labels)]) == 0
+        assert main(["label", str(gf), *scheme, "--out", str(labels),
+                     "--decoder-out", str(labels.with_suffix(".dec"))]) == 0
         out[name] = (labels, pair)
     return out
 
@@ -65,6 +67,34 @@ def test_query_with_any_tree_spec_exits_0_2_or_3(label_files, tmp_path, capsys, 
     labels, (u, v) = label_files[which]
     dec = tmp_path / "spec.dec"
     dec.write_text(f"decoder tree {json.dumps(spec)}\n")
+    code = main(["query", str(labels), u, v, "--decoder", str(dec)])
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3)
+    assert out.startswith(f"{u} {v} ") if code == 0 else out == ""
+
+
+# a decoder table row with drawn shape ids, Q field and output, valid or not
+TABLE_ROW = st.builds("t {} {} {} {}".format, st.integers(-1, 2), st.integers(-1, 2),
+                      st.text("01*", min_size=1, max_size=4)
+                      | st.sampled_from(["-", "x", "01-", "2*", "*****"]),
+                      st.integers(-1, 2) | st.sampled_from(["x", "1.5"]))
+
+
+@settings(derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), which=st.sampled_from(["b", "f"]))
+def test_query_with_any_decoder_table_exits_0_2_or_3(label_files, tmp_path, capsys, data, which):
+    # the real table with lines dropped, drawn rows and shape lines (under
+    # drawn ids) added, all in any order
+    labels, (u, v) = label_files[which]
+    head, *lines = labels.with_suffix(".dec").read_text().splitlines()
+    drop = data.draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+    body = [line for line, gone in zip(lines, drop) if not gone]
+    shape = st.builds("shape {} {}".format, st.integers(-1, 2),
+                      st.sampled_from([l.split()[2] for l in lines if l.startswith("shape")]))
+    body = data.draw(st.permutations(body + data.draw(st.lists(TABLE_ROW | shape, max_size=4))))
+    dec = tmp_path / "table.dec"
+    dec.write_text("".join(line + "\n" for line in [head, *body]))
     code = main(["query", str(labels), u, v, "--decoder", str(dec)])
     out = capsys.readouterr().out
     assert code in (0, 2, 3)

@@ -100,6 +100,23 @@ def test_labels_to_protocol_forests():
                 assert run_protocol(tree, x, y)[0] == int(g.has_edge(x, y))
 
 
+@pytest.mark.parametrize("family", ["forest", "equivalence", "kdeg2", "tp-free"])
+def test_labels_to_protocol_matches_decode_on_every_pair(family):
+    from pugkit.bipartite import equivalence_labels, tp_free_labels
+    from pugkit.generators import random_equivalence, random_kdegenerate, random_tp_free
+
+    sch = {"forest": lambda: arboricity_scheme(random_forest(16, seed=4)),
+           "equivalence": lambda: equivalence_labels(random_equivalence(14, 4, seed=4)),
+           "kdeg2": lambda: arboricity_scheme(random_kdegenerate(14, 2, seed=4)),
+           "tp-free": lambda: tp_free_labels(random_tp_free(9, 12, 2, seed=1), p=2, q=4),
+           }[family]()
+    tree = labels_to_protocol(sch)
+    assert depth(tree) <= 2 * sch.codec.shape_bits + sch.k ** 2
+    for x in range(sch.n):
+        for y in range(sch.n):
+            assert run_protocol(tree, x, y)[0] == sch.decode(x, y)
+
+
 def test_protocol_to_diagonal_labels_roundtrip():
     g = random_forest(12, seed=9)
     sch = arboricity_scheme(g)

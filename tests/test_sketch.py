@@ -123,6 +123,14 @@ def test_boost_width_and_error():
     assert rep.overall.rate <= 0.05 + 3 * (hi - rep.overall.rate)
 
 
+def test_boosted_delta_is_the_proven_majority_tail():
+    from pugkit.sketch import majority_failure
+
+    base = arboricity_sketch(random_forest(20, seed=1))
+    assert boost(base, 0.05).delta == majority_failure(9, 1 / 3) > 0.05
+    assert boost(base, 0.4).delta == base.delta  # one copy: no boost
+
+
 def test_bloom_sketch_one_sided_and_width():
     for seed in range(3):
         g = random_graph(14, 0.3, seed=seed)
