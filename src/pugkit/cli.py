@@ -15,11 +15,9 @@ from . import bipartite, generators, geometric, products, protocols, sketch, str
 from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, parse_graph, write_graph
 from .labels import (
     Ask,
-    CompiledDecoder,
     EqualityScheme,
     LabelNode,
     SchemeError,
-    ShapeCodec,
     build_walker,
     flat_codes,
     parse_label_file,
@@ -196,11 +194,11 @@ _SPEC_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticEr
 def parse_decoder_file(text: str):
     """Returns a decode(label_x, label_y) callable over LabelNodes.
 
-    Both file kinds decode through a `CompiledDecoder`: a `decoder tree`
-    rebuilds the registered walker, and a `decoder table` is read as a
-    walker that asks Q through the equality oracle and returns the output
-    of the row that matches it on the row's asked cells; rows sharing a care
-    mask share a dict, and care masks are tried in file order.
+    Both file kinds decode by running a walker on the two labels: a
+    `decoder tree` rebuilds the registered walker, and a `decoder table` is
+    read as a walker that asks Q through the equality oracle and returns the
+    output of the row that matches it on the row's asked cells; rows sharing
+    a care mask share a dict, and care masks are tried in file order.
     """
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     lines = [l for l in lines if l]
@@ -248,14 +246,13 @@ def parse_decoder_file(text: str):
                     return out
             raise CliError(EXIT_CONTRACT, "pair missing from decoder table")
 
-    decoder = CompiledDecoder(ShapeCodec(list(shape_ids)), walker)
-
     def decode(lx: LabelNode, ly: LabelNode) -> int:
         # the walker comes from the file, so a walker that cannot run on these
         # labels means a malformed file; a SchemeError is still the family's
         # own contract violation
+        cx, cy = flat_codes(lx), flat_codes(ly)
         try:
-            return decoder.decode_pair(shape_of(lx), flat_codes(lx), shape_of(ly), flat_codes(ly))
+            return walker(shape_of(lx), shape_of(ly), lambda i, j: cx[i] == cy[j])
         except SchemeError:
             raise
         except _SPEC_ERRORS as e:
@@ -377,6 +374,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_derand(args) -> int:
+    if args.delta is not None:
+        raise CliError(EXIT_FORMAT, "derand takes no --delta: it sizes its own boost")
     g, gname = _read_graph(args.graph)
     if args.mode == "naive":
         base = _build_label_scheme(g, args)
@@ -408,7 +407,7 @@ def cmd_verify(args) -> int:
         try:
             with open(args.file) as fh:
                 cert, _ = twinwidth.parse_certificate(fh.read())
-        except (OSError, SchemeError) as e:
+        except (OSError, SchemeError, GraphFormatError) as e:
             raise CliError(EXIT_FORMAT, f"cannot read certificate: {e}")
         reasons: list[str] = []
         ok, h = twinwidth.verify_certificate(g, cert, reasons=reasons)

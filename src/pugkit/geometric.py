@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .bipartite import chain_graph_labels
 from .combinators import _bits, _unbits, _width_for
-from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError
+from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, in_id_order
 from .labels import EqualityScheme, LabelNode, SchemeError, build_walker, register_walker
 from .rng import rng_for
 from .sketch import arboricity_scheme
@@ -97,7 +97,7 @@ def write_realization(kind: str, items, name: str) -> str:
 def parse_realization(text: str):
     """Returns (kind, items, name)."""
     kind = name = None
-    items: dict[int, tuple[float, float]] = {}
+    items: list[tuple[int, tuple[float, float]]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,10 +111,10 @@ def parse_realization(text: str):
         want = "i" if kind == "intervals" else "p"
         if parts[0] != want or len(parts) != 4:
             raise GraphFormatError(f"line {lineno}: expected '{want} <id> <a> <b>'")
-        items[int(parts[1])] = (float(parts[2]), float(parts[3]))
+        items.append((int(parts[1]), (float(parts[2]), float(parts[3]))))
     if kind is None:
         raise GraphFormatError("empty realization file")
-    return kind, [items[i] for i in range(len(items))], name
+    return kind, in_id_order(items, kind), name
 
 
 # ---------------------------------------------------------------------------

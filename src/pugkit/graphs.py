@@ -21,6 +21,14 @@ class GraphFormatError(ValueError):
     """Raised on malformed graph/realization/label files."""
 
 
+def in_id_order(items: Sequence[tuple[int, object]], what: str) -> list:
+    """The values of (id, value) items by id; the ids must be 0..len-1, each once."""
+    items = sorted(items, key=lambda item: item[0])
+    if [i for i, _ in items] != list(range(len(items))):
+        raise GraphFormatError(f"{what} ids are not 0..{len(items) - 1}, each once")
+    return [value for _, value in items]
+
+
 class Graph:
     """Simple undirected graph: no loops, no multi-edges, ids 0..n-1."""
 

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+from .graphs import in_id_order
 
 EqOracle = Callable[[int, int], bool]
 
@@ -107,8 +110,14 @@ class EqualityScheme:
         self.decoder = CompiledDecoder(self.codec, walker)
         #: distinct code values renumbered to [0, #distinct), by sorted value
         self.canon = {val: i for i, val in enumerate(sorted({c for cs in self.codes for c in cs}))}
-        #: per vertex, its canonical code values: with `codec.ids`, the bulk decoder input
+        #: per vertex, its canonical code values
         self.values = [[self.canon[c] for c in codes] for codes in self.codes]
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The padded code table of the canonical values: the bulk decoder
+        input.  Built on first use, since many schemes are only parts."""
+        return self.codec.table(self.codec.ids, self.values)
 
     @property
     def n(self) -> int:
@@ -138,7 +147,8 @@ class EqualityScheme:
         """Exhaustive all-pairs check against an adjacency oracle: all pairs
         are decoded in bulk, then each pair u < v is compared with one
         `adjacency(u, v)` call."""
-        mat, n = self.decoder.decode_rows([self.codec.ids], [self.values])[0], self.n
+        sid, vals = self.table
+        mat, n = self.decoder.decode_rows(sid[None], vals[None])[0], self.n
         for u in range(n):
             want = np.fromiter(map(adjacency, repeat(u), range(u + 1, n)),
                                dtype=np.int8, count=n - u - 1)
@@ -242,6 +252,18 @@ class ShapeCodec:
             shift += self.value_width
         return bits
 
+    def table(self, ids: Sequence[int], rows: Sequence[Sequence[int]]
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The padded code table of labels with shape ids `ids` and code
+        values `rows`, all >= 0: an int64 array of the shape ids, and a
+        (len(ids), k) int64 array whose row r holds rows[r], then -1 up to k.
+        """
+        sid = np.array(ids, dtype=np.int64)
+        vals = np.full((len(sid), self.k), -1, dtype=np.int64)
+        vals[np.arange(self.k) < np.array(self.arities, dtype=np.int64)[sid][:, None]] = \
+            np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+        return sid, vals
+
     def parse(self, bits: int) -> tuple[int, list[int]]:
         """(shape id, one value per code slot) of a packed label."""
         sid = bits & ((1 << self.shape_bits) - 1)
@@ -260,15 +282,13 @@ class CompiledDecoder:
     An equality-based decoder sees only the two shapes and the equality
     pattern Q of their codes.  `decode_pair` runs the walker lazily on one
     pair, asking only the equality tests the walker needs.  `decode_pairs`
-    is the bulk core over flat arrays of pairs: it computes Q for all of
-    them with numpy, keys each pair exactly by its shape-id pair and packed
-    Q bits, and runs the walker once per distinct key, on the code values of
-    the first pair with that key; later pairs with that key read the memo.
-    `decode_rows` decodes every pair of whole label sets through it, in
-    blocks of rows, and so does the compressed sketches' trial decoder.
-    `decode` and `decode_stack` are the per-pair and all-pairs entries over
-    labels packed by the codec.  The memo belongs to this object and so dies
-    with the scheme that owns it.
+    is the bulk core and the only code that knows Q's layout: over pairs of
+    rows of a padded code table (`ShapeCodec.table`) it keys each pair by
+    its shape-id pair and packed Q bits, and runs the walker once per
+    distinct key; later pairs with that key read the memo.  `decode_rows`
+    (all pairs of whole tables), `decode_stack` (of packed labels) and the
+    compressed sketches' trial decoder all go through it.  The memo belongs
+    to this object and so dies with the scheme that owns it.
     """
 
     #: Q cells compared per block; bounds the size of the decode temporaries.
@@ -292,82 +312,71 @@ class CompiledDecoder:
         return self.decode_stack([labels])[0]
 
     def decode_stack(self, label_sets: Sequence[Sequence[int]]) -> np.ndarray:
-        """`decode_rows` of packed label sets."""
-        parsed = [[self.codec.parse(bits) for bits in labels] for labels in label_sets]
-        return self.decode_rows([[sid for sid, _ in p] for p in parsed],
-                                [[vals for _, vals in p] for p in parsed])
+        """`decode_rows` of packed label sets, all of one length."""
+        parsed = [self.codec.parse(bits) for labels in label_sets for bits in labels]
+        sid, vals = self.codec.table([s for s, _ in parsed], [v for _, v in parsed])
+        c, n = len(label_sets), len(label_sets[0]) if label_sets else 0
+        return self.decode_rows(sid.reshape(c, n), vals.reshape(c, n, self.codec.k))
 
-    def decode_rows(self, ids: Sequence[Sequence[int]],
-                    rows: Sequence[Sequence[Sequence[int]]]) -> np.ndarray:
-        """Decode every pair u < v of each label set.
+    def decode_rows(self, sid: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Decode every pair u < v of each of c code tables of n rows.
 
-        Vertex v of set s has shape id ids[s][v] and the code values
-        rows[s][v], all >= 0.  Returns a (sets, n, n) int8 array whose strict
-        upper triangle holds the decoded bit of (u, v) and whose lower
+        sid is (c, n) and vals (c, n, k): table s is (sid[s], vals[s]), as
+        `ShapeCodec.table` builds it.  Returns a (c, n, n) int8 array whose
+        strict upper triangle holds the decoded bit of (u, v) and whose lower
         triangle mirrors it.
         """
-        codec, k = self.codec, self.codec.k
-        c, n = len(ids), len(ids[0]) if ids else 0
-        sid = np.array(ids, dtype=np.int64).reshape(c, n)
-        # padding slots hold -1 on the x side and -2 on the y side, as decode_pairs asks
-        vals = np.full((c, n, k), -1, dtype=np.int64)
-        vals[np.arange(k) < np.array(codec.arities, dtype=np.int64)[sid][..., None]] = \
-            np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype=np.int64)
-        vals = vals.astype(narrow_values(int(vals.max(initial=0))))
-        vals_y = np.where(vals < 0, -2, vals)
+        c, n, k = vals.shape
+        upper = np.broadcast_to(np.triu(np.ones((n, n), dtype=bool), 1), (c, n, n))
+        # row s*n + u against row s*n + v, for each set s and u < v; a mask
+        # over whole arrays builds them without int64 index temporaries
+        rows = np.arange(c * n, dtype=np.int32).reshape(c, n, 1)
+        x = np.broadcast_to(rows, (c, n, n))[upper]
+        y = np.broadcast_to(rows.reshape(c, 1, n), (c, n, n))[upper]
         out = np.zeros((c, n, n), dtype=np.int8)
-        rows_per_block = max(1, self.BLOCK_CELLS // max(c * n * k * k, 1))
-        for lo in range(0, n, rows_per_block):
-            r, v = np.nonzero(np.arange(n) > np.arange(lo, min(n, lo + rows_per_block))[:, None])
-            u, cells = r + lo, c * len(r)
-            if cells:
-                def codes(p, u=u, v=v):
-                    s, i = divmod(p, len(u))
-                    return rows[s][u[i]], rows[s][v[i]]
-
-                out[:, u, v] = self.decode_pairs(
-                    sid[:, u].ravel(), vals[:, u].reshape(cells, k),
-                    sid[:, v].ravel(), vals_y[:, v].reshape(cells, k), codes).reshape(c, len(u))
+        out[upper] = self.decode_pairs(sid.reshape(c * n), vals.reshape(c * n, k), x, y)
         return out + out.transpose(0, 2, 1)
 
-    def decode_pairs(self, sid_x: np.ndarray, vals_x: np.ndarray,
-                     sid_y: np.ndarray, vals_y: np.ndarray,
-                     codes: Callable[[int], tuple[Sequence[int], Sequence[int]]] | None = None
-                     ) -> np.ndarray:
-        """The decoded bit of each pair p, as an int8 array.
+    def decode_pairs(self, sid: np.ndarray, vals: np.ndarray,
+                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The decoded bit of each pair of table rows (x[p], y[p]), as int8.
 
-        The pair's x side has shape id sid_x[p] and code values vals_x[p], a
-        row of k values that are >= 0 on the shape's slots; the y side
-        likewise.  The padding after the slots is -1 in vals_x and -2 in
-        vals_y, so it never compares equal and Q is zero outside each pair's
-        arities.  Q is computed for all pairs at once, so the caller bounds
-        the block to about `BLOCK_CELLS` cells.  The walker reads pair p's
-        code values from `codes(p)`, the two lists, when the caller holds
-        them as lists, and otherwise from vals_x and vals_y.
+        Row r of the table has shape id sid[r] and the k code values
+        vals[r], >= 0 on the shape's slots and -1 after them.  No code value
+        is -1, so the cells of Q outside a pair's arities depend only on its
+        shape pair, and the key stays exact.  Pairs are decoded in blocks of
+        about `BLOCK_CELLS` Q cells, each gathering its own rows.  A walker
+        run reads its pair's code values as Python ints.
         """
-        k, shapes, arities = self.codec.k, self.codec.shapes, self.codec.arities
-        q = (vals_x[:, :, None] == vals_y[:, None, :]).reshape(len(vals_x), k * k)
-        pair = (sid_x * len(shapes) + sid_y).reshape(-1, 1)
-        keys = np.concatenate([pair.view(np.uint8), np.packbits(q, axis=1)], axis=1)
-        keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))
-        uniq, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        memo, keys = self.memo, uniq.tolist()
-        res = [memo.get(key) for key in keys]
-        new = [i for i, bit in enumerate(res) if bit is None]
-        if new:
+        k, shapes, arities, memo = self.codec.k, self.codec.shapes, self.codec.arities, self.memo
+        narrow = vals.astype(narrow_values(int(vals.max(initial=0))))
+        out = np.empty(len(x), dtype=np.int8)
+        step = max(1, self.BLOCK_CELLS // max(k * k, 1))
+        for lo in range(0, len(x), step):
+            bx, by = x[lo:lo + step], y[lo:lo + step]
+            q = (narrow[bx][:, :, None] == narrow[by][:, None, :]).reshape(len(bx), k * k)
+            pair = (sid[bx] * len(shapes) + sid[by]).reshape(-1, 1)
+            keys = np.concatenate([pair.view(np.uint8), np.packbits(q, axis=1)], axis=1)
+            keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))
+            uniq, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+            keys = uniq.tolist()
+            res = [memo.get(key) for key in keys]
+            new = [i for i, bit in enumerate(res) if bit is None]
             # the walker runs on the code values of the first pair with each new key
-            at = first[new]
-            for i, p, sx, sy in zip(new, at.tolist(), sid_x[at].tolist(), sid_y[at].tolist()):
-                vx, vy = codes(p) if codes else (vals_x[p, :arities[sx]].tolist(),
-                                                 vals_y[p, :arities[sy]].tolist())
-                res[i] = memo[keys[i]] = self.decode_pair(shapes[sx], vx, shapes[sy], vy)
-        return np.array(res, dtype=np.int8)[inverse]
+            rows_x, rows_y = bx[first[new]], by[first[new]]
+            for i, rx, ry, sx, sy in zip(new, rows_x.tolist(), rows_y.tolist(),
+                                         sid[rows_x].tolist(), sid[rows_y].tolist()):
+                res[i] = memo[keys[i]] = self.decode_pair(
+                    shapes[sx], vals[rx, :arities[sx]].tolist(),
+                    shapes[sy], vals[ry, :arities[sy]].tolist())
+            out[lo:lo + step] = np.array(res, dtype=np.int8)[inverse]
+        return out
 
 
 def narrow_values(top: int) -> np.dtype:
     """The narrowest signed type holding code values up to `top` and the
-    padding -2: Q then takes the cheapest k*k compares."""
-    return np.min_scalar_type(-top - 2)
+    padding -1: Q then takes the cheapest k*k compares."""
+    return np.min_scalar_type(-top - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +466,7 @@ def write_label_file(scheme: EqualityScheme, graph_name: str) -> str:
 
 def parse_label_file(text: str) -> tuple[list[LabelNode], str, dict]:
     """Returns (labels, graph-name, header-fields)."""
-    labels: dict[int, LabelNode] = {}
+    labels: list[tuple[int, LabelNode]] = []
     name = None
     fields: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -475,18 +484,11 @@ def parse_label_file(text: str) -> tuple[list[LabelNode], str, dict]:
             continue
         if parts[0] != "v" or len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 'v <id> <shape> <codes>'")
-        vid = int(parts[1])
-        if vid in labels:
-            raise ValueError(f"line {lineno}: duplicate vertex {vid}")
         codes = [] if parts[3] == "-" else [int(c) for c in parts[3].split(",")]
         shape = shape_from_str(parts[2])
         if shape_arity(shape) != len(codes):
             raise ValueError(f"line {lineno}: malformed label")
-        labels[vid] = _label_from_shape(shape, codes)
+        labels.append((int(parts[1]), _label_from_shape(shape, codes)))
     if name is None:
         raise ValueError("empty label file")
-    try:
-        ordered = [labels[i] for i in range(len(labels))]
-    except KeyError as e:
-        raise ValueError(f"vertex ids are not 0..{len(labels) - 1}: {e} is missing")
-    return ordered, name, fields
+    return in_id_order(labels, "vertex"), name, fields

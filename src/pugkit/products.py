@@ -18,7 +18,7 @@ import numpy as np
 from .graphs import Graph
 from .labels import bits_for
 from .rng import derive_seed
-from .sketch import SketchScheme, boost_copies, join_copies, split_copies
+from .sketch import SketchScheme, exact_majority_copies, join_copies, majority_failure, split_copies
 
 #: Distinguished "distance exceeds k" sentinel (outside {0..k}).
 BOTTOM = -1
@@ -59,14 +59,15 @@ class FiniteFamilyDistanceSketch:
 
 
 class BoostedDistanceSketch:
-    """Plurality vote over independent copies of a distance sketch."""
+    """Plurality vote over independent copies of a distance sketch; the copy
+    count is sized by, and `delta` reports, the exact majority tail."""
 
     def __init__(self, base, delta_target: float):
         self.base = base
         self.k = base.k
-        self.copies = 1 if base.delta == 0 else boost_copies(delta_target, base.delta)
+        self.copies = exact_majority_copies(delta_target, base.delta)
         self.width = self.copies * base.width
-        self.delta = delta_target if self.copies > 1 else base.delta
+        self.delta = majority_failure(self.copies, base.delta) if self.copies > 1 else base.delta
 
     def encode_factor(self, graph_index: int, seed: int) -> list[int]:
         parts = [

@@ -3,11 +3,11 @@ derandomization, Monte-Carlo error evaluation, and PUG export.
 
 Encoders derive all their randomness from `counter_hash` as pure functions
 of (seed, tag, id): a hashed code value, a vertex's Bloom bucket, a boost
-copy's seed.  So encoding a single pair equals restricting a full
-encoding, and `decode_trials` can decode the pairs of many fresh
-encodings at once: it hashes the per-trial seeds and the pairs' ids as
-arrays.  `evaluate_error` draws each trial's pair and encoding seed the same
-way and decodes its trials in blocks.
+copy's seed.  So `decode_trials` can decode the pairs of many fresh
+encodings at once, without encoding the other vertices: it hashes the
+per-trial seeds and the pairs' ids as arrays.  `evaluate_error` draws each
+trial's pair and encoding seed the same way and decodes its trials in
+blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .labels import (
     EqualityScheme,
     LabelNode,
     bits_for,
-    narrow_values,
     register_walker,
 )
 from .rng import counter_hash, derive_seed
@@ -59,10 +58,6 @@ class SketchScheme:
     def encode(self, seed: int) -> list[int]:
         raise NotImplementedError
 
-    def encode_pair(self, u: int, v: int, seed: int) -> tuple[int, int]:
-        labels = self.encode(seed)
-        return labels[u], labels[v]
-
     def decode(self, bx: int, by: int) -> int:
         raise NotImplementedError
 
@@ -85,9 +80,10 @@ class SketchScheme:
         """The int8 bit decoded for the pair (us[t], vs[t]) under a fresh
         encoding seeded by seeds[t], for every t.  This is the per-trial
         reference; vectorised sketches override it."""
-        return np.array([self.decode(*self.encode_pair(u, v, s)) for u, v, s in
-                         zip(np.asarray(us).tolist(), np.asarray(vs).tolist(),
-                             np.asarray(seeds).tolist())], dtype=np.int8)
+        encodings = map(self.encode, np.asarray(seeds).tolist())
+        return np.array([self.decode(labels[u], labels[v]) for u, v, labels in
+                         zip(np.asarray(us).tolist(), np.asarray(vs).tolist(), encodings)],
+                        dtype=np.int8)
 
 
 class CompressedEqualityScheme(SketchScheme):
@@ -108,12 +104,6 @@ class CompressedEqualityScheme(SketchScheme):
         self._decoder = CompiledDecoder(self.codec, scheme.walker)
         self.width = self.codec.width
         self.delta = 1 / 3
-        # per vertex: shape id, and canonical code values padded with -1 to k
-        self._sids = np.array(self.codec.ids, dtype=np.int64)
-        self._vals = np.full((self.n, self.codec.k), -1, dtype=np.int64)
-        for v, vals in enumerate(scheme.values):
-            self._vals[v, :len(vals)] = vals
-        self._dtype = narrow_values(self.alphabet - 1)
 
     def _hashed(self, seed, values) -> np.ndarray:
         """The hashed code of each canonical code value under `seed`."""
@@ -127,25 +117,16 @@ class CompressedEqualityScheme(SketchScheme):
         return [self.codec.pack(shape, [h[c] for c in vals])
                 for shape, vals in zip(self.scheme.shapes, self.scheme.values)]
 
-    def encode_pair(self, u: int, v: int, seed: int) -> tuple[int, int]:
-        vu, vv = self.scheme.values[u], self.scheme.values[v]
-        h = self._hashed(seed, np.array(vu + vv, dtype=np.int64)).tolist()
-        return (self.codec.pack(self.scheme.shapes[u], h[:len(vu)]),
-                self.codec.pack(self.scheme.shapes[v], h[len(vu):]))
-
     def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        # blocks of at most BLOCK_CELLS Q cells, as decode_pairs asks
-        k = self.codec.k
-        step = max(1, self._decoder.BLOCK_CELLS // max(k * k, 1))
-        out = [np.zeros(0, dtype=np.int8)]
-        for lo in range(0, len(us), step):
-            u, v = us[lo:lo + step], vs[lo:lo + step]
-            s = np.asarray(seeds[lo:lo + step], dtype=np.uint64)[:, None]
-            hx, hy = (np.where(self._vals[w] < 0, pad,
-                               self._hashed(s, self._vals[w]).astype(self._dtype))
-                      for w, pad in ((u, -1), (v, -2)))
-            out.append(self._decoder.decode_pairs(self._sids[u], hx, self._sids[v], hy))
-        return np.concatenate(out)
+        # a table of the trials' hashed rows: us first, then vs, both under
+        # their trial's seed
+        sid, vals = self.scheme.table
+        t, w = len(us), np.concatenate([us, vs])
+        rows = vals[w]
+        hashed = self._hashed(np.tile(np.asarray(seeds, dtype=np.uint64), 2)[:, None],
+                              rows).astype(np.int64)
+        hashed[rows < 0] = -1
+        return self._decoder.decode_pairs(sid[w], hashed, np.arange(t), np.arange(t, 2 * t))
 
     def decode(self, bx: int, by: int) -> int:
         return self._decoder.decode(bx, by)
@@ -191,6 +172,8 @@ def majority_failure(copies: int, p: float) -> float:
 
 def exact_majority_copies(delta_target: float, base_delta: float = 1 / 3) -> int:
     """Minimal odd copy count whose exact majority tail meets the target."""
+    if not (0 < delta_target < 1 / 2):
+        raise ValueError("delta target must be in (0, 1/2)")
     if delta_target >= base_delta:
         return 1
     k = 1
@@ -217,10 +200,6 @@ class BoostedScheme(SketchScheme):
     def encode(self, seed: int) -> list[int]:
         parts = [self.base.encode(s) for s in self._copy_seeds(seed).tolist()]
         return [join_copies(copies, self.base.width) for copies in zip(*parts)]
-
-    def encode_pair(self, u: int, v: int, seed: int) -> tuple[int, int]:
-        fu, fv = zip(*(self.base.encode_pair(u, v, s) for s in self._copy_seeds(seed).tolist()))
-        return join_copies(fu, self.base.width), join_copies(fv, self.base.width)
 
     def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         # copies x trials go to the base in one call, trial-major
@@ -321,11 +300,6 @@ class ArboricitySketch(SketchScheme):
     def encode(self, seed: int) -> list[int]:
         r = self._bucket(seed, np.arange(self.n)).tolist()
         return [self._label(r[v], [r[p] for p in ps]) for v, ps in enumerate(self._parents)]
-
-    def encode_pair(self, u: int, v: int, seed: int) -> tuple[int, int]:
-        pu, pv = self._parents[u], self._parents[v]
-        r = self._bucket(seed, np.array([u, v, *pu, *pv], dtype=np.int64)).tolist()
-        return self._label(r[0], r[2:2 + len(pu)]), self._label(r[1], r[2 + len(pu):])
 
     def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         # columns: u, v, then u's parents and v's parents (-1 padding)

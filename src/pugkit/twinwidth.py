@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .bipartite import bipartite_equivalence_labels
-from .graphs import ColoredBipartiteGraph, Graph
+from .graphs import ColoredBipartiteGraph, Graph, in_id_order
 from .labels import EqualityScheme, LabelNode, SchemeError, register_walker
 from .structure import quasi_chain_number
 
@@ -254,6 +254,10 @@ def verify_certificate(g: ColoredBipartiteGraph, cert: TwCertificate,
     if sorted(cert.order) != sorted([("x", i) for i in range(g.nx)]
                                     + [("y", j) for j in range(g.ny)]):
         return fail("order does not cover X u Y exactly")
+    named = [(side, v) for side, part in cert.division for v in part]
+    named += [(side, v) for flip in cert.flips for side, vs in zip("xy", flip) for v in vs]
+    if any(v not in pos for v in named):
+        return fail("a division part or flip names a vertex outside the graph")
     covered_x, covered_y = [], []
     for side, part in cert.division:
         if not part:
@@ -494,13 +498,20 @@ def _csv(text: str) -> tuple[int, ...]:
     return () if text == "-" else tuple(int(t) for t in text.split(","))
 
 
+def _field(tok: str, key: str) -> str:
+    """The value of the token `key=value`."""
+    if not tok.startswith(key + "="):
+        raise SchemeError(f"expected {key}=..., got {tok!r}")
+    return tok[len(key) + 1:]
+
+
 def parse_certificate(text: str) -> tuple[TwCertificate, str]:
+    """Reads `write_certificate` text.  Flip, division and uset ids, and each
+    slice's star ids, must run 0, 1, 2, ...; every star must lie in a uset's
+    slice, and usets and stars must name division ids."""
     name = None
-    order: list[tuple[str, int]] = []
-    flips: dict[int, tuple] = {}
-    division: dict[int, tuple] = {}
-    usets: dict[int, tuple] = {}
-    stars: dict[tuple[int, int], Star] = {}
+    order: tuple[tuple[str, int], ...] = ()
+    sections: dict[str, list] = {"flip": [], "division": [], "uset": [], "star": []}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -513,35 +524,35 @@ def parse_certificate(text: str) -> tuple[TwCertificate, str]:
             continue
         kind = parts[0]
         if kind == "order":
-            order = [(tok[0], int(tok[1:])) for tok in parts[1:]]
-        elif kind == "flip":
-            a = _csv(parts[2].split("=", 1)[1])
-            b = _csv(parts[3].split("=", 1)[1])
-            flips[int(parts[1])] = (a, b)
-        elif kind == "division":
-            division[int(parts[1])] = (parts[2], _csv(parts[3]))
-        elif kind == "uset":
-            ux = _csv(parts[2].split("=", 1)[1])
-            uy = _csv(parts[3].split("=", 1)[1])
-            usets[int(parts[1])] = (ux, uy)
+            order = tuple((tok[0], int(tok[1:])) for tok in parts[1:])
+            continue
+        if len(parts) != {"flip": 4, "division": 4, "uset": 4, "star": 5}.get(kind):
+            raise SchemeError(f"line {lineno}: bad {kind!r} line")
+        if kind == "division":
+            if parts[2] not in ("x", "y"):
+                raise SchemeError(f"line {lineno}: division side must be x or y")
+            val = (parts[2], _csv(parts[3]))
         elif kind == "star":
-            c = int(parts[3].split("=", 1)[1])
-            lv = _csv(parts[4].split("=", 1)[1])
-            stars[(int(parts[1]), int(parts[2]))] = Star(c, lv)
+            val = int(parts[2]), Star(int(_field(parts[3], "center")),
+                                      _csv(_field(parts[4], "leaves")))
         else:
-            raise SchemeError(f"line {lineno}: unknown section {kind!r}")
+            a, b = ("A", "B") if kind == "flip" else ("X", "Y")
+            val = (_csv(_field(parts[2], a)), _csv(_field(parts[3], b)))
+        sections[kind].append((int(parts[1]), val))
     if name is None:
         raise SchemeError("empty certificate file")
-    r = (max(usets) + 1) if usets else 0
-    star_lists = []
-    for i in range(r):
-        idxs = sorted(j for (si, j) in stars if si == i)
-        star_lists.append(tuple(stars[(i, j)] for j in idxs))
-    cert = TwCertificate(
-        tuple(order),
-        tuple(flips[i] for i in sorted(flips)),
-        tuple(division[i] for i in sorted(division)),
-        tuple(usets[i] for i in range(r)),
-        tuple(star_lists),
-    )
+    division = in_id_order(sections["division"], "division")
+    usets = in_id_order(sections["uset"], "uset")
+    slices: list[list] = [[] for _ in usets]
+    for i, star in sections["star"]:
+        if not 0 <= i < len(usets):
+            raise SchemeError(f"star slice {i} has no uset")
+        slices[i].append(star)
+    stars = tuple(tuple(in_id_order(sl, f"slice {i} star")) for i, sl in enumerate(slices))
+    named = [p for ux, uy in usets for p in ux + uy]
+    named += [p for sl in stars for st in sl for p in (st.center, *st.leaves)]
+    if any(not 0 <= p < len(division) for p in named):
+        raise SchemeError("a uset or star names a part that is not a division id")
+    cert = TwCertificate(order, tuple(in_id_order(sections["flip"], "flip")), tuple(division),
+                         tuple(usets), stars)
     return cert, name

@@ -118,6 +118,21 @@ def test_derand_modes(tmp_path, capsys):
     assert code2 == 0
 
 
+def test_derand_rejects_delta(tmp_path, capsys):
+    # derandomize boosts to error 1/n^3 itself; a --delta boost under it
+    # only widened the labels
+    g = tmp_path / "f.graph"
+    run(capsys, "gen", "forest", "--n", "40", "--seed", "3", "--out", str(g))
+    out = tmp_path / "d.txt"
+    code, _, err = run(capsys, "derand", str(g), "--scheme", "arboricity-bloom", "--seed", "2",
+                       "--out", str(out))
+    assert code == 0 and "width=1323 " in err
+    for mode in ("sampled", "naive"):
+        code, _, err = run(capsys, "derand", str(g), "--scheme", "arboricity-bloom",
+                           "--delta", "0.05", "--seed", "2", "--mode", mode)
+        assert code == 3 and "sizes its own boost" in err
+
+
 def test_verify_twcert(tmp_path, capsys):
     from tests.test_twinwidth import make_two_level_instance
     from pugkit.graphs import write_graph
@@ -381,10 +396,10 @@ def test_sketch_prints_the_proven_boosted_delta(tmp_path, capsys):
     assert f"delta<={majority_failure(9, 1 / 3):g}" in err and "delta<=0.05" not in err
 
 
-@pytest.mark.parametrize("header", ["graph g 99999999999", "bigraph b 1 99999999999"])
-@pytest.mark.parametrize("command", [["label", "--scheme", "arboricity"], ["chain-number"]],
-                         ids=["label", "chain-number"])
-def test_oversized_graph_header_exits_3(tmp_path, header, command):
+def run_subprocess(*argv):
+    """The CLI in a child process under a 1 GiB address-space limit and a
+    timeout, so a reader that sizes arrays from its input or loops on it
+    fails the test instead of exhausting the machine."""
     import resource
     import subprocess
     import sys
@@ -392,14 +407,56 @@ def test_oversized_graph_header_exits_3(tmp_path, header, command):
     import pugkit
 
     def cap_memory():
-        # a reader that sized arrays from the header would fail here, not
-        # exhaust the machine
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pugkit.__file__))}
+    return subprocess.run([sys.executable, "-m", "pugkit.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=cap_memory)
+
+
+@pytest.mark.parametrize("header", ["graph g 99999999999", "bigraph b 1 99999999999"])
+@pytest.mark.parametrize("command", [["label", "--scheme", "arboricity"], ["chain-number"]],
+                         ids=["label", "chain-number"])
+def test_oversized_graph_header_exits_3(tmp_path, header, command):
     gf = tmp_path / "big.graph"
     gf.write_text(header + "\n")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pugkit.__file__))}
-    proc = subprocess.run([sys.executable, "-m", "pugkit.cli", command[0], str(gf), *command[1:]],
-                          capture_output=True, text=True, timeout=120, env=env,
-                          preexec_fn=cap_memory)
+    proc = run_subprocess(command[0], gf, *command[1:])
     assert proc.returncode == 3 and "vertex count" in proc.stderr
+
+
+@pytest.mark.parametrize("body", ["i 3 0 1", "i 0 0 1\ni 0 2 3", "i -1 0 1\ni 0 0 1",
+                                  "i 0 0", "i 0 0 1\ni 2 5 6"],
+                         ids=["sparse", "duplicate", "negative", "short-line", "gap"])
+def test_malformed_realization_exits_3(tmp_path, body):
+    from pugkit.generators import path
+    from pugkit.graphs import write_graph
+
+    gf, rf = tmp_path / "p.graph", tmp_path / "iv.real"
+    gf.write_text(write_graph(path(2), "p"))
+    rf.write_text(f"intervals iv\n{body}\n")
+    proc = run_subprocess("label", gf, "--scheme", "interval", "--k", 1, "--realization", rf)
+    assert proc.returncode == 3 and proc.stderr.startswith("error: cannot read realization")
+
+
+@pytest.mark.parametrize("edit, code", [
+    ("uset 3 X=- Y=-", 3), ("uset 99999999999 X=- Y=-", 3), ("flip 0 A=1", 3),
+    ("flip 0 A=- B=-", 3), ("star 0 0 center=0 leaves=2,3", 3), ("star 7 0 center=0 leaves=-", 3),
+    ("uset 2 X=9 Y=-", 3), ("flip 1 A=- C=-", 3), ("division 5 z 0", 3),
+    ("flip 1 A=99 B=-", 2), ("division 5 y 9", 2)],
+    ids=["sparse-uset", "huge-uset", "short-flip", "duplicate-flip", "duplicate-star",
+         "star-outside-slices", "uset-unknown-part", "flip-bad-key", "division-bad-side",
+         "flip-outside-graph", "division-outside-graph"])
+def test_malformed_certificate_exits_2_or_3(tmp_path, edit, code):
+    # a line added to a valid certificate: malformed files exit 3, and
+    # well-formed ones naming vertices the graph lacks are rejected with 2
+    from tests.test_twinwidth import make_two_level_instance
+    from pugkit.graphs import write_graph
+
+    g, cert = make_two_level_instance()
+    gf, cf = tmp_path / "g.graph", tmp_path / "c.cert"
+    gf.write_text(write_graph(g, "two-level"))
+    cf.write_text(write_certificate(cert, "two-level") + edit + "\n")
+    proc = run_subprocess("verify", "twcert", gf, cf)
+    assert proc.returncode == code, proc.stderr
+    assert ("rejected" in proc.stdout) if code == 2 else proc.stderr.startswith("error:")

@@ -171,7 +171,7 @@ def test_bulk_decode_blocks_do_not_change_the_output(monkeypatch):
     sk = compress_equality_scheme(arboricity_scheme(random_kdegenerate(30, 2, seed=4)))
     labels = sk.encode(3)
     whole = sk.decode_matrix(labels)
-    monkeypatch.setattr(CompiledDecoder, "BLOCK_CELLS", 1)  # one row per block
+    monkeypatch.setattr(CompiledDecoder, "BLOCK_CELLS", 1)  # one pair per block
     assert (compress_equality_scheme(sk.scheme).decode_matrix(labels) == whole).all()
 
 
@@ -278,7 +278,8 @@ def test_check_exact_and_bulk_match_direct_walker(name):
             cu, cv = sch.codes[u], sch.codes[v]
             direct[u, v] = sch.walker(sch.shapes[u], sch.shapes[v],
                                       lambda i, j: cu[i] == cv[j])
-    mat = sch.decoder.decode_rows([sch.codec.ids], [sch.values])[0]
+    sid, vals = sch.table
+    mat = sch.decoder.decode_rows(sid[None], vals[None])[0]
     assert {pair: mat[pair] for pair in direct} == direct
     assert sch.check_exact(lambda u, v: direct[u, v])
     first = min(direct)
@@ -366,20 +367,12 @@ def test_decode_trials_matches_per_trial_decode(name):
     seeds[:3] = [0, _MASK64, 1 << 63]
     bits = sk.decode_trials(us, vs, seeds)
     assert bits.dtype == np.int8 and bits.shape == (trials,)
-    want = [sk.decode(*sk.encode_pair(u, v, s))
-            for u, v, s in zip(us.tolist(), vs.tolist(), seeds.tolist())]
+    want = []
+    for u, v, s in zip(us.tolist(), vs.tolist(), seeds.tolist()):
+        labels = sk.encode(s)
+        want.append(sk.decode(labels[u], labels[v]))
     assert bits.tolist() == want
     assert 0 < sum(want) < trials
-
-
-@pytest.mark.parametrize("name", ["bloom", "boosted-bloom"])
-def test_encode_pair_is_encode_restricted(name):
-    sk, g = _sketch(name)
-    for seed in (0, 77, _MASK64):
-        full = sk.encode(seed)
-        for u in range(0, g.n, 3):
-            for v in range(1, g.n, 4):
-                assert sk.encode_pair(u, v, seed) == (full[u], full[v]), (seed, u, v)
 
 
 @pytest.mark.parametrize("name", ["compressed", "bloom", "boosted-bloom"])

@@ -14,7 +14,7 @@ from pugkit.products import (
     product_distance_encoder,
 )
 from pugkit.rng import rng_for
-from pugkit.sketch import split_copies
+from pugkit.sketch import exact_majority_copies, majority_failure, split_copies
 
 
 def test_boosted_distance_sketch_copy_layout():
@@ -29,6 +29,24 @@ def test_boosted_distance_sketch_copy_layout():
     for u in range(5):
         for v in range(5):
             assert b.decode(labels[u], labels[v]) == base.decode(plain[u], plain[v])
+
+
+def test_boosted_distance_sketch_reports_the_proven_tail():
+    base = FiniteFamilyDistanceSketch([path(5)], k=1)
+    base.delta = 1 / 3
+    b = BoostedDistanceSketch(base, 0.05)
+    # the textbook count, 9 copies, has an exact tail of 0.145
+    assert b.copies == exact_majority_copies(0.05, 1 / 3) == 23
+    assert b.delta == majority_failure(23, 1 / 3) <= 0.05
+    for target in (0, 0.5):
+        with pytest.raises(ValueError):
+            BoostedDistanceSketch(base, target)
+    # so the product sketch's premise, base error at most 1/(10k), holds
+    for k in (1, 2):
+        base.k = k
+        prod = ProductDistanceSketch([path(5), path(5)], base, k=k)
+        assert isinstance(prod.base, BoostedDistanceSketch)
+        assert prod.base.delta <= 1 / (10 * k)
 
 
 def test_finite_family_base():

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 from pugkit.cli import main
 from pugkit.generators import biclique, random_forest, random_kdegenerate
 from pugkit.graphs import write_graph
-from pugkit.labels import _WALKER_BUILDERS
+from pugkit.labels import (
+    _WALKER_BUILDERS,
+    CompiledDecoder,
+    EqualityScheme,
+    LabelNode,
+    ShapeCodec,
+    flat_codes,
+    shape_arity,
+    shape_of,
+)
 from pugkit.rng import counter_hash
 from pugkit.sketch import (
     arboricity_scheme,
@@ -127,3 +136,150 @@ def test_one_sided_under_any_seed(seed):
     rep = evaluate_error(_COMP, _G, trials=30, seed=seed)
     assert rep == evaluate_error(_COMP, _G, trials=30, seed=seed & ((1 << 64) - 1))
     assert rep.adjacent.errors == 0
+
+
+# a realization or certificate line: an id field drawn from small ids, a
+# negative one and one too large to loop to
+IDS = st.sampled_from([*range(-1, 7), 99999999999])
+NUMBER = st.sampled_from(["0", "1", "2.5", "-3", "nan", "inf", "x", "1e400"])
+CSV = st.sampled_from(["-", "x", ""]) | st.lists(st.integers(-1, 9), min_size=1, max_size=3).map(
+    lambda xs: ",".join(map(str, xs)))
+
+
+def _body(data, lines, drawn):
+    """The real lines with up to two dropped and up to three drawn lines
+    added, in any order."""
+    drop = data.draw(st.sets(st.integers(0, len(lines) - 1), max_size=2))
+    body = [line for i, line in enumerate(lines) if i not in drop]
+    return data.draw(st.permutations(body + data.draw(st.lists(drawn, max_size=3))))
+
+
+@pytest.fixture(scope="module")
+def realizations(tmp_path_factory):
+    """An interval and a permutation graph, each with its realization text."""
+    from pugkit.geometric import (interval_graph_from, permutation_graph_from,
+                                  random_intervals, random_points, write_realization)
+
+    tmp = tmp_path_factory.mktemp("real")
+    out = {}
+    for scheme, kind, items, build in (
+            ("interval", "intervals", random_intervals(6, seed=1), interval_graph_from),
+            ("permutation", "points", random_points(6, seed=1), permutation_graph_from)):
+        gf = tmp / f"{scheme}.graph"
+        gf.write_text(write_graph(build(items), scheme))
+        out[scheme] = (gf, write_realization(kind, items, scheme))
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), scheme=st.sampled_from(["interval", "permutation"]))
+def test_label_with_any_realization_exits_0_2_or_3(realizations, tmp_path, capsys, data, scheme):
+    gf, text = realizations[scheme]
+    head, *lines = text.splitlines()
+    drawn = st.builds("{} {} {} {}".format, st.sampled_from(["i", "p", "q"]), IDS, NUMBER, NUMBER)
+    drawn |= st.sampled_from(["i 0 1", "p", "intervals x", "points x"])
+    head = data.draw(st.just(head) | st.sampled_from(["intervals r", "points r", "intervals"]))
+    rf = tmp_path / "r.real"
+    rf.write_text("".join(line + "\n" for line in [head, *_body(data, lines, drawn)]))
+    code = main(["label", str(gf), "--scheme", scheme, "--k", "3", "--realization", str(rf)])
+    capsys.readouterr()
+    assert code in (0, 2, 3)
+
+
+@settings(derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_with_any_certificate_exits_0_2_or_3(tmp_path, capsys, data):
+    from pugkit.twinwidth import write_certificate
+    from tests.test_twinwidth import make_two_level_instance
+
+    g, cert = make_two_level_instance()
+    gf, cf = tmp_path / "g.graph", tmp_path / "c.cert"
+    gf.write_text(write_graph(g, "g"))
+    head, *lines = write_certificate(cert, "g").splitlines()
+    key = st.sampled_from(["A", "B", "X", "Y", "center", "leaves", ""])
+    field = st.builds("{}={}".format, key, CSV)
+    drawn = st.one_of(
+        st.builds("flip {} {} {}".format, IDS, field, field),
+        st.builds("division {} {} {}".format, IDS, st.sampled_from(["x", "y", "z"]), CSV),
+        st.builds("uset {} {} {}".format, IDS, field, field),
+        st.builds("star {} {} {} {}".format, IDS, IDS, field, field),
+        st.builds("order {}".format, st.sampled_from(["x0 y0", "x", "x9 y1", "q1"])),
+        st.sampled_from(["flip 0 A=1", "star 0", "uset", "junk 1"]))
+    cf.write_text("".join(line + "\n" for line in [head, *_body(data, lines, drawn)]))
+    code = main(["verify", "twcert", str(gf), str(cf)])
+    capsys.readouterr()
+    assert code in (0, 2, 3)
+
+
+# code values at both edges of `narrow_values`: the table narrows to int8
+# up to 127 and to int16 up to 32767
+EDGE_VALUES = st.sampled_from([0, 1, *range(125, 130), *range(32765, 32770)])
+ARITY_0 = st.sampled_from([(), (1,), (0, 1)]).map(lambda tag: LabelNode(tag=tag))
+LABELS = st.one_of(
+    st.lists(ARITY_0, max_size=5),  # a k = 0 scheme: the shapes alone decide
+    st.lists(ARITY_0 | st.builds(lambda *c: LabelNode(codes=c), EDGE_VALUES)
+             | st.builds(lambda *c: LabelNode(codes=c), EDGE_VALUES, EDGE_VALUES)
+             | st.builds(lambda a, b, c: LabelNode(tag=(1,), codes=(a,),
+                                                  children=(LabelNode(codes=(b, c)),)),
+                         EDGE_VALUES, EDGE_VALUES, EDGE_VALUES), max_size=7))
+
+
+def _q_walker(sx, sy, eq):
+    """A small int, not a bit, that tells the shapes and the cells of Q
+    apart, so that two pairs that wrongly share a memo key decode
+    differently."""
+    ay = shape_arity(sy)
+    q = sum(eq(i, j) << (i * ay + j) for i in range(shape_arity(sx)) for j in range(ay))
+    return (8 * q + 3 * len(sx.tag) + len(sy.tag)) % 61
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(labels=LABELS, data=st.data())
+def test_bulk_decoders_equal_the_per_pair_walker(labels, data):
+    n = len(labels)
+    shapes, codes = [shape_of(l) for l in labels], [flat_codes(l) for l in labels]
+
+    def walker(u, v, vals=codes):
+        return _q_walker(shapes[u], shapes[v], lambda i, j: vals[u][i] == vals[v][j])
+
+    def key(u, v, vals=codes):
+        return shapes[u], shapes[v], tuple(a == b for a in vals[u] for b in vals[v])
+
+    def counted(sx, sy, eq):
+        calls.append(1)
+        return _q_walker(sx, sy, eq)
+
+    # decode_rows over two stacked tables of the raw codes, the second reversed
+    codec, calls = ShapeCodec(shapes), []
+    sid, vals = codec.table(codec.ids, codes)
+    rev = np.arange(n)[::-1]
+    mats = CompiledDecoder(codec, counted).decode_rows(np.stack([sid, sid[rev]]),
+                                                       np.stack([vals, vals[rev]]))
+    for u in range(n):
+        for v in range(u + 1, n):
+            assert mats[0, u, v] == mats[0, v, u] == walker(u, v)
+            assert mats[1, n - 1 - v, n - 1 - u] == walker(v, u)
+    # one walker run per distinct (shape pair, Q) among the pairs decoded
+    assert len(calls) == len({key(u, v) for u in range(n) for v in range(n) if u != v})
+    # decode_stack over the same codes packed 16 bits each
+    wide = codec.widened(16)
+    packed = [wide.pack(sh, c) for sh, c in zip(shapes, codes)]
+    stack = CompiledDecoder(wide, _q_walker).decode_stack([packed, packed[::-1]])
+    assert (stack == mats).all()
+    # the compressed trial decoder: each trial's pair under its own encoding
+    if n:
+        sk = compress_equality_scheme(EqualityScheme(labels, counted))
+        us = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
+        vs = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=len(us),
+                                         max_size=len(us))))
+        seeds = counter_hash(data.draw(st.integers(0, 1 << 64)), 0, np.arange(len(us)))
+        want, keys = [], set()
+        for u, v, s in zip(us.tolist(), vs.tolist(), seeds.tolist()):
+            hashed = [sk.codec.parse(bits)[1] for bits in sk.encode(s)]
+            want.append(walker(u, v, hashed))
+            keys.add(key(u, v, hashed))
+        calls.clear()
+        assert sk.decode_trials(us, vs, seeds).tolist() == want
+        assert len(calls) == len(keys)

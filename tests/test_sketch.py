@@ -95,16 +95,6 @@ def test_compressed_error_rate():
     assert rep.overall.rate <= 1 / 3 + 0.03
 
 
-def test_encode_pair_consistent_with_encode():
-    g = random_forest(12, seed=4)
-    comp = compress_equality_scheme(arboricity_scheme(g))
-    full = comp.encode(seed=77)
-    for u in range(6):
-        for v in range(6, 12):
-            bu, bv = comp.encode_pair(u, v, seed=77)
-            assert (bu, bv) == (full[u], full[v])
-
-
 def test_boost_copy_counts():
     assert boost_copies(1 / 3) == 1
     assert boost_copies(0.1) == math.ceil(3 * math.log(10)) == 7
