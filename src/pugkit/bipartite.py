@@ -18,10 +18,11 @@ from .combinators import (
     _bits,
     _unbits,
     _width_for,
+    across_sides,
     assemble_decomposition_labels,
 )
 from .graphs import ColoredBipartiteGraph, Graph, bipartite_complement
-from .labels import EqualityScheme, LabelNode, SchemeError, register_walker
+from .labels import EqualityScheme, LabelNode, SchemeError, Walker, build_walker, register_walker
 
 
 # ---------------------------------------------------------------------------
@@ -32,12 +33,7 @@ def _equivalence_walker(sx, sy, eq) -> int:
     return int(eq(sx.slot0, sy.slot0))
 
 
-def _bip_equivalence_walker(sx, sy, eq) -> int:
-    if sx.tag[0] == sy.tag[0]:
-        return 0
-    return int(eq(sx.slot0, sy.slot0))
-
-
+_bip_equivalence_walker = across_sides(_equivalence_walker)
 register_walker("equivalence", lambda spec: _equivalence_walker)
 register_walker("bip-equivalence", lambda spec: _bip_equivalence_walker)
 
@@ -84,21 +80,14 @@ def bipartite_equivalence_labels(g: ColoredBipartiteGraph) -> EqualityScheme:
 # Chain graphs: (O(log k), 0)-labels via maximal interval indices.
 # ---------------------------------------------------------------------------
 
-def _chain_walker_factory(spec: dict):
-    bits = spec["bits"]
-
+def _chain_walker_factory(bits: int) -> Walker:
     def walk(sx, sy, eq) -> int:
-        if sx.tag[0] == sy.tag[0]:
-            return 0
-        a, b = (sx, sy) if sx.tag[0] == 0 else (sy, sx)
-        i = _unbits(a.tag[1:1 + bits])
-        j = _unbits(b.tag[1:1 + bits])
-        return int(i <= j)
+        return int(_unbits(sx.tag[1:1 + bits]) <= _unbits(sy.tag[1:1 + bits]))
 
-    return walk
+    return across_sides(walk)
 
 
-register_walker("chain-graph", _chain_walker_factory)
+register_walker("chain-graph", lambda s: _chain_walker_factory(s["bits"]))
 
 
 def chain_graph_labels(g: ColoredBipartiteGraph, k: int) -> EqualityScheme:
@@ -142,9 +131,8 @@ def chain_graph_labels(g: ColoredBipartiteGraph, k: int) -> EqualityScheme:
         labels.append(LabelNode(tag=(0,) + _bits(idx_x[x], bits)))
     for y in range(g.ny):
         labels.append(LabelNode(tag=(1,) + _bits(idx_y[y], bits)))
-    spec = {"name": "chain-graph", "bits": bits}
-    scheme = EqualityScheme(labels, _chain_walker_factory(spec), decoder_spec=spec,
-                            name="chain-graph")
+    scheme = EqualityScheme(labels, _chain_walker_factory(bits),
+                            decoder_spec={"name": "chain-graph", "bits": bits}, name="chain-graph")
     for x in range(g.nx):
         for y in range(g.ny):
             if scheme.decode(x, g.nx + y) != int(g.has_edge(x, y)):
@@ -275,14 +263,8 @@ def extract_z_witness(g: ColoredBipartiteGraph, st: TpStructure, q: int, p: int)
     return anchors, tuple(b_trim)
 
 
-def _tp_walker_factory(spec: dict):
-    bits = spec["idx_bits"]
-
+def _tp_walker_factory(bits: int) -> Walker:
     def walk(sx, sy, eq) -> int:
-        if sx.tag[0] == sy.tag[0]:
-            return 0
-        if sx.tag[0] == 1:
-            return walk(sy, sx, lambda i, j: eq(j, i))
         i = _unbits(sx.tag[1:1 + bits])
         j = _unbits(sy.tag[1:1 + bits])
         if j <= i:
@@ -297,10 +279,10 @@ def _tp_walker_factory(spec: dict):
                 return 1  # y is a listed forward neighbor
         return 0
 
-    return walk
+    return across_sides(walk)
 
 
-register_walker("tp-free", _tp_walker_factory)
+register_walker("tp-free", lambda s: _tp_walker_factory(s["idx_bits"]))
 
 
 def tp_free_labels(g: ColoredBipartiteGraph, p: int, q: int,
@@ -351,9 +333,8 @@ def tp_free_labels(g: ColoredBipartiteGraph, p: int, q: int,
     for y in range(g.ny):
         labels.append(LabelNode(tag=(1,) + _bits(part_of_y[y], bits),
                                 codes=(ymap[y],)))
-    spec = {"name": "tp-free", "idx_bits": bits}
-    return EqualityScheme(labels, _tp_walker_factory(spec), decoder_spec=spec,
-                          name="tp-free")
+    return EqualityScheme(labels, _tp_walker_factory(bits),
+                          decoder_spec={"name": "tp-free", "idx_bits": bits}, name="tp-free")
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +351,6 @@ def _is_one_sided_tk_free(g: ColoredBipartiteGraph, xs: Sequence[int],
     return True
 
 
-def _left_components(g: ColoredBipartiteGraph, xs: Sequence[int],
-                     ys: Sequence[int]) -> list[tuple[list[int], list[int]]]:
-    sub = g.induced(xs, ys)
-    xs_s, ys_s = sorted(xs), sorted(ys)
-    return [([xs_s[i] for i in cx], [ys_s[j] for j in cy])
-            for cx, cy in sub.connected_components()]
-
-
 def fpp_decomposition(g: ColoredBipartiteGraph, p: int, q: int) -> DTNode:
     """Decomposition tree for a one-sided F_{p,p}-free, H_q-free graph:
     leaves are one-sided T_k-free pieces (k = (q+1)p), D-nodes split
@@ -391,9 +364,9 @@ def fpp_decomposition(g: ColoredBipartiteGraph, p: int, q: int) -> DTNode:
                               "(graph outside the declared family)")
         if _is_one_sided_tk_free(g, xs, ys, k):
             return DTNode("L", xs, ys)
-        comps = _left_components(g, xs, ys)
+        comps = _components_rootspace(g.induced(xs, ys), xs, ys)
         if len(comps) > 1:
-            children = tuple(build(tuple(cx), tuple(cy), depth + 1) for cx, cy in comps)
+            children = tuple(build(cx, cy, depth + 1) for cx, cy in comps)
             return DTNode("D", xs, ys, children)
         yset = set(ys)
         x0 = tuple(x for x in xs if len(set(g.neighbors_x(x)) & yset) < k)
@@ -403,7 +376,7 @@ def fpp_decomposition(g: ColoredBipartiteGraph, p: int, q: int) -> DTNode:
         def left_disconnected(sub_xs: list[int]) -> bool:
             if len(sub_xs) < 2:
                 return False
-            comps = _left_components(g, sub_xs, ys)
+            comps = _components_rootspace(g.induced(sub_xs, ys), sub_xs, ys)
             return sum(1 for cx, _ in comps if cx) > 1
 
         x1: list[int] = []
@@ -430,6 +403,7 @@ def fpp_decomposition(g: ColoredBipartiteGraph, p: int, q: int) -> DTNode:
 
 
 def _tp_leaf_labeler(g: ColoredBipartiteGraph, p: int, q: int):
+    """The T_k-free leaf labeler of the F_{p,p} pipeline, its walker and spec."""
     k = (q + 1) * p
 
     def labeler(node: DTNode):
@@ -443,16 +417,15 @@ def _tp_leaf_labeler(g: ColoredBipartiteGraph, p: int, q: int):
             out[("y", y)] = scheme.labels[len(xs) + j]
         return out
 
-    spec = {"name": "tp-free", "idx_bits": _width_for(q + 2)}
-    return labeler, spec
+    bits = _width_for(q + 2)
+    return labeler, _tp_walker_factory(bits), {"name": "tp-free", "idx_bits": bits}
 
 
 def fpp_labels(g: ColoredBipartiteGraph, p: int, q: int) -> EqualityScheme:
     """Full one-sided F_{p,p}-free pipeline: decomposition tree plus the
     T_k-free leaf labeling, assembled into one equality scheme."""
     tree = fpp_decomposition(g, p, q)
-    labeler, leaf_spec = _tp_leaf_labeler(g, p, q)
-    return assemble_decomposition_labels(g, tree, labeler, leaf_spec, name="fpp")
+    return assemble_decomposition_labels(g, tree, *_tp_leaf_labeler(g, p, q), name="fpp")
 
 
 # ---------------------------------------------------------------------------
@@ -523,27 +496,19 @@ def find_allen_partition(g: ColoredBipartiteGraph, p: int,
     return None
 
 
-def _fstar_walker_factory(spec: dict):
-    from .labels import build_walker
-
-    sub1 = build_walker(spec["sub1"])
-    sub2 = build_walker(spec["sub2"])
-
+def _fstar_walker_factory(sub1: Walker, sub2: Walker) -> Walker:
     def walk(sx, sy, eq) -> int:
-        if sx.tag[0] == sy.tag[0]:
-            return 0
-        if sx.tag[0] == 1:
-            return walk(sy, sx, lambda i, j: eq(j, i))
         if sy.tag[1] == 1:  # y is the Y2 vertex
             return sx.tag[1]
         if sx.tag[2] == 0:  # x in X1
             return sub1(sx.children[0], sy.children[0], eq)
         return 1 - sub2(sx.children[0], sy.children[1], eq)
 
-    return walk
+    return across_sides(walk)
 
 
-register_walker("fstar", _fstar_walker_factory)
+register_walker("fstar", lambda s: _fstar_walker_factory(build_walker(s["sub1"]),
+                                                         build_walker(s["sub2"])))
 
 
 def fstar_labels(g: ColoredBipartiteGraph, p: int, q: int,
@@ -561,10 +526,10 @@ def fstar_labels(g: ColoredBipartiteGraph, p: int, q: int,
     sub2_graph = bipartite_complement(g.induced(x2, y1))
     tree1 = fpp_decomposition(sub1_graph, p, q)
     tree2 = fpp_decomposition(sub2_graph, p, q)
-    lab1, spec1 = _tp_leaf_labeler(sub1_graph, p, q)
-    lab2, spec2 = _tp_leaf_labeler(sub2_graph, p, q)
-    s1 = assemble_decomposition_labels(sub1_graph, tree1, lab1, spec1, name="fpp1")
-    s2 = assemble_decomposition_labels(sub2_graph, tree2, lab2, spec2, name="fpp2")
+    s1 = assemble_decomposition_labels(sub1_graph, tree1, *_tp_leaf_labeler(sub1_graph, p, q),
+                                       name="fpp1")
+    s2 = assemble_decomposition_labels(sub2_graph, tree2, *_tp_leaf_labeler(sub2_graph, p, q),
+                                       name="fpp2")
 
     pos_x1 = {x: i for i, x in enumerate(sorted(x1))}
     pos_x2 = {x: i for i, x in enumerate(sorted(x2))}
@@ -588,8 +553,8 @@ def fstar_labels(g: ColoredBipartiteGraph, p: int, q: int,
             l2 = s2.labels[len(x2) + pos_y1[y]]
             labels.append(LabelNode(tag=(1, 0), children=(l1, l2)))
     spec = {"name": "fstar", "sub1": s1.decoder_spec, "sub2": s2.decoder_spec}
-    return EqualityScheme(labels, _fstar_walker_factory(spec), decoder_spec=spec,
-                          name="fstar")
+    return EqualityScheme(labels, _fstar_walker_factory(s1.walker, s2.walker),
+                          decoder_spec=spec, name="fstar")
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +642,20 @@ def verify_chain_decomposition(g: ColoredBipartiteGraph, cd: ChainDecomposition,
     return True
 
 
-def chain_decomposition_search(g: ColoredBipartiteGraph, k_max: int = 4,
-                               size_limit: int = 24) -> ChainDecomposition | None:
+#: The largest graph (nx + ny) `chain_decomposition_search` searches.
+CHAIN_SEARCH_SIZE_LIMIT = 24
+
+
+def chain_decomposition_search(g: ColoredBipartiteGraph, k_max: int = 4
+                               ) -> ChainDecomposition | None:
     """Backtracking search for a k-chain decomposition, k = 2..k_max.
 
     Bounded-exhaustive: assignments are pruned by the pairwise
     complete/anticomplete bullets as vertices are placed; existential
-    bullets are checked on completion.  NONE is a legal outcome.
+    bullets are checked on completion.  NONE is a legal outcome, and so is
+    a graph above `CHAIN_SEARCH_SIZE_LIMIT` vertices.
     """
-    if g.nx + g.ny > size_limit:
+    if g.nx + g.ny > CHAIN_SEARCH_SIZE_LIMIT:
         return None
     for k in range(2, k_max + 1):
         cd = _search_k(g, k)
@@ -864,8 +834,7 @@ def _bicobi_walker(sx, sy, eq) -> int:
 register_walker("bicobi", lambda spec: _bicobi_walker)
 
 
-def build_p7_tree(g: ColoredBipartiteGraph, c: int,
-                  search_size_limit: int = 24) -> DTNode:
+def build_p7_tree(g: ColoredBipartiteGraph, c: int) -> DTNode:
     """(Q, 2(c+2))-decomposition tree with biclique/co-biclique leaves.
 
     P-nodes need a chain decomposition of the node or of its bipartite
@@ -886,10 +855,10 @@ def build_p7_tree(g: ColoredBipartiteGraph, c: int,
         if len(bcomps) > 1:
             return DTNode("Dbar", xs, ys,
                           tuple(build(cx, cy) for cx, cy in bcomps))
-        cd = chain_decomposition_search(sub, k_max=c + 2, size_limit=search_size_limit)
+        cd = chain_decomposition_search(sub, k_max=c + 2)
         base = sub
         if cd is None:
-            cd = chain_decomposition_search(bc, k_max=c + 3, size_limit=search_size_limit)
+            cd = chain_decomposition_search(bc, k_max=c + 3)
             base = bc
         if cd is None:
             raise SchemeError(
@@ -931,5 +900,5 @@ def p7_labels(g: ColoredBipartiteGraph, c: int) -> EqualityScheme:
             out[("y", y)] = LabelNode(tag=(bit,))
         return out
 
-    return assemble_decomposition_labels(g, tree, labeler, {"name": "bicobi"},
+    return assemble_decomposition_labels(g, tree, labeler, _bicobi_walker, {"name": "bicobi"},
                                          name="p7")

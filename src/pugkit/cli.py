@@ -12,7 +12,8 @@ import json
 import sys
 
 from . import bipartite, generators, geometric, products, protocols, sketch, structure, twinwidth
-from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, parse_graph, write_graph
+from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, in_id_order, parse_graph,
+                     write_graph)
 from .labels import (
     Ask,
     EqualityScheme,
@@ -314,17 +315,20 @@ def write_sketch_file(labels, width: int, gname: str) -> str:
 def parse_sketch_file(text: str):
     lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
     lines = [l for l in lines if l]
-    head = lines[0].split()
-    if head[0] != "labels":
+    head = lines[0].split() if lines else []
+    widths = [f[len("width="):] for f in head if f.startswith("width=")]
+    if head[:1] != ["labels"] or not widths:
         raise CliError(EXIT_FORMAT, "bad sketch header")
-    width = int([f for f in head if f.startswith("width=")][0].split("=")[1])
-    out = {}
+    rows = []
     for line in lines[1:]:
         parts = line.split()
         if parts[0] != "v" or len(parts) != 3:
             raise CliError(EXIT_FORMAT, f"bad sketch line {line!r}")
-        out[int(parts[1])] = int(parts[2], 16)
-    return [out[i] for i in range(len(out))], width
+        rows.append(parts[1:])
+    try:
+        return in_id_order([(int(v), int(bits, 16)) for v, bits in rows], "vertex"), int(widths[0])
+    except ValueError as e:  # in_id_order's GraphFormatError is one too
+        raise CliError(EXIT_FORMAT, f"bad sketch file: {e}")
 
 
 def cmd_sketch(args) -> int:
@@ -482,8 +486,9 @@ def cmd_twinwidth(args) -> int:
     g, _ = _read_graph(args.graph)
     if isinstance(g, ColoredBipartiteGraph):
         g = g.to_graph()
-    if g.n > 8:
-        raise CliError(EXIT_CONTRACT, "exact twin-width capped at n <= 8")
+    if g.n > twinwidth.TWIN_WIDTH_EXACT_MAX_N:
+        raise CliError(EXIT_CONTRACT,
+                       f"exact twin-width capped at n <= {twinwidth.TWIN_WIDTH_EXACT_MAX_N}")
     width, seq = twinwidth.twin_width_exact(g)
     print(f"twin-width = {width}")
     for parts in seq:

@@ -5,6 +5,9 @@ label assembler.
 Each transform wraps the base scheme's labels as subtrees and its walker as
 a sub-walker, so transforms compose.  All slot references are absolute
 (ShapeNode.slot0), which is what makes nesting sound.
+
+A walker factory takes its live sub-walkers and plain parameters; only the
+adapter registered for its name reads a decoder spec.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Callable, Sequence
 
 from .graphs import ColoredBipartiteGraph, Graph, bip_transform, bipartite_complement
 from .labels import (
+    EqOracle,
     EqualityScheme,
     LabelNode,
     SchemeError,
@@ -44,10 +48,8 @@ def _width_for(count: int) -> int:
 # Bounded vertex addition (add at most c special vertices).
 # ---------------------------------------------------------------------------
 
-def _add_vertices_walker(spec: dict) -> Walker:
-    c = spec["c"]
+def _add_vertices_walker(base: Walker, c: int) -> Walker:
     iw = _width_for(c)
-    base = build_walker(spec["base"])
 
     def walk(sx: ShapeNode, sy: ShapeNode, eq) -> int:
         mx, my = sx.tag[0], sy.tag[0]
@@ -66,7 +68,7 @@ def _add_vertices_walker(spec: dict) -> Walker:
     return walk
 
 
-register_walker("add-vertices", _add_vertices_walker)
+register_walker("add-vertices", lambda s: _add_vertices_walker(build_walker(s["base"]), s["c"]))
 
 
 def add_vertices_scheme(g: Graph, special: Sequence[int], base: EqualityScheme,
@@ -105,8 +107,8 @@ def add_vertices_scheme(g: Graph, special: Sequence[int], base: EqualityScheme,
             tag = (0,) + _bits(mask_for(v), c)
             labels.append(LabelNode(tag=tag, children=(base.labels[base_pos[v]],)))
     spec = {"name": "add-vertices", "c": c, "base": base.decoder_spec}
-    walker = _add_vertices_walker(spec)
-    return EqualityScheme(labels, walker, decoder_spec=spec if base.decoder_spec else None,
+    return EqualityScheme(labels, _add_vertices_walker(base.walker, c),
+                          decoder_spec=spec if base.decoder_spec else None,
                           name=f"add-vertices({base.name})")
 
 
@@ -114,10 +116,8 @@ def add_vertices_scheme(g: Graph, special: Sequence[int], base: EqualityScheme,
 # Bounded complementations over a partition into at most k parts.
 # ---------------------------------------------------------------------------
 
-def _complementation_walker(spec: dict) -> Walker:
-    r = spec["r"]
+def _complementation_walker(base: Walker, r: int) -> Walker:
     pw = _width_for(r)
-    base = build_walker(spec["base"])
 
     def walk(sx: ShapeNode, sy: ShapeNode, eq) -> int:
         out = base(sx.children[0], sy.children[0], eq)
@@ -128,7 +128,8 @@ def _complementation_walker(spec: dict) -> Walker:
     return walk
 
 
-register_walker("complementation", _complementation_walker)
+register_walker("complementation",
+                lambda s: _complementation_walker(build_walker(s["base"]), s["r"]))
 
 
 def complementation_scheme(base: EqualityScheme, parts: Sequence[Sequence[int]],
@@ -158,8 +159,8 @@ def complementation_scheme(base: EqualityScheme, parts: Sequence[Sequence[int]],
         tag = _bits(i, pw) + tuple(flips[i][j] for j in range(r))
         labels.append(LabelNode(tag=tag, children=(base.labels[v],)))
     spec = {"name": "complementation", "r": r, "base": base.decoder_spec}
-    walker = _complementation_walker(spec)
-    return EqualityScheme(labels, walker, decoder_spec=spec if base.decoder_spec else None,
+    return EqualityScheme(labels, _complementation_walker(base.walker, r),
+                          decoder_spec=spec if base.decoder_spec else None,
                           name=f"complement({base.name})")
 
 
@@ -182,9 +183,8 @@ def apply_part_flips(g: Graph, parts: Sequence[Sequence[int]],
 # Twin reduction.
 # ---------------------------------------------------------------------------
 
-def _twin_reduce_walker(spec: dict) -> Walker:
-    same_output = 1 if spec["mode"] == "true" else 0
-    base = build_walker(spec["base"])
+def _twin_reduce_walker(base: Walker, mode: str) -> Walker:
+    same_output = 1 if mode == "true" else 0
 
     def walk(sx: ShapeNode, sy: ShapeNode, eq) -> int:
         if eq(sx.slot0, sy.slot0):
@@ -194,7 +194,7 @@ def _twin_reduce_walker(spec: dict) -> Walker:
     return walk
 
 
-register_walker("twin-reduce", _twin_reduce_walker)
+register_walker("twin-reduce", lambda s: _twin_reduce_walker(build_walker(s["base"]), s["mode"]))
 
 
 def twin_reduce_scheme(g: Graph, mode: str,
@@ -217,8 +217,8 @@ def twin_reduce_scheme(g: Graph, mode: str,
         q = remap[tp.representative[v]]
         labels.append(LabelNode(codes=(tp.class_index[v],), children=(base.labels[q],)))
     spec = {"name": "twin-reduce", "mode": mode, "base": base.decoder_spec}
-    walker = _twin_reduce_walker(spec)
-    return EqualityScheme(labels, walker, decoder_spec=spec if base.decoder_spec else None,
+    return EqualityScheme(labels, _twin_reduce_walker(base.walker, mode),
+                          decoder_spec=spec if base.decoder_spec else None,
                           name=f"twin-reduce({base.name})"), tp
 
 
@@ -226,18 +226,26 @@ def twin_reduce_scheme(g: Graph, mode: str,
 # bip lifting and lowering.
 # ---------------------------------------------------------------------------
 
-def _bip_lift_walker(spec: dict) -> Walker:
-    base = build_walker(spec["base"])
+def across_sides(walk: Walker) -> Walker:
+    """The walker of labels whose first prefix bit is a side bit (0 for X,
+    1 for Y): a same-side pair decodes to 0, and `walk` decodes every other
+    pair with the X label first."""
 
-    def walk(sx: ShapeNode, sy: ShapeNode, eq) -> int:
+    def sided(sx: ShapeNode, sy: ShapeNode, eq: EqOracle) -> int:
         if sx.tag[0] == sy.tag[0]:
             return 0
-        return base(sx.children[0], sy.children[0], eq)
+        if sx.tag[0] == 0:
+            return walk(sx, sy, eq)
+        return walk(sy, sx, lambda i, j: eq(j, i))
 
-    return walk
+    return sided
 
 
-register_walker("bip-lift", _bip_lift_walker)
+def _bip_lift_walker(base: Walker) -> Walker:
+    return across_sides(lambda sx, sy, eq: base(sx.children[0], sy.children[0], eq))
+
+
+register_walker("bip-lift", lambda s: _bip_lift_walker(build_walker(s["base"])))
 
 
 def bip_lift(base: EqualityScheme) -> EqualityScheme:
@@ -249,14 +257,12 @@ def bip_lift(base: EqualityScheme) -> EqualityScheme:
     labels = [LabelNode(tag=(0,), children=(base.labels[v],)) for v in range(n)]
     labels += [LabelNode(tag=(1,), children=(base.labels[v],)) for v in range(n)]
     spec = {"name": "bip-lift", "base": base.decoder_spec}
-    return EqualityScheme(labels, _bip_lift_walker(spec),
+    return EqualityScheme(labels, _bip_lift_walker(base.walker),
                           decoder_spec=spec if base.decoder_spec else None,
                           name=f"bip-lift({base.name})")
 
 
-def _bip_lower_walker(spec: dict) -> Walker:
-    base = build_walker(spec["base"])
-
+def _bip_lower_walker(base: Walker) -> Walker:
     def walk(sx: ShapeNode, sy: ShapeNode, eq) -> int:
         # decode x against the right-copy label of y
         return base(sx.children[0], sy.children[1], eq)
@@ -264,7 +270,7 @@ def _bip_lower_walker(spec: dict) -> Walker:
     return walk
 
 
-register_walker("bip-lower", _bip_lower_walker)
+register_walker("bip-lower", lambda s: _bip_lower_walker(build_walker(s["base"])))
 
 
 def bip_lower(bip_scheme: EqualityScheme) -> EqualityScheme:
@@ -279,7 +285,7 @@ def bip_lower(bip_scheme: EqualityScheme) -> EqualityScheme:
         for v in range(n)
     ]
     spec = {"name": "bip-lower", "base": bip_scheme.decoder_spec}
-    return EqualityScheme(labels, _bip_lower_walker(spec),
+    return EqualityScheme(labels, _bip_lower_walker(bip_scheme.walker),
                           decoder_spec=spec if bip_scheme.decoder_spec else None,
                           name=f"bip-lower({bip_scheme.name})")
 
@@ -374,40 +380,40 @@ def validate_tree(g: ColoredBipartiteGraph, node: DTNode) -> None:
 LeafLabeler = Callable[[DTNode], dict[tuple[str, int], LabelNode]]
 
 
-def _decomp_walker(spec: dict) -> Walker:
-    pb = spec["part_bits"]
-    leaf = build_walker(spec["leaf"])
+def tree_walker(leaf: Walker, p_node: Callable[[Walker, ShapeNode, ShapeNode, EqOracle], int]
+                ) -> Walker:
+    """The walker of two aligned decomposition-tree labels: it descends
+    through matching L, D, D-bar and P tuples.  An L tuple defers to `leaf`
+    on its child.  A D (D-bar) tuple decodes to 0 (1) when the component
+    codes differ and descends otherwise.  A P tuple is `p_node(rec, nx, ny,
+    eq)`, where `rec` is this walker."""
 
-    def rec(nx: ShapeNode, ny: ShapeNode, eq) -> int:
-        kx = (nx.tag[0], nx.tag[1])
-        ky = (ny.tag[0], ny.tag[1])
-        if kx != ky:
+    def rec(nx: ShapeNode, ny: ShapeNode, eq: EqOracle) -> int:
+        kind = (nx.tag[0], nx.tag[1])
+        if kind != (ny.tag[0], ny.tag[1]):
             raise SchemeError("misaligned decomposition labels")
-        if kx == TAG_L:
+        if kind == TAG_L:
             return leaf(nx.children[0], ny.children[0], eq)
-        if kx == TAG_D:
+        if kind in (TAG_D, TAG_DBAR):
             if not eq(nx.slot0, ny.slot0):
-                return 0
+                return int(kind == TAG_DBAR)
             return rec(nx.children[0], ny.children[0], eq)
-        if kx == TAG_DBAR:
-            if not eq(nx.slot0, ny.slot0):
-                return 1
-            return rec(nx.children[0], ny.children[0], eq)
-        ix = _unbits(nx.tag[2:2 + pb])
-        iy = _unbits(ny.tag[2:2 + pb])
+        return p_node(rec, nx, ny, eq)
+
+    return rec
+
+
+def _decomp_walker(leaf: Walker, part_bits: int) -> Walker:
+    def p_node(rec: Walker, nx: ShapeNode, ny: ShapeNode, eq: EqOracle) -> int:
+        ix = _unbits(nx.tag[2:2 + part_bits])
+        iy = _unbits(ny.tag[2:2 + part_bits])
         return rec(nx.children[iy], ny.children[ix], eq)
 
-    def walk(sx: ShapeNode, sy: ShapeNode, eq) -> int:
-        if sx.tag[0] == sy.tag[0]:
-            return 0
-        if sx.tag[0] == 0:
-            return rec(sx.children[0], sy.children[0], eq)
-        return rec(sy.children[0], sx.children[0], lambda i, j: eq(j, i))
-
-    return walk
+    rec = tree_walker(leaf, p_node)
+    return across_sides(lambda sx, sy, eq: rec(sx.children[0], sy.children[0], eq))
 
 
-register_walker("decomp", _decomp_walker)
+register_walker("decomp", lambda s: _decomp_walker(build_walker(s["leaf"]), s["part_bits"]))
 
 
 def _max_parts(node: DTNode) -> int:
@@ -421,10 +427,12 @@ def assemble_decomposition_labels(
     g: ColoredBipartiteGraph,
     tree: DTNode,
     leaf_labeler: LeafLabeler,
+    leaf_walker: Walker,
     leaf_spec: dict | None,
     name: str = "decomp",
 ) -> EqualityScheme:
-    """Assemble equality labels from a decomposition tree.
+    """Assemble equality labels from a decomposition tree whose leaf labels
+    `leaf_walker` decodes (`leaf_spec` is its decoder spec, or None).
 
     Per vertex: a side bit, then per tree node one tuple: leaf tuples embed
     the leaf label; D/D-bar tuples carry the child index as an equality
@@ -468,9 +476,8 @@ def assemble_decomposition_labels(
     for y in sorted(tree.ys):
         labels.append(LabelNode(tag=(1,), children=(build(tree, ("y", y)),)))
     spec = {"name": "decomp", "part_bits": pb, "leaf": leaf_spec}
-    walker = _decomp_walker(spec)
-    return EqualityScheme(labels, walker, decoder_spec=spec if leaf_spec else None,
-                          name=name)
+    return EqualityScheme(labels, _decomp_walker(leaf_walker, pb),
+                          decoder_spec=spec if leaf_spec else None, name=name)
 
 
 def tuple_count(label: LabelNode) -> int:

@@ -13,10 +13,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bipartite import chain_graph_labels
-from .combinators import _bits, _unbits, _width_for
+from .bipartite import _chain_walker_factory, chain_graph_labels
+from .combinators import TAG_D, TAG_DBAR, TAG_L, TAG_P, _bits, _width_for, tree_walker
 from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, in_id_order
-from .labels import EqualityScheme, LabelNode, SchemeError, build_walker, register_walker
+from .labels import EqualityScheme, LabelNode, SchemeError, Walker, register_walker
 from .rng import rng_for
 from .sketch import arboricity_scheme
 from .structure import interval_clique_number, twin_partition
@@ -318,30 +318,8 @@ def _cross_bigraph(g: Graph, xs: Sequence[int], ys: Sequence[int]) -> ColoredBip
     return ColoredBipartiteGraph(len(xs), len(ys), edges)
 
 
-PERM_TAG_L = (0, 0)
-PERM_TAG_D = (0, 1)
-PERM_TAG_DBAR = (1, 0)
-PERM_TAG_P = (1, 1)
-
-
-def _perm_walker_factory(spec: dict):
-    chain = build_walker({"name": "chain-graph", "bits": spec["chain_bits"]})
-
-    def rec(nx, ny, eq) -> int:
-        kx = (nx.tag[0], nx.tag[1])
-        ky = (ny.tag[0], ny.tag[1])
-        if kx != ky:
-            raise SchemeError("misaligned permutation labels")
-        if kx == PERM_TAG_L:
-            return chain(nx.children[0], ny.children[0], eq)
-        if kx == PERM_TAG_D:
-            if not eq(nx.slot0, ny.slot0):
-                return 0
-            return rec(nx.children[0], ny.children[0], eq)
-        if kx == PERM_TAG_DBAR:
-            if not eq(nx.slot0, ny.slot0):
-                return 1
-            return rec(nx.children[0], ny.children[0], eq)
+def _perm_walker_factory(chain: Walker) -> Walker:
+    def p_node(rec, nx, ny, eq) -> int:
         b = nx.tag[2]
         if eq(nx.slot0, ny.slot0):
             return rec(nx.children[4], ny.children[4], eq)
@@ -351,13 +329,11 @@ def _perm_walker_factory(spec: dict):
             return b
         return chain(nx.children[t], ny.children[s], eq)
 
-    def walk(sx, sy, eq) -> int:
-        return rec(sx, sy, eq)
-
-    return walk
+    return tree_walker(chain, p_node)
 
 
-register_walker("permutation", _perm_walker_factory)
+register_walker("permutation",
+                lambda s: _perm_walker_factory(_chain_walker_factory(s["chain_bits"])))
 
 
 def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualityScheme:
@@ -398,18 +374,18 @@ def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualitySch
             raise SchemeError(f"decomposition depth exceeds 2(2k+1)={max_depth}")
         leaf = try_chain_leaf(vs)
         if leaf is not None:
-            return {v: LabelNode(tag=PERM_TAG_L, children=(leaf[v],)) for v in vs}
+            return {v: LabelNode(tag=TAG_L, children=(leaf[v],)) for v in vs}
         from .graphs import induced_subgraph
 
         sub, remap = induced_subgraph(g, vs)
         inv = {i: v for v, i in remap.items()}
         comps = sub.connected_components()
         if len(comps) > 1:
-            return _branch(vs, comps, inv, PERM_TAG_D, depth)
+            return _branch(vs, comps, inv, TAG_D, depth)
         co = sub.complement()
         cocomps = co.connected_components()
         if len(cocomps) > 1:
-            return _branch(vs, cocomps, inv, PERM_TAG_DBAR, depth)
+            return _branch(vs, cocomps, inv, TAG_DBAR, depth)
         dec = permutation_decompose([points[v] for v in sorted(vs)],
                                     vertex_ids=sorted(vs))
         return _pnode(vs, dec, depth)
@@ -464,12 +440,12 @@ def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualitySch
                         kids.append(dummy_chain)
                         codes.append(nparts + slot)  # sentinel, never matches
                 kids.append(child[v])
-                out[v] = LabelNode(tag=PERM_TAG_P + (bflag,), codes=tuple(codes),
+                out[v] = LabelNode(tag=TAG_P + (bflag,), codes=tuple(codes),
                                    children=tuple(kids))
         return out
 
     labels_map = build(tuple(range(g.n)), 0)
-    spec = {"name": "permutation", "chain_bits": chain_bits}
     return EqualityScheme([labels_map[v] for v in range(g.n)],
-                          _perm_walker_factory(spec), decoder_spec=spec,
+                          _perm_walker_factory(_chain_walker_factory(chain_bits)),
+                          decoder_spec={"name": "permutation", "chain_bits": chain_bits},
                           name="permutation")

@@ -8,6 +8,7 @@ building blocks consumed by the concrete schemes.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .graphs import ColoredBipartiteGraph, Graph
@@ -222,20 +223,28 @@ class ForestPartition:
 def peel_order(g: Graph) -> tuple[list[int], int]:
     """Minimum-degree peeling order and the degeneracy.
 
-    Ties broken by lowest vertex id so the forests are reproducible.
+    Ties broken by lowest vertex id so the forests are reproducible.  A heap
+    holds (degree, vertex) entries, one pushed per degree change, so peeling
+    takes O((n + m) log n).  Degrees only drop, so a vertex's current entry
+    pops before its stale ones, which are skipped once it is peeled.
     """
     deg = [g.degree(v) for v in range(g.n)]
     alive = [True] * g.n
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     order = []
     degeneracy = 0
-    for _ in range(g.n):
-        v = min((x for x in range(g.n) if alive[x]), key=lambda x: (deg[x], x))
-        degeneracy = max(degeneracy, deg[v])
+    while heap:
+        d, v = heapq.heappop(heap)
+        if not alive[v]:
+            continue
+        degeneracy = max(degeneracy, d)
         alive[v] = False
         order.append(v)
         for w in g.neighbors(v):
             if alive[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return order, degeneracy
 
 

@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .bipartite import bipartite_equivalence_labels
+from .bipartite import _bip_equivalence_walker, bipartite_equivalence_labels
+from .combinators import across_sides
 from .graphs import ColoredBipartiteGraph, Graph, in_id_order
 from .labels import EqualityScheme, LabelNode, SchemeError, register_walker
 from .structure import quasi_chain_number
@@ -74,13 +75,17 @@ def verify_width(g: Graph, seq: Sequence[Sequence[Sequence[int]]]) -> int:
     return max(partition_width(g, parts) for parts in parts_seq)
 
 
-def twin_width_exact(g: Graph, cap_n: int = 8) -> tuple[int, list[Partition]]:
+#: The largest n `twin_width_exact` accepts.
+TWIN_WIDTH_EXACT_MAX_N = 8
+
+
+def twin_width_exact(g: Graph) -> tuple[int, list[Partition]]:
     """Exhaustive twin-width via minimax DP over all partitions (n <= 8).
 
     Returns (width, witness uncontraction sequence).
     """
-    if g.n > cap_n:
-        raise ValueError(f"twin_width_exact capped at n={cap_n}")
+    if g.n > TWIN_WIDTH_EXACT_MAX_N:
+        raise ValueError(f"twin_width_exact capped at n={TWIN_WIDTH_EXACT_MAX_N}")
     if g.n == 0:
         return 0, [()]
     memo: dict[Partition, tuple[int, Partition | None]] = {}
@@ -134,11 +139,16 @@ def convex_division_width(g: ColoredBipartiteGraph, x_parts, y_parts) -> int:
     return worst
 
 
-def convex_twin_width_exact(g: ColoredBipartiteGraph, cap_n: int = 10) -> int:
+#: The most vertices (nx + ny) `convex_twin_width_exact` accepts.
+CONVEX_TWIN_WIDTH_EXACT_MAX_N = 10
+
+
+def convex_twin_width_exact(g: ColoredBipartiteGraph) -> int:
     """Exhaustive convex twin-width of an ordered bipartite graph (vertex
     ids are the order): minimax DP over interval-division states."""
-    if g.nx + g.ny > cap_n:
-        raise ValueError(f"convex_twin_width_exact capped at {cap_n} vertices")
+    if g.nx + g.ny > CONVEX_TWIN_WIDTH_EXACT_MAX_N:
+        raise ValueError("convex_twin_width_exact capped at "
+                         f"{CONVEX_TWIN_WIDTH_EXACT_MAX_N} vertices")
     memo: dict[tuple, int] = {}
 
     def merges(parts):
@@ -238,12 +248,16 @@ def quotient_graph(f: ColoredBipartiteGraph,
     return edges
 
 
+#: The most vertices a star may span for `verify_certificate` to check its
+#: quasi-chain decrement.
+QCH_CHECK_LIMIT = 14
+
+
 def verify_certificate(g: ColoredBipartiteGraph, cert: TwCertificate,
-                       qch_check_limit: int = 14,
                        reasons: list[str] | None = None):
     """Check division convexity/purity, the exactly-one-slice edge cover,
-    the star-forest structure, and (on tiny stars) the quasi-chain
-    decrement.  Returns (ok, H-edge set)."""
+    the star-forest structure, and (on stars of at most `QCH_CHECK_LIMIT`
+    vertices) the quasi-chain decrement.  Returns (ok, H-edge set)."""
     out = reasons if reasons is not None else []
 
     def fail(msg):
@@ -320,7 +334,7 @@ def verify_certificate(g: ColoredBipartiteGraph, cert: TwCertificate,
             members = (st.center,) + st.leaves
             xs = sorted(v for m in members if side_of[m] == "x" for v in parts[m])
             ys = sorted(v for m in members if side_of[m] == "y" for v in parts[m])
-            if len(xs) + len(ys) <= qch_check_limit:
+            if len(xs) + len(ys) <= QCH_CHECK_LIMIT:
                 sub = g.induced(xs, ys)
                 if quasi_chain_number(sub, cap=k_parent) > max(k_parent - 1, 0):
                     return fail(f"slice {i}: star at {st.center} does not "
@@ -342,16 +356,8 @@ class CertTree:
     children: dict[tuple[int, int], "CertTree"] = field(default_factory=dict)
 
 
-def _tw_walker(sx, sy, eq) -> int:
-    if sx.tag[0] == sy.tag[0]:
-        return 0  # same side
-    return _tw_rec(sx.children[0], sy.children[0], eq)
-
-
 def _tw_rec(nx, ny, eq) -> int:
     if nx.tag[0] == 0 and ny.tag[0] == 0:
-        from .bipartite import _bip_equivalence_walker
-
         return _bip_equivalence_walker(nx.children[0], ny.children[0], eq)
     if nx.tag[0] != ny.tag[0]:
         raise SchemeError("misaligned certificate labels")
@@ -368,6 +374,7 @@ def _tw_rec(nx, ny, eq) -> int:
     return both & 1
 
 
+_tw_walker = across_sides(lambda sx, sy, eq: _tw_rec(sx.children[0], sy.children[0], eq))
 register_walker("tw-cert", lambda spec: _tw_walker)
 
 
@@ -469,7 +476,7 @@ def tw_labels(g: ColoredBipartiteGraph, tree: CertTree) -> EqualityScheme:
     labels_map = build(g, list(range(g.nx)), list(range(g.ny)), tree)
     labels = [LabelNode(tag=(0,), children=(labels_map[("x", x)],)) for x in range(g.nx)]
     labels += [LabelNode(tag=(1,), children=(labels_map[("y", y)],)) for y in range(g.ny)]
-    return EqualityScheme(labels, _tw_walker, decoder_spec=None, name="tw-cert")
+    return EqualityScheme(labels, _tw_walker, decoder_spec={"name": "tw-cert"}, name="tw-cert")
 
 
 # ---------------------------------------------------------------------------

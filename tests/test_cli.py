@@ -193,6 +193,20 @@ def test_sketch_file_roundtrip(tmp_path, capsys):
     assert parsed == labels and width == 12
 
 
+@pytest.mark.parametrize("text", [
+    "labels g s=0 k=0 width=4\nv 3 a\n",  # ids not 0..n-1
+    "",
+    "labels g s=0 k=0\nv 0 a\n",  # no width=
+    "labels g s=0 k=0 width=x\nv 0 a\n",
+])
+def test_sketch_file_malformed(text):
+    from pugkit.cli import EXIT_FORMAT, CliError, parse_sketch_file
+
+    with pytest.raises(CliError) as err:
+        parse_sketch_file(text)
+    assert err.value.code == EXIT_FORMAT
+
+
 def test_product_dist_cmd(tmp_path, capsys):
     g = tmp_path / "p2.graph"
     run(capsys, "gen", "path", "--n", "2", "--out", str(g))

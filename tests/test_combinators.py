@@ -21,7 +21,12 @@ from pugkit.generators import (
     random_graph,
 )
 from pugkit.graphs import Graph, bip_transform, induced_subgraph
-from pugkit.labels import SchemeError, prefix_bits
+from pugkit.labels import EqualityScheme, SchemeError, prefix_bits
+from pugkit.protocols import (
+    diagonal_as_equality_scheme,
+    labels_to_protocol,
+    protocol_to_diagonal_labels,
+)
 from pugkit.sketch import arboricity_scheme
 
 
@@ -187,16 +192,17 @@ def test_assemble_depth0_tree():
     b = bipartite_equivalence_graph([(2, 2), (1, 2)])
     tree = DTNode("L", tuple(range(b.nx)), tuple(range(b.ny)))
 
+    leaf = bipartite_equivalence_labels(b)
+
     def labeler(node):
-        sch = bipartite_equivalence_labels(b)
         out = {}
         for x in range(b.nx):
-            out[("x", x)] = sch.labels[x]
+            out[("x", x)] = leaf.labels[x]
         for y in range(b.ny):
-            out[("y", y)] = sch.labels[b.nx + y]
+            out[("y", y)] = leaf.labels[b.nx + y]
         return out
 
-    sch = assemble_decomposition_labels(b, tree, labeler, {"name": "bip-equivalence"})
+    sch = assemble_decomposition_labels(b, tree, labeler, leaf.walker, leaf.decoder_spec)
     for x in range(b.nx):
         for y in range(b.ny):
             assert sch.decode(x, b.nx + y) == int(b.has_edge(x, y))
@@ -224,3 +230,44 @@ def test_tuple_count_bound():
     k = 2
     worst = max(tuple_count(l) for l in sch.labels)
     assert worst <= (k ** max(d, 1)) * 8 + 8  # generous structural bound
+
+
+def _without_spec(scheme):
+    return EqualityScheme(scheme.labels, scheme.walker, decoder_spec=None, name=scheme.name)
+
+
+def test_combinators_accept_a_base_without_a_spec():
+    # bip(G) labels from a protocol carry no decoder spec; every combinator
+    # must still compose them, and report no spec of its own
+    g = random_forest(6, seed=2)
+    n = g.n
+    diag = diagonal_as_equality_scheme(
+        protocol_to_diagonal_labels(labels_to_protocol(arboricity_scheme(g)), g), n)
+    assert diag.decoder_spec is None
+    bg = bip_transform(g)
+    h = bg.to_graph()
+    plus = Graph(2 * n + 2, list(h.edges()) + [(0, 2 * n), (n, 2 * n + 1), (2 * n, 2 * n + 1)])
+    parts, flips = [list(range(n)), list(range(n, 2 * n))], [[0, 1], [1, 1]]
+    flipped = apply_part_flips(h, parts, flips)
+    lifted = bip_lift(diag)
+
+    def leaf(node):
+        return {**{("x", x): diag.labels[x] for x in node.xs},
+                **{("y", y): diag.labels[n + y] for y in node.ys}}
+
+    tree = DTNode("L", tuple(range(n)), tuple(range(n)))
+    cases = [
+        (add_vertices_scheme(plus, [2 * n, 2 * n + 1], diag, list(range(2 * n))), plus.has_edge),
+        (complementation_scheme(diag, parts, flips), flipped.has_edge),
+        (twin_reduce_scheme(g, "true", lambda q, remap: _without_spec(arboricity_scheme(q)))[0],
+         g.has_edge),
+        (lifted, bip_transform(h).to_graph().has_edge),
+        (bip_lower(diag), g.has_edge),
+        (assemble_decomposition_labels(bg, tree, leaf, diag.walker, None), h.has_edge),
+    ]
+    for sch, adjacent in cases:
+        assert sch.decoder_spec is None, sch.name
+        for u in range(sch.n):
+            for v in range(sch.n):
+                if u != v:
+                    assert sch.decode(u, v) == int(adjacent(u, v)), (sch.name, u, v)

@@ -403,3 +403,51 @@ def test_walker_tree_branches_once_per_cell_and_marks_violations():
     # one row per non-violation leaf, preorder, '*' for the cells not asked
     sch = EqualityScheme([LabelNode(codes=(0, 1))], _probe_walker, decoder_spec={"name": "probe"})
     assert write_decoder_file(sch).splitlines()[2:] == ["t 0 0 *00* 0", "t 0 0 **1* 1"]
+
+
+def _spec_names(spec):
+    yield spec["name"]
+    for val in spec.values():
+        if isinstance(val, dict):
+            yield from _spec_names(val)
+
+
+def test_every_registered_walker_rebuilds_from_its_spec():
+    from pugkit import combinators, geometric, twinwidth
+    from pugkit.generators import biclique, random_fpp_free
+    from pugkit.graphs import induced_subgraph
+    from pugkit.labels import _WALKER_BUILDERS, build_walker
+
+    g = random_kdegenerate(10, 2, seed=4)
+    arb = arboricity_scheme(g)
+    sub, _ = induced_subgraph(g, range(2, 10))
+    beq = bipartite_equivalence_graph([(2, 2), (1, 2)])
+    fg = random_fpp_free(2, 3, 4, 2, seed=5)
+    whole = bipartite.AllenPartition(tuple(range(fg.nx)), (), tuple(range(fg.ny)), ())
+    pts = geometric.random_points(10, seed=2)
+    pg = geometric.permutation_graph_from(pts)
+    schemes = [
+        bipartite.equivalence_labels(equivalence_graph([2, 3])),
+        bipartite.bipartite_equivalence_labels(beq),
+        bipartite.chain_graph_labels(random_chain_graph(4, 5, seed=1), k=6),
+        bipartite.tp_free_labels(random_tp_free(5, 6, 2, seed=1), p=2, q=4),
+        bipartite.fstar_labels(fg, p=2, q=3, partition=whole),
+        bipartite.p7_labels(biclique(2, 3), c=1),
+        arb,
+        twinwidth.tw_labels(beq, twinwidth.CertTree()),
+        combinators.add_vertices_scheme(g, [0, 1], arboricity_scheme(sub), list(range(2, 10))),
+        combinators.complementation_scheme(arb, [range(5), range(5, 10)], [[1, 0], [0, 1]]),
+        combinators.twin_reduce_scheme(g, "false", lambda q, remap: arboricity_scheme(q))[0],
+        combinators.bip_lower(combinators.bip_lift(arb)),
+        geometric.permutation_labels(pg, pts, k=max(chain_number(pg, cap=6).value, 1)),
+    ]
+    names = {name for sch in schemes for name in _spec_names(sch.decoder_spec)}
+    assert names == set(_WALKER_BUILDERS)
+    for sch in schemes:
+        walker = build_walker(sch.decoder_spec)
+        for u in range(sch.n):
+            for v in range(sch.n):
+                if u != v:
+                    cu, cv = sch.codes[u], sch.codes[v]
+                    got = walker(sch.shapes[u], sch.shapes[v], lambda i, j: cu[i] == cv[j])
+                    assert got == sch.decode(u, v), (sch.name, u, v)

@@ -13,6 +13,7 @@ from pugkit.generators import (
     path,
     random_bipartite,
     random_graph,
+    random_kdegenerate,
 )
 from pugkit.graphs import ColoredBipartiteGraph, Graph, bip_transform, induced_subgraph
 from pugkit.rng import rng_for
@@ -20,6 +21,7 @@ from pugkit.structure import (
     chain_number,
     forest_partition,
     interval_clique_number,
+    peel_order,
     quasi_chain_number,
     twin_partition,
 )
@@ -229,3 +231,30 @@ def test_interval_clique_vs_pairwise_oracle():
 def test_co_half_graph_chain():
     assert chain_number(co_half_graph(4), cap=4).value == 4
     assert chain_number(bip_transform(cycle(4)).to_graph(), cap=4).value <= 2 * chain_number(cycle(4), cap=4).value
+
+
+def scan_peel_order(g: Graph) -> tuple[list[int], int]:
+    """Reference: scan every live vertex for the minimum (degree, id)."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.n
+    order = []
+    degeneracy = 0
+    for _ in range(g.n):
+        v = min((x for x in range(g.n) if alive[x]), key=lambda x: (deg[x], x))
+        degeneracy = max(degeneracy, deg[v])
+        alive[v] = False
+        order.append(v)
+        for w in g.neighbors(v):
+            if alive[w]:
+                deg[w] -= 1
+    return order, degeneracy
+
+
+def test_peel_order_matches_scan():
+    rng = rng_for(11, "peel")
+    graphs = [edgeless(0), edgeless(5), complete(7), random_kdegenerate(300, 2, seed=1)]
+    for _ in range(120):
+        n = rng.randrange(1, 60)
+        graphs.append(random_graph(n, rng.random(), seed=rng.randrange(1 << 30)))
+    for g in graphs:
+        assert peel_order(g) == scan_peel_order(g)
