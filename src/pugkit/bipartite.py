@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .combinators import (
     DTNode,
@@ -152,27 +152,31 @@ def is_chain_graph(g: ColoredBipartiteGraph) -> bool:
 # One-sided T_p-free structure and labels.
 # ---------------------------------------------------------------------------
 
+def _private_pairs(g: ColoredBipartiteGraph, xs: Sequence[int], ys: Iterable[int], p: int):
+    """Each pair (x1, x2) of `xs`, in `itertools.combinations` order, whose
+    private neighbourhoods within `ys` both have at least p vertices, as
+    (x1, x2, private to x1, private to x2, common neighbours)."""
+    yset = set(ys)
+    nbr = {x: set(g.neighbors_x(x)) & yset for x in xs}
+    for x1, x2 in itertools.combinations(xs, 2):
+        only1 = nbr[x1] - nbr[x2]
+        if len(only1) >= p:
+            only2 = nbr[x2] - nbr[x1]
+            if len(only2) >= p:
+                yield x1, x2, only1, only2, nbr[x1] & nbr[x2]
+
+
 def find_one_sided_tp(g: ColoredBipartiteGraph, p: int):
     """An induced T_p with both centers in X, or None."""
-    nbr = [set(g.neighbors_x(x)) for x in range(g.nx)]
-    for x1, x2 in itertools.combinations(range(g.nx), 2):
-        only1 = nbr[x1] - nbr[x2]
-        only2 = nbr[x2] - nbr[x1]
-        if len(only1) >= p and len(only2) >= p:
-            return (x1, x2, sorted(only1)[:p], sorted(only2)[:p])
+    for x1, x2, only1, only2, _ in _private_pairs(g, range(g.nx), range(g.ny), p):
+        return (x1, x2, sorted(only1)[:p], sorted(only2)[:p])
     return None
 
 
 def find_one_sided_fpp(g: ColoredBipartiteGraph, p: int):
     """An induced F_{p,p} with the degree-2 side in X, or None."""
-    nbr = [set(g.neighbors_x(x)) for x in range(g.nx)]
-    for x1, x2 in itertools.combinations(range(g.nx), 2):
-        common = nbr[x1] & nbr[x2]
-        if not common:
-            continue
-        only1 = nbr[x1] - nbr[x2]
-        only2 = nbr[x2] - nbr[x1]
-        if len(only1) >= p and len(only2) >= p:
+    for x1, x2, only1, only2, common in _private_pairs(g, range(g.nx), range(g.ny), p):
+        if common:
             return (x1, x2, min(common), sorted(only1)[:p], sorted(only2)[:p])
     return None
 
@@ -343,12 +347,7 @@ def tp_free_labels(g: ColoredBipartiteGraph, p: int, q: int,
 
 def _is_one_sided_tk_free(g: ColoredBipartiteGraph, xs: Sequence[int],
                           ys: Sequence[int], k: int) -> bool:
-    yset = set(ys)
-    nbr = {x: set(g.neighbors_x(x)) & yset for x in xs}
-    for x1, x2 in itertools.combinations(xs, 2):
-        if len(nbr[x1] - nbr[x2]) >= k and len(nbr[x2] - nbr[x1]) >= k:
-            return False
-    return True
+    return next(_private_pairs(g, xs, ys, k), None) is None
 
 
 def fpp_decomposition(g: ColoredBipartiteGraph, p: int, q: int) -> DTNode:
@@ -442,17 +441,13 @@ class AllenPartition:
 
 def _fpp_conflicts(g: ColoredBipartiteGraph, xs: list[int], y1: set[int], p: int):
     """Pairs of X-vertices witnessing F_{p,p} in G[.,Y1] and in bc(G[.,Y1])."""
-    nbr = {x: set(g.neighbors_x(x)) & y1 for x in xs}
     direct = set()
     compl = set()
-    for a, b in itertools.combinations(xs, 2):
-        only_a = nbr[a] - nbr[b]
-        only_b = nbr[b] - nbr[a]
-        if len(only_a) >= p and len(only_b) >= p:
-            if nbr[a] & nbr[b]:
-                direct.add((a, b))
-            if y1 - (nbr[a] | nbr[b]):
-                compl.add((a, b))
+    for a, b, only_a, only_b, common in _private_pairs(g, xs, y1, p):
+        if common:
+            direct.add((a, b))
+        if len(only_a) + len(only_b) + len(common) < len(y1):
+            compl.add((a, b))  # some vertex of Y1 is adjacent to neither
     return direct, compl
 
 
@@ -469,30 +464,28 @@ def find_allen_partition(g: ColoredBipartiteGraph, p: int,
             return not any((a, b) in direct for a, b in itertools.combinations(sorted(x1), 2)) \
                 and not any((a, b) in compl for a, b in itertools.combinations(sorted(x2), 2))
 
-        # greedy by degree
-        x1: set[int] = set()
-        x2: set[int] = set()
-        feasible = True
-        for x in sorted(xs, key=lambda v: (-g.deg_x(v), v)):
-            if not any(tuple(sorted((x, o))) in direct for o in x1):
-                x1.add(x)
-            elif not any(tuple(sorted((x, o))) in compl for o in x2):
-                x2.add(x)
+        def splits():
+            x1: set[int] = set()
+            x2: set[int] = set()
+            for x in sorted(xs, key=lambda v: (-g.deg_x(v), v)):  # greedy by degree
+                if not any(tuple(sorted((x, o))) in direct for o in x1):
+                    x1.add(x)
+                elif not any(tuple(sorted((x, o))) in compl for o in x2):
+                    x2.add(x)
+                else:
+                    break
             else:
-                feasible = False
-                break
-        if feasible and ok(x1, x2):
-            return AllenPartition(tuple(sorted(x1)), tuple(sorted(x2)),
-                                  tuple(sorted(y1)),
-                                  (y2,) if y2 is not None else ())
-        if g.nx <= exhaustive_limit:
-            for mask in range(1 << g.nx):
-                s1 = {x for x in xs if mask >> x & 1}
-                s2 = set(xs) - s1
-                if ok(s1, s2):
-                    return AllenPartition(tuple(sorted(s1)), tuple(sorted(s2)),
-                                          tuple(sorted(y1)),
-                                          (y2,) if y2 is not None else ())
+                yield x1, x2
+            if g.nx <= exhaustive_limit:
+                for mask in range(1 << g.nx):
+                    s1 = {x for x in xs if mask >> x & 1}
+                    yield s1, set(xs) - s1
+
+        for x1, x2 in splits():
+            if ok(x1, x2):
+                return AllenPartition(tuple(sorted(x1)), tuple(sorted(x2)),
+                                      tuple(sorted(y1)),
+                                      (y2,) if y2 is not None else ())
     return None
 
 
@@ -578,6 +571,20 @@ class ChainDecomposition:
                 f"{fmt('C', self.c_parts)} {fmt('B', self.b_parts)} {fmt('D', self.d_parts)}")
 
 
+#: The X-part/Y-part letter pairs, in the order the verifier checks them.
+_LETTER_PAIRS = (("A", "B"), ("C", "D"), ("A", "D"), ("C", "B"))
+
+
+def _forced(xpart: tuple[str, int], ypart: tuple[str, int]) -> bool | None:
+    """The adjacency a chain decomposition forces between X part
+    (letter, i) and Y part (letter, j), levels counted from 0: True
+    (complete), False (anticomplete), or None where the pair is free."""
+    (xl, i), (yl, j) = xpart, ypart
+    if (xl, yl) in (("A", "B"), ("C", "D")):
+        return False if j > i else True if j < i - 1 else None
+    return j < i  # A-D and C-B
+
+
 def verify_chain_decomposition(g: ColoredBipartiteGraph, cd: ChainDecomposition,
                                reasons: list[str] | None = None) -> bool:
     """Check every bullet of the chain-decomposition definition."""
@@ -601,12 +608,6 @@ def verify_chain_decomposition(g: ColoredBipartiteGraph, cd: ChainDecomposition,
     if not (cd.a_parts[k - 1] or cd.b_parts[k - 1] or cd.c_parts[k - 1] or cd.d_parts[k - 1]):
         return fail("all level-k parts empty")
 
-    def complete(us, vs) -> bool:
-        return all(g.has_edge(u, v) for u in us for v in vs)
-
-    def anticomplete(us, vs) -> bool:
-        return not any(g.has_edge(u, v) for u in us for v in vs)
-
     for i in range(k):
         for b in cd.b_parts[i]:
             if not any(g.has_edge(a, b) for a in cd.a_parts[i]):
@@ -621,24 +622,15 @@ def verify_chain_decomposition(g: ColoredBipartiteGraph, cd: ChainDecomposition,
         for c in cd.c_parts[i]:
             if all(g.has_edge(c, d) for d in cd.d_parts[i - 1]):
                 return fail(f"vertex {c} of C_{i + 1} lacks a non-neighbour in D_{i}")
+    parts = {"A": cd.a_parts, "B": cd.b_parts, "C": cd.c_parts, "D": cd.d_parts}
     for i in range(k):
         for j in range(k):
-            if j > i and not anticomplete(cd.a_parts[i], cd.b_parts[j]):
-                return fail(f"A_{i + 1} not anticomplete to B_{j + 1}")
-            if j < i - 1 and not complete(cd.a_parts[i], cd.b_parts[j]):
-                return fail(f"A_{i + 1} not complete to B_{j + 1}")
-            if j > i and not anticomplete(cd.c_parts[i], cd.d_parts[j]):
-                return fail(f"C_{i + 1} not anticomplete to D_{j + 1}")
-            if j < i - 1 and not complete(cd.c_parts[i], cd.d_parts[j]):
-                return fail(f"C_{i + 1} not complete to D_{j + 1}")
-            if j < i and not complete(cd.a_parts[i], cd.d_parts[j]):
-                return fail(f"A_{i + 1} not complete to D_{j + 1}")
-            if j >= i and not anticomplete(cd.a_parts[i], cd.d_parts[j]):
-                return fail(f"A_{i + 1} not anticomplete to D_{j + 1}")
-            if j < i and not complete(cd.c_parts[i], cd.b_parts[j]):
-                return fail(f"C_{i + 1} not complete to B_{j + 1}")
-            if j >= i and not anticomplete(cd.c_parts[i], cd.b_parts[j]):
-                return fail(f"C_{i + 1} not anticomplete to B_{j + 1}")
+            for xl, yl in _LETTER_PAIRS:
+                want = _forced((xl, i), (yl, j))
+                if want is not None and any(g.has_edge(u, v) != want
+                                            for u in parts[xl][i] for v in parts[yl][j]):
+                    return fail(f"{xl}_{i + 1} not {'complete' if want else 'anticomplete'}"
+                                f" to {yl}_{j + 1}")
     return True
 
 
@@ -670,42 +662,22 @@ def _search_k(g: ColoredBipartiteGraph, k: int) -> ChainDecomposition | None:
     y_opts = [("B", i) for i in range(k)] + [("D", i) for i in range(k)]
     xs = sorted(range(g.nx), key=lambda x: (-g.deg_x(x), x))
     ys = sorted(range(g.ny), key=lambda y: (-g.deg_y(y), y))
-    assign_x: dict[int, tuple[str, int]] = {}
-    assign_y: dict[int, tuple[str, int]] = {}
+    assign: tuple[dict[int, tuple[str, int]], ...] = ({}, {})  # X, Y assignments
 
-    def pair_ok(xpart, ypart, edge: bool) -> bool:
-        xs_, i = xpart
-        ys_, j = ypart
-        if xs_ == "A" and ys_ == "B":
-            if j > i:
-                return not edge
-            if j < i - 1:
-                return edge
-            return True
-        if xs_ == "C" and ys_ == "D":
-            if j > i:
-                return not edge
-            if j < i - 1:
-                return edge
-            return True
-        if xs_ == "A" and ys_ == "D":
-            return edge if j < i else not edge
-        # C vs B
-        return edge if j < i else not edge
-
-    def consistent_x(x, part) -> bool:
-        return all(pair_ok(part, assign_y[y], g.has_edge(x, y)) for y in assign_y)
-
-    def consistent_y(y, part) -> bool:
-        return all(pair_ok(assign_x[x], part, g.has_edge(x, y)) for x in assign_x)
+    def fits(side: int, v: int, part: tuple[str, int]) -> bool:
+        for u, other in assign[1 - side].items():
+            x, y, xpart, ypart = (v, u, part, other) if side == 0 else (u, v, other, part)
+            want = _forced(xpart, ypart)
+            if want is not None and want != g.has_edge(x, y):
+                return False
+        return True
 
     def finish() -> ChainDecomposition | None:
         parts = {("A", i): [] for i in range(k)}
         parts.update({(t, i): [] for t in "BCD" for i in range(k)})
-        for x, pt in assign_x.items():
-            parts[pt].append(x)
-        for y, pt in assign_y.items():
-            parts[pt].append(y)
+        for side_assign in assign:
+            for v, pt in side_assign.items():
+                parts[pt].append(v)
         cd = ChainDecomposition(
             k,
             tuple(tuple(sorted(parts[("A", i)])) for i in range(k)),
@@ -715,30 +687,20 @@ def _search_k(g: ColoredBipartiteGraph, k: int) -> ChainDecomposition | None:
         )
         return cd if verify_chain_decomposition(g, cd) else None
 
-    order = [("x", v) for v in xs] + [("y", v) for v in ys]
+    order = [(0, v) for v in xs] + [(1, v) for v in ys]
 
     def backtrack(pos: int) -> ChainDecomposition | None:
         if pos == len(order):
             return finish()
         side, v = order[pos]
-        opts = x_opts if side == "x" else y_opts
-        for part in opts:
-            if side == "x":
-                if not consistent_x(v, part):
-                    continue
-                assign_x[v] = part
-                res = backtrack(pos + 1)
-                if res is not None:
-                    return res
-                del assign_x[v]
-            else:
-                if not consistent_y(v, part):
-                    continue
-                assign_y[v] = part
-                res = backtrack(pos + 1)
-                if res is not None:
-                    return res
-                del assign_y[v]
+        for part in (x_opts, y_opts)[side]:
+            if not fits(side, v, part):
+                continue
+            assign[side][v] = part
+            res = backtrack(pos + 1)
+            if res is not None:
+                return res
+            del assign[side][v]
         return None
 
     return backtrack(0)
@@ -753,40 +715,25 @@ def build_chain_decomposition_graph(k: int, sizes: int, seed: int = 0
     from .rng import rng_for
 
     rng = rng_for(seed, "chain-decomp", k, sizes)
-    a = [list(range(i * sizes, (i + 1) * sizes)) for i in range(k)]
-    c = [list(range((k + i) * sizes, (k + i + 1) * sizes)) for i in range(k)]
-    b = [list(range(i * sizes, (i + 1) * sizes)) for i in range(k)]
-    d = [list(range((k + i) * sizes, (k + i + 1) * sizes)) for i in range(k)]
+    a = [tuple(range(i * sizes, (i + 1) * sizes)) for i in range(k)]
+    c = [tuple(range((k + i) * sizes, (k + i + 1) * sizes)) for i in range(k)]
+    parts = {"A": a, "B": a, "C": c, "D": c}  # B_i and D_i reuse the ids of A_i and C_i
     edges = set()
     for i in range(k):
-        for x in a[i]:
-            for y in b[i]:
-                edges.add((x, y))  # diagonal bicliques give the neighbour bullets
-        for x in c[i]:
-            for y in d[i]:
-                edges.add((x, y))
         for j in range(k):
-            if j < i - 1:
-                edges.update((x, y) for x in a[i] for y in b[j])
-                edges.update((x, y) for x in c[i] for y in d[j])
-            if j < i:
-                edges.update((x, y) for x in a[i] for y in d[j])
-                edges.update((x, y) for x in c[i] for y in b[j])
+            for xl, yl in _LETTER_PAIRS:
+                want = _forced((xl, i), (yl, j))
+                if want or (want is None and i == j):  # diagonal bicliques: neighbour bullets
+                    edges.update((x, y) for x in parts[xl][i] for y in parts[yl][j])
         if 1 <= i <= k - 2:
-            # A_{i+1} x B_i: complete minus one non-neighbour per row
-            for x in a[i]:
-                miss = b[i - 1][rng.randrange(len(b[i - 1]))]
-                edges.update((x, y) for y in b[i - 1] if y != miss)
-            for x in c[i]:
-                miss = d[i - 1][rng.randrange(len(d[i - 1]))]
-                edges.update((x, y) for y in d[i - 1] if y != miss)
+            # A_{i+1} x B_i and C_{i+1} x D_i: complete minus one non-neighbour per row
+            for xl, yl in (("A", "B"), ("C", "D")):
+                row = parts[yl][i - 1]
+                for x in parts[xl][i]:
+                    miss = row[rng.randrange(len(row))]
+                    edges.update((x, y) for y in row if y != miss)
     g = ColoredBipartiteGraph(2 * k * sizes, 2 * k * sizes, sorted(edges))
-    cd = ChainDecomposition(
-        k,
-        tuple(tuple(p) for p in a), tuple(tuple(p) for p in c),
-        tuple(tuple(p) for p in b), tuple(tuple(p) for p in d),
-    )
-    return g, cd
+    return g, ChainDecomposition(k, tuple(a), tuple(c), tuple(a), tuple(c))
 
 
 # ---------------------------------------------------------------------------
@@ -798,33 +745,21 @@ def partition_from_chain_decomposition(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The chain-number-decreasing P-node partition (with the
     k=2 special cases, splitting B_1 or D_1 by an anchor's neighborhood)."""
-    k = cd.k
-    if k >= 3:
-        x_parts = [p for p in cd.a_parts + cd.c_parts if p]
-        y_parts = [p for p in cd.b_parts + cd.d_parts if p]
-        return x_parts, y_parts
-    a2, c2 = cd.a_parts[1], cd.c_parts[1]
-    if a2 and c2:
-        x_parts = [p for p in cd.a_parts + cd.c_parts if p]
-        y_parts = [p for p in cd.b_parts + cd.d_parts if p]
-        return x_parts, y_parts
-    if a2 and not c2:
-        anchor = min(a2)
+    if cd.k < 3 and not (cd.a_parts[1] and cd.c_parts[1]):
+        if not (cd.a_parts[1] or cd.c_parts[1]):
+            raise SchemeError("invalid 2-chain decomposition: both A_2 and C_2 empty")
+        if not cd.a_parts[1]:  # the mirror case: swap A<->C and B<->D
+            cd = ChainDecomposition(cd.k, cd.c_parts, cd.a_parts, cd.d_parts, cd.b_parts)
+        anchor = min(cd.a_parts[1])
         b1 = cd.b_parts[0]
         b1p = tuple(y for y in b1 if g.has_edge(anchor, y))
         b1pp = tuple(y for y in b1 if not g.has_edge(anchor, y))
-        x_parts = [p for p in (cd.a_parts[0], a2, cd.c_parts[0]) if p]
+        x_parts = [p for p in (cd.a_parts[0], cd.a_parts[1], cd.c_parts[0]) if p]
         y_parts = [p for p in (b1p, b1pp, cd.b_parts[1], cd.d_parts[0]) if p]
         return x_parts, y_parts
-    if c2 and not a2:
-        anchor = min(c2)
-        d1 = cd.d_parts[0]
-        d1p = tuple(y for y in d1 if g.has_edge(anchor, y))
-        d1pp = tuple(y for y in d1 if not g.has_edge(anchor, y))
-        x_parts = [p for p in (cd.c_parts[0], c2, cd.a_parts[0]) if p]
-        y_parts = [p for p in (d1p, d1pp, cd.d_parts[1], cd.b_parts[0]) if p]
-        return x_parts, y_parts
-    raise SchemeError("invalid 2-chain decomposition: both A_2 and C_2 empty")
+    x_parts = [p for p in cd.a_parts + cd.c_parts if p]
+    y_parts = [p for p in cd.b_parts + cd.d_parts if p]
+    return x_parts, y_parts
 
 
 def _bicobi_walker(sx, sy, eq) -> int:

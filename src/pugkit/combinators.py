@@ -23,6 +23,7 @@ from .labels import (
     SchemeError,
     ShapeNode,
     Walker,
+    bits_for,
     build_walker,
     register_walker,
 )
@@ -41,7 +42,7 @@ def _unbits(bits: Sequence[int]) -> int:
 
 
 def _width_for(count: int) -> int:
-    return max(max(count - 1, 0).bit_length(), 1)
+    return max(bits_for(count), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,17 @@ def random_bipartite(nx: int, ny: int, p: float, seed: int) -> ColoredBipartiteG
     return ColoredBipartiteGraph(nx, ny, edges)
 
 
-def random_forest(n: int, seed: int, tree_prob: float = 0.9) -> Graph:
+#: The probability that a vertex of `random_forest` joins an earlier tree.
+FOREST_ATTACH_PROB = 0.9
+
+
+def random_forest(n: int, seed: int) -> Graph:
     """Random forest: each vertex > 0 attaches to a random earlier vertex
-    with probability `tree_prob`, else starts a new tree."""
+    with probability `FOREST_ATTACH_PROB`, else starts a new tree."""
     rng = rng_for(seed, "forest", n)
     edges = []
     for v in range(1, n):
-        if rng.random() < tree_prob:
+        if rng.random() < FOREST_ATTACH_PROB:
             edges.append((rng.randrange(v), v))
     return Graph(n, edges)
 

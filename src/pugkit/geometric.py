@@ -65,9 +65,13 @@ def distinct_ranks(points: Sequence[Point]) -> list[tuple[int, int]]:
     return [(rx[i], ry[i]) for i in range(len(points))]
 
 
-def random_intervals(n: int, seed: int, span: int | None = None) -> list[Interval]:
+#: `random_intervals(n)` draws left ends from [0, INTERVAL_SPAN_PER_VERTEX * n).
+INTERVAL_SPAN_PER_VERTEX = 3
+
+
+def random_intervals(n: int, seed: int) -> list[Interval]:
     rng = rng_for(seed, "intervals", n)
-    span = span or 3 * n
+    span = INTERVAL_SPAN_PER_VERTEX * n
     out = []
     for _ in range(n):
         a = rng.randrange(span)

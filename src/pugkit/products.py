@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -94,21 +93,6 @@ def default_product_params(k: int) -> tuple[int, int]:
     return m, t
 
 
-@dataclass
-class ProductLabelSpace:
-    m: int
-    t: int
-    value_bits: int  # s(k)
-
-    @property
-    def cells(self) -> int:
-        return self.m * self.t
-
-    @property
-    def width(self) -> int:
-        return self.cells * (self.value_bits + 1)
-
-
 class ProductDistanceSketch:
     """Distance-k sketch for a Cartesian product via random XOR buckets.
 
@@ -130,7 +114,6 @@ class ProductDistanceSketch:
         self.factors = list(factors)
         self.base = BoostedDistanceSketch(base, 1 / (10 * k)) if base.delta > 1 / (10 * k) \
             else base
-        self.space = ProductLabelSpace(self.m, self.t, self.base.width)
         self.coords = [tuple(c) for c in
                        itertools.product(*[range(g.n) for g in self.factors])]
         self.index = {c: i for i, c in enumerate(self.coords)}
@@ -145,7 +128,8 @@ class ProductDistanceSketch:
 
     @property
     def width(self) -> int:
-        return self.space.width
+        """Bits per product label: m*t cells, each a base value and a parity bit."""
+        return self.m * self.t * (self.base.width + 1)
 
     def _draws(self, seed: int, factor_graph_ids: Sequence[int]):
         d = len(self.factors)
@@ -166,7 +150,7 @@ class ProductDistanceSketch:
         gids = list(factor_graph_ids) if factor_graph_ids is not None \
             else self.default_gids
         b, c, ell = self._draws(seed, gids)
-        labels = np.zeros((self.n, self.space.cells), dtype=np.int64)
+        labels = np.zeros((self.n, self.m * self.t), dtype=np.int64)
         for i in range(len(self.factors)):
             cell_of = [b[i] * self.t + c[i][v] for v in range(self.factors[i].n)]
             word_of = [ell[i][v] << 1 | 1 for v in range(self.factors[i].n)]

@@ -409,7 +409,12 @@ def naive_label_width(scheme: EqualityScheme) -> tuple[int, int, int]:
 # Monte-Carlo error evaluation.
 # ---------------------------------------------------------------------------
 
-def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+#: The normal quantile of the 95% Wilson score interval.
+WILSON_Z = 1.96
+
+
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    z = WILSON_Z
     if trials == 0:
         return (0.0, 1.0)
     p = errors / trials
@@ -428,8 +433,8 @@ class ErrorEstimate:
     def rate(self) -> float:
         return self.errors / self.trials if self.trials else 0.0
 
-    def wilson(self, z: float = 1.96) -> tuple[float, float]:
-        return wilson_interval(self.errors, self.trials, z)
+    def wilson(self) -> tuple[float, float]:
+        return wilson_interval(self.errors, self.trials)
 
 
 @dataclass

@@ -75,6 +75,32 @@ def verify_width(g: Graph, seq: Sequence[Sequence[Sequence[int]]]) -> int:
     return max(partition_width(g, parts) for parts in parts_seq)
 
 
+def _minimax(start, own, moves) -> tuple[int, list]:
+    """Exhaustive minimax DP: best(s) is own(s) at a state with no moves,
+    else the least max(own(s), best(t)) over the moves t of s, taking the
+    first move that attains it.  Returns best(start) and the path of chosen
+    states from `start`."""
+    memo: dict = {}
+
+    def best(state) -> int:
+        if state in memo:
+            return memo[state][0]
+        w = own(state)
+        result, choice = w, None
+        for nxt in moves(state):
+            score = max(w, best(nxt))
+            if choice is None or score < result:
+                result, choice = score, nxt
+        memo[state] = (result, choice)
+        return result
+
+    width = best(start)
+    path = [start]
+    while memo[path[-1]][1] is not None:
+        path.append(memo[path[-1]][1])
+    return width, path
+
+
 #: The largest n `twin_width_exact` accepts.
 TWIN_WIDTH_EXACT_MAX_N = 8
 
@@ -88,38 +114,15 @@ def twin_width_exact(g: Graph) -> tuple[int, list[Partition]]:
         raise ValueError(f"twin_width_exact capped at n={TWIN_WIDTH_EXACT_MAX_N}")
     if g.n == 0:
         return 0, [()]
-    memo: dict[Partition, tuple[int, Partition | None]] = {}
 
-    def best(parts: Partition) -> int:
-        if parts in memo:
-            return memo[parts][0]
-        own = partition_width(g, parts)
-        if len(parts) == 1:
-            memo[parts] = (own, None)
-            return own
-        result = None
-        choice = None
+    def merges(parts: Partition):
         for i, j in itertools.combinations(range(len(parts)), 2):
-            merged = _canon(
-                [p for t, p in enumerate(parts) if t not in (i, j)]
-                + [parts[i] | parts[j]])
-            sub = best(merged)
-            score = max(own, sub)
-            if result is None or score < result:
-                result = score
-                choice = merged
-        memo[parts] = (result, choice)
-        return result
+            yield _canon([p for t, p in enumerate(parts) if t not in (i, j)]
+                         + [parts[i] | parts[j]])
 
     start = _canon([[v] for v in range(g.n)])
-    width = best(start)
-    # reconstruct (coarsening) path and reverse it into an uncontraction
-    path = [start]
-    cur = start
-    while memo[cur][1] is not None:
-        cur = memo[cur][1]
-        path.append(cur)
-    return width, list(reversed(path))
+    width, path = _minimax(start, lambda parts: partition_width(g, parts), merges)
+    return width, list(reversed(path))  # the coarsening path, read as an uncontraction
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +130,11 @@ def twin_width_exact(g: Graph) -> tuple[int, list[Partition]]:
 # ---------------------------------------------------------------------------
 
 def convex_division_width(g: ColoredBipartiteGraph, x_parts, y_parts) -> int:
-    def impure(xp, yp) -> bool:
-        edges = sum(1 for x in xp for y in yp if g.has_edge(x, y))
-        return 0 < edges < len(xp) * len(yp)
-
     worst = 0
     for xp in x_parts:
-        worst = max(worst, sum(1 for yp in y_parts if impure(xp, yp)))
+        worst = max(worst, sum(1 for yp in y_parts if not _pure(g, xp, yp)))
     for yp in y_parts:
-        worst = max(worst, sum(1 for xp in x_parts if impure(xp, yp)))
+        worst = max(worst, sum(1 for xp in x_parts if not _pure(g, xp, yp)))
     return worst
 
 
@@ -149,33 +148,21 @@ def convex_twin_width_exact(g: ColoredBipartiteGraph) -> int:
     if g.nx + g.ny > CONVEX_TWIN_WIDTH_EXACT_MAX_N:
         raise ValueError("convex_twin_width_exact capped at "
                          f"{CONVEX_TWIN_WIDTH_EXACT_MAX_N} vertices")
-    memo: dict[tuple, int] = {}
 
     def merges(parts):
         for i in range(len(parts) - 1):
             yield parts[:i] + (parts[i] + parts[i + 1],) + parts[i + 2:]
 
-    def best(xp, yp) -> int:
-        key = (xp, yp)
-        if key in memo:
-            return memo[key]
-        own = convex_division_width(g, xp, yp)
-        if len(xp) == 1 and len(yp) == 1:
-            memo[key] = own
-            return own
-        result = None
+    def moves(state):
+        xp, yp = state
         for nxp in merges(xp):
-            score = max(own, best(nxp, yp))
-            result = score if result is None else min(result, score)
+            yield nxp, yp
         for nyp in merges(yp):
-            score = max(own, best(xp, nyp))
-            result = score if result is None else min(result, score)
-        memo[key] = result
-        return result
+            yield xp, nyp
 
     x0 = tuple((i,) for i in range(g.nx))
     y0 = tuple((j,) for j in range(g.ny))
-    return best(x0, y0)
+    return _minimax((x0, y0), lambda state: convex_division_width(g, *state), moves)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +314,7 @@ def verify_certificate(g: ColoredBipartiteGraph, cert: TwCertificate,
             return fail(f"H-edge {e} covered {cover_count.get(e, 0)} times "
                         "(must be exactly once)")
 
-    k_parent = quasi_chain_number(g, cap=g.nx + g.ny)
+    k_parent = None  # the whole graph's quasi-chain number, once a star needs it
     parts = [p for _, p in cert.division]
     for i, stars in enumerate(cert.stars):
         for st in stars:
@@ -335,6 +322,8 @@ def verify_certificate(g: ColoredBipartiteGraph, cert: TwCertificate,
             xs = sorted(v for m in members if side_of[m] == "x" for v in parts[m])
             ys = sorted(v for m in members if side_of[m] == "y" for v in parts[m])
             if len(xs) + len(ys) <= QCH_CHECK_LIMIT:
+                if k_parent is None:
+                    k_parent = quasi_chain_number(g, cap=g.nx + g.ny)
                 sub = g.induced(xs, ys)
                 if quasi_chain_number(sub, cap=k_parent) > max(k_parent - 1, 0):
                     return fail(f"slice {i}: star at {st.center} does not "
@@ -399,10 +388,8 @@ def tw_labels(g: ColoredBipartiteGraph, tree: CertTree) -> EqualityScheme:
                 out[("y", y)] = LabelNode(tag=(0,), children=(scheme.labels[sub.nx + j],))
             return out
         cert = node.cert
-        ok, _ = verify_certificate(sub, cert)
-        if not ok:
-            reasons: list[str] = []
-            verify_certificate(sub, cert, reasons=reasons)
+        reasons: list[str] = []
+        if not verify_certificate(sub, cert, reasons=reasons)[0]:
             raise SchemeError(f"certificate failed verification: {reasons}")
         _, fx, fy = apply_flips(sub, cert.flips)
         q = cert.q

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from pugkit.bipartite import (
+    ChainDecomposition,
     bipartite_equivalence_labels,
     build_chain_decomposition_graph,
     build_p7_tree,
@@ -292,6 +293,38 @@ def test_verifier_rejects_violations():
     assert reasons
 
 
+# The forced bullets of a k-chain decomposition, levels i, j counted from 1:
+# (X letter, Y letter) -> (complete when, anticomplete when).
+FORCED_BLOCKS = {
+    ("A", "B"): (lambda i, j: j < i - 1, lambda i, j: j > i),
+    ("C", "D"): (lambda i, j: j < i - 1, lambda i, j: j > i),
+    ("A", "D"): (lambda i, j: j < i, lambda i, j: j >= i),
+    ("C", "B"): (lambda i, j: j < i, lambda i, j: j >= i),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verifier_names_each_broken_forced_block(k, seed):
+    g, cd = build_chain_decomposition_graph(k, sizes=2, seed=seed)
+    parts = {"A": cd.a_parts, "B": cd.b_parts, "C": cd.c_parts, "D": cd.d_parts}
+    edges = set(g.edges())
+    blocks = 0
+    for (xl, yl), (complete, anticomplete) in FORCED_BLOCKS.items():
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                if not (complete(i, j) or anticomplete(i, j)):
+                    continue
+                blocks += 1
+                e = (parts[xl][i - 1][0], parts[yl][j - 1][0])
+                g2 = ColoredBipartiteGraph(g.nx, g.ny, sorted(edges ^ {e}))
+                reasons: list[str] = []
+                assert not verify_chain_decomposition(g2, cd, reasons)
+                kind = "complete" if complete(i, j) else "anticomplete"
+                assert reasons == [f"{xl}_{i} not {kind} to {yl}_{j}"]
+    assert blocks == {2: 10, 3: 26, 4: 50}[k]
+
+
 def test_verifier_rejects_missing_nonneighbour():
     # make A_2 complete to B_1: the non-neighbour bullet must fire
     g, cd = build_chain_decomposition_graph(3, sizes=2, seed=4)
@@ -322,6 +355,21 @@ def test_partition_from_cd_reduces_parts():
     assert sorted(v for p in x_parts for v in p) == list(range(g.nx))
     assert sorted(v for p in y_parts for v in p) == list(range(g.ny))
     assert len(x_parts) <= 2 * (3 + 2) and len(y_parts) <= 2 * (3 + 2)
+
+
+def test_partition_from_cd_k2_mirrored_branches():
+    # a valid 2-chain decomposition with C_2 empty, and its mirror (A<->C,
+    # B<->D) with A_2 empty: both split B_1 (resp. D_1) by the anchor 2
+    g = ColoredBipartiteGraph(3, 3, [(0, 0), (0, 2), (1, 1), (2, 1), (2, 2)])
+    cd = ChainDecomposition(2, ((0,), (2,)), ((1,), ()), ((0, 2), ()), ((1,), ()))
+    mirror = ChainDecomposition(2, cd.c_parts, cd.a_parts, cd.d_parts, cd.b_parts)
+    expected = ([(0,), (2,), (1,)], [(2,), (0,), (1,)])
+    for c in (cd, mirror):
+        assert verify_chain_decomposition(g, c)
+        assert partition_from_chain_decomposition(g, c) == expected
+    both_empty = ChainDecomposition(2, ((0, 2), ()), ((1,), ()), ((0, 2), ()), ((1,), ()))
+    with pytest.raises(SchemeError, match="both A_2 and C_2 empty"):
+        partition_from_chain_decomposition(g, both_empty)
 
 
 def test_p7_labels_biclique_and_unions():

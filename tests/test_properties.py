@@ -32,6 +32,7 @@ from pugkit.sketch import (
     compress_equality_scheme,
     evaluate_error,
 )
+from pugkit.twinwidth import Star, TwCertificate, parse_certificate, write_certificate
 
 WALKERS = sorted(_WALKER_BUILDERS)
 
@@ -283,3 +284,33 @@ def test_bulk_decoders_equal_the_per_pair_walker(labels, data):
         calls.clear()
         assert sk.decode_trials(us, vs, seeds).tolist() == want
         assert len(calls) == len(keys)
+
+
+IDS = st.lists(st.integers(0, 30), max_size=4).map(tuple)
+
+
+@st.composite
+def certificates(draw):
+    """Well-formed certificates: dense ids, one star slice per uset, and
+    usets and stars that name division ids."""
+    order = draw(st.lists(st.tuples(st.sampled_from("xy"), st.integers(0, 30)),
+                          max_size=6).map(tuple))
+    flips = draw(st.lists(st.tuples(IDS, IDS), max_size=3).map(tuple))
+    division = draw(st.lists(st.tuples(st.sampled_from("xy"),
+                                       st.lists(st.integers(0, 30), min_size=1,
+                                                max_size=4).map(tuple)),
+                             max_size=5).map(tuple))
+    if not division:
+        return TwCertificate(order, flips, division, (), ())
+    part = st.integers(0, len(division) - 1)
+    parts = st.lists(part, max_size=3).map(tuple)
+    usets = draw(st.lists(st.tuples(parts, parts), max_size=3).map(tuple))
+    stars = tuple(draw(st.lists(st.builds(Star, part, parts), max_size=3).map(tuple))
+                  for _ in usets)
+    return TwCertificate(order, flips, division, usets, stars)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(cert=certificates(), name=st.text("abxy019-_.", min_size=1, max_size=8))
+def test_certificate_file_round_trip(cert, name):
+    assert parse_certificate(write_certificate(cert, name)) == (cert, name)

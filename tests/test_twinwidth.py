@@ -15,6 +15,7 @@ from pugkit.generators import (
 )
 from pugkit.graphs import ColoredBipartiteGraph, Graph
 from pugkit.labels import SchemeError
+from pugkit import twinwidth
 from pugkit.structure import quasi_chain_number
 from pugkit.twinwidth import (
     CertTree,
@@ -125,6 +126,12 @@ def test_convex_twin_width_bridge():
         assert tww <= ctww
 
 
+def test_convex_twin_width_with_an_empty_side():
+    # a side with no vertices is already merged: every division is pure
+    for nx, ny in ((0, 0), (0, 1), (1, 0), (0, 3), (2, 0)):
+        assert convex_twin_width_exact(ColoredBipartiteGraph(nx, ny, [])) == 0
+
+
 def test_apply_flips():
     g = biclique(3, 3)
     out, fx, fy = apply_flips(g, [])
@@ -213,6 +220,27 @@ def test_verify_rejects_p4_star_slice():
     ok, _ = verify_certificate(g, cert, reasons=reasons)
     # part 1 appears in two stars: rejected
     assert not ok
+
+
+def test_verify_certificate_skips_quasi_chain_without_a_small_star(monkeypatch):
+    # one star spanning the whole graph: above QCH_CHECK_LIMIT, so no star
+    # needs the graph's quasi-chain number
+    g = random_bipartite(13, 13, 0.5, seed=1)
+    cert = TwCertificate(
+        order=tuple(("x", i) for i in range(13)) + tuple(("y", j) for j in range(13)),
+        flips=(),
+        division=(("x", tuple(range(13))), ("y", tuple(range(13)))),
+        usets=(((0,), (1,)),),
+        stars=((Star(0, (1,)),),),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quasi_chain_number called")
+
+    monkeypatch.setattr(twinwidth, "quasi_chain_number", refuse)
+    reasons: list[str] = []
+    ok, h = verify_certificate(g, cert, reasons=reasons)
+    assert ok and h == {(0, 1)}, reasons
 
 
 def make_two_level_instance(seed: int = 0):
