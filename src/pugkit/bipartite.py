@@ -21,7 +21,7 @@ from .combinators import (
     across_sides,
     assemble_decomposition_labels,
 )
-from .graphs import ColoredBipartiteGraph, Graph, bipartite_complement
+from .graphs import ColoredBipartiteGraph, Graph, bipartite_complement, mask_of, members
 from .labels import EqualityScheme, LabelNode, SchemeError, Walker, build_walker, register_walker
 
 
@@ -155,21 +155,22 @@ def is_chain_graph(g: ColoredBipartiteGraph) -> bool:
 def _private_pairs(g: ColoredBipartiteGraph, xs: Sequence[int], ys: Iterable[int], p: int):
     """Each pair (x1, x2) of `xs`, in `itertools.combinations` order, whose
     private neighbourhoods within `ys` both have at least p vertices, as
-    (x1, x2, private to x1, private to x2, common neighbours)."""
-    yset = set(ys)
-    nbr = {x: set(g.neighbors_x(x)) & yset for x in xs}
+    (x1, x2, private to x1, private to x2, common neighbours), the last
+    three as Y-bitsets."""
+    ymask = mask_of(ys)
+    nbr = {x: g.rows_x[x] & ymask for x in xs}
     for x1, x2 in itertools.combinations(xs, 2):
-        only1 = nbr[x1] - nbr[x2]
-        if len(only1) >= p:
-            only2 = nbr[x2] - nbr[x1]
-            if len(only2) >= p:
+        only1 = nbr[x1] & ~nbr[x2]
+        if only1.bit_count() >= p:
+            only2 = nbr[x2] & ~nbr[x1]
+            if only2.bit_count() >= p:
                 yield x1, x2, only1, only2, nbr[x1] & nbr[x2]
 
 
 def find_one_sided_tp(g: ColoredBipartiteGraph, p: int):
     """An induced T_p with both centers in X, or None."""
     for x1, x2, only1, only2, _ in _private_pairs(g, range(g.nx), range(g.ny), p):
-        return (x1, x2, sorted(only1)[:p], sorted(only2)[:p])
+        return (x1, x2, list(members(only1))[:p], list(members(only2))[:p])
     return None
 
 
@@ -177,7 +178,8 @@ def find_one_sided_fpp(g: ColoredBipartiteGraph, p: int):
     """An induced F_{p,p} with the degree-2 side in X, or None."""
     for x1, x2, only1, only2, common in _private_pairs(g, range(g.nx), range(g.ny), p):
         if common:
-            return (x1, x2, min(common), sorted(only1)[:p], sorted(only2)[:p])
+            return (x1, x2, next(members(common)), list(members(only1))[:p],
+                    list(members(only2))[:p])
     return None
 
 
@@ -209,44 +211,46 @@ def tp_structure(g: ColoredBipartiteGraph, k: int) -> TpStructure:
     a0 = tuple(x for x in range(g.nx) if g.deg_x(x) < k)
     if len(a0) == g.nx:
         return TpStructure(k, (), (a0,), (tuple(range(g.ny)),))
+    rows = g.rows_x
     xs = set(range(g.nx)) - set(a0)
-    ys = set(range(g.ny))
+    ys = (1 << g.ny) - 1
     anchors: list[int] = []
     a_parts: list[tuple[int, ...]] = [a0]
     b_parts: list[tuple[int, ...]] = []
     while xs:
-        a_i = min(xs, key=lambda x: (len(set(g.neighbors_x(x)) & ys), x))
-        b_i = set(g.neighbors_x(a_i)) & ys
+        a_i = min(xs, key=lambda x: ((rows[x] & ys).bit_count(), x))
+        b_i = rows[a_i] & ys
         if not b_i:
             raise SchemeError("anchor with empty residual neighborhood "
                               "(violates the degree invariant)")
-        rest = ys - b_i
-        a_i_part = {x for x in xs if len(set(g.neighbors_x(x)) & rest) < k}
+        rest = ys & ~b_i
+        a_i_part = {x for x in xs if (rows[x] & rest).bit_count() < k}
         anchors.append(a_i)
         a_parts.append(tuple(sorted(a_i_part)))
-        b_parts.append(tuple(sorted(b_i)))
+        b_parts.append(tuple(members(b_i)))
         xs -= a_i_part
         ys = rest
-    b_parts.append(tuple(sorted(ys)))
+    b_parts.append(tuple(members(ys)))
     return TpStructure(k, tuple(anchors), tuple(a_parts), tuple(b_parts))
 
 
 def check_tp_structure(g: ColoredBipartiteGraph, st: TpStructure, p: int) -> None:
     """Verify the degree and non-neighbour invariants of the anchor decomposition."""
     m = st.m
+    rows = g.rows_x
     for i in range(m):
         if len(st.b_parts[i]) < st.k:
             raise SchemeError(f"|B_{i + 1}| < k")
     for j in range(m + 1):
-        forward = set().union(*[set(b) for b in st.b_parts[j:]]) if j < len(st.b_parts) else set()
+        forward = mask_of(itertools.chain.from_iterable(st.b_parts[j:]))
         for x in st.a_parts[j]:
-            if len(set(g.neighbors_x(x)) & forward) >= st.k:
+            if (rows[x] & forward).bit_count() >= st.k:
                 raise SchemeError(f"condition (2) fails for x={x} in A_{j}")
     for i in range(1, m + 1):
-        bi = set(st.b_parts[i - 1])
+        bi = mask_of(st.b_parts[i - 1])
         for j in range(i, m + 1):
             for x in st.a_parts[j]:
-                if len(set(g.neighbors_x(x)) & bi) <= len(bi) - p:
+                if (rows[x] & bi).bit_count() <= bi.bit_count() - p:
                     raise SchemeError(f"condition (3) fails for x={x}, B_{i}")
 
 
@@ -258,12 +262,12 @@ def extract_z_witness(g: ColoredBipartiteGraph, st: TpStructure, q: int, p: int)
     anchors = st.anchors[:q]
     b_trim = []
     for i in range(q):
-        bi = set(st.b_parts[i])
+        bi = mask_of(st.b_parts[i])
         for j in range(i, q):
-            bi &= set(g.neighbors_x(st.anchors[j]))
-        if len(bi) < s:
+            bi &= g.rows_x[st.anchors[j]]
+        if bi.bit_count() < s:
             return None
-        b_trim.append(tuple(sorted(bi)[:s]))
+        b_trim.append(tuple(members(bi))[:s])
     return anchors, tuple(b_trim)
 
 
@@ -322,14 +326,14 @@ def tp_free_labels(g: ColoredBipartiteGraph, p: int, q: int,
     labels: list[LabelNode] = []
     for x in range(g.nx):
         i = part_of_x[x]
-        nbrs = set(g.neighbors_x(x))
+        row = g.rows_x[x]
         kids = []
         for j in range(i):  # non-neighbors in B_1..B_i
-            non = tuple(ymap[y] for y in st.b_parts[j] if y not in nbrs)
+            non = tuple(ymap[y] for y in st.b_parts[j] if not row >> y & 1)
             if len(non) >= p:
                 raise SchemeError("condition (3) violated while labeling")
             kids.append(LabelNode(codes=non))
-        forward = tuple(ymap[y] for y in sorted(nbrs) if part_of_y[y] > i)
+        forward = tuple(ymap[y] for y in g.neighbors_x(x) if part_of_y[y] > i)
         if len(forward) >= k:
             raise SchemeError("condition (2) violated while labeling")
         kids.append(LabelNode(codes=forward))
@@ -367,10 +371,10 @@ def fpp_decomposition(g: ColoredBipartiteGraph, p: int, q: int) -> DTNode:
         if len(comps) > 1:
             children = tuple(build(cx, cy, depth + 1) for cx, cy in comps)
             return DTNode("D", xs, ys, children)
-        yset = set(ys)
-        x0 = tuple(x for x in xs if len(set(g.neighbors_x(x)) & yset) < k)
-        rest = [x for x in xs if x not in set(x0)]
-        deg = {x: len(set(g.neighbors_x(x)) & yset) for x in rest}
+        ymask = mask_of(ys)
+        deg = {x: (g.rows_x[x] & ymask).bit_count() for x in xs}
+        x0 = tuple(x for x in xs if deg[x] < k)
+        rest = [x for x in xs if deg[x] >= k]
 
         def left_disconnected(sub_xs: list[int]) -> bool:
             if len(sub_xs) < 2:
@@ -446,7 +450,7 @@ def _fpp_conflicts(g: ColoredBipartiteGraph, xs: list[int], y1: set[int], p: int
     for a, b, only_a, only_b, common in _private_pairs(g, xs, y1, p):
         if common:
             direct.add((a, b))
-        if len(only_a) + len(only_b) + len(common) < len(y1):
+        if (only_a | only_b | common).bit_count() < len(y1):
             compl.add((a, b))  # some vertex of Y1 is adjacent to neither
     return direct, compl
 
@@ -745,7 +749,7 @@ def partition_from_chain_decomposition(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The chain-number-decreasing P-node partition (with the
     k=2 special cases, splitting B_1 or D_1 by an anchor's neighborhood)."""
-    if cd.k < 3 and not (cd.a_parts[1] and cd.c_parts[1]):
+    if cd.k == 2 and not (cd.a_parts[1] and cd.c_parts[1]):
         if not (cd.a_parts[1] or cd.c_parts[1]):
             raise SchemeError("invalid 2-chain decomposition: both A_2 and C_2 empty")
         if not cd.a_parts[1]:  # the mirror case: swap A<->C and B<->D

@@ -293,10 +293,6 @@ def _build_sketch(g, args):
         base = _build_label_scheme(g, args)
         args.scheme = name
         sk = sketch.compress_equality_scheme(base)
-    elif name == "product-adjacency":
-        _need(g, Graph, name)
-        raise CliError(EXIT_FORMAT,
-                       "product-adjacency works on factor lists; use --factors")
     else:
         raise CliError(EXIT_FORMAT, f"unknown sketch scheme {name!r}")
     if args.delta is not None:

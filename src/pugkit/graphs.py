@@ -1,16 +1,19 @@
 """Immutable graph and colored-bipartite-graph types with file I/O.
 
 Vertex ids are dense integers 0..n-1.  Adjacency is stored as sorted
-neighbor tuples plus (for small graphs) one Python-int bitset per vertex
-for O(1) probes; decoders and brute-force oracles probe adjacency heavily.
+neighbor tuples.  Each side also has one Python-int bitset row per vertex
+(`Graph.rows`, `ColoredBipartiteGraph.rows_x` / `rows_y`), built from the
+tuples on first read; the structure searches and private-neighbourhood
+counts read these rows, and `has_edge` probes them on small graphs.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Sequence
 
-#: Build per-vertex bitsets only below this vertex count.
+#: `has_edge` probes the bitset rows only up to this vertex count.
 BITSET_THRESHOLD = 4096
 
 #: Guardrail on vertex counts: of product graphs and of graph file headers.
@@ -27,6 +30,22 @@ def in_id_order(items: Sequence[tuple[int, object]], what: str) -> list:
     if [i for i, _ in items] != list(range(len(items))):
         raise GraphFormatError(f"{what} ids are not 0..{len(items) - 1}, each once")
     return [value for _, value in items]
+
+
+def mask_of(ids: Iterable[int]) -> int:
+    """The bitset of `ids`: bit v is set iff v is among them."""
+    mask = 0
+    for v in ids:
+        mask |= 1 << v
+    return mask
+
+
+def members(mask: int) -> Iterator[int]:
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Graph:
@@ -54,33 +73,25 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._nbrs = tuple(tuple(sorted(a)) for a in adj)
-        if n <= BITSET_THRESHOLD:
-            rows = []
-            for a in self._nbrs:
-                row = 0
-                for w in a:
-                    row |= 1 << w
-                rows.append(row)
-            self._rows = tuple(rows)
-        else:
-            self._rows = None
+        self._rows = None
 
     @property
     def m(self) -> int:
         return sum(len(a) for a in self._nbrs) // 2
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """rows[v] has bit w set iff vw is an edge."""
+        if self._rows is None:
+            self._rows = tuple(map(mask_of, self._nbrs))
+        return self._rows
+
     def has_edge(self, u: int, v: int) -> bool:
-        if self._rows is not None:
-            return bool(self._rows[u] >> v & 1)
+        if self.n <= BITSET_THRESHOLD:
+            return bool((self._rows or self.rows)[u] >> v & 1)
         a = self._nbrs[u]
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._nbrs[v]
@@ -96,9 +107,6 @@ class Graph:
 
     def vertices(self) -> range:
         return range(self.n)
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return frozenset(self._nbrs[v])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._nbrs == other._nbrs
@@ -161,11 +169,8 @@ def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
     remap = {v: i for i, v in enumerate(order)}
-    edges = []
-    for i, v in enumerate(order):
-        for w in g.neighbors(v):
-            if w in remap and v < w:
-                edges.append((i, remap[w]))
+    edges = [(i, remap[w]) for i, v in enumerate(order) for w in g.neighbors(v)
+             if w in remap and v < w]
     return Graph(len(order), edges), remap
 
 
@@ -176,7 +181,7 @@ class ColoredBipartiteGraph:
     own index space.
     """
 
-    __slots__ = ("nx", "ny", "_adj_x", "_adj_y", "_rows_x")
+    __slots__ = ("nx", "ny", "_adj_x", "_adj_y", "_rows_x", "_rows_y")
 
     def __init__(self, nx: int, ny: int, edges: Iterable[tuple[int, int]], *, strict: bool = False):
         if nx < 0 or ny < 0:
@@ -198,24 +203,29 @@ class ColoredBipartiteGraph:
             ay[y].append(x)
         self._adj_x = tuple(tuple(sorted(a)) for a in ax)
         self._adj_y = tuple(tuple(sorted(a)) for a in ay)
-        if max(nx, ny) <= BITSET_THRESHOLD:
-            rows = []
-            for a in self._adj_x:
-                row = 0
-                for w in a:
-                    row |= 1 << w
-                rows.append(row)
-            self._rows_x = tuple(rows)
-        else:
-            self._rows_x = None
+        self._rows_x = self._rows_y = None
 
     @property
     def m(self) -> int:
         return sum(len(a) for a in self._adj_x)
 
+    @property
+    def rows_x(self) -> tuple[int, ...]:
+        """rows_x[x] has bit y set iff xy is an edge."""
+        if self._rows_x is None:
+            self._rows_x = tuple(map(mask_of, self._adj_x))
+        return self._rows_x
+
+    @property
+    def rows_y(self) -> tuple[int, ...]:
+        """rows_y[y] has bit x set iff xy is an edge."""
+        if self._rows_y is None:
+            self._rows_y = tuple(map(mask_of, self._adj_y))
+        return self._rows_y
+
     def has_edge(self, x: int, y: int) -> bool:
-        if self._rows_x is not None:
-            return bool(self._rows_x[x] >> y & 1)
+        if self.nx <= BITSET_THRESHOLD >= self.ny:
+            return bool((self._rows_x or self.rows_x)[x] >> y & 1)
         return y in self._adj_x[x]
 
     def neighbors_x(self, x: int) -> tuple[int, ...]:
@@ -252,11 +262,7 @@ class ColoredBipartiteGraph:
         xs = sorted(set(xs))
         ys = sorted(set(ys))
         ymap = {y: j for j, y in enumerate(ys)}
-        edges = []
-        for i, x in enumerate(xs):
-            for y in self._adj_x[x]:
-                if y in ymap:
-                    edges.append((i, ymap[y]))
+        edges = [(i, ymap[y]) for i, x in enumerate(xs) for y in self._adj_x[x] if y in ymap]
         return ColoredBipartiteGraph(len(xs), len(ys), edges)
 
     def to_graph(self) -> Graph:

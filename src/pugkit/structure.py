@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graphs import ColoredBipartiteGraph, Graph
+from .graphs import ColoredBipartiteGraph, Graph, members
 
 
 @dataclass(frozen=True)
@@ -61,23 +61,11 @@ def chain_number(g: Graph, cap: int = 8) -> ChainNumberResult:
     if cap < 0:
         raise ValueError("cap must be >= 0")
     n = g.n
-    rows = [0] * n
-    for v in range(n):
-        r = 0
-        for w in g.neighbors(v):
-            r |= 1 << w
-        rows[v] = r
+    rows = g.rows
     full = (1 << n) - 1
     # high-degree vertices make good a_1 candidates (a_1 reaches every b_j)
     by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    order_pos = {v: i for i, v in enumerate(by_degree)}
     best_witness: list[ChainWitness | None] = [None]
-
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     def extend(a: list[int], b: list[int], used: int, cand_a: int,
                cand_b: int, target: int) -> bool:
@@ -90,11 +78,13 @@ def chain_number(g: Graph, cap: int = 8) -> ChainNumberResult:
         pool_b = cand_b & ~used
         if pool_a.bit_count() < remaining or pool_b.bit_count() < remaining:
             return False
-        for av in sorted(bits(pool_a), key=order_pos.__getitem__):
-            row = rows[av]
-            if (row & pool_b & ~(1 << av)).bit_count() < remaining:
+        for av in by_degree:
+            if not pool_a >> av & 1:
                 continue
-            for bv in bits(row & pool_b & ~(1 << av)):
+            pool = rows[av] & pool_b
+            if pool.bit_count() < remaining:
+                continue
+            for bv in members(pool):
                 a.append(av)
                 b.append(bv)
                 if extend(a, b, used | 1 << av | 1 << bv,
@@ -122,48 +112,44 @@ class _CapReached(Exception):
 
 
 def quasi_chain_number(g: ColoredBipartiteGraph, cap: int = 64) -> int:
-    """Quasi-chain number, exact while <= cap (returns cap+1 once exceeded).
+    """Quasi-chain number capped at cap + 1: min(qch, cap + 1).
 
     Sequences x_1..x_k, y_1..y_k allow repeated vertices; each step demands
     (x_i complete to earlier y's and y_i anticomplete to earlier x's) or the
     converse.  Any valid step adds a new vertex to one of the running sets,
-    so states are (X-subset, Y-subset) pairs and qch <= nx + ny.
+    so states are (X-bitset, Y-bitset) pairs and qch <= nx + ny.  The memo
+    holds each state's exact remaining length, and the cap is tested on
+    depth + length, so a state first reached at a shallower depth cannot
+    hide a binding cap.
     """
     if g.nx == 0 or g.ny == 0:
         return 0
-    nbr_x = [frozenset(g.neighbors_x(x)) for x in range(g.nx)]
-    nbr_y = [frozenset(g.neighbors_y(y)) for y in range(g.ny)]
-    memo: dict[tuple[frozenset, frozenset], int] = {}
+    rows_x, rows_y = g.rows_x, g.rows_y
+    memo: dict[tuple[int, int], int] = {}
 
-    def further(xs: frozenset, ys: frozenset, depth: int) -> int:
-        key = (xs, ys)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = 0
-        for want_adj in (True, False):
-            # want_adj: x_i adjacent to all earlier y's, y_i non-adjacent to
-            # all earlier x's; otherwise the mirrored condition.
-            if want_adj:
-                x_cands = [x for x in range(g.nx) if ys <= nbr_x[x]]
-                y_cands = [y for y in range(g.ny) if not (nbr_y[y] & xs)]
-            else:
-                x_cands = [x for x in range(g.nx) if not (nbr_x[x] & ys)]
-                y_cands = [y for y in range(g.ny) if xs <= nbr_y[y]]
-            for x in x_cands:
-                nxs = xs | {x}
-                for y in y_cands:
-                    nys = ys | {y}
-                    if nxs == xs and nys == ys:
-                        continue  # a valid step always adds a fresh vertex
-                    if depth + 1 > cap:
-                        raise _CapReached
-                    best = max(best, 1 + further(nxs, nys, depth + 1))
-        memo[key] = best
+    def further(xs: int, ys: int, depth: int) -> int:
+        best = memo.get((xs, ys))
+        if best is None:
+            best = 0
+            # x_i adjacent to all earlier y's and y_i to none of the earlier
+            # x's, or the mirrored condition
+            for x_sees, y_sees in ((ys, 0), (0, xs)):
+                x_cands = [1 << x for x, row in enumerate(rows_x) if row & ys == x_sees]
+                y_cands = [1 << y for y, row in enumerate(rows_y) if row & xs == y_sees]
+                for bx in x_cands:
+                    for by in y_cands:
+                        if bx & xs and by & ys:
+                            continue  # a valid step always adds a fresh vertex
+                        if depth + 1 > cap:
+                            raise _CapReached
+                        best = max(best, 1 + further(xs | bx, ys | by, depth + 1))
+            memo[xs, ys] = best
+        if depth + best > cap:
+            raise _CapReached
         return best
 
     try:
-        return further(frozenset(), frozenset(), 0)
+        return further(0, 0, 0)
     except _CapReached:
         return cap + 1
 
@@ -183,10 +169,10 @@ def twin_partition(g: Graph, mode: str) -> TwinPartition:
     """
     if mode not in ("true", "false"):
         raise ValueError("mode must be 'true' or 'false'")
-    groups: dict[frozenset[int], list[int]] = {}
+    rows = g.rows
+    groups: dict[int, list[int]] = {}
     for v in range(g.n):
-        key = g.neighbor_set(v) | {v} if mode == "true" else g.neighbor_set(v)
-        groups.setdefault(frozenset(key), []).append(v)
+        groups.setdefault(rows[v] | 1 << v if mode == "true" else rows[v], []).append(v)
     classes = tuple(tuple(sorted(vs)) for vs in sorted(groups.values()))
     rep = [0] * g.n
     idx = [0] * g.n

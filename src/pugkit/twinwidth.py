@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .bipartite import _bip_equivalence_walker, bipartite_equivalence_labels
 from .combinators import across_sides
-from .graphs import ColoredBipartiteGraph, Graph, in_id_order
+from .graphs import ColoredBipartiteGraph, Graph, in_id_order, mask_of, members
 from .labels import EqualityScheme, LabelNode, SchemeError, register_walker
 from .structure import quasi_chain_number
 
@@ -176,15 +176,16 @@ def apply_flips(g: ColoredBipartiteGraph,
     f(v) is the bitmask of flips containing v (bit i = flip i)."""
     fx = [0] * g.nx
     fy = [0] * g.ny
-    adj = [set(g.neighbors_x(x)) for x in range(g.nx)]
+    rows = list(g.rows_x)
     for i, (axs, bys) in enumerate(flips):
+        ymask = mask_of(bys)
         for x in axs:
             fx[x] |= 1 << i
-            adj[x].symmetric_difference_update(bys)
+            rows[x] ^= ymask
         for y in bys:
             fy[y] |= 1 << i
     out = ColoredBipartiteGraph(g.nx, g.ny,
-                                [(x, y) for x in range(g.nx) for y in adj[x]])
+                                [(x, y) for x, row in enumerate(rows) for y in members(row)])
     return out, fx, fy
 
 

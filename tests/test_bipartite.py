@@ -372,6 +372,13 @@ def test_partition_from_cd_k2_mirrored_branches():
         partition_from_chain_decomposition(g, both_empty)
 
 
+def test_partition_from_one_chain_decomposition():
+    g = biclique(1, 1)
+    cd = ChainDecomposition(1, ((0,),), ((),), ((0,),), ((),))
+    assert verify_chain_decomposition(g, cd)
+    assert partition_from_chain_decomposition(g, cd) == ([(0,)], [(0,)])
+
+
 def test_p7_labels_biclique_and_unions():
     sch = p7_labels(biclique(3, 4), c=1)
     check_bip_scheme(sch, biclique(3, 4))

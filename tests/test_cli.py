@@ -97,6 +97,15 @@ def test_sketch_and_eval(tmp_path, capsys):
     assert int(adjacent.split()[2]) == 0  # one-sided
 
 
+def test_sketch_product_adjacency_is_an_unknown_scheme(tmp_path, capsys):
+    g = tmp_path / "g.graph"
+    run(capsys, "gen", "forest", "--n", "10", "--seed", "2", "--out", str(g))
+    code, _, err = run(capsys, "sketch", str(g), "--scheme", "product-adjacency",
+                       "--seed", "1", "--out", str(tmp_path / "sk.txt"))
+    assert code == 3
+    assert "unknown sketch scheme" in err and "--factors" not in err
+
+
 def test_eval_same_seed_deterministic(tmp_path, capsys):
     g = tmp_path / "g.graph"
     run(capsys, "gen", "forest", "--n", "15", "--seed", "2", "--out", str(g))

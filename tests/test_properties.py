@@ -4,16 +4,17 @@ Every property runs derandomized with no example database, so a run is
 deterministic and writes no `.hypothesis/` directory.
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pugkit.cli import main
-from pugkit.generators import biclique, random_forest, random_kdegenerate
-from pugkit.graphs import write_graph
+from pugkit.generators import biclique, path, random_forest, random_kdegenerate
+from pugkit.graphs import BITSET_THRESHOLD, ColoredBipartiteGraph, Graph, write_graph
 from pugkit.labels import (
     _WALKER_BUILDERS,
     CompiledDecoder,
@@ -32,6 +33,7 @@ from pugkit.sketch import (
     compress_equality_scheme,
     evaluate_error,
 )
+from pugkit.structure import quasi_chain_number
 from pugkit.twinwidth import Star, TwCertificate, parse_certificate, write_certificate
 
 WALKERS = sorted(_WALKER_BUILDERS)
@@ -314,3 +316,63 @@ def certificates(draw):
 @given(cert=certificates(), name=st.text("abxy019-_.", min_size=1, max_size=8))
 def test_certificate_file_round_trip(cert, name):
     assert parse_certificate(write_certificate(cert, name)) == (cert, name)
+
+
+def _kept(draw, pairs):
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return [pair for pair, k in zip(pairs, keep) if k]
+
+
+@st.composite
+def graphs(draw, n_max=9):
+    n = draw(st.integers(0, n_max))
+    return Graph(n, _kept(draw, list(itertools.combinations(range(n), 2))))
+
+
+@st.composite
+def bigraphs(draw, side_max=6):
+    nx, ny = draw(st.integers(0, side_max)), draw(st.integers(0, side_max))
+    return ColoredBipartiteGraph(nx, ny, _kept(draw, list(itertools.product(range(nx), range(ny)))))
+
+
+def _probes(n: int):
+    """Every pair below BITSET_THRESHOLD; above it, each vertex's pairs at distance <= 2."""
+    if n <= BITSET_THRESHOLD:
+        return itertools.product(range(n), repeat=2)
+    return ((v, w) for v in range(n) for w in range(max(0, v - 2), min(n, v + 3)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(g=graphs())
+@example(g=Graph(0, []))
+@example(g=path(BITSET_THRESHOLD + 1))
+def test_graph_rows_are_the_neighbour_bitsets(g):
+    assert len(g.rows) == g.n
+    for v in range(g.n):
+        assert g.rows[v] == sum(1 << w for w in g.neighbors(v))
+    for v, w in _probes(g.n):
+        assert g.has_edge(v, w) == bool(g.rows[v] >> w & 1)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(g=bigraphs())
+@example(g=ColoredBipartiteGraph(0, 3, []))
+@example(g=ColoredBipartiteGraph(BITSET_THRESHOLD + 1, BITSET_THRESHOLD,
+                                 [(x, y) for y in range(BITSET_THRESHOLD) for x in (y, y + 1)]))
+def test_bigraph_rows_are_the_neighbour_bitsets(g):
+    assert (len(g.rows_x), len(g.rows_y)) == (g.nx, g.ny)
+    for x in range(g.nx):
+        assert g.rows_x[x] == sum(1 << y for y in g.neighbors_x(x))
+    for y in range(g.ny):
+        assert g.rows_y[y] == sum(1 << x for x in g.neighbors_y(y))
+    for x, y in _probes(max(g.nx, g.ny)):
+        if x < g.nx and y < g.ny:
+            assert g.has_edge(x, y) == bool(g.rows_x[x] >> y & 1)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(g=bigraphs(side_max=5))
+def test_quasi_chain_number_is_min_of_qch_and_cap_plus_one(g):
+    qch = quasi_chain_number(g, cap=g.nx + g.ny)
+    for cap in range(g.nx + g.ny + 1):
+        assert quasi_chain_number(g, cap=cap) == min(qch, cap + 1)

@@ -128,6 +128,15 @@ def test_qch_matches_brute_force():
         assert quasi_chain_number(g, cap=12) == brute_qch(g, 12)
 
 
+def test_qch_memo_hit_cannot_hide_a_binding_cap():
+    # qch = 7; a state first met at a shallow depth is met again deeper,
+    # where its remaining length crosses cap = 5
+    g = ColoredBipartiteGraph(4, 6, [(0, 0), (0, 2), (0, 4), (1, 1), (1, 2), (1, 3), (1, 4),
+                                     (1, 5), (2, 0), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])
+    assert quasi_chain_number(g, cap=10) == 7
+    assert quasi_chain_number(g, cap=5) == 6
+
+
 def test_qch_sandwich_on_samples():
     # ch(G) <= qch(G) <= 4 ch(G) + 4 on bipartite samples
     for seed in range(15):
@@ -155,7 +164,7 @@ def test_twin_partition_is_twin_relation():
     for cls in tp.classes:
         for x, y in itertools.combinations(cls, 2):
             assert g.has_edge(x, y)
-            assert g.neighbor_set(x) - {y} == g.neighbor_set(y) - {x}
+            assert set(g.neighbors(x)) - {y} == set(g.neighbors(y)) - {x}
 
 
 def _forest_is_acyclic(parent_map, n):
