@@ -640,6 +640,13 @@ def verify_chain_decomposition(g: ColoredBipartiteGraph, cd: ChainDecomposition,
 
 #: The largest graph (nx + ny) `chain_decomposition_search` searches.
 CHAIN_SEARCH_SIZE_LIMIT = 24
+#: The most backtracking nodes one `chain_decomposition_search` call visits,
+#: over all k.
+CHAIN_SEARCH_NODE_LIMIT = 100_000
+
+
+class _NodeBudgetSpent(Exception):
+    pass
 
 
 def chain_decomposition_search(g: ColoredBipartiteGraph, k_max: int = 4
@@ -649,18 +656,24 @@ def chain_decomposition_search(g: ColoredBipartiteGraph, k_max: int = 4
     Bounded-exhaustive: assignments are pruned by the pairwise
     complete/anticomplete bullets as vertices are placed; existential
     bullets are checked on completion.  NONE is a legal outcome, and so is
-    a graph above `CHAIN_SEARCH_SIZE_LIMIT` vertices.
+    a graph above `CHAIN_SEARCH_SIZE_LIMIT` vertices or a search that visits
+    more than `CHAIN_SEARCH_NODE_LIMIT` nodes before it finds one.
     """
     if g.nx + g.ny > CHAIN_SEARCH_SIZE_LIMIT:
         return None
-    for k in range(2, k_max + 1):
-        cd = _search_k(g, k)
-        if cd is not None:
-            return cd
+    budget = [CHAIN_SEARCH_NODE_LIMIT]
+    try:
+        for k in range(2, k_max + 1):
+            cd = _search_k(g, k, budget)
+            if cd is not None:
+                return cd
+    except _NodeBudgetSpent:
+        pass
     return None
 
 
-def _search_k(g: ColoredBipartiteGraph, k: int) -> ChainDecomposition | None:
+def _search_k(g: ColoredBipartiteGraph, k: int, budget: list[int]
+              ) -> ChainDecomposition | None:
     # X parts: ('A', i) / ('C', i); Y parts: ('B', i) / ('D', i), i in 0..k-1
     x_opts = [("A", i) for i in range(k)] + [("C", i) for i in range(k)]
     y_opts = [("B", i) for i in range(k)] + [("D", i) for i in range(k)]
@@ -694,6 +707,9 @@ def _search_k(g: ColoredBipartiteGraph, k: int) -> ChainDecomposition | None:
     order = [(0, v) for v in xs] + [(1, v) for v in ys]
 
     def backtrack(pos: int) -> ChainDecomposition | None:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _NodeBudgetSpent
         if pos == len(order):
             return finish()
         side, v = order[pos]

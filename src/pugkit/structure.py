@@ -121,35 +121,81 @@ def quasi_chain_number(g: ColoredBipartiteGraph, cap: int = 64) -> int:
     holds each state's exact remaining length, and the cap is tested on
     depth + length, so a state first reached at a shallower depth cannot
     hide a binding cap.
+
+    The remaining length `further(xs, ys)` is antitone under inclusion: a
+    larger set of earlier vertices only removes candidates, so any sequence
+    from a larger state also runs from a smaller one.  Only the
+    inclusion-minimal successors are therefore expanded.  Within one step
+    direction, a candidate x already in xs makes the steps that add only a
+    fresh y dominate every (fresh x, fresh y) step, and likewise with the
+    sides swapped; the fresh x × fresh y product is expanded only when
+    neither side has a candidate already in its set, and without the pairs
+    whose x or y is a single-vertex step of either direction.  Steps are
+    deduplicated in first-seen order, so the node order is deterministic.
+    Every step adds a fresh vertex, so a state's length is at most
+    nx + ny - |xs| - |ys|, and its loop stops once that bound is reached.
+
+    `further` carries four running bitsets instead of scanning rows: the X
+    vertices complete to ys and those touching ys, and the Y vertices
+    complete to xs and those touching xs.  Adding a vertex ANDs or ORs its
+    row into the other side's pair, and each direction's candidates are
+    then two mask operations.
     """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     if g.nx == 0 or g.ny == 0:
         return 0
     rows_x, rows_y = g.rows_x, g.rows_y
+    full_x, full_y = (1 << g.nx) - 1, (1 << g.ny) - 1
+    size = g.nx + g.ny
     memo: dict[tuple[int, int], int] = {}
 
-    def further(xs: int, ys: int, depth: int) -> int:
+    def further(xs: int, ys: int, x_all: int, x_any: int, y_all: int,
+                y_any: int, depth: int) -> int:
         best = memo.get((xs, ys))
         if best is None:
+            # x complete to ys and y anticomplete to xs, or the converse.
+            # A fresh vertex that is a step on its own (-1 on the other
+            # side) dominates every pair step that adds it.
+            add_x = add_y = 0
+            products = []
+            for cand_x, cand_y in ((x_all, full_y & ~y_any), (full_x & ~x_any, y_all)):
+                if cand_x & xs:
+                    add_y |= cand_y & ~ys
+                if cand_y & ys:
+                    add_x |= cand_x & ~xs
+                if not (cand_x & xs or cand_y & ys):
+                    products.append((cand_x, cand_y))
+            steps = [(-1, y) for y in members(add_y)] + [(x, -1) for x in members(add_x)]
+            steps += dict.fromkeys((x, y) for cand_x, cand_y in products
+                                   for x in members(cand_x & ~add_x)
+                                   for y in members(cand_y & ~add_y))
             best = 0
-            # x_i adjacent to all earlier y's and y_i to none of the earlier
-            # x's, or the mirrored condition
-            for x_sees, y_sees in ((ys, 0), (0, xs)):
-                x_cands = [1 << x for x, row in enumerate(rows_x) if row & ys == x_sees]
-                y_cands = [1 << y for y, row in enumerate(rows_y) if row & xs == y_sees]
-                for bx in x_cands:
-                    for by in y_cands:
-                        if bx & xs and by & ys:
-                            continue  # a valid step always adds a fresh vertex
-                        if depth + 1 > cap:
-                            raise _CapReached
-                        best = max(best, 1 + further(xs | bx, ys | by, depth + 1))
+            if steps:
+                if depth + 1 > cap:
+                    raise _CapReached
+                bound = size - xs.bit_count() - ys.bit_count()
+                for x, y in steps:
+                    nxs, nys, nx_all, nx_any, ny_all, ny_any = xs, ys, x_all, x_any, y_all, y_any
+                    if x >= 0:
+                        nxs |= 1 << x
+                        ny_all &= rows_x[x]
+                        ny_any |= rows_x[x]
+                    if y >= 0:
+                        nys |= 1 << y
+                        nx_all &= rows_y[y]
+                        nx_any |= rows_y[y]
+                    best = max(best, 1 + further(nxs, nys, nx_all, nx_any, ny_all,
+                                                 ny_any, depth + 1))
+                    if best == bound:
+                        break
             memo[xs, ys] = best
         if depth + best > cap:
             raise _CapReached
         return best
 
     try:
-        return further(0, 0, 0)
+        return further(0, 0, full_x, 0, full_y, 0, 0)
     except _CapReached:
         return cap + 1
 

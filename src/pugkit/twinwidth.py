@@ -315,7 +315,11 @@ def verify_certificate(g: ColoredBipartiteGraph, cert: TwCertificate,
             return fail(f"H-edge {e} covered {cover_count.get(e, 0)} times "
                         "(must be exactly once)")
 
-    k_parent = None  # the whole graph's quasi-chain number, once a star needs it
+    # A star passes iff its value s is 0 or below the whole graph's.  Only
+    # "qch(g) > s" is asked, so g is searched with cap s, which stops at the
+    # first sequence of length s + 1, and the best lower bound proven on g
+    # spares later stars a search.
+    g_above = 0  # qch(g) >= g_above, as proven so far
     parts = [p for _, p in cert.division]
     for i, stars in enumerate(cert.stars):
         for st in stars:
@@ -323,12 +327,12 @@ def verify_certificate(g: ColoredBipartiteGraph, cert: TwCertificate,
             xs = sorted(v for m in members if side_of[m] == "x" for v in parts[m])
             ys = sorted(v for m in members if side_of[m] == "y" for v in parts[m])
             if len(xs) + len(ys) <= QCH_CHECK_LIMIT:
-                if k_parent is None:
-                    k_parent = quasi_chain_number(g, cap=g.nx + g.ny)
-                sub = g.induced(xs, ys)
-                if quasi_chain_number(sub, cap=k_parent) > max(k_parent - 1, 0):
-                    return fail(f"slice {i}: star at {st.center} does not "
-                                "decrease the quasi-chain number")
+                s = quasi_chain_number(g.induced(xs, ys), cap=len(xs) + len(ys))
+                if s >= g_above and s > 0:
+                    if quasi_chain_number(g, cap=s) <= s:
+                        return fail(f"slice {i}: star at {st.center} does not "
+                                    "decrease the quasi-chain number")
+                    g_above = s + 1
     return True, h_edges
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from pugkit import bipartite
 from pugkit.bipartite import (
     ChainDecomposition,
     bipartite_equivalence_labels,
@@ -347,6 +348,32 @@ def test_chain_search_finds_synthetic():
 
 def test_chain_search_biclique_none():
     assert chain_decomposition_search(biclique(2, 2), k_max=3) is None
+
+
+def test_chain_search_gives_up_on_the_24_vertex_complements():
+    # a decomposition exists, but the search needs millions of nodes to
+    # reach it; the node budget ends it with None
+    for k, sizes in ((2, 3), (3, 2)):
+        bc = bipartite_complement(build_chain_decomposition_graph(k, sizes, seed=0)[0])
+        assert chain_decomposition_search(bc, k_max=4) is None
+
+
+def test_chain_search_node_budget_is_exact(monkeypatch):
+    # this search finds its decomposition at node 4,685
+    bc = bipartite_complement(build_chain_decomposition_graph(3, 1, seed=0)[0])
+    monkeypatch.setattr(bipartite, "CHAIN_SEARCH_NODE_LIMIT", 4685)
+    cd = chain_decomposition_search(bc, k_max=4)
+    assert cd is not None and verify_chain_decomposition(bc, cd)
+    monkeypatch.setattr(bipartite, "CHAIN_SEARCH_NODE_LIMIT", 4684)
+    assert chain_decomposition_search(bc, k_max=4) is None
+
+
+def test_p7_tree_reports_a_spent_node_budget(monkeypatch):
+    g, _ = build_chain_decomposition_graph(3, 1, seed=0)  # connected and co-connected
+    assert "node P" in build_p7_tree(g, c=2).serialize()
+    monkeypatch.setattr(bipartite, "CHAIN_SEARCH_NODE_LIMIT", 0)
+    with pytest.raises(SchemeError, match="no chain decomposition found for a 6x6 P-node"):
+        build_p7_tree(g, c=2)
 
 
 def test_partition_from_cd_reduces_parts():

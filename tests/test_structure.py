@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pugkit.generators import (
     co_half_graph,
@@ -144,6 +146,81 @@ def test_qch_sandwich_on_samples():
         ch = chain_number(g.to_graph(), cap=4).value
         qch = quasi_chain_number(g, cap=4 * ch + 4)
         assert ch <= qch <= 4 * ch + 4
+
+
+class _ScanCapReached(Exception):
+    pass
+
+
+def scan_quasi_chain_number(g: ColoredBipartiteGraph, cap: int) -> int:
+    """Reference: expand the full (x, y) candidate product at every state,
+    with both candidate lists rebuilt from the rows."""
+    if g.nx == 0 or g.ny == 0:
+        return 0
+    rows_x, rows_y = g.rows_x, g.rows_y
+    memo: dict[tuple[int, int], int] = {}
+
+    def further(xs: int, ys: int, depth: int) -> int:
+        best = memo.get((xs, ys))
+        if best is None:
+            best = 0
+            for x_sees, y_sees in ((ys, 0), (0, xs)):
+                x_cands = [1 << x for x, row in enumerate(rows_x) if row & ys == x_sees]
+                y_cands = [1 << y for y, row in enumerate(rows_y) if row & xs == y_sees]
+                for bx in x_cands:
+                    for by in y_cands:
+                        if bx & xs and by & ys:
+                            continue
+                        if depth + 1 > cap:
+                            raise _ScanCapReached
+                        best = max(best, 1 + further(xs | bx, ys | by, depth + 1))
+            memo[xs, ys] = best
+        if depth + best > cap:
+            raise _ScanCapReached
+        return best
+
+    try:
+        return further(0, 0, 0)
+    except _ScanCapReached:
+        return cap + 1
+
+
+def every_bigraph(nx: int, ny: int):
+    pairs = list(itertools.product(range(nx), range(ny)))
+    for mask in range(1 << len(pairs)):
+        yield ColoredBipartiteGraph(nx, ny, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def test_qch_matches_scan_on_every_3x3_bigraph_at_every_cap():
+    for g in every_bigraph(3, 3):
+        for cap in range(7):
+            assert quasi_chain_number(g, cap=cap) == scan_quasi_chain_number(g, cap), (g.rows_x, cap)
+
+
+@st.composite
+def small_bigraphs(draw):
+    nx, ny = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    pairs = list(itertools.product(range(nx), range(ny)))
+    return ColoredBipartiteGraph(nx, ny, [p for p in pairs if draw(st.booleans())])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(g=small_bigraphs())
+def test_qch_matches_scan_on_drawn_bigraphs(g):
+    for cap in range(g.nx + g.ny + 1):
+        assert quasi_chain_number(g, cap=cap) == scan_quasi_chain_number(g, cap)
+
+
+def test_qch_matches_brute_force_on_every_2x3_and_3x2_bigraph():
+    for nx, ny in ((2, 3), (3, 2)):
+        for g in every_bigraph(nx, ny):
+            assert quasi_chain_number(g, cap=5) == brute_qch(g, 6)
+
+
+def test_qch_rejects_a_negative_cap():
+    for g in (ColoredBipartiteGraph(2, 2, [(0, 0)]), ColoredBipartiteGraph(0, 3, [])):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            quasi_chain_number(g, cap=-1)
 
 
 def test_twin_partition_modes():

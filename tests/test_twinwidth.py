@@ -298,6 +298,83 @@ def test_two_level_certificate_verifies_and_labels():
             assert sch.decode(u, v) == expect, (u, v)
 
 
+def union_instance(g1: ColoredBipartiteGraph, g2: ColoredBipartiteGraph):
+    """The disjoint union of g1 and g2 with a one-slice certificate whose two
+    stars are g1 and g2: a star passes iff its quasi-chain number is below
+    the union's."""
+    nx, ny = g1.nx + g2.nx, g1.ny + g2.ny
+    edges = [(x, y) for x in range(g1.nx) for y in g1.neighbors_x(x)]
+    edges += [(g1.nx + x, g1.ny + y) for x in range(g2.nx) for y in g2.neighbors_x(x)]
+    cert = TwCertificate(
+        order=tuple(("x", i) for i in range(nx)) + tuple(("y", j) for j in range(ny)),
+        flips=(),
+        division=(("x", tuple(range(g1.nx))), ("x", tuple(range(g1.nx, nx))),
+                  ("y", tuple(range(g1.ny))), ("y", tuple(range(g1.ny, ny)))),
+        usets=(((0, 1), (2, 3)),),
+        stars=((Star(0, (2,)), Star(1, (3,))),),
+    )
+    return ColoredBipartiteGraph(nx, ny, edges), cert
+
+
+def certificate_corpus():
+    """The two-level instances with every single edge toggled, and unions of
+    small random bigraphs."""
+    for seed in range(10):
+        g, cert = make_two_level_instance(seed)
+        yield g, cert
+        for x in range(g.nx):
+            for y in range(g.ny):
+                edges = [(a, b) for a in range(g.nx) for b in g.neighbors_x(a)]
+                yield ColoredBipartiteGraph(g.nx, g.ny, sorted(set(edges) ^ {(x, y)})), cert
+    for seed in range(40):
+        yield union_instance(random_bipartite(1 + seed % 3, 2 + seed % 4, 0.5, seed=seed),
+                             random_bipartite(2 + seed % 4, 1 + seed % 3, 0.4, seed=100 + seed))
+
+
+def uncapped_star_reason(g: ColoredBipartiteGraph, cert: TwCertificate) -> str | None:
+    """Reference: every star of at most QCH_CHECK_LIMIT vertices must satisfy
+    qch(star) <= max(qch(g) - 1, 0), with qch(g) searched without a cap."""
+    k = quasi_chain_number(g, cap=g.nx + g.ny)
+    parts = [p for _, p in cert.division]
+    for i, stars in enumerate(cert.stars):
+        for st in stars:
+            members = (st.center,) + st.leaves
+            xs = sorted(v for m in members if cert.division[m][0] == "x" for v in parts[m])
+            ys = sorted(v for m in members if cert.division[m][0] == "y" for v in parts[m])
+            if len(xs) + len(ys) <= twinwidth.QCH_CHECK_LIMIT and \
+                    quasi_chain_number(g.induced(xs, ys), cap=k) > max(k - 1, 0):
+                return f"slice {i}: star at {st.center} does not decrease the quasi-chain number"
+    return None
+
+
+def test_verify_certificate_star_verdicts_match_the_uncapped_rule():
+    verdicts = {True: 0, False: 0}
+    for g, cert in certificate_corpus():
+        reasons: list[str] = []
+        ok, _ = verify_certificate(g, cert, reasons=reasons)
+        if not ok and "quasi-chain" not in reasons[0]:
+            continue  # rejected before the star check
+        want = uncapped_star_reason(g, cert)
+        assert (ok, reasons) == (want is None, [want] if want else []), reasons
+        verdicts[ok] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 5, verdicts
+
+
+def test_verify_certificate_caps_the_whole_graph_search_by_the_star(monkeypatch):
+    g, cert = make_two_level_instance()
+    caps = []
+
+    def spy(h, cap):
+        if h is g:
+            caps.append(cap)
+        return quasi_chain_number(h, cap=cap)
+
+    monkeypatch.setattr(twinwidth, "quasi_chain_number", spy)
+    ok, _ = verify_certificate(g, cert)
+    # the stars span 5 and 4 vertices, with values 2 and 2; qch(g) = 6
+    assert ok and caps == [2]
+
+
 def test_tw_labels_leaf_only():
     b = bipartite_equivalence_graph([(2, 2), (1, 2)])
     sch = tw_labels(b, CertTree())
