@@ -8,6 +8,15 @@ encodings at once, without encoding the other vertices: it hashes the
 per-trial seeds and the pairs' ids as arrays.  `evaluate_error` draws each
 trial's pair and encoding seed the same way and decodes its trials in
 blocks.
+
+The labels of whole encodings have an array form too: `encode_bits(seeds)`
+is a (seeds, n, width) uint8 bit matrix, bit i of vertex v's label at
+[.., v, i], and `decode_bits` decodes every pair of each encoding from it.
+The Bloom, compressed and boosted sketches encode and decode natively in
+that form, all seeds (or boost copies) in one numpy pass; their `encode`
+and `decode_matrix` only convert at the one int <-> bits boundary,
+`to_bits` / `from_bits`.  Python-int labels remain what files and
+`DeterministicLabeling` hold.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .labels import (
     bits_for,
     register_walker,
 )
-from .rng import counter_hash, derive_seed
+from .rng import _MASK64, counter_hash, derive_seed
 from .structure import forest_partition
 
 # `counter_hash` tags: one per purpose, so the streams stay apart
@@ -48,8 +57,52 @@ def split_copies(bits: int, width: int, copies: int) -> list[int]:
     return [bits >> (i * width) & mask for i in range(copies)]
 
 
+def to_bits(labels: Sequence[int], width: int) -> np.ndarray:
+    """The (len(labels), width) uint8 bit matrix of int labels: bit i of
+    labels[v] at [v, i].  A negative label or one of more than `width` bits
+    raises ValueError."""
+    if any(label < 0 or label >> width for label in labels):
+        raise ValueError(f"a label is negative or has more than {width} bits")
+    size = (width + 7) // 8
+    raw = b"".join(label.to_bytes(size, "little") for label in labels)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(labels), size),
+                         axis=1, bitorder="little")
+    return bits[:, :width]
+
+
+def from_bits(bits: np.ndarray) -> list[int]:
+    """The int labels of a (n, width) bit matrix: `to_bits` inverted."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    raw, size = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * size:(i + 1) * size], "little") for i in range(len(packed))]
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """Seeds as uint64 words, each int masked to 64 bits as `counter_hash`
+    masks one seed."""
+    return np.fromiter((int(s) & _MASK64 for s in seeds), dtype=np.uint64, count=len(seeds))
+
+
+def _field_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """The `width` low bits of each value along the last axis, low bit
+    first, the fields of one row concatenated: uint8."""
+    bits = values[..., None] >> np.arange(width, dtype=values.dtype) & 1
+    return bits.astype(np.uint8).reshape(*values.shape[:-1], values.shape[-1] * width)
+
+
+def _read_fields(bits: np.ndarray, count: int, width: int) -> np.ndarray:
+    """The `count` consecutive `width`-bit fields along the last axis of
+    `bits`, low bit first, as int64: `_field_bits` inverted."""
+    fields = bits.reshape(*bits.shape[:-1], count, width)
+    return fields @ (np.int64(1) << np.arange(width, dtype=np.int64))
+
+
 class SketchScheme:
-    """Seeded randomized encoder + pure decoder with an error budget."""
+    """Seeded randomized encoder + pure decoder with an error budget.
+
+    `encode_bits` / `decode_bits` default to `encode` and the per-pair
+    `decode_matrix`, one seed at a time; `BitSketch`es are native in them.
+    """
 
     width: int
     delta: float
@@ -72,9 +125,22 @@ class SketchScheme:
                 out[u, v] = out[v, u] = self.decode(labels[u], labels[v])
         return out
 
-    def decode_stack(self, label_sets: list[list[int]]) -> np.ndarray:
-        """`decode_matrix` of several label sets, stacked."""
-        return np.stack([self.decode_matrix(labels) for labels in label_sets])
+    def encode_bits(self, seeds) -> np.ndarray:
+        """The (len(seeds), n, width) uint8 bits of `encode(seed)` for each
+        seed: bit i of vertex v's label under seeds[s] at [s, v, i]."""
+        out = np.zeros((len(seeds), self.n, self.width), dtype=np.uint8)
+        for i, seed in enumerate(np.asarray(seeds).tolist()):
+            out[i] = to_bits(self.encode(seed), self.width)
+        return out
+
+    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
+        """The (s, n, n) int8 `decode_matrix` of each of s label sets in bit
+        form, (s, n, width) as `encode_bits` gives them."""
+        s, n = bits.shape[:2]
+        out = np.zeros((s, n, n), dtype=np.int8)
+        for i in range(s):
+            out[i] = self.decode_matrix(from_bits(bits[i]))
+        return out
 
     def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         """The int8 bit decoded for the pair (us[t], vs[t]) under a fresh
@@ -86,7 +152,18 @@ class SketchScheme:
                         dtype=np.int8)
 
 
-class CompressedEqualityScheme(SketchScheme):
+class BitSketch(SketchScheme):
+    """A sketch native in the bit form: `encode` and `decode_matrix` are
+    `encode_bits` and `decode_bits` of one label set."""
+
+    def encode(self, seed: int) -> list[int]:
+        return from_bits(self.encode_bits([seed])[0])
+
+    def decode_matrix(self, labels: list[int]) -> np.ndarray:
+        return self.decode_bits(to_bits(labels, self.width)[None])[0]
+
+
+class CompressedEqualityScheme(BitSketch):
     """Equality scheme compressed by hashing codes into [3k^2] (one-sided).
 
     Sketch layout: [shape index][one hashed value per code slot], padded to
@@ -112,10 +189,16 @@ class CompressedEqualityScheme(SketchScheme):
     def _hash(self, seed: int, value: int) -> int:
         return int(self._hashed(seed, self.scheme.canon[value]))
 
-    def encode(self, seed: int) -> list[int]:
-        h = self._hashed(seed, np.arange(len(self.scheme.canon))).tolist()
-        return [self.codec.pack(shape, [h[c] for c in vals])
-                for shape, vals in zip(self.scheme.shapes, self.scheme.values)]
+    def encode_bits(self, seeds) -> np.ndarray:
+        # the code table hashed under every seed; padding writes zeros
+        codec, sb = self.codec, self.codec.shape_bits
+        sid, vals = self.scheme.table
+        hashed = self._hashed(_seed_words(seeds)[:, None, None], vals)
+        hashed[:, vals < 0] = 0
+        bits = np.empty((len(hashed), self.n, self.width), dtype=np.uint8)
+        bits[..., :sb] = _field_bits(sid[:, None], sb)
+        bits[..., sb:] = _field_bits(hashed, codec.value_width)
+        return bits
 
     def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         # a table of the trials' hashed rows: us first, then vs, both under
@@ -131,11 +214,14 @@ class CompressedEqualityScheme(SketchScheme):
     def decode(self, bx: int, by: int) -> int:
         return self._decoder.decode(bx, by)
 
-    def decode_matrix(self, labels: list[int]):
-        return self._decoder.decode_matrix(labels)
-
-    def decode_stack(self, label_sets: list[list[int]]):
-        return self._decoder.decode_stack(label_sets)
+    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
+        # the fields read back into code tables, -1 past each arity as
+        # `ShapeCodec.table` pads, and all tables decoded in one call
+        codec, sb = self.codec, self.codec.shape_bits
+        sid = _read_fields(bits[..., :sb], 1, sb)[..., 0]
+        vals = _read_fields(bits[..., sb:], codec.k, codec.value_width)
+        vals[np.arange(codec.k) >= np.array(codec.arities, dtype=np.int64)[sid][..., None]] = -1
+        return self._decoder.decode_rows(sid, vals)
 
 
 def compress_equality_scheme(scheme: EqualityScheme) -> CompressedEqualityScheme:
@@ -176,15 +262,29 @@ def exact_majority_copies(delta_target: float, base_delta: float = 1 / 3) -> int
         raise ValueError("delta target must be in (0, 1/2)")
     if delta_target >= base_delta:
         return 1
-    k = 1
-    while majority_failure(k, base_delta) > delta_target:
-        k += 2
-        if k > 100_000:
+
+    def met(m: int) -> bool:
+        return majority_failure(2 * m + 1, base_delta) <= delta_target
+
+    # the tail falls as the odd count 2m + 1 grows: double m until the target
+    # is met, then bisect between the last miss and the first hit
+    last = 49_999  # 99,999 copies
+    miss, hit = -1, 0
+    while not met(hit):
+        if hit == last:
             raise ValueError("unreachable boost target")
-    return k
+        miss, hit = hit, min(2 * hit + 1, last)
+    while hit - miss > 1:
+        mid = (miss + hit) // 2
+        miss, hit = (miss, mid) if met(mid) else (mid, hit)
+    return 2 * hit + 1
 
 
-class BoostedScheme(SketchScheme):
+#: (n, n) decode cells per block of boost copies; bounds decode_bits' temporaries
+COPY_BLOCK_CELLS = 1 << 16
+
+
+class BoostedScheme(BitSketch):
     def __init__(self, base: SketchScheme, delta_target: float, copies: int | None = None):
         self.base = base
         self.copies = boost_copies(delta_target, base.delta) if copies is None else copies
@@ -197,9 +297,13 @@ class BoostedScheme(SketchScheme):
         """The seed of each copy; for an array of seeds, one row per seed."""
         return counter_hash(seed, _TAG_COPY, np.arange(self.copies))
 
-    def encode(self, seed: int) -> list[int]:
-        parts = [self.base.encode(s) for s in self._copy_seeds(seed).tolist()]
-        return [join_copies(copies, self.base.width) for copies in zip(*parts)]
+    def encode_bits(self, seeds) -> np.ndarray:
+        # every copy of every seed goes to the base in one call; copy i of a
+        # label lands at bits [i*w, (i+1)*w), as `join_copies` puts it
+        copy_seeds = self._copy_seeds(_seed_words(seeds)[:, None])
+        s, c, n, w = len(copy_seeds), self.copies, self.n, self.base.width
+        bits = self.base.encode_bits(copy_seeds.ravel()).reshape(s, c, n, w)
+        return bits.transpose(0, 2, 1, 3).reshape(s, n, c * w)
 
     def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         # copies x trials go to the base in one call, trial-major
@@ -213,11 +317,19 @@ class BoostedScheme(SketchScheme):
         votes = sum(map(self.base.decode, split_copies(bx, w, c), split_copies(by, w, c)))
         return int(2 * votes > c)
 
-    def decode_matrix(self, labels: list[int]) -> np.ndarray:
-        # all copies go to the base decoder in one stacked call
-        split = [split_copies(l, self.base.width, self.copies) for l in labels]
-        votes = self.base.decode_stack([[s[i] for s in split] for i in range(self.copies)])
-        return (2 * votes.sum(axis=0, dtype=np.int32) > self.copies).astype(np.int8)
+    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
+        # the copies go to the base in blocks of about COPY_BLOCK_CELLS
+        # decoded cells, their votes summed as they come
+        s, n = bits.shape[:2]
+        c, w = self.copies, self.base.width
+        votes = np.zeros((s, n, n), dtype=np.int32)
+        step = max(1, COPY_BLOCK_CELLS // max(s * n * n, 1))
+        for lo in range(0, c, step):
+            m = min(step, c - lo)
+            part = bits[:, :, lo * w:(lo + m) * w].reshape(s, n, m, w).transpose(0, 2, 1, 3)
+            decoded = self.base.decode_bits(part.reshape(s * m, n, w))
+            votes += decoded.reshape(s, m, n, n).sum(axis=1, dtype=np.int32)
+        return (2 * votes > c).astype(np.int8)
 
 
 def boost(sch: SketchScheme, delta_target: float) -> SketchScheme:
@@ -261,7 +373,7 @@ def arboricity_scheme(g: Graph) -> EqualityScheme:
                           decoder_spec={"name": "arboricity"}, name="arboricity")
 
 
-class ArboricitySketch(SketchScheme):
+class ArboricitySketch(BitSketch):
     """Bloom-filter sketch for arboricity-alpha graphs.
 
     Layout [r(x)][bloom bits]: r(x) ~ [6 alpha]; bloom marks the hashes of
@@ -275,31 +387,32 @@ class ArboricitySketch(SketchScheme):
         self.n = g.n
         fp = forest_partition(g)
         self.alpha = max(fp.num_forests, 1)
-        self._parents = [
-            [f[v] for f in fp.parents if f[v] is not None] for v in range(g.n)
-        ]
         self.buckets = 6 * self.alpha
         self.r_bits = bits_for(self.buckets)
         self.width = self.r_bits + self.buckets
         self.delta = 1 / 3
-        # parents padded with -1 to alpha columns: the trial decoder's input
+        # parents padded with -1 to alpha columns: the encoder's and the
+        # trial decoder's input
         self._parent_ids = np.full((self.n, self.alpha), -1, dtype=np.int64)
-        for v, ps in enumerate(self._parents):
+        for v in range(self.n):
+            ps = [f[v] for f in fp.parents if f[v] is not None]
             self._parent_ids[v, :len(ps)] = ps
 
     def _bucket(self, seed, vs) -> np.ndarray:
         """r(v) in [buckets] of each vertex id in `vs` under `seed`."""
         return counter_hash(seed, _TAG_BUCKET, vs) % np.uint64(self.buckets)
 
-    def _label(self, r_v: int, r_parents: Sequence[int]) -> int:
-        bloom = 0
-        for r in r_parents:
-            bloom |= 1 << r
-        return r_v | bloom << self.r_bits
-
-    def encode(self, seed: int) -> list[int]:
-        r = self._bucket(seed, np.arange(self.n)).tolist()
-        return [self._label(r[v], [r[p] for p in ps]) for v, ps in enumerate(self._parents)]
+    def encode_bits(self, seeds) -> np.ndarray:
+        # all buckets under all seeds at once, then each parent's bucket
+        # marked in its child's Bloom bits
+        r = self._bucket(_seed_words(seeds)[:, None], np.arange(self.n)).astype(np.intp)
+        bits = np.zeros((len(r), self.n, self.width), dtype=np.uint8)
+        bits[..., :self.r_bits] = _field_bits(r[..., None], self.r_bits)
+        v, j = np.nonzero(self._parent_ids >= 0)
+        cols = r[:, self._parent_ids[v, j]]
+        cols += self.r_bits
+        bits[np.arange(len(r))[:, None], v, cols] = 1
+        return bits
 
     def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         # columns: u, v, then u's parents and v's parents (-1 padding)
@@ -317,16 +430,17 @@ class ArboricitySketch(SketchScheme):
         bloom_y = by >> self.r_bits
         return int(bool(bloom_x >> ry & 1 or bloom_y >> rx & 1))
 
-    def decode_matrix(self, labels: list[int]):
-        # one row of 0/1 bucket bits per label, so any alpha fits; the rows
-        # are 2**r_bits >= buckets wide, so every r indexes a column
-        r = np.array([l & ((1 << self.r_bits) - 1) for l in labels], dtype=np.intp)
-        size = ((1 << self.r_bits) + 7) // 8
-        raw = b"".join((l >> self.r_bits).to_bytes(size, "little") for l in labels)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(labels), size),
-                             axis=1, bitorder="little")
-        hit = bits[:, r]
-        return (hit | hit.T).astype(np.int8)
+    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
+        # hit[s, u, v] is u's Bloom bit at v's bucket; a bucket field >=
+        # buckets reads the zero column past the filter, as `decode` reads 0
+        s, n = bits.shape[:2]
+        b = self.buckets
+        r = np.minimum(_read_fields(bits[..., :self.r_bits], 1, self.r_bits)[..., 0], b)
+        bloom = np.zeros((s, n, b + 1), dtype=np.uint8)
+        bloom[..., :b] = bits[..., self.r_bits:]
+        rows = np.arange(s * n, dtype=np.intp).reshape(s, n, 1) * (b + 1)
+        hit = bloom.ravel()[rows + r[:, None, :]]
+        return (hit | hit.transpose(0, 2, 1)).view(np.int8)
 
 
 def arboricity_sketch(g: Graph) -> ArboricitySketch:

@@ -495,19 +495,19 @@ def test_tree_serialization():
 
 
 def test_p7_labels_exercises_p_nodes():
-    # a synthetic chain-decomposition instance is connected and co-connected,
-    # so the builder must go through a P-node backed by the search
-    g, _ = build_chain_decomposition_graph(2, sizes=2, seed=9)
-    if g.is_connected() and bipartite_complement(g).is_connected():
-        tree = build_p7_tree(g, c=4)
-        kinds = set()
+    # a synthetic chain-decomposition instance that is connected and
+    # co-connected, so the builder must go through a P-node backed by the search
+    g, _ = build_chain_decomposition_graph(3, 1, seed=0)
+    assert g.is_connected() and bipartite_complement(g).is_connected()
+    tree = build_p7_tree(g, c=4)
+    kinds = set()
 
-        def collect(node):
-            kinds.add(node.kind)
-            for ch in node.children:
-                collect(ch)
+    def collect(node):
+        kinds.add(node.kind)
+        for ch in node.children:
+            collect(ch)
 
-        collect(tree)
-        assert "P" in kinds
-        sch = p7_labels(g, c=4)
-        check_bip_scheme(sch, g)
+    collect(tree)
+    assert "P" in kinds
+    sch = p7_labels(g, c=4)
+    check_bip_scheme(sch, g)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pugkit.cli import main
+from pugkit.cli import main, parse_sketch_file, write_sketch_file
 from pugkit.generators import biclique, path, random_forest, random_kdegenerate
 from pugkit.graphs import BITSET_THRESHOLD, ColoredBipartiteGraph, Graph, write_graph
 from pugkit.labels import (
@@ -32,6 +32,8 @@ from pugkit.sketch import (
     boost,
     compress_equality_scheme,
     evaluate_error,
+    from_bits,
+    to_bits,
 )
 from pugkit.structure import quasi_chain_number
 from pugkit.twinwidth import Star, TwCertificate, parse_certificate, write_certificate
@@ -139,6 +141,66 @@ def test_one_sided_under_any_seed(seed):
     rep = evaluate_error(_COMP, _G, trials=30, seed=seed)
     assert rep == evaluate_error(_COMP, _G, trials=30, seed=seed & ((1 << 64) - 1))
     assert rep.adjacent.errors == 0
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(seeds=st.lists(st.integers(-(1 << 70), 1 << 70), max_size=3),
+       which=st.sampled_from(sorted(_ONE_SIDED)))
+def test_bit_form_decodes_as_the_labels_and_every_pair(seeds, which):
+    sk = _ONE_SIDED[which]
+    bits = sk.encode_bits(seeds)
+    mats = sk.decode_bits(bits)
+    assert bits.shape == (len(seeds), sk.n, sk.width) and mats.shape == (len(seeds), sk.n, sk.n)
+    for seed, b, mat in zip(seeds, bits, mats):
+        labels = sk.encode(seed)
+        assert from_bits(b) == labels
+        assert (mat == sk.decode_matrix(labels)).all()
+        for u, v in itertools.permutations(range(sk.n), 2):
+            assert mat[u, v] == sk.decode(labels[u], labels[v])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.data(), width=st.integers(0, 300))
+def test_bits_round_trip(data, width):
+    labels = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=6))
+    bits = to_bits(labels, width)
+    assert bits.shape == (len(labels), width)
+    assert [[label >> i & 1 for i in range(width)] for label in labels] == bits.tolist()
+    assert from_bits(bits) == labels
+    for bad in (-1, 1 << width):
+        with pytest.raises(ValueError):
+            to_bits(labels + [bad], width)
+
+
+_BLOOM = {"bloom": _ONE_SIDED["bloom"], "boosted-bloom": _ONE_SIDED["boosted-bloom"]}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.data(), which=st.sampled_from(sorted(_BLOOM)))
+def test_bloom_bucket_fields_past_the_filter_decode_as_per_pair(data, which):
+    # any copy's bucket field may name a bucket past the filter; bulk and
+    # per-pair decoding both read it as no Bloom bit, on every pair
+    sk = _BLOOM[which]
+    base = getattr(sk, "base", sk)
+    assert base.buckets < 1 << base.r_bits
+    field = st.integers(base.buckets, (1 << base.r_bits) - 1) | st.integers(0, base.buckets - 1)
+    copy = st.builds(lambda r, bloom: r | bloom << base.r_bits,
+                     field, st.integers(0, (1 << base.buckets) - 1))
+    label = st.lists(copy, min_size=sk.width // base.width,
+                     max_size=sk.width // base.width).map(
+        lambda parts: sum(p << i * base.width for i, p in enumerate(parts)))
+    labels = data.draw(st.lists(label, min_size=1, max_size=6))
+    mat = sk.decode_matrix(labels)
+    for u, v in itertools.product(range(len(labels)), repeat=2):
+        assert mat[u, v] == sk.decode(labels[u], labels[v])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.data(), width=st.integers(1, 2048),
+       name=st.text("abxy019-_.", min_size=1, max_size=8))
+def test_sketch_file_round_trip(data, width, name):
+    labels = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=5))
+    assert parse_sketch_file(write_sketch_file(labels, width, name)) == (labels, width)
 
 
 # a realization or certificate line: an id field drawn from small ids, a

@@ -154,13 +154,12 @@ def test_derandomize_zero_error_scheme_first_try():
     g = path(10)
     det = naive_derandomize(arboricity_scheme(g))
 
-    class Wrap(ArboricitySketch):
-        # a deterministic "sketch": encode ignores the seed
-        def __init__(self, g, det):
-            super().__init__(g)
+    class Wrap(SketchScheme):
+        # a deterministic "sketch": encode ignores the seed; bits go
+        # through the base-class defaults
+        def __init__(self, det):
+            self.n, self.width, self.delta = g.n, det.width, 0.0
             self._det = det
-            self.width = det.width
-            self.delta = 0.0
 
         def encode(self, seed):
             return list(self._det.labels)
@@ -168,26 +167,25 @@ def test_derandomize_zero_error_scheme_first_try():
         def decode(self, bx, by):
             return self._det.decode(bx, by)
 
-        decode_matrix = SketchScheme.decode_matrix
-        decode_trials = SketchScheme.decode_trials
-
-    w = Wrap(g, det)
-    out = derandomize(w, g, seed=1)
+    out = derandomize(Wrap(det), g, seed=1)
     assert out.attempts == 1
 
 
 def test_derandomize_raises_on_broken_scheme():
     g = complete(6)
 
-    class Broken(ArboricitySketch):
+    class Broken(SketchScheme):
+        def __init__(self):
+            self.n, self.width, self.delta = g.n, 1, 1 / 3
+
+        def encode(self, seed):
+            return [0] * self.n
+
         def decode(self, bx, by):
             return 0  # always wrong on edges
 
-        decode_matrix = SketchScheme.decode_matrix
-        decode_trials = SketchScheme.decode_trials
-
     with pytest.raises(DerandomizationError):
-        derandomize(Broken(g), g, seed=0, max_retries=3)
+        derandomize(Broken(), g, seed=0, max_retries=3)
 
 
 def test_naive_derandomize_widths():
@@ -284,6 +282,18 @@ def test_majority_failure_exact():
     k = exact_majority_copies(1e-3, 1 / 3)
     assert majority_failure(k, 1 / 3) <= 1e-3
     assert k % 2 == 1 and majority_failure(k - 2, 1 / 3) > 1e-3
+
+
+def test_exact_majority_copies_matches_the_linear_scan():
+    # the reference scans the odd counts in order for the first whose
+    # majority tail meets the target
+    grid = [(1 / n**3, p) for n in range(2, 1500) for p in (1 / 3, 0.3, 0.25, 0.1)]
+    grid += [(d / 1000, 1 / 3) for d in range(1, 500)]
+    tails = {p: [(k, majority_failure(k, p)) for k in range(1, 401, 2)]
+             for p in {p for _, p in grid}}
+    for target, p in grid:
+        want = 1 if target >= p else next(k for k, tail in tails[p] if tail <= target)
+        assert exact_majority_copies(target, p) == want, (target, p)
 
 
 def test_pug_phi_preserves_pairs():
