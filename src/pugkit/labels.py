@@ -284,8 +284,11 @@ class CompiledDecoder:
     pair, asking only the equality tests the walker needs.  `decode_pairs`
     is the bulk core and the only code that knows Q's layout: over pairs of
     rows of a padded code table (`ShapeCodec.table`) it keys each pair by
-    its shape-id pair and packed Q bits, and runs the walker once per
-    distinct key; later pairs with that key read the memo.  `decode_rows`
+    its shape-id pair and Q bits, and runs the walker once per distinct
+    key; later pairs with that key read the memo.  The key is one 64-bit
+    word when the shape pair and the k*k bits of Q fit in one, and a byte
+    string otherwise; the codec fixes which, so one memo holds one kind.
+    `decode_rows`
     (all pairs of whole tables), `decode_stack` (of packed labels) and the
     compressed sketches' trial decoder all go through it.  The memo belongs
     to this object and so dies with the scheme that owns it.
@@ -297,7 +300,7 @@ class CompiledDecoder:
     def __init__(self, codec: ShapeCodec, walker: Walker):
         self.codec = codec
         self.walker = walker
-        self.memo: dict[bytes, int] = {}
+        self.memo: dict[int | bytes, int] = {}
 
     def decode_pair(self, shape_x: ShapeNode, vals_x: Sequence[int],
                     shape_y: ShapeNode, vals_y: Sequence[int]) -> int:
@@ -344,20 +347,34 @@ class CompiledDecoder:
         Row r of the table has shape id sid[r] and the k code values
         vals[r], >= 0 on the shape's slots and -1 after them.  No code value
         is -1, so the cells of Q outside a pair's arities depend only on its
-        shape pair, and the key stays exact.  Pairs are decoded in blocks of
-        about `BLOCK_CELLS` Q cells, each gathering its own rows.  A walker
-        run reads its pair's code values as Python ints.
+        shape pair, and the key stays exact.  When k*k bits plus the bits of
+        a shape-pair id fit in 64, the key is one uint64: the shape pair
+        above bit (i*k + j) for each cell (i, j) of Q, built cell by cell
+        with no (pairs, k, k) temporary.  Otherwise it is the shape pair's
+        8 bytes followed by Q's packed bits.  Either way the walker runs
+        once per distinct key.  Pairs are decoded in blocks of about
+        `BLOCK_CELLS` Q cells, each gathering its own rows.  A walker run
+        reads its pair's code values as Python ints.
         """
         k, shapes, arities, memo = self.codec.k, self.codec.shapes, self.codec.arities, self.memo
+        word = k * k + bits_for(len(shapes) ** 2) <= 64
         narrow = vals.astype(narrow_values(int(vals.max(initial=0))))
         out = np.empty(len(x), dtype=np.int8)
         step = max(1, self.BLOCK_CELLS // max(k * k, 1))
         for lo in range(0, len(x), step):
             bx, by = x[lo:lo + step], y[lo:lo + step]
-            q = (narrow[bx][:, :, None] == narrow[by][:, None, :]).reshape(len(bx), k * k)
-            pair = (sid[bx] * len(shapes) + sid[by]).reshape(-1, 1)
-            keys = np.concatenate([pair.view(np.uint8), np.packbits(q, axis=1)], axis=1)
-            keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))
+            pair = sid[bx] * len(shapes) + sid[by]
+            if word:
+                nx, ny = narrow[bx], narrow[by]
+                keys = pair.astype(np.uint64) << np.uint64(k * k)
+                for i in range(k):
+                    for j in range(k):
+                        keys |= (nx[:, i] == ny[:, j]).astype(np.uint64) << np.uint64(i * k + j)
+            else:
+                q = (narrow[bx][:, :, None] == narrow[by][:, None, :]).reshape(len(bx), k * k)
+                keys = np.concatenate([pair.reshape(-1, 1).view(np.uint8),
+                                       np.packbits(q, axis=1)], axis=1)
+                keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))
             uniq, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
             keys = uniq.tolist()
             res = [memo.get(key) for key in keys]

@@ -244,15 +244,28 @@ def boost_copies(delta_target: float, base_delta: float = 1 / 3) -> int:
 
 
 def majority_failure(copies: int, p: float) -> float:
-    """P[Binomial(copies, p) >= copies/2]: majority-vote failure rate."""
-    need = (copies + 1) // 2 if copies % 2 else copies // 2
-    total = 0.0
-    term = (1 - p) ** copies
-    # iterate binomial pmf upward
-    for i in range(copies + 1):
-        if i >= need:
-            total += term
-        term *= (copies - i) / (i + 1) * (p / (1 - p))
+    """P[Binomial(copies, p) >= copies/2]: majority-vote failure rate.
+
+    The sum starts at the tail's largest term, computed in log space, and
+    runs outward from it by the pmf ratio, so no term underflows before
+    the ones that carry the tail (`(1 - p) ** copies` is 0.0 at a few
+    thousand copies).
+    """
+    need = (copies + 1) // 2
+    if p <= 0 or p >= 1:
+        return float(p >= 1 or need == 0)
+    top = min(max(need, math.floor((copies + 1) * p)), copies)
+    peak = math.exp(math.lgamma(copies + 1) - math.lgamma(top + 1) - math.lgamma(copies - top + 1)
+                    + top * math.log(p) + (copies - top) * math.log1p(-p))
+    total, odds = peak, p / (1 - p)
+    term = peak
+    for i in range(top, copies):  # upward: term(i + 1) from term(i)
+        term *= (copies - i) / (i + 1) * odds
+        total += term
+    term = peak
+    for i in range(top, need, -1):  # downward: term(i - 1) from term(i)
+        term *= i / (copies - i + 1) / odds
+        total += term
     return min(total, 1.0)
 
 
@@ -262,6 +275,9 @@ def exact_majority_copies(delta_target: float, base_delta: float = 1 / 3) -> int
         raise ValueError("delta target must be in (0, 1/2)")
     if delta_target >= base_delta:
         return 1
+    if base_delta >= 1 / 2:
+        # a majority of copies errs at least half the time at any count
+        raise ValueError("unreachable boost target")
 
     def met(m: int) -> bool:
         return majority_failure(2 * m + 1, base_delta) <= delta_target

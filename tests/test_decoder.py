@@ -193,6 +193,42 @@ def test_walker_runs_once_per_key_and_memo_is_per_scheme():
     _assert_bulk_matches(det.decode, mat, list(det.labels))
 
 
+@pytest.mark.parametrize("shapes, layout", [(1, int), (2, bytes)])
+def test_memo_key_is_one_word_exactly_when_it_fits(shapes, layout):
+    # k = 8 and one shape take exactly 64 key bits, all of them Q; a second
+    # shape adds two bits of shape pair, and the key becomes bytes.  x
+    # against z has an empty Q, and x against y[i, j] only cell (i, j), so
+    # a key that misses any cell merges two of these pairs.
+    x, z = tuple(range(8)), tuple(range(100, 108))
+    y = [tuple(i if s == j else 200 + 8 * (8 * i + j) + s for s in range(8))
+         for i in range(8) for j in range(8)]
+    labels = [LabelNode(tag=tag, codes=c) for tag in [(), (1,)][:shapes] for c in [x, z, *y]]
+    calls = []
+
+    def walker(sx, sy, eq):
+        calls.append(1)
+        return (sum(eq(i, j) * (8 * i + j + 1) for i in range(8) for j in range(8))
+                + len(sx.tag) + 2 * len(sy.tag)) % 120
+
+    codec = ShapeCodec([shape_of(l) for l in labels])
+    sid, vals = codec.table(codec.ids, [flat_codes(l) for l in labels])
+    dec = CompiledDecoder(codec, walker)
+    mat = dec.decode_rows(sid[None], vals[None])[0]
+    assert (codec.k, len(codec.shapes)) == (8, shapes)
+    assert {type(key) for key in dec.memo} == {layout}
+    keys = set()
+    for u in range(len(labels)):
+        for v in range(u + 1, len(labels)):
+            a, b = flat_codes(labels[u]), flat_codes(labels[v])
+            keys.add((sid[u], sid[v], tuple(x == y for x in a for y in b)))
+    # one walker run per distinct (shape pair, Q); then the per-pair walker
+    assert len(calls) == len(keys)
+    for u in range(len(labels)):
+        for v in range(u + 1, len(labels)):
+            assert mat[u, v] == dec.decode_pair(codec.shapes[sid[u]], flat_codes(labels[u]),
+                                                codec.shapes[sid[v]], flat_codes(labels[v]))
+
+
 def _raising_scheme():
     def walker(sx, sy, eq):
         if eq(0, 0):

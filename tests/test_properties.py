@@ -288,7 +288,10 @@ LABELS = st.one_of(
              | st.builds(lambda *c: LabelNode(codes=c), EDGE_VALUES, EDGE_VALUES)
              | st.builds(lambda a, b, c: LabelNode(tag=(1,), codes=(a,),
                                                   children=(LabelNode(codes=(b, c)),)),
-                         EDGE_VALUES, EDGE_VALUES, EDGE_VALUES), max_size=7))
+                         EDGE_VALUES, EDGE_VALUES, EDGE_VALUES)
+             # k = 8 fills the 64-bit memo key with Q alone; with a second
+             # shape the decoder keys by bytes
+             | st.builds(lambda *c: LabelNode(codes=c), *[EDGE_VALUES] * 8), max_size=7))
 
 
 def _q_walker(sx, sy, eq):

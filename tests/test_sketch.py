@@ -284,6 +284,27 @@ def test_majority_failure_exact():
     assert k % 2 == 1 and majority_failure(k - 2, 1 / 3) > 1e-3
 
 
+def test_majority_failure_does_not_underflow():
+    from fractions import Fraction
+    from math import comb
+
+    def tail(copies, p):
+        return sum(comb(copies, i) * p**i * (1 - p)**(copies - i)
+                   for i in range((copies + 1) // 2, copies + 1))
+
+    p = Fraction(1, 3)
+    for copies in (1, 2, 9, 100, 101, 1_000, 1_001, 1_840, 2_001):
+        want = tail(copies, p)
+        assert abs(majority_failure(copies, float(p)) - want) <= 1e-9 * want, copies
+    assert majority_failure(2_001, 1 / 3) > 0
+
+
+def test_exact_majority_copies_rejects_a_base_error_of_a_half_or_more():
+    for base in (0.5, 0.6, 0.9):
+        with pytest.raises(ValueError, match="unreachable boost target"):
+            exact_majority_copies(0.1, base)
+
+
 def test_exact_majority_copies_matches_the_linear_scan():
     # the reference scans the odd counts in order for the first whose
     # majority tail meets the target
