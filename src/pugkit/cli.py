@@ -451,17 +451,21 @@ def cmd_product_dist(args) -> int:
         raise CliError(EXIT_CONTRACT, "product sketches need a graph input")
     base = products.FiniteFamilyDistanceSketch([g], k=args.k)
     sk = products.ProductDistanceSketch([g] * args.d, base, k=args.k)
-    labels = sk.encode(args.seed)
     print(f"product d={args.d} k={args.k} m={sk.m} t={sk.t} width={sk.width}")
+    queries, ids = [], []
     for pair in args.query or []:
         try:
             us, vs = pair.split(":")
             u = tuple(int(t) for t in us.split(","))
             v = tuple(int(t) for t in vs.split(","))
-            ui, vi = sk.index[u], sk.index[v]
+            ids += [sk.index[u], sk.index[v]]
         except (ValueError, KeyError) as e:
             raise CliError(EXIT_FORMAT, f"bad product vertex address {pair!r}: {e}")
-        out = sk.decode(labels[ui], labels[vi])
+        queries.append((us, vs))
+    # only the queried vertices' labels are encoded
+    rows = sk.grid_bits([args.seed], ids)[0]
+    outs = sk.decode_pairs(rows, range(0, len(ids), 2), range(1, len(ids), 2))
+    for (us, vs), out in zip(queries, outs.tolist()):
         print(f"{us} {vs} {'bot' if out == products.BOTTOM else out}")
     return EXIT_OK
 

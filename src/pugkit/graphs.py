@@ -324,13 +324,10 @@ def bip_transform(g: Graph) -> ColoredBipartiteGraph:
     return ColoredBipartiteGraph(g.n, g.n, edges)
 
 
-def product_graph(gs: Sequence[Graph],
-                  adjacent: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]],
-                  cap: int = VERTEX_CAP) -> tuple[Graph, list[tuple[int, ...]]]:
-    """A product of `gs`: (product graph, vertex-id -> coordinate tuple),
-    with the tuples in `itertools.product` order.  `adjacent(t)` yields
-    every tuple adjacent to t.  The vertex count is checked against `cap`
-    before anything is allocated."""
+def product_size(gs: Sequence[Graph], cap: int = VERTEX_CAP) -> int:
+    """The vertex count of a product of `gs`.  ValueError on an empty
+    factor list, an empty factor or a count above `cap`; the running count
+    stops at the first factor that takes it past the cap."""
     if not gs:
         raise ValueError("empty factor list")
     total = 1
@@ -340,6 +337,17 @@ def product_graph(gs: Sequence[Graph],
         total *= g.n
         if total > cap:
             raise ValueError(f"product vertex count exceeds cap {cap}")
+    return total
+
+
+def product_graph(gs: Sequence[Graph],
+                  adjacent: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]],
+                  cap: int = VERTEX_CAP) -> tuple[Graph, list[tuple[int, ...]]]:
+    """A product of `gs`: (product graph, vertex-id -> coordinate tuple),
+    with the tuples in `itertools.product` order.  `adjacent(t)` yields
+    every tuple adjacent to t.  The vertex count is checked against `cap`
+    before anything is allocated."""
+    total = product_size(gs, cap)
     coords = [tuple(t) for t in itertools.product(*[range(g.n) for g in gs])]
     index = {t: i for i, t in enumerate(coords)}
     edges = [(i, j) for i, t in enumerate(coords) for s in adjacent(t) if (j := index[s]) > i]

@@ -1,6 +1,11 @@
 """Distance-k sketches: table-based base schemes for finite families and
 the XOR-bucket composition for Cartesian products.
 
+Labels are bit rows, as in `sketch`: a product label is m*t cells, each a
+parity bit followed by a base label.  Buckets, slots and factor seeds are
+`counter_hash` draws, so `grid_bits` builds only the rows asked for, under
+any array of seeds, and `decode_raw_pairs` decodes any stack of pairs.
+
 Distance decoders return a value in {0..k} or BOTTOM; the raw product
 decoder surfaces whatever sum it computes, and the contract-level decode
 maps anything outside {0..k} to BOTTOM.
@@ -14,18 +19,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, product_size
 from .labels import bits_for
-from .rng import derive_seed
-from .sketch import SketchScheme, exact_majority_copies, join_copies, majority_failure, split_copies
+from .rng import counter_hash, derive_seed
+from .sketch import (_TAG_FACTOR, _TAG_GRID_ROW, _TAG_GRID_SLOT, SketchScheme, _read_fields,
+                     _seed_words, boost_bits, exact_majority_copies, majority_failure, to_bits)
 
 #: Distinguished "distance exceeds k" sentinel (outside {0..k}).
 BOTTOM = -1
 
+#: pairs decoded together; bounds decode_raw_pairs' temporaries
+PAIR_BLOCK = 1024
+
 
 class FiniteFamilyDistanceSketch:
     """Zero-error distance-k labels for a finite family: the label is the
-    pair (graph id, vertex id); the decoder holds precomputed BFS tables."""
+    field pair (graph id, vertex id); the decoder gathers from one distance
+    table, padded with a BOTTOM row and column onto which every id past the
+    family, or past its graph's vertices, is clipped."""
 
     def __init__(self, family: Sequence[Graph], k: int):
         if k < 1:
@@ -33,33 +44,45 @@ class FiniteFamilyDistanceSketch:
         self.family = list(family)
         self.k = k
         self.delta = 0.0
-        self.gid_bits = bits_for(len(self.family))
-        self.vid_bits = bits_for(max(g.n for g in self.family))
+        size = max(g.n for g in self.family)
+        self.gid_bits, self.vid_bits = bits_for(len(self.family)), bits_for(size)
         self.width = self.gid_bits + self.vid_bits
-        if self.width > 62:
-            raise ValueError("vertex/graph id overflow of the width budget")
-        self._dist = []
-        for g in self.family:
-            self._dist.append([g.bfs_distances(s) for s in range(g.n)])
+        self._dist = np.full((len(self.family) + 1, size + 1, size + 1), BOTTOM, dtype=np.int32)
+        for gid, g in enumerate(self.family):
+            d = np.array([g.bfs_distances(s) for s in range(g.n)], dtype=np.int64).reshape(g.n, g.n)
+            self._dist[gid, :g.n, :g.n] = np.where(d <= k, d, BOTTOM)
 
-    def encode_factor(self, graph_index: int, seed: int) -> list[int]:
-        g = self.family[graph_index]
-        return [graph_index | v << self.gid_bits for v in range(g.n)]
+    def encode_factor_bits(self, gid: int, seeds) -> np.ndarray:
+        """The (len(seeds), n, width) bits of the labels of family[gid]'s
+        vertices: the same under every seed."""
+        n = self.family[gid].n
+        labels = to_bits([gid | v << self.gid_bits for v in range(n)], self.width)
+        return np.broadcast_to(labels, (len(seeds), n, self.width))
 
-    def decode(self, bx: int, by: int) -> int:
-        gx = bx & ((1 << self.gid_bits) - 1)
-        gy = by & ((1 << self.gid_bits) - 1)
-        if gx != gy:
-            return BOTTOM
-        u = bx >> self.gid_bits
-        v = by >> self.gid_bits
-        d = self._dist[gx][u][v]
-        return d if 0 <= d <= self.k else BOTTOM
+    def decode_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The distance in {0..k}, else BOTTOM, of each pair of labels
+        x[..], y[..], given as (..., width) bits."""
+        g, top, size = self.gid_bits, len(self.family), self._dist.shape[1] - 1
+        gx, gy = (np.minimum(_read_fields(b[..., :g], 1, g)[..., 0], top) for b in (x, y))
+        u, v = (np.minimum(_read_fields(b[..., g:], 1, self.vid_bits)[..., 0], size)
+                for b in (x, y))
+        return np.where(gx == gy, self._dist[gx, u, v], BOTTOM)
+
+
+def majority_vote(votes: np.ndarray) -> np.ndarray:
+    """The value that more than half the votes along the last axis hold,
+    else BOTTOM.  Such a value fills the middle of the sorted votes."""
+    c = votes.shape[-1]
+    middle = np.sort(votes, axis=-1)[..., c // 2]
+    agree = (votes == middle[..., None]).sum(axis=-1)
+    return np.where(2 * agree > c, middle, BOTTOM)
 
 
 class BoostedDistanceSketch:
-    """Plurality vote over independent copies of a distance sketch; the copy
-    count is sized by, and `delta` reports, the exact majority tail."""
+    """Majority vote over independent copies of a distance sketch: a strict
+    majority of the copies' outputs, else BOTTOM.  The copy count is sized
+    by, and `delta` reports, the exact majority tail; the copies are laid
+    out and seeded as `sketch.boost_bits` lays out and seeds them."""
 
     def __init__(self, base, delta_target: float):
         self.base = base
@@ -68,22 +91,12 @@ class BoostedDistanceSketch:
         self.width = self.copies * base.width
         self.delta = majority_failure(self.copies, base.delta) if self.copies > 1 else base.delta
 
-    def encode_factor(self, graph_index: int, seed: int) -> list[int]:
-        parts = [
-            self.base.encode_factor(graph_index, derive_seed(seed, "dcopy", i))
-            for i in range(self.copies)
-        ]
-        return [join_copies(copies, self.base.width) for copies in zip(*parts)]
+    def encode_factor_bits(self, gid: int, seeds) -> np.ndarray:
+        return boost_bits(lambda s: self.base.encode_factor_bits(gid, s), seeds, self.copies)
 
-    def decode(self, bx: int, by: int) -> int:
-        w, c = self.base.width, self.copies
-        votes: dict[int, int] = {}
-        for out in map(self.base.decode, split_copies(bx, w, c), split_copies(by, w, c)):
-            votes[out] = votes.get(out, 0) + 1
-        best = max(votes.items(), key=lambda kv: (kv[1], kv[0] == BOTTOM))
-        if 2 * best[1] <= self.copies and len(votes) > 1:
-            return BOTTOM  # no majority
-        return best[0]
+    def decode_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        shape = (*x.shape[:-1], self.copies, self.base.width)
+        return majority_vote(self.base.decode_values(x.reshape(shape), y.reshape(shape)))
 
 
 def default_product_params(k: int) -> tuple[int, int]:
@@ -98,9 +111,11 @@ class ProductDistanceSketch:
 
     Per encoding: each factor draws a bucket b(i) ~ [m] and per-vertex
     slots c(i,v) ~ [t]; a product vertex XOR-accumulates its factor labels
-    into grid cells (value and a parity bit).  The decoder XORs two grids,
-    insists every bucket row holds 0 or 2 odd-parity cells and at most 2k
-    overall, then sums the base decoder's outputs over the paired cells.
+    into grid cells (a parity bit and a base label).  The decoder XORs two
+    grids, insists every bucket row holds 0 or 2 odd-parity cells and at
+    most 2k overall, then sums the base decoder's outputs over the paired
+    cells.  `base` is a `FiniteFamilyDistanceSketch` whose family holds
+    every factor; it is boosted here if its error exceeds 1/(10k).
     """
 
     def __init__(self, factors: Sequence[Graph], base, k: int,
@@ -112,85 +127,88 @@ class ProductDistanceSketch:
             raise ValueError("product parameters violate m>=9k^2, t>=9k, mt>=27(k+1)^2")
         self.k = k
         self.factors = list(factors)
+        self.n = product_size(self.factors)
         self.base = BoostedDistanceSketch(base, 1 / (10 * k)) if base.delta > 1 / (10 * k) \
             else base
         self.coords = [tuple(c) for c in
                        itertools.product(*[range(g.n) for g in self.factors])]
         self.index = {c: i for i, c in enumerate(self.coords)}
-        self.n = len(self.coords)
         self.delta = 1 / 3
-        inner = self.base.base if isinstance(self.base, BoostedDistanceSketch) else self.base
-        family = getattr(inner, "family", None)
-        if family is not None:
-            self.default_gids = [family.index(g) for g in self.factors]
-        else:
-            self.default_gids = list(range(len(self.factors)))
+        family = getattr(self.base, "base", self.base).family
+        self.gids = [family.index(g) for g in self.factors]
 
     @property
     def width(self) -> int:
-        """Bits per product label: m*t cells, each a base value and a parity bit."""
+        """Bits per product label: m*t cells, each a parity bit and a base label."""
         return self.m * self.t * (self.base.width + 1)
 
-    def _draws(self, seed: int, factor_graph_ids: Sequence[int]):
-        d = len(self.factors)
-        b = [derive_seed(seed, "bucket", i) % self.m for i in range(d)]
-        c = [
-            [derive_seed(seed, "slot", i, v) % self.t for v in range(g.n)]
-            for i, g in enumerate(self.factors)
-        ]
-        ell = [
-            self.base.encode_factor(factor_graph_ids[i], derive_seed(seed, "ell", i))
-            for i in range(d)
-        ]
-        return b, c, ell
+    def grid_bits(self, seeds, ids) -> np.ndarray:
+        """The (len(seeds), r, width) uint8 labels of the product vertices
+        `ids` under each seed: the r ids are shared by all seeds, or an
+        (len(seeds), r) array holds each seed's own."""
+        seeds = _seed_words(seeds)
+        s, t, axis = len(seeds), self.t, np.arange(len(self.factors))
+        ids = np.broadcast_to(np.asarray(ids, dtype=np.int64), (s, np.shape(ids)[-1]))
+        coords = np.stack(np.unravel_index(ids, [g.n for g in self.factors]), axis=-1)
+        buckets = counter_hash(seeds[:, None], _TAG_GRID_ROW, axis) % np.uint64(self.m)
+        slots = counter_hash(seeds[:, None, None], _TAG_GRID_SLOT, axis, coords) % np.uint64(t)
+        cells = (buckets[:, None, :] * np.uint64(t) + slots).astype(np.intp)
+        factor_seeds = counter_hash(seeds[:, None], _TAG_FACTOR, axis)
+        grid = np.zeros((s, ids.shape[1], self.m * t, self.base.width + 1), dtype=np.uint8)
+        si, ri = np.ogrid[:s, :ids.shape[1]]
+        for i, gid in enumerate(self.gids):
+            labels = self.base.encode_factor_bits(gid, factor_seeds[:, i])[si, coords[..., i]]
+            grid[si, ri, cells[..., i], 0] ^= 1
+            grid[si, ri, cells[..., i], 1:] ^= labels
+        return grid.reshape(s, ids.shape[1], self.width)
 
-    def encode(self, seed: int, factor_graph_ids: Sequence[int] | None = None) -> np.ndarray:
-        """Grid labels for every product vertex: array (n, m*t) of cell
-        words (value << 1 | parity)."""
-        gids = list(factor_graph_ids) if factor_graph_ids is not None \
-            else self.default_gids
-        b, c, ell = self._draws(seed, gids)
-        labels = np.zeros((self.n, self.m * self.t), dtype=np.int64)
-        for i in range(len(self.factors)):
-            cell_of = [b[i] * self.t + c[i][v] for v in range(self.factors[i].n)]
-            word_of = [ell[i][v] << 1 | 1 for v in range(self.factors[i].n)]
-            col = np.array([cell_of[x[i]] for x in self.coords])
-            words = np.array([word_of[x[i]] for x in self.coords], dtype=np.int64)
-            labels[np.arange(self.n), col] ^= words
-        return labels
+    def encode(self, seed: int) -> np.ndarray:
+        """The (n, width) uint8 labels of every product vertex under `seed`."""
+        return self.grid_bits([seed], np.arange(self.n))[0]
+
+    def decode_raw_pairs(self, rows: np.ndarray, us, vs) -> np.ndarray:
+        """The raw grid decoder of the pairs (rows[us[p]], rows[vs[p]]) of
+        labels: a sum that may exceed k, or BOTTOM, per pair.  The pairs go
+        in blocks of PAIR_BLOCK."""
+        us, vs = np.asarray(us), np.asarray(vs)
+        out = np.empty(len(us), dtype=np.int64)
+        for lo in range(0, len(us), PAIR_BLOCK):
+            z = rows[us[lo:lo + PAIR_BLOCK]] ^ rows[vs[lo:lo + PAIR_BLOCK]]
+            z = z.reshape(len(z), self.m, self.t, self.base.width + 1)
+            per_row = z[..., 0].sum(axis=2, dtype=np.int64)
+            # the base labels in the first and the last odd cell of each
+            # bucket row with two, decoded and summed per pair
+            pair, row = np.nonzero(per_row == 2)
+            cells, at = z[pair, row], np.arange(len(pair))
+            first = cells[..., 0].argmax(axis=1)
+            last = self.t - 1 - cells[:, ::-1, 0].argmax(axis=1)
+            d = self.base.decode_values(cells[at, first, 1:], cells[at, last, 1:])
+            bad = ((per_row != 0) & (per_row != 2)).any(axis=1) | (per_row.sum(axis=1) > 2 * self.k)
+            bad |= np.bincount(pair[d == BOTTOM], minlength=len(z)) > 0
+            total = np.bincount(pair, weights=d, minlength=len(z)).astype(np.int64)
+            out[lo:lo + PAIR_BLOCK] = np.where(bad, BOTTOM, total)
+        return out
+
+    def decode_pairs(self, rows: np.ndarray, us, vs) -> np.ndarray:
+        """Contract-level `decode_raw_pairs`: {0..k} or BOTTOM per pair."""
+        raw = self.decode_raw_pairs(rows, us, vs)
+        return np.where(raw <= self.k, raw, BOTTOM)
 
     def decode_raw(self, wx: np.ndarray, wy: np.ndarray) -> int:
-        """The raw grid decoder: a sum that may exceed k, or BOTTOM."""
-        z = (wx ^ wy).reshape(self.m, self.t)
-        parity = (z & 1).astype(bool)
-        per_row = parity.sum(axis=1)
-        if np.any((per_row != 0) & (per_row != 2)):
-            return BOTTOM
-        if int(per_row.sum()) > 2 * self.k:
-            return BOTTOM
-        total = 0
-        for row in np.nonzero(per_row == 2)[0]:
-            cols = np.nonzero(parity[row])[0]
-            v1 = int(z[row, cols[0]]) >> 1
-            v2 = int(z[row, cols[1]]) >> 1
-            d = self.base.decode(v1, v2)
-            if d == BOTTOM:
-                return BOTTOM
-            total += d
-        return total
+        """The raw grid decoder of one pair of labels."""
+        return int(self.decode_raw_pairs(np.stack([wx, wy]), [0], [1])[0])
 
     def decode(self, wx: np.ndarray, wy: np.ndarray) -> int:
-        """Contract-level decode: {0..k} or BOTTOM."""
-        out = self.decode_raw(wx, wy)
-        return out if 0 <= out <= self.k else BOTTOM
+        """Contract-level decode of one pair of labels: {0..k} or BOTTOM."""
+        return int(self.decode_pairs(np.stack([wx, wy]), [0], [1])[0])
 
 
 def product_distance_encoder(factors: Sequence[Graph], base, k: int, seed: int,
                              m: int | None = None, t: int | None = None):
     """Build the product sketch and one sampled encoding.
 
-    Returns (sketch, labels); labels[i] is the grid label of the product
-    vertex with coordinate tuple sketch.coords[i].
+    Returns (sketch, labels); labels[i] is the label of the product vertex
+    with coordinate tuple sketch.coords[i].
     """
     sk = ProductDistanceSketch(factors, base, k, m=m, t=t)
     return sk, sk.encode(seed)
@@ -202,18 +220,32 @@ class ProductAdjacencySketch(SketchScheme):
 
     def __init__(self, factors: Sequence[Graph]):
         base = FiniteFamilyDistanceSketch(list(dict.fromkeys(factors)), k=1)
-        self._gid = [base.family.index(g) for g in factors]
         self.product = ProductDistanceSketch(factors, base, k=1)
-        self.n = self.product.n
-        self.width = self.product.width
-        self.delta = 1 / 3
+        self.n, self.width, self.delta = self.product.n, self.product.width, 1 / 3
 
-    def encode(self, seed: int) -> list[np.ndarray]:
-        grid = self.product.encode(seed, factor_graph_ids=self._gid)
-        return [grid[i] for i in range(self.n)]
+    def _adjacent(self, rows: np.ndarray, us, vs) -> np.ndarray:
+        return (self.product.decode_raw_pairs(rows, us, vs) == 1).astype(np.int8)
 
-    def decode(self, bx, by) -> int:
-        return int(self.product.decode(bx, by) == 1)
+    def encode_bits(self, seeds) -> np.ndarray:
+        return self.product.grid_bits(seeds, np.arange(self.n))
+
+    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
+        # every pair u < v of every set in one call, mirrored; the rows of
+        # set i at i*n..
+        s, n, w = bits.shape
+        u, v = np.triu_indices(n, 1)
+        at = np.arange(s)[:, None] * n
+        out = np.zeros((s, n, n), dtype=np.int8)
+        out[:, u, v] = self._adjacent(bits.reshape(s * n, w), (at + u).ravel(),
+                                      (at + v).ravel()).reshape(s, len(u))
+        return out | out.transpose(0, 2, 1)
+
+    def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        rows = self.product.grid_bits(seeds, np.stack([us, vs], axis=1)).reshape(-1, self.width)
+        return self._adjacent(rows, np.arange(0, len(rows), 2), np.arange(1, len(rows), 2))
+
+    def decode(self, bx: int, by: int) -> int:
+        return int(self._adjacent(to_bits([bx, by], self.width), [0], [1])[0])
 
 
 def adjacency_from_distance1(factors: Sequence[Graph]) -> ProductAdjacencySketch:
@@ -236,7 +268,7 @@ def hamming_spread_check(u: int, n: int, k: int, delta: float, trials: int,
     for block in range(0, trials, 4096):
         cnt = min(4096, trials - block)
         draws = rng.integers(0, u, size=(cnt, n))
-        for row in draws:
-            weight = int((np.bincount(row, minlength=u) & 1).sum())
-            hits += weight <= k
+        # one bincount for the block: trial i counts in [i*u, (i+1)*u)
+        counts = np.bincount((draws + u * np.arange(cnt)[:, None]).ravel(), minlength=cnt * u)
+        hits += int(np.count_nonzero((counts.reshape(cnt, u) & 1).sum(axis=1) <= k))
     return hits / trials

@@ -6,12 +6,13 @@ reproducible and no generator state is shared.  There are two derivations:
 
 * `derive_seed` / `rng_for` hash the sequence with blake2b; tags may be
   strings or tuples.  Graph generators, derandomization attempts, the
-  distance sketches in `products` and the tests use them.
+  Hamming spread check and the tests use them.
 * `counter_hash` is splitmix64 over 64-bit words and evaluates whole numpy
-  arrays of ids at once.  The sketch encoders in `sketch` (hashed codes,
-  Bloom buckets, boost copies) and `evaluate_error`'s per-trial pair and
-  encoding draws use it, which is what lets a block of trials be sampled,
-  encoded and decoded as arrays.
+  arrays of ids at once.  Every sketch encoder (hashed codes, Bloom
+  buckets, boost copies, a product sketch's buckets, slots and factor
+  seeds) and `evaluate_error`'s per-trial pair and encoding draws use it,
+  which is what lets a block of trials be sampled, encoded and decoded as
+  arrays.
 """
 
 import hashlib

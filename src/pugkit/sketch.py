@@ -3,20 +3,22 @@ derandomization, Monte-Carlo error evaluation, and PUG export.
 
 Encoders derive all their randomness from `counter_hash` as pure functions
 of (seed, tag, id): a hashed code value, a vertex's Bloom bucket, a boost
-copy's seed.  So `decode_trials` can decode the pairs of many fresh
-encodings at once, without encoding the other vertices: it hashes the
-per-trial seeds and the pairs' ids as arrays.  `evaluate_error` draws each
-trial's pair and encoding seed the same way and decodes its trials in
-blocks.
+copy's seed, a product sketch's buckets and slots.  So `decode_trials` can
+decode the pairs of many fresh encodings at once, without encoding the
+other vertices: it hashes the per-trial seeds and the pairs' ids as arrays.
+`evaluate_error` draws each trial's pair and encoding seed the same way and
+decodes its trials in blocks.
 
-The labels of whole encodings have an array form too: `encode_bits(seeds)`
-is a (seeds, n, width) uint8 bit matrix, bit i of vertex v's label at
-[.., v, i], and `decode_bits` decodes every pair of each encoding from it.
-The Bloom, compressed and boosted sketches encode and decode natively in
-that form, all seeds (or boost copies) in one numpy pass; their `encode`
-and `decode_matrix` only convert at the one int <-> bits boundary,
-`to_bits` / `from_bits`.  Python-int labels remain what files and
-`DeterministicLabeling` hold.
+Every sketch is native in one array form of whole encodings:
+`encode_bits(seeds)` is a (seeds, n, width) uint8 bit matrix, bit i of
+vertex v's label at [.., v, i], and `decode_bits` decodes every pair of
+each encoding from it, all seeds (or boost copies) in one numpy pass.
+`SketchScheme.encode` and `decode_matrix` are derived from these two; they
+convert at the one int <-> bits boundary, `to_bits` / `from_bits`.
+Python-int labels remain what files and `DeterministicLabeling` hold.
+A boosted label holds copy i at bits [i*w, (i+1)*w), encoded under
+`copy_seeds`' seed i, for sketches and distance sketches alike
+(`boost_bits`).
 """
 
 from __future__ import annotations
@@ -38,21 +40,15 @@ from .labels import (
 from .rng import _MASK64, counter_hash, derive_seed
 from .structure import forest_partition
 
-# `counter_hash` tags: one per purpose, so the streams stay apart
-_TAG_CODE, _TAG_BUCKET, _TAG_COPY, _TAG_PAIR, _TAG_ENC = range(1, 6)
-
-
-def join_copies(copies: Sequence[int], width: int) -> int:
-    """One label from independent copies: copy i of a `width`-bit label
-    sits at bits [i*width, (i+1)*width)."""
-    out = 0
-    for i, bits in enumerate(copies):
-        out |= bits << (i * width)
-    return out
+# `counter_hash` tags: one per purpose, so the streams stay apart; the last
+# three are a product sketch's factor buckets, vertex slots and factor seeds
+(_TAG_CODE, _TAG_BUCKET, _TAG_COPY, _TAG_PAIR, _TAG_ENC,
+ _TAG_GRID_ROW, _TAG_GRID_SLOT, _TAG_FACTOR) = range(1, 9)
 
 
 def split_copies(bits: int, width: int, copies: int) -> list[int]:
-    """The `copies` labels that `join_copies` joined into `bits`."""
+    """The `copies` labels of `width` bits each that `bits` holds: copy i
+    at bits [i*width, (i+1)*width)."""
     mask = (1 << width) - 1
     return [bits >> (i * width) & mask for i in range(copies)]
 
@@ -100,8 +96,14 @@ def _read_fields(bits: np.ndarray, count: int, width: int) -> np.ndarray:
 class SketchScheme:
     """Seeded randomized encoder + pure decoder with an error budget.
 
-    `encode_bits` / `decode_bits` default to `encode` and the per-pair
-    `decode_matrix`, one seed at a time; `BitSketch`es are native in them.
+    A sketch gives `encode_bits(seeds)`, the (len(seeds), n, width) uint8
+    bits of the labels under each seed, bit i of vertex v's label under
+    seeds[s] at [s, v, i]; `decode_bits(bits)`, the (s, n, n) int8 decoded
+    bit of every pair of each of s label sets in that form;
+    `decode_trials(us, vs, seeds)`, the int8 bit decoded for the pair
+    (us[t], vs[t]) under a fresh encoding seeded by seeds[t], for every t;
+    and `decode(bx, by)`, the bit of one pair of int labels.  `encode` and
+    `decode_matrix` are the bit form of one label set.
     """
 
     width: int
@@ -109,61 +111,30 @@ class SketchScheme:
     n: int
 
     def encode(self, seed: int) -> list[int]:
-        raise NotImplementedError
-
-    def decode(self, bx: int, by: int) -> int:
-        raise NotImplementedError
-
-    def decode_matrix(self, labels: list[int]) -> np.ndarray:
-        """The n x n 0/1 matrix of decode(labels[u], labels[v]) for u < v,
-        mirrored below the diagonal.  This is the per-pair reference; bulk
-        decoders override it."""
-        n = len(labels)
-        out = np.zeros((n, n), dtype=np.int8)
-        for u in range(n):
-            for v in range(u + 1, n):
-                out[u, v] = out[v, u] = self.decode(labels[u], labels[v])
-        return out
-
-    def encode_bits(self, seeds) -> np.ndarray:
-        """The (len(seeds), n, width) uint8 bits of `encode(seed)` for each
-        seed: bit i of vertex v's label under seeds[s] at [s, v, i]."""
-        out = np.zeros((len(seeds), self.n, self.width), dtype=np.uint8)
-        for i, seed in enumerate(np.asarray(seeds).tolist()):
-            out[i] = to_bits(self.encode(seed), self.width)
-        return out
-
-    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
-        """The (s, n, n) int8 `decode_matrix` of each of s label sets in bit
-        form, (s, n, width) as `encode_bits` gives them."""
-        s, n = bits.shape[:2]
-        out = np.zeros((s, n, n), dtype=np.int8)
-        for i in range(s):
-            out[i] = self.decode_matrix(from_bits(bits[i]))
-        return out
-
-    def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        """The int8 bit decoded for the pair (us[t], vs[t]) under a fresh
-        encoding seeded by seeds[t], for every t.  This is the per-trial
-        reference; vectorised sketches override it."""
-        encodings = map(self.encode, np.asarray(seeds).tolist())
-        return np.array([self.decode(labels[u], labels[v]) for u, v, labels in
-                         zip(np.asarray(us).tolist(), np.asarray(vs).tolist(), encodings)],
-                        dtype=np.int8)
-
-
-class BitSketch(SketchScheme):
-    """A sketch native in the bit form: `encode` and `decode_matrix` are
-    `encode_bits` and `decode_bits` of one label set."""
-
-    def encode(self, seed: int) -> list[int]:
         return from_bits(self.encode_bits([seed])[0])
 
     def decode_matrix(self, labels: list[int]) -> np.ndarray:
+        """The n x n 0/1 matrix of decode(labels[u], labels[v])."""
         return self.decode_bits(to_bits(labels, self.width)[None])[0]
 
 
-class CompressedEqualityScheme(BitSketch):
+def copy_seeds(seeds, copies: int) -> np.ndarray:
+    """The seed of each of `copies` independent copies: one row per seed."""
+    return counter_hash(np.asarray(seeds, dtype=np.uint64)[:, None], _TAG_COPY, np.arange(copies))
+
+
+def boost_bits(encode_bits: Callable[[np.ndarray], np.ndarray], seeds, copies: int) -> np.ndarray:
+    """The (len(seeds), n, copies * w) bits of `copies` independent copies
+    of the (seeds, n, w) bits that `encode_bits` gives: copy i of a label
+    under `copy_seeds`' seed i, at bits [i*w, (i+1)*w).  Every copy of
+    every seed goes to `encode_bits` in one call."""
+    cs = copy_seeds(_seed_words(seeds), copies)
+    bits = encode_bits(cs.ravel())
+    n, w = bits.shape[1:]
+    return bits.reshape(len(cs), copies, n, w).transpose(0, 2, 1, 3).reshape(len(cs), n, copies * w)
+
+
+class CompressedEqualityScheme(SketchScheme):
     """Equality scheme compressed by hashing codes into [3k^2] (one-sided).
 
     Sketch layout: [shape index][one hashed value per code slot], padded to
@@ -300,7 +271,7 @@ def exact_majority_copies(delta_target: float, base_delta: float = 1 / 3) -> int
 COPY_BLOCK_CELLS = 1 << 16
 
 
-class BoostedScheme(BitSketch):
+class BoostedScheme(SketchScheme):
     def __init__(self, base: SketchScheme, delta_target: float, copies: int | None = None):
         self.base = base
         self.copies = boost_copies(delta_target, base.delta) if copies is None else copies
@@ -309,23 +280,14 @@ class BoostedScheme(BitSketch):
         #: the proven per-pair error: the exact majority tail at this count
         self.delta = majority_failure(self.copies, base.delta) if self.copies > 1 else base.delta
 
-    def _copy_seeds(self, seed):
-        """The seed of each copy; for an array of seeds, one row per seed."""
-        return counter_hash(seed, _TAG_COPY, np.arange(self.copies))
-
     def encode_bits(self, seeds) -> np.ndarray:
-        # every copy of every seed goes to the base in one call; copy i of a
-        # label lands at bits [i*w, (i+1)*w), as `join_copies` puts it
-        copy_seeds = self._copy_seeds(_seed_words(seeds)[:, None])
-        s, c, n, w = len(copy_seeds), self.copies, self.n, self.base.width
-        bits = self.base.encode_bits(copy_seeds.ravel()).reshape(s, c, n, w)
-        return bits.transpose(0, 2, 1, 3).reshape(s, n, c * w)
+        return boost_bits(self.base.encode_bits, seeds, self.copies)
 
     def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         # copies x trials go to the base in one call, trial-major
         c = self.copies
-        copy_seeds = self._copy_seeds(np.asarray(seeds, dtype=np.uint64)[:, None])
-        votes = self.base.decode_trials(np.repeat(us, c), np.repeat(vs, c), copy_seeds.ravel())
+        votes = self.base.decode_trials(np.repeat(us, c), np.repeat(vs, c),
+                                        copy_seeds(seeds, c).ravel())
         return (2 * votes.reshape(-1, c).sum(axis=1, dtype=np.int32) > c).astype(np.int8)
 
     def decode(self, bx: int, by: int) -> int:
@@ -389,7 +351,7 @@ def arboricity_scheme(g: Graph) -> EqualityScheme:
                           decoder_spec={"name": "arboricity"}, name="arboricity")
 
 
-class ArboricitySketch(BitSketch):
+class ArboricitySketch(SketchScheme):
     """Bloom-filter sketch for arboricity-alpha graphs.
 
     Layout [r(x)][bloom bits]: r(x) ~ [6 alpha]; bloom marks the hashes of

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -232,6 +233,19 @@ def test_product_dist_cmd(tmp_path, capsys):
     code2, _, _ = run(capsys, "product-dist", str(g), "--d", "2", "--k", "1",
                       "--seed", "1", "--query", "0,0:9,9")
     assert code2 == 3  # bad address
+
+
+def test_product_dist_rejects_empty_and_oversized_powers(tmp_path, capsys):
+    # d <= 0 leaves no factor; 3^40 vertices are far past the vertex cap,
+    # rejected before anything is allocated
+    g = tmp_path / "p3.graph"
+    run(capsys, "gen", "path", "--n", "3", "--out", str(g))
+    for d in ("0", "-1", "40"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "product-dist", str(g), "--d", d, "--k", "1",
+                             "--seed", "1", "--query", "0:1")
+        assert code == 3 and out == "" and "Traceback" not in err, d
+        assert time.perf_counter() - start < 5, d
 
 
 def test_format_error_exit(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from pugkit.cli import parse_sketch_file, write_sketch_file
 from pugkit.generators import cycle, path
 from pugkit.graphs import cartesian_product
 from pugkit.products import (
@@ -9,12 +12,70 @@ from pugkit.products import (
     FiniteFamilyDistanceSketch,
     ProductAdjacencySketch,
     ProductDistanceSketch,
+    adjacency_from_distance1,
     default_product_params,
     hamming_spread_check,
+    majority_vote,
     product_distance_encoder,
 )
-from pugkit.rng import rng_for
-from pugkit.sketch import exact_majority_copies, majority_failure, split_copies
+from pugkit.rng import counter_hash, rng_for
+from pugkit.sketch import (
+    _TAG_GRID_ROW,
+    _TAG_GRID_SLOT,
+    derandomize,
+    exact_majority_copies,
+    majority_failure,
+    to_bits,
+)
+
+
+def _old_vote(outs, copies):
+    """The dict-and-tie-break vote `majority_vote` replaced: the most
+    frequent output, BOTTOM on a count tie, unless no output has a strict
+    majority while the copies disagree."""
+    votes: dict[int, int] = {}
+    for out in outs:
+        votes[out] = votes.get(out, 0) + 1
+    best = max(votes.items(), key=lambda kv: (kv[1], kv[0] == BOTTOM))
+    if 2 * best[1] <= copies and len(votes) > 1:
+        return BOTTOM
+    return best[0]
+
+
+def _ids(bits):
+    return int(sum(int(b) << i for i, b in enumerate(bits)))
+
+
+def _base_reference(base, x, y):
+    """Per-pair decode of two base labels in bit form: the fields read as
+    ints, BFS on the family graph, copies voted one by one."""
+    if isinstance(base, BoostedDistanceSketch):
+        w = base.base.width
+        return _old_vote([_base_reference(base.base, x[i * w:(i + 1) * w], y[i * w:(i + 1) * w])
+                          for i in range(base.copies)], base.copies)
+    gb = base.gid_bits
+    gx, gy, u, v = _ids(x[:gb]), _ids(y[:gb]), _ids(x[gb:]), _ids(y[gb:])
+    if gx != gy or gx >= len(base.family) or max(u, v) >= base.family[gx].n:
+        return BOTTOM
+    d = base.family[gx].bfs_distances(u)[v]
+    return d if 0 <= d <= base.k else BOTTOM
+
+
+def _raw_reference(sk, wx, wy):
+    """The per-pair grid decoder that `decode_raw_pairs` vectorises."""
+    z = (wx ^ wy).reshape(sk.m, sk.t, sk.base.width + 1)
+    parity = z[..., 0].astype(bool)
+    per_row = parity.sum(axis=1)
+    if np.any((per_row != 0) & (per_row != 2)) or int(per_row.sum()) > 2 * sk.k:
+        return BOTTOM
+    total = 0
+    for row in np.nonzero(per_row == 2)[0]:
+        c1, c2 = np.nonzero(parity[row])[0]
+        d = _base_reference(sk.base, z[row, c1, 1:], z[row, c2, 1:])
+        if d == BOTTOM:
+            return BOTTOM
+        total += d
+    return total
 
 
 def test_boosted_distance_sketch_copy_layout():
@@ -23,12 +84,12 @@ def test_boosted_distance_sketch_copy_layout():
     base.delta = 0.2  # as if randomized, so the boost keeps several copies
     b = BoostedDistanceSketch(base, 0.01)
     assert b.copies > 1 and b.width == b.copies * base.width
-    labels, plain = b.encode_factor(0, seed=3), base.encode_factor(0, seed=0)
+    labels, plain = b.encode_factor_bits(0, [3])[0], base.encode_factor_bits(0, [0])[0]
+    assert labels.shape == (5, b.width)
     for v, bits in enumerate(labels):
-        assert split_copies(bits, base.width, b.copies) == [plain[v]] * b.copies
-    for u in range(5):
-        for v in range(5):
-            assert b.decode(labels[u], labels[v]) == base.decode(plain[u], plain[v])
+        assert (bits.reshape(b.copies, base.width) == plain[v]).all()
+    u, v = np.divmod(np.arange(25), 5)
+    assert (b.decode_values(labels[u], labels[v]) == base.decode_values(plain[u], plain[v])).all()
 
 
 def test_boosted_distance_sketch_reports_the_proven_tail():
@@ -49,14 +110,68 @@ def test_boosted_distance_sketch_reports_the_proven_tail():
         assert prod.base.delta <= 1 / (10 * k)
 
 
+def test_majority_vote_is_the_old_dict_rule():
+    # every vote vector over {BOTTOM, 0..k} with 1..6 copies, k in 1..2
+    checked = 0
+    for k in (1, 2):
+        for copies in range(1, 7):
+            votes = np.array(list(itertools.product(range(-1, k + 1), repeat=copies)))
+            want = [_old_vote(row, copies) for row in votes.tolist()]
+            assert majority_vote(votes).tolist() == want
+            checked += len(votes)
+    assert checked == 6552
+
+
 def test_finite_family_base():
     base = FiniteFamilyDistanceSketch([path(3), path(5)], k=2)
     assert base.delta == 0
-    l0 = base.encode_factor(0, seed=1)
-    assert base.decode(l0[0], l0[2]) == 2
-    assert base.decode(l0[0], l0[0]) == 0
-    l1 = base.encode_factor(1, seed=1)
-    assert base.decode(l1[0], l1[4]) == BOTTOM  # dist 4 > 2
+    l0 = base.encode_factor_bits(0, [1])[0]
+    assert base.decode_values(l0[0], l0[2]) == 2
+    assert base.decode_values(l0[0], l0[0]) == 0
+    l1 = base.encode_factor_bits(1, [1])[0]
+    assert base.decode_values(l1[0], l1[4]) == BOTTOM  # dist 4 > 2
+    assert base.decode_values(l0[0], l1[0]) == BOTTOM  # different graphs
+
+
+def test_ids_past_the_family_decode_bottom():
+    # XOR garbage in a grid cell can read any field value; ids past the
+    # family or past a graph's vertices decode BOTTOM, never an IndexError
+    base = FiniteFamilyDistanceSketch([path(3), path(2), cycle(5)], k=2)
+    assert (base.gid_bits, base.vid_bits) == (2, 3)
+
+    def label(gid, vid):
+        return to_bits([gid | vid << base.gid_bits], base.width)[0]
+
+    for gid, u, v in [(3, 0, 1), (1, 0, 2), (1, 7, 0), (0, 3, 3), (2, 5, 7), (3, 7, 7)]:
+        assert base.decode_values(label(gid, u), label(gid, v)) == BOTTOM
+    assert base.decode_values(label(2, 0), label(2, 2)) == 2
+    # a product pair whose one paired bucket row holds such an id
+    sk = ProductDistanceSketch([path(3)] * 2, FiniteFamilyDistanceSketch([path(3)], k=1), k=1)
+    cw = sk.base.width + 1
+    rows = np.zeros((2, sk.width), dtype=np.uint8)
+    rows[0, :cw] = [1, 0, 0]  # vertex 0
+    rows[1, cw:2 * cw] = [1, 1, 1]  # vertex 3 of P3
+    assert sk.decode_raw_pairs(rows, [0], [1])[0] == BOTTOM
+    assert _raw_reference(sk, rows[0], rows[1]) == BOTTOM
+
+
+def test_decode_raw_pairs_matches_the_per_pair_reference():
+    rng = np.random.default_rng(5)
+    fam = FiniteFamilyDistanceSketch([path(3)], k=2)
+    boosted = FiniteFamilyDistanceSketch([path(3)], k=1)
+    boosted.delta = 0.2
+    for sk in (ProductDistanceSketch([path(3)] * 4, fam, k=2),
+               ProductDistanceSketch([path(3)] * 3, boosted, k=1)):
+        for seed in range(3):
+            labels = sk.encode(seed)
+            # and the same labels with random base-label bits flipped, so
+            # paired cells read garbage ids
+            noise = rng.random(labels.shape) < 0.02
+            noise.reshape(len(labels), -1, sk.base.width + 1)[..., 0] = False
+            for rows in (labels, labels ^ noise):
+                us, vs = rng.integers(0, sk.n, size=(2, 150))
+                want = [_raw_reference(sk, rows[u], rows[v]) for u, v in zip(us, vs)]
+                assert sk.decode_raw_pairs(rows, us, vs).tolist() == want
 
 
 def test_default_params():
@@ -76,8 +191,9 @@ def test_param_validation():
 def test_single_factor_touches_one_cell():
     base = FiniteFamilyDistanceSketch([path(3)], k=2)
     sk, labels = product_distance_encoder([path(3)], base, k=2, seed=5)
+    cells = labels.reshape(sk.n, sk.m * sk.t, base.width + 1)
     for i in range(sk.n):
-        assert int((labels[i] != 0).sum()) == 1
+        assert int(cells[i].any(axis=1).sum()) == 1
 
 
 def test_equal_coordinates_cancel():
@@ -212,15 +328,15 @@ def test_good_events_imply_exact_output():
     d, k = 5, 2
     base = FiniteFamilyDistanceSketch([path(2)], k=k)
     sk = ProductDistanceSketch([path(2)] * d, base, k=k)
-    from pugkit.rng import derive_seed
-
     x = (0, 0, 0, 0, 0)
     y = (1, 1, 0, 0, 0)
     diff = [0, 1]
     checked = 0
     for enc in range(60):
-        b = [derive_seed(enc, "bucket", i) % sk.m for i in range(d)]
-        c = [[derive_seed(enc, "slot", i, v) % sk.t for v in range(2)] for i in range(d)]
+        # the encoder's draws: bucket b(i), slot c(i, v)
+        b = [int(counter_hash(enc, _TAG_GRID_ROW, i)) % sk.m for i in range(d)]
+        c = [[int(counter_hash(enc, _TAG_GRID_SLOT, i, v)) % sk.t for v in range(2)]
+             for i in range(d)]
         distinct_b = len({b[i] for i in diff}) == len(diff)
         distinct_c = all(c[i][x[i]] != c[i][y[i]] for i in diff)
         if not (distinct_b and distinct_c):
@@ -230,3 +346,30 @@ def test_good_events_imply_exact_output():
         assert out == 2
         checked += 1
     assert checked >= 10
+
+
+def test_boosted_base_labels_wider_than_a_word_encode_and_decode():
+    # 23 copies x 3 bits: 69-bit base labels once overflowed int64 cells
+    base = FiniteFamilyDistanceSketch([path(5)], k=2)
+    base.delta = 1 / 3
+    sk = ProductDistanceSketch([path(5)] * 2, base, k=2)
+    assert sk.base.copies == 23 and sk.base.width == 69
+    labels = sk.encode(1)
+    assert labels.shape == (25, sk.width)
+    x, y = sk.index[(0, 0)], sk.index[(1, 0)]
+    assert sk.decode(labels[x], labels[y]) in (BOTTOM, 0, 1, 2)
+    assert sk.decode(labels[x], labels[x]) == 0
+    assert sk.decode_raw(labels[x], labels[y]) == _raw_reference(sk, labels[x], labels[y])
+
+
+@pytest.mark.parametrize("factors", [
+    [path(2)] * 3, [path(2)] * 4, [path(3)] * 2, [path(3), cycle(4)]],
+    ids=["Q3", "Q4", "P3^2", "P3xC4"])
+def test_product_adjacency_derandomizes(factors):
+    sk = adjacency_from_distance1(factors)
+    g = cartesian_product(factors)[0]
+    det = derandomize(sk, g, seed=1)
+    assert det.check_exact(g)
+    assert det.width == exact_majority_copies(1 / g.n**3, 1 / 3) * sk.width
+    labels = list(det.labels)
+    assert parse_sketch_file(write_sketch_file(labels, det.width, "prod")) == (labels, det.width)

@@ -25,6 +25,7 @@ from pugkit.labels import (
     shape_arity,
     shape_of,
 )
+from pugkit.products import adjacency_from_distance1
 from pugkit.rng import counter_hash
 from pugkit.sketch import (
     arboricity_scheme,
@@ -143,11 +144,14 @@ def test_one_sided_under_any_seed(seed):
     assert rep.adjacent.errors == 0
 
 
+_BIT_FORM = {**_ONE_SIDED, "product-adjacency": adjacency_from_distance1([path(2)] * 3)}
+
+
 @settings(derandomize=True, database=None, deadline=None)
 @given(seeds=st.lists(st.integers(-(1 << 70), 1 << 70), max_size=3),
-       which=st.sampled_from(sorted(_ONE_SIDED)))
+       which=st.sampled_from(sorted(_BIT_FORM)))
 def test_bit_form_decodes_as_the_labels_and_every_pair(seeds, which):
-    sk = _ONE_SIDED[which]
+    sk = _BIT_FORM[which]
     bits = sk.encode_bits(seeds)
     mats = sk.decode_bits(bits)
     assert bits.shape == (len(seeds), sk.n, sk.width) and mats.shape == (len(seeds), sk.n, sk.n)
@@ -201,6 +205,30 @@ def test_bloom_bucket_fields_past_the_filter_decode_as_per_pair(data, which):
 def test_sketch_file_round_trip(data, width, name):
     labels = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=5))
     assert parse_sketch_file(write_sketch_file(labels, width, name)) == (labels, width)
+
+
+@pytest.fixture(scope="module")
+def p3_file(tmp_path_factory):
+    path_file = tmp_path_factory.mktemp("p3") / "p3.graph"
+    path_file.write_text(write_graph(path(3), "p3"))
+    return path_file
+
+
+@settings(derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), d=st.integers(1, 6), k=st.integers(1, 3),
+       seed=st.integers(-(1 << 70), 1 << 70))
+def test_product_dist_on_any_seed_and_query_exits_0(p3_file, capsys, data, d, k, seed):
+    # XOR garbage in a cell may read any id; every answer is bot or 0..k
+    vertex = st.lists(st.integers(0, 2), min_size=d, max_size=d).map(
+        lambda c: ",".join(map(str, c)))
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=8))
+    queries = [arg for u, v in pairs for arg in ("--query", f"{u}:{v}")]
+    assert main(["product-dist", str(p3_file), "--d", str(d), "--k", str(k),
+                 "--seed", str(seed), *queries]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split()[:2] for line in lines] == [list(pair) for pair in pairs]
+    assert all(line.split()[2] in {"bot", *map(str, range(k + 1))} for line in lines)
 
 
 # a realization or certificate line: an id field drawn from small ids, a

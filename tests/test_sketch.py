@@ -29,11 +29,29 @@ from pugkit.sketch import (
     evaluate_error,
     exact_majority_copies,
     export_pug,
+    from_bits,
     majority_failure,
     naive_derandomize,
     naive_label_width,
+    to_bits,
     wilson_interval,
 )
+
+
+class PerPair(SketchScheme):
+    """A sketch given by `encode` and `decode` on int labels; its bit form
+    encodes seed by seed and decodes pair by pair."""
+
+    def encode_bits(self, seeds):
+        return np.stack([to_bits(self.encode(int(seed)), self.width) for seed in seeds])
+
+    def decode_bits(self, bits):
+        out = np.zeros((len(bits), self.n, self.n), dtype=np.int8)
+        for i, labels in enumerate(map(from_bits, bits)):
+            for u in range(self.n):
+                for v in range(u + 1, self.n):
+                    out[i, u, v] = out[i, v, u] = self.decode(labels[u], labels[v])
+        return out
 
 
 def test_arboricity_scheme_exact_on_trees():
@@ -154,9 +172,8 @@ def test_derandomize_zero_error_scheme_first_try():
     g = path(10)
     det = naive_derandomize(arboricity_scheme(g))
 
-    class Wrap(SketchScheme):
-        # a deterministic "sketch": encode ignores the seed; bits go
-        # through the base-class defaults
+    class Wrap(PerPair):
+        # a deterministic "sketch": encode ignores the seed
         def __init__(self, det):
             self.n, self.width, self.delta = g.n, det.width, 0.0
             self._det = det
@@ -174,7 +191,7 @@ def test_derandomize_zero_error_scheme_first_try():
 def test_derandomize_raises_on_broken_scheme():
     g = complete(6)
 
-    class Broken(SketchScheme):
+    class Broken(PerPair):
         def __init__(self):
             self.n, self.width, self.delta = g.n, 1, 1 / 3
 
