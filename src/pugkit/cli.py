@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import bipartite, generators, geometric, products, protocols, sketch, structure, twinwidth
 from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, in_id_order, parse_graph,
                      write_graph)
@@ -47,6 +49,12 @@ def _read_graph(path: str):
             return parse_graph(fh.read())
     except (OSError, GraphFormatError) as e:
         raise CliError(EXIT_FORMAT, f"cannot read graph {path}: {e}")
+
+
+def _as_graph(g) -> Graph:
+    """The input as a graph: a bigraph's X-vertex x as x and Y-vertex y as
+    nx + y, the ids its labels give them."""
+    return g.to_graph() if isinstance(g, ColoredBipartiteGraph) else g
 
 
 def _write_out(text: str, out: str | None):
@@ -363,7 +371,7 @@ def cmd_query(args) -> int:
 def cmd_eval(args) -> int:
     g, _ = _read_graph(args.graph)
     sk = _build_sketch(g, args)
-    rep = sketch.evaluate_error(sk, g, trials=args.trials, seed=args.seed,
+    rep = sketch.evaluate_error(sk, _as_graph(g), trials=args.trials, seed=args.seed,
                                 pairs=args.pairs)
     print("class trials errors rate wilson_lo wilson_hi")
     for label, est in (("adjacent", rep.adjacent), ("nonadjacent", rep.nonadjacent),
@@ -377,18 +385,15 @@ def cmd_derand(args) -> int:
     if args.delta is not None:
         raise CliError(EXIT_FORMAT, "derand takes no --delta: it sizes its own boost")
     g, gname = _read_graph(args.graph)
+    graph = _as_graph(g)
     if args.mode == "naive":
-        base = _build_label_scheme(g, args)
-        det = sketch.naive_derandomize(base)
+        det = sketch.naive_derandomize(_build_label_scheme(g, args))
     else:
-        sk = _build_sketch(g, args)
-        if not isinstance(g, Graph):
-            raise CliError(EXIT_CONTRACT, "sampled derandomization needs a graph")
         try:
-            det = sketch.derandomize(sk, g, seed=args.seed)
+            det = sketch.derandomize(_build_sketch(g, args), graph, seed=args.seed)
         except sketch.DerandomizationError as e:
             raise CliError(EXIT_CONTRACT, str(e))
-    if isinstance(g, Graph) and not det.check_exact(g):
+    if not det.check_exact(graph):
         raise CliError(EXIT_CONTRACT, "derandomized labels fail verification")
     _write_out(write_sketch_file(list(det.labels), det.width, gname), args.out)
     print(f"derand mode={args.mode} width={det.width} attempts={det.attempts}",
@@ -456,10 +461,9 @@ def cmd_product_dist(args) -> int:
     for pair in args.query or []:
         try:
             us, vs = pair.split(":")
-            u = tuple(int(t) for t in us.split(","))
-            v = tuple(int(t) for t in vs.split(","))
-            ids += [sk.index[u], sk.index[v]]
-        except (ValueError, KeyError) as e:
+            ids += [int(np.ravel_multi_index([int(t) for t in w.split(",")], sk.dims))
+                    for w in (us, vs)]
+        except (ValueError, TypeError) as e:
             raise CliError(EXIT_FORMAT, f"bad product vertex address {pair!r}: {e}")
         queries.append((us, vs))
     # only the queried vertices' labels are encoded
@@ -472,9 +476,7 @@ def cmd_product_dist(args) -> int:
 
 def cmd_chain_number(args) -> int:
     g, _ = _read_graph(args.graph)
-    if isinstance(g, ColoredBipartiteGraph):
-        g = g.to_graph()
-    res = structure.chain_number(g, cap=args.cap)
+    res = structure.chain_number(_as_graph(g), cap=args.cap)
     rel = "=" if res.exact else ">="
     print(f"chain-number {rel} {res.value}")
     if res.witness:
@@ -483,9 +485,7 @@ def cmd_chain_number(args) -> int:
 
 
 def cmd_twinwidth(args) -> int:
-    g, _ = _read_graph(args.graph)
-    if isinstance(g, ColoredBipartiteGraph):
-        g = g.to_graph()
+    g = _as_graph(_read_graph(args.graph)[0])
     if g.n > twinwidth.TWIN_WIDTH_EXACT_MAX_N:
         raise CliError(EXIT_CONTRACT,
                        f"exact twin-width capped at n <= {twinwidth.TWIN_WIDTH_EXACT_MAX_N}")

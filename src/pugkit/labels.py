@@ -6,11 +6,15 @@ comparisons).  A scheme bundles one label per vertex with a walker that
 decides adjacency from the two label shapes and an equality oracle over
 code slots; the walker never sees raw code values, which is what makes the
 one-sided compression argument go through.
+
+`ShapeCodec` interns a scheme's label shapes and lays its codes out as a
+padded code table, and `CompiledDecoder` evaluates the walker over pairs
+of table rows.  Labels as bits are the packed sketches of `sketch`, which
+read their bit fields back into such a table.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -214,18 +218,17 @@ def walker_tree(walker: Walker, sx: ShapeNode, sy: ShapeNode) -> EqTree:
 
 
 # ---------------------------------------------------------------------------
-# Packed labels and their bulk decoder.
+# Code tables and their bulk decoder.
 # ---------------------------------------------------------------------------
 
 class ShapeCodec:
-    """The packed label layout [shape id][one value per code slot].
-
-    Shapes are interned in first-seen order.  A label holds its shape id in
-    the low `shape_bits` bits, then one `value_width`-bit value per code
-    slot in preorder; `width` leaves room for the largest arity `k`.
+    """A scheme's label shapes, interned in first-seen order, and the code
+    table layout: one row per label, its shape id and one value per code
+    slot, padded to the largest arity `k`.  `shape_bits` is what a shape id
+    takes as a bit field.
     """
 
-    def __init__(self, shapes: Sequence[ShapeNode], value_width: int = 0):
+    def __init__(self, shapes: Sequence[ShapeNode]):
         self.index: dict[ShapeNode, int] = {}
         #: the shape id of each of `shapes`, in order
         self.ids = [self.index.setdefault(sh, len(self.index)) for sh in shapes]
@@ -233,24 +236,6 @@ class ShapeCodec:
         self.arities = [shape_arity(sh) for sh in self.shapes]
         self.k = max(self.arities, default=0)
         self.shape_bits = bits_for(len(self.shapes))
-        self.value_width = value_width
-
-    @property
-    def width(self) -> int:
-        return self.shape_bits + self.k * self.value_width
-
-    def widened(self, value_width: int) -> "ShapeCodec":
-        """The same shape table, packing `value_width` bits per code value."""
-        codec = copy.copy(self)
-        codec.value_width = value_width
-        return codec
-
-    def pack(self, shape: ShapeNode, values: Sequence[int]) -> int:
-        bits, shift = self.index[shape], self.shape_bits
-        for val in values:
-            bits |= val << shift
-            shift += self.value_width
-        return bits
 
     def table(self, ids: Sequence[int], rows: Sequence[Sequence[int]]
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -262,17 +247,6 @@ class ShapeCodec:
         vals = np.full((len(sid), self.k), -1, dtype=np.int64)
         vals[np.arange(self.k) < np.array(self.arities, dtype=np.int64)[sid][:, None]] = \
             np.fromiter(chain.from_iterable(rows), dtype=np.int64)
-        return sid, vals
-
-    def parse(self, bits: int) -> tuple[int, list[int]]:
-        """(shape id, one value per code slot) of a packed label."""
-        sid = bits & ((1 << self.shape_bits) - 1)
-        rest = bits >> self.shape_bits
-        mask = (1 << self.value_width) - 1
-        vals = []
-        for _ in range(self.arities[sid]):
-            vals.append(rest & mask)
-            rest >>= self.value_width
         return sid, vals
 
 
@@ -288,10 +262,11 @@ class CompiledDecoder:
     key; later pairs with that key read the memo.  The key is one 64-bit
     word when the shape pair and the k*k bits of Q fit in one, and a byte
     string otherwise; the codec fixes which, so one memo holds one kind.
-    `decode_rows`
-    (all pairs of whole tables), `decode_stack` (of packed labels) and the
-    compressed sketches' trial decoder all go through it.  The memo belongs
-    to this object and so dies with the scheme that owns it.
+    `decode_rows` decodes all pairs of whole tables through it.  Labels as
+    bits decode here too: the packed sketches (`sketch.PackedEqualityScheme`)
+    read their bit fields back into tables for `decode_rows`, and hand their
+    trials' rows to `decode_pairs`.  The memo belongs to this object and so
+    dies with the scheme that owns it.
     """
 
     #: Q cells compared per block; bounds the size of the decode temporaries.
@@ -305,21 +280,6 @@ class CompiledDecoder:
     def decode_pair(self, shape_x: ShapeNode, vals_x: Sequence[int],
                     shape_y: ShapeNode, vals_y: Sequence[int]) -> int:
         return self.walker(shape_x, shape_y, lambda i, j: vals_x[i] == vals_y[j])
-
-    def decode(self, bx: int, by: int) -> int:
-        sx, vx = self.codec.parse(bx)
-        sy, vy = self.codec.parse(by)
-        return self.decode_pair(self.codec.shapes[sx], vx, self.codec.shapes[sy], vy)
-
-    def decode_matrix(self, labels: Sequence[int]) -> np.ndarray:
-        return self.decode_stack([labels])[0]
-
-    def decode_stack(self, label_sets: Sequence[Sequence[int]]) -> np.ndarray:
-        """`decode_rows` of packed label sets, all of one length."""
-        parsed = [self.codec.parse(bits) for labels in label_sets for bits in labels]
-        sid, vals = self.codec.table([s for s, _ in parsed], [v for _, v in parsed])
-        c, n = len(label_sets), len(label_sets[0]) if label_sets else 0
-        return self.decode_rows(sid.reshape(c, n), vals.reshape(c, n, self.codec.k))
 
     def decode_rows(self, sid: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Decode every pair u < v of each of c code tables of n rows.

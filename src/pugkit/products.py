@@ -13,7 +13,6 @@ maps anything outside {0..k} to BOTTOM.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
@@ -128,11 +127,10 @@ class ProductDistanceSketch:
         self.k = k
         self.factors = list(factors)
         self.n = product_size(self.factors)
+        #: the factor orders: vertex i has coordinates np.unravel_index(i, dims)
+        self.dims = tuple(g.n for g in self.factors)
         self.base = BoostedDistanceSketch(base, 1 / (10 * k)) if base.delta > 1 / (10 * k) \
             else base
-        self.coords = [tuple(c) for c in
-                       itertools.product(*[range(g.n) for g in self.factors])]
-        self.index = {c: i for i, c in enumerate(self.coords)}
         self.delta = 1 / 3
         family = getattr(self.base, "base", self.base).family
         self.gids = [family.index(g) for g in self.factors]
@@ -149,7 +147,7 @@ class ProductDistanceSketch:
         seeds = _seed_words(seeds)
         s, t, axis = len(seeds), self.t, np.arange(len(self.factors))
         ids = np.broadcast_to(np.asarray(ids, dtype=np.int64), (s, np.shape(ids)[-1]))
-        coords = np.stack(np.unravel_index(ids, [g.n for g in self.factors]), axis=-1)
+        coords = np.stack(np.unravel_index(ids, self.dims), axis=-1)
         buckets = counter_hash(seeds[:, None], _TAG_GRID_ROW, axis) % np.uint64(self.m)
         slots = counter_hash(seeds[:, None, None], _TAG_GRID_SLOT, axis, coords) % np.uint64(t)
         cells = (buckets[:, None, :] * np.uint64(t) + slots).astype(np.intp)
@@ -208,7 +206,7 @@ def product_distance_encoder(factors: Sequence[Graph], base, k: int, seed: int,
     """Build the product sketch and one sampled encoding.
 
     Returns (sketch, labels); labels[i] is the label of the product vertex
-    with coordinate tuple sketch.coords[i].
+    with coordinates np.unravel_index(i, sketch.dims).
     """
     sk = ProductDistanceSketch(factors, base, k, m=m, t=t)
     return sk, sk.encode(seed)
@@ -243,9 +241,6 @@ class ProductAdjacencySketch(SketchScheme):
     def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         rows = self.product.grid_bits(seeds, np.stack([us, vs], axis=1)).reshape(-1, self.width)
         return self._adjacent(rows, np.arange(0, len(rows), 2), np.arange(1, len(rows), 2))
-
-    def decode(self, bx: int, by: int) -> int:
-        return int(self._adjacent(to_bits([bx, by], self.width), [0], [1])[0])
 
 
 def adjacency_from_distance1(factors: Sequence[Graph]) -> ProductAdjacencySketch:

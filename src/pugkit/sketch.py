@@ -13,9 +13,18 @@ Every sketch is native in one array form of whole encodings:
 `encode_bits(seeds)` is a (seeds, n, width) uint8 bit matrix, bit i of
 vertex v's label at [.., v, i], and `decode_bits` decodes every pair of
 each encoding from it, all seeds (or boost copies) in one numpy pass.
-`SketchScheme.encode` and `decode_matrix` are derived from these two; they
-convert at the one int <-> bits boundary, `to_bits` / `from_bits`.
-Python-int labels remain what files and `DeterministicLabeling` hold.
+`SketchScheme.encode`, `decode_matrix` and the one-pair `decode` are
+derived from these two; they convert at the one int <-> bits boundary,
+`to_bits` / `from_bits`.  Python-int labels remain what files and
+`DeterministicLabeling` hold.
+
+An equality scheme's labels become bits in one place, the packed sketch
+`PackedEqualityScheme`: [shape id][one value per code slot].  Written with
+each code's canonical value it is naive derandomization, zero error and
+the same under every seed; `CompressedEqualityScheme` writes each code's
+hash into [3k^2] instead.  So a deterministic labeling is always a
+sketch's zero-error encoding, read by that sketch.
+
 A boosted label holds copy i at bits [i*w, (i+1)*w), encoded under
 `copy_seeds`' seed i, for sketches and distance sketches alike
 (`boost_bits`).
@@ -30,13 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import Graph
-from .labels import (
-    CompiledDecoder,
-    EqualityScheme,
-    LabelNode,
-    bits_for,
-    register_walker,
-)
+from .labels import EqualityScheme, LabelNode, bits_for, register_walker
 from .rng import _MASK64, counter_hash, derive_seed
 from .structure import forest_partition
 
@@ -44,13 +47,6 @@ from .structure import forest_partition
 # three are a product sketch's factor buckets, vertex slots and factor seeds
 (_TAG_CODE, _TAG_BUCKET, _TAG_COPY, _TAG_PAIR, _TAG_ENC,
  _TAG_GRID_ROW, _TAG_GRID_SLOT, _TAG_FACTOR) = range(1, 9)
-
-
-def split_copies(bits: int, width: int, copies: int) -> list[int]:
-    """The `copies` labels of `width` bits each that `bits` holds: copy i
-    at bits [i*width, (i+1)*width)."""
-    mask = (1 << width) - 1
-    return [bits >> (i * width) & mask for i in range(copies)]
 
 
 def to_bits(labels: Sequence[int], width: int) -> np.ndarray:
@@ -101,9 +97,9 @@ class SketchScheme:
     seeds[s] at [s, v, i]; `decode_bits(bits)`, the (s, n, n) int8 decoded
     bit of every pair of each of s label sets in that form;
     `decode_trials(us, vs, seeds)`, the int8 bit decoded for the pair
-    (us[t], vs[t]) under a fresh encoding seeded by seeds[t], for every t;
-    and `decode(bx, by)`, the bit of one pair of int labels.  `encode` and
-    `decode_matrix` are the bit form of one label set.
+    (us[t], vs[t]) under a fresh encoding seeded by seeds[t], for every t.
+    `encode` and `decode_matrix` are the bit form of one label set, and
+    `decode` of one pair; no sketch overrides them.
     """
 
     width: int
@@ -116,6 +112,10 @@ class SketchScheme:
     def decode_matrix(self, labels: list[int]) -> np.ndarray:
         """The n x n 0/1 matrix of decode(labels[u], labels[v])."""
         return self.decode_bits(to_bits(labels, self.width)[None])[0]
+
+    def decode(self, bx: int, by: int) -> int:
+        """The decoded bit of one pair of int labels."""
+        return int(self.decode_matrix([bx, by])[0, 1])
 
 
 def copy_seeds(seeds, copies: int) -> np.ndarray:
@@ -134,65 +134,94 @@ def boost_bits(encode_bits: Callable[[np.ndarray], np.ndarray], seeds, copies: i
     return bits.reshape(len(cs), copies, n, w).transpose(0, 2, 1, 3).reshape(len(cs), n, copies * w)
 
 
-class CompressedEqualityScheme(SketchScheme):
-    """Equality scheme compressed by hashing codes into [3k^2] (one-sided).
+class PackedEqualityScheme(SketchScheme):
+    """An equality scheme's labels as bit fields: the zero-error packed sketch.
 
-    Sketch layout: [shape index][one hashed value per code slot], padded to
-    a fixed width.  Equal codes always hash equal, so true-equality
-    comparisons never flip; each false equality flips with probability
-    1/(3k^2), giving per-pair error at most k^2/(3k^2) = 1/3.
+    Layout: [shape id][one `value_width`-bit value per code slot], the
+    slots past a label's arity zero up to the largest arity k.  Each code
+    is written as its canonical value, so the labels are the same under
+    every seed and decode with zero error: naive derandomization, of
+    s + k*ceil(log2(#distinct codes)) bits with the shape id as s.
+    Subclasses write another value per code (`_code_values`) over their
+    own `_alphabet`.  Decoding reads the fields back into a code table for
+    the scheme's `CompiledDecoder`, whose memo it shares, since a walker
+    sees only shapes and Q.  The sketch keeps the scheme's code table and
+    decoder, not its labels.
     """
 
+    delta = 0.0
+
     def __init__(self, scheme: EqualityScheme):
-        self.scheme = scheme
         self.n = scheme.n
-        k = max(scheme.k, 1)
-        self.alphabet = 3 * k * k
-        self.codec = scheme.codec.widened(bits_for(self.alphabet))
-        self._decoder = CompiledDecoder(self.codec, scheme.walker)
-        self.width = self.codec.width
-        self.delta = 1 / 3
+        self.codec, self.decoder, self.table = scheme.codec, scheme.decoder, scheme.table
+        self.alphabet = self._alphabet(scheme)
+        self.value_width = bits_for(max(self.alphabet, 2))
+        self.width = self.codec.shape_bits + self.codec.k * self.value_width
 
-    def _hashed(self, seed, values) -> np.ndarray:
-        """The hashed code of each canonical code value under `seed`."""
-        return counter_hash(seed, _TAG_CODE, values) % np.uint64(self.alphabet)
+    def _alphabet(self, scheme: EqualityScheme) -> int:
+        """How many values a code field takes: the distinct codes."""
+        return len(scheme.canon)
 
-    def _hash(self, seed: int, value: int) -> int:
-        return int(self._hashed(seed, self.scheme.canon[value]))
+    def _code_values(self, seeds, values) -> np.ndarray:
+        """The field value of each canonical code value in `values` under
+        each seed in `seeds`, broadcast together: the value itself."""
+        return np.broadcast_to(values, np.broadcast_shapes(np.shape(seeds), np.shape(values)))
 
     def encode_bits(self, seeds) -> np.ndarray:
-        # the code table hashed under every seed; padding writes zeros
-        codec, sb = self.codec, self.codec.shape_bits
-        sid, vals = self.scheme.table
-        hashed = self._hashed(_seed_words(seeds)[:, None, None], vals)
-        hashed[:, vals < 0] = 0
-        bits = np.empty((len(hashed), self.n, self.width), dtype=np.uint8)
+        # the code table's values under every seed; padding writes zeros
+        sb = self.codec.shape_bits
+        sid, vals = self.table
+        values = np.where(vals < 0, 0, self._code_values(_seed_words(seeds)[:, None, None], vals))
+        bits = np.empty((len(values), self.n, self.width), dtype=np.uint8)
         bits[..., :sb] = _field_bits(sid[:, None], sb)
-        bits[..., sb:] = _field_bits(hashed, codec.value_width)
+        bits[..., sb:] = _field_bits(values, self.value_width)
         return bits
 
     def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        # a table of the trials' hashed rows: us first, then vs, both under
-        # their trial's seed
-        sid, vals = self.scheme.table
+        # a table of the trials' rows: us first, then vs, both under their
+        # trial's seed
+        sid, vals = self.table
         t, w = len(us), np.concatenate([us, vs])
         rows = vals[w]
-        hashed = self._hashed(np.tile(np.asarray(seeds, dtype=np.uint64), 2)[:, None],
-                              rows).astype(np.int64)
-        hashed[rows < 0] = -1
-        return self._decoder.decode_pairs(sid[w], hashed, np.arange(t), np.arange(t, 2 * t))
-
-    def decode(self, bx: int, by: int) -> int:
-        return self._decoder.decode(bx, by)
+        values = self._code_values(np.tile(np.asarray(seeds, dtype=np.uint64), 2)[:, None], rows)
+        values = np.where(rows < 0, -1, values.astype(np.int64))
+        return self.decoder.decode_pairs(sid[w], values, np.arange(t), np.arange(t, 2 * t))
 
     def decode_bits(self, bits: np.ndarray) -> np.ndarray:
         # the fields read back into code tables, -1 past each arity as
         # `ShapeCodec.table` pads, and all tables decoded in one call
         codec, sb = self.codec, self.codec.shape_bits
         sid = _read_fields(bits[..., :sb], 1, sb)[..., 0]
-        vals = _read_fields(bits[..., sb:], codec.k, codec.value_width)
+        vals = _read_fields(bits[..., sb:], codec.k, self.value_width)
         vals[np.arange(codec.k) >= np.array(codec.arities, dtype=np.int64)[sid][..., None]] = -1
-        return self._decoder.decode_rows(sid, vals)
+        return self.decoder.decode_rows(sid, vals)
+
+
+class CompressedEqualityScheme(PackedEqualityScheme):
+    """Equality scheme compressed by hashing codes into [3k^2] (one-sided).
+
+    The packed layout with each code's hash under the seed in place of its
+    value.  Equal codes always hash equal, so true-equality comparisons
+    never flip; each false equality flips with probability 1/(3k^2),
+    giving per-pair error at most k^2/(3k^2) = 1/3.
+    """
+
+    delta = 1 / 3
+
+    def __init__(self, scheme: EqualityScheme):
+        super().__init__(scheme)
+        self._canon = scheme.canon
+
+    def _alphabet(self, scheme: EqualityScheme) -> int:
+        k = max(scheme.k, 1)
+        return 3 * k * k
+
+    def _code_values(self, seeds, values) -> np.ndarray:
+        return counter_hash(seeds, _TAG_CODE, values) % np.uint64(self.alphabet)
+
+    def _hash(self, seed: int, code: int) -> int:
+        """The hashed value of a code of the scheme under `seed`."""
+        return int(self._code_values(seed, self._canon[code]))
 
 
 def compress_equality_scheme(scheme: EqualityScheme) -> CompressedEqualityScheme:
@@ -289,11 +318,6 @@ class BoostedScheme(SketchScheme):
         votes = self.base.decode_trials(np.repeat(us, c), np.repeat(vs, c),
                                         copy_seeds(seeds, c).ravel())
         return (2 * votes.reshape(-1, c).sum(axis=1, dtype=np.int32) > c).astype(np.int8)
-
-    def decode(self, bx: int, by: int) -> int:
-        w, c = self.base.width, self.copies
-        votes = sum(map(self.base.decode, split_copies(bx, w, c), split_copies(by, w, c)))
-        return int(2 * votes > c)
 
     def decode_bits(self, bits: np.ndarray) -> np.ndarray:
         # the copies go to the base in blocks of about COPY_BLOCK_CELLS
@@ -401,16 +425,9 @@ class ArboricitySketch(SketchScheme):
         marked = (r[:, 2:] == np.repeat(r[:, 1::-1], a, axis=1)) & (ids[:, 2:] >= 0)
         return marked.any(axis=1).astype(np.int8)
 
-    def decode(self, bx: int, by: int) -> int:
-        rx = bx & ((1 << self.r_bits) - 1)
-        ry = by & ((1 << self.r_bits) - 1)
-        bloom_x = bx >> self.r_bits
-        bloom_y = by >> self.r_bits
-        return int(bool(bloom_x >> ry & 1 or bloom_y >> rx & 1))
-
     def decode_bits(self, bits: np.ndarray) -> np.ndarray:
         # hit[s, u, v] is u's Bloom bit at v's bucket; a bucket field >=
-        # buckets reads the zero column past the filter, as `decode` reads 0
+        # buckets reads the zero column past the filter: no Bloom bit
         s, n = bits.shape[:2]
         b = self.buckets
         r = np.minimum(_read_fields(bits[..., :self.r_bits], 1, self.r_bits)[..., 0], b)
@@ -431,11 +448,11 @@ def arboricity_sketch(g: Graph) -> ArboricitySketch:
 
 @dataclass
 class DeterministicLabeling:
-    """Zero-error labels and the one decoder that reads them."""
+    """Zero-error labels and the sketch whose decoder reads them."""
 
     labels: tuple[int, ...]
     width: int
-    decoder: "SketchScheme | CompiledDecoder"
+    decoder: SketchScheme
     attempts: int = 1
 
     @property
@@ -454,7 +471,7 @@ class DerandomizationError(RuntimeError):
     """The sampled scheme kept violating its error contract."""
 
 
-def count_errors(sch: "SketchScheme | CompiledDecoder", labels: list[int], g: Graph) -> int:
+def count_errors(sch: SketchScheme, labels: list[int], g: Graph) -> int:
     """Pairs u < v whose bit in `sch.decode_matrix(labels)` differs from g."""
     adj = np.zeros((g.n, g.n), dtype=np.int8)
     for u, v in g.edges():
@@ -484,12 +501,12 @@ def derandomize(sch: SketchScheme, g: Graph, seed: int,
 def naive_derandomize(scheme: EqualityScheme) -> DeterministicLabeling:
     """Write each canonically-renumbered code verbatim: zero error.
 
-    Label width is s + k*ceil(log2(#distinct codes)); when codes are vertex
-    ids this is the s + k*ceil(log n) of the naive bound.
+    The labels are the `PackedEqualityScheme` encoding, the same under
+    every seed, of s + k*ceil(log2(#distinct codes)) bits; when codes are
+    vertex ids this is the s + k*ceil(log n) of the naive bound.
     """
-    codec = scheme.codec.widened(bits_for(max(len(scheme.canon), 2)))
-    labels = tuple(codec.pack(shape, vals) for shape, vals in zip(scheme.shapes, scheme.values))
-    return DeterministicLabeling(labels, codec.width, CompiledDecoder(codec, scheme.walker))
+    sk = PackedEqualityScheme(scheme)
+    return DeterministicLabeling(tuple(sk.encode(0)), sk.width, sk)
 
 
 def naive_label_width(scheme: EqualityScheme) -> tuple[int, int, int]:
@@ -628,10 +645,16 @@ class PugView:
         return self.sketch.encode(seed)
 
     def edge_table(self) -> list[list[int]]:
+        """adjacent(a, b) for every pair of nodes, the diagonal included:
+        every node as one label set, and each node against itself as a set
+        of two, in two `decode_bits` calls."""
         if self.width > 12:
             raise ValueError("table materialization capped at width 12")
-        return [[self.adjacent(a, b) for b in range(self.num_nodes)]
-                for a in range(self.num_nodes)]
+        nodes = to_bits(range(self.num_nodes), self.width)
+        table = self.sketch.decode_bits(nodes[None])[0]
+        table[np.diag_indices(self.num_nodes)] = \
+            self.sketch.decode_bits(np.stack([nodes, nodes], axis=1))[:, 0, 1]
+        return table.tolist()
 
 
 def export_pug(sch: SketchScheme) -> PugView:

@@ -385,7 +385,7 @@ def test_criterion_7_product_distance_sketch():
                 for _ in range(pairs_per):
                     u = rng.randrange(sk.n)
                     v = rng.randrange(sk.n)
-                    cu, cv = sk.coords[u], sk.coords[v]
+                    cu, cv = np.unravel_index(u, sk.dims), np.unravel_index(v, sk.dims)
                     if name == "Q10":
                         dist = sum(a != b for a, b in zip(cu, cv))
                     else:

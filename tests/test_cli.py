@@ -128,6 +128,53 @@ def test_derand_modes(tmp_path, capsys):
     assert code2 == 0
 
 
+_CHAIN_BIGRAPH = "bigraph cg 3 3\ne 0 0\ne 1 0\ne 1 1\ne 2 0\ne 2 1\ne 2 2\n"
+
+
+def test_eval_takes_a_bigraph_input(tmp_path, capsys):
+    # the bigraph is read as a graph with X at 0..nx-1 and Y at nx..,
+    # the ids its labels give them
+    g = tmp_path / "cg.graph"
+    g.write_text(_CHAIN_BIGRAPH)
+    code, out, err = run(capsys, "eval", str(g), "--scheme", "compress:chain-graph", "--k", "3",
+                         "--trials", "10", "--seed", "1")
+    assert code == 0 and out.startswith("class trials"), err
+
+
+@pytest.mark.parametrize("mode", ["naive", "sampled"])
+def test_derand_takes_a_bigraph_input_and_verifies_it(tmp_path, capsys, mode):
+    from pugkit import bipartite, sketch
+    from pugkit.cli import parse_sketch_file
+    from pugkit.graphs import parse_graph
+
+    g = tmp_path / "cg.graph"
+    g.write_text(_CHAIN_BIGRAPH)
+    scheme = "chain-graph" if mode == "naive" else "compress:chain-graph"
+    code, out, err = run(capsys, "derand", str(g), "--scheme", scheme, "--k", "3", "--seed", "1",
+                         "--mode", mode)
+    assert code == 0, err
+    labels, width = parse_sketch_file(out)
+    bigraph, _ = parse_graph(_CHAIN_BIGRAPH)
+    base = bipartite.chain_graph_labels(bigraph, k=3)
+    det = sketch.naive_derandomize(base) if mode == "naive" else \
+        sketch.derandomize(sketch.compress_equality_scheme(base), bigraph.to_graph(), seed=1)
+    assert (tuple(labels), width) == (det.labels, det.width)
+    assert sketch.DeterministicLabeling(tuple(labels), width, det.decoder).check_exact(
+        bigraph.to_graph())
+    # the command runs that check itself, on bigraphs too
+    checked = []
+
+    def reject(self, graph):
+        checked.append(graph.n)
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sketch.DeterministicLabeling, "check_exact", reject)
+        code, _, err = run(capsys, "derand", str(g), "--scheme", scheme, "--k", "3",
+                           "--seed", "1", "--mode", mode)
+    assert (code, checked) == (2, [6]) and "fail verification" in err
+
+
 def test_derand_rejects_delta(tmp_path, capsys):
     # derandomize boosts to error 1/n^3 itself; a --delta boost under it
     # only widened the labels
@@ -246,6 +293,20 @@ def test_product_dist_rejects_empty_and_oversized_powers(tmp_path, capsys):
                              "--seed", "1", "--query", "0:1")
         assert code == 3 and out == "" and "Traceback" not in err, d
         assert time.perf_counter() - start < 5, d
+
+
+@pytest.mark.parametrize("address", [
+    "0,0,0:1,1",    # wrong length
+    "0,-1:1,1",     # negative
+    "0,3:1,1",      # out of range
+    "0,1:1,99999999999999999999999",  # past any machine integer
+])
+def test_product_dist_bad_address_exits_3(tmp_path, capsys, address):
+    g = tmp_path / "p3.graph"
+    run(capsys, "gen", "path", "--n", "3", "--out", str(g))
+    code, out, err = run(capsys, "product-dist", str(g), "--d", "2", "--k", "1", "--seed", "1",
+                         "--query", "0,0:1,1", "--query", address)
+    assert code == 3 and "bad product vertex address" in err and "Traceback" not in err
 
 
 def test_format_error_exit(tmp_path, capsys):

@@ -1,10 +1,10 @@
 """The shape codec and the compiled (bulk) decoder.
 
-Bulk decoding must agree with per-pair decoding on every pair u < v, for
-every sketch, including the ones whose Q does not fit in a machine word,
-Bloom filters wider than 63 buckets, and sketches that decode all pairs
-through the per-pair reference.  Likewise the vectorised trial decoder
-must agree with encoding and decoding each trial's pair on its own.
+Bulk decoding must agree with the per-pair references of `tests.per_pair`
+on every pair u < v, for every sketch, including the ones whose Q does not
+fit in a machine word and Bloom filters wider than 63 buckets.  Likewise
+the vectorised trial decoder must agree with encoding and decoding each
+trial's pair on its own.
 """
 
 import numpy as np
@@ -53,6 +53,7 @@ from pugkit.sketch import (
     naive_derandomize,
 )
 from pugkit.structure import chain_number
+from tests.per_pair import pack, parse, reference_decode
 
 
 def _assert_bulk_matches(decode, mat, labels):
@@ -80,7 +81,7 @@ def test_compressed_decode_matrix_matches_decode(name):
     sk = _compressed(name)
     for seed in range(4):
         labels = sk.encode(seed)
-        _assert_bulk_matches(sk.decode, sk.decode_matrix(labels), labels)
+        _assert_bulk_matches(reference_decode(sk), sk.decode_matrix(labels), labels)
 
 
 def test_boosted_compressed_decode_matrix_matches_decode():
@@ -89,14 +90,14 @@ def test_boosted_compressed_decode_matrix_matches_decode():
     assert b.copies > 1
     for seed in range(3):
         labels = b.encode(seed)
-        _assert_bulk_matches(b.decode, b.decode_matrix(labels), labels)
+        _assert_bulk_matches(reference_decode(b), b.decode_matrix(labels), labels)
 
 
 def test_naive_decode_matrix_matches_decode():
     for g in (random_kdegenerate(30, 3, seed=1), random_forest(40, seed=2)):
         det = naive_derandomize(arboricity_scheme(g))
         labels = list(det.labels)
-        _assert_bulk_matches(det.decode, det.decode_matrix(labels), labels)
+        _assert_bulk_matches(reference_decode(det.decoder), det.decode_matrix(labels), labels)
         assert det.check_exact(g)
 
 
@@ -107,7 +108,7 @@ def test_bloom_decode_matrix_matches_decode(alpha):
     assert sk.alpha == alpha
     for seed in range(2):
         labels = sk.encode(seed)
-        _assert_bulk_matches(sk.decode, sk.decode_matrix(labels), labels)
+        _assert_bulk_matches(reference_decode(sk), sk.decode_matrix(labels), labels)
 
 
 def _sketch(name):
@@ -124,7 +125,6 @@ def _sketch(name):
     if name == "boosted-bloom":
         g = random_kdegenerate(20, 2, seed=5)
         return boost(arboricity_sketch(g), 0.05), g
-    # decodes all pairs through the base-class per-pair reference
     factors = [path(3), cycle(4)]
     return adjacency_from_distance1(factors), cartesian_product(factors)[0]
 
@@ -137,15 +137,16 @@ def test_sketch_decode_matrix_matches_decode(name):
     sk, _ = _sketch(name)
     for seed in range(2):
         labels = sk.encode(seed)
-        _assert_bulk_matches(sk.decode, sk.decode_matrix(labels), labels)
+        _assert_bulk_matches(reference_decode(sk), sk.decode_matrix(labels), labels)
 
 
 @pytest.mark.parametrize("name", SKETCHES)
 def test_count_errors_matches_per_pair_loop(name):
     sk, g = _sketch(name)
+    decode = reference_decode(sk)
     for seed in range(3):
         labels = sk.encode(seed)
-        slow = sum(sk.decode(labels[u], labels[v]) != int(g.has_edge(u, v))
+        slow = sum(decode(labels[u], labels[v]) != int(g.has_edge(u, v))
                    for u in range(g.n) for v in range(u + 1, g.n))
         assert count_errors(sk, labels, g) == slow
 
@@ -168,11 +169,13 @@ def test_deterministic_labeling_decodes_through_its_decoder(mode):
 
 
 def test_bulk_decode_blocks_do_not_change_the_output(monkeypatch):
-    sk = compress_equality_scheme(arboricity_scheme(random_kdegenerate(30, 2, seed=4)))
+    g = random_kdegenerate(30, 2, seed=4)
+    sk = compress_equality_scheme(arboricity_scheme(g))
     labels = sk.encode(3)
     whole = sk.decode_matrix(labels)
     monkeypatch.setattr(CompiledDecoder, "BLOCK_CELLS", 1)  # one pair per block
-    assert (compress_equality_scheme(sk.scheme).decode_matrix(labels) == whole).all()
+    # a fresh scheme, so that its walker runs start from an empty memo
+    assert (compress_equality_scheme(arboricity_scheme(g)).decode_matrix(labels) == whole).all()
 
 
 def test_walker_runs_once_per_key_and_memo_is_per_scheme():
@@ -255,13 +258,16 @@ def test_walker_scheme_error_raised_from_bulk_path():
 def test_shape_codec_round_trip():
     labels = [LabelNode(tag=(1,), codes=(1, 2), children=(LabelNode(codes=(3,)),)),
               LabelNode(codes=(4,)), LabelNode(codes=(5,))]
-    codec = ShapeCodec([shape_of(l) for l in labels], value_width=3)
+    scheme = EqualityScheme(labels, lambda sx, sy, eq: 0)
+    sk = sketch.PackedEqualityScheme(scheme)
+    codec = sk.codec
     assert codec.shapes == [shape_of(labels[0]), shape_of(labels[1])]
-    assert (codec.k, codec.shape_bits, codec.width) == (3, 1, 1 + 3 * 3)
-    for l in labels:
+    # five distinct codes take 3 bits each
+    assert (codec.k, codec.shape_bits, sk.value_width, sk.width) == (3, 1, 3, 1 + 3 * 3)
+    assert sk.encode(0) == [pack(sk, sid, vals) for sid, vals in zip(codec.ids, scheme.values)]
+    for l, sid in zip(labels, codec.ids):
         vals = [c % 8 for c in flat_codes(l)]
-        sid, parsed = codec.parse(codec.pack(shape_of(l), vals))
-        assert (codec.shapes[sid], parsed) == (shape_of(l), vals)
+        assert parse(sk, pack(sk, sid, vals)) == (sid, vals)
 
 
 @pytest.mark.parametrize("label", [
@@ -403,10 +409,10 @@ def test_decode_trials_matches_per_trial_decode(name):
     seeds[:3] = [0, _MASK64, 1 << 63]
     bits = sk.decode_trials(us, vs, seeds)
     assert bits.dtype == np.int8 and bits.shape == (trials,)
-    want = []
+    want, decode = [], reference_decode(sk)
     for u, v, s in zip(us.tolist(), vs.tolist(), seeds.tolist()):
         labels = sk.encode(s)
-        want.append(sk.decode(labels[u], labels[v]))
+        want.append(decode(labels[u], labels[v]))
     assert bits.tolist() == want
     assert 0 < sum(want) < trials
 

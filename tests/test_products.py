@@ -200,7 +200,7 @@ def test_equal_coordinates_cancel():
     base = FiniteFamilyDistanceSketch([path(2)], k=1)
     sk = ProductDistanceSketch([path(2)] * 5, base, k=1)
     labels = sk.encode(seed=3)
-    i = sk.index[(0, 1, 0, 1, 0)]
+    i = np.ravel_multi_index((0, 1, 0, 1, 0), sk.dims)
     z = labels[i] ^ labels[i]
     assert not z.any()
     assert sk.decode(labels[i], labels[i]) == 0
@@ -224,8 +224,8 @@ def test_hypercube_distances():
             u = rng.randrange(sk.n)
             v = rng.randrange(sk.n)
             hd = bin(u ^ v).count("1")  # coords are binary tuples
-            ui = sk.index[tuple(u >> (d - 1 - i) & 1 for i in range(d))]
-            vi = sk.index[tuple(v >> (d - 1 - i) & 1 for i in range(d))]
+            ui = np.ravel_multi_index(tuple(u >> (d - 1 - i) & 1 for i in range(d)), sk.dims)
+            vi = np.ravel_multi_index(tuple(v >> (d - 1 - i) & 1 for i in range(d)), sk.dims)
             out = sk.decode(labels[ui], labels[vi])
             want = hd if hd <= k else BOTTOM
             good += out == want
@@ -249,7 +249,8 @@ def test_p3_power_distances():
             u = rng.randrange(prod.n)
             v = rng.randrange(prod.n)
             want = dist0[u][v] if dist0[u][v] <= k else BOTTOM
-            out = sk.decode(labels[sk.index[coords[u]]], labels[sk.index[coords[v]]])
+            ui, vi = (np.ravel_multi_index(coords[w], sk.dims) for w in (u, v))
+            out = sk.decode(labels[ui], labels[vi])
             good += out == want
             total += 1
     assert good / total >= 2 / 3
@@ -260,8 +261,8 @@ def test_raw_decoder_can_exceed_k():
     # contract view maps it to BOTTOM
     base = FiniteFamilyDistanceSketch([path(2)], k=1)
     sk = ProductDistanceSketch([path(2)] * 4, base, k=1)
-    x = sk.index[(0, 0, 0, 0)]
-    y = sk.index[(1, 1, 0, 0)]
+    x = np.ravel_multi_index((0, 0, 0, 0), sk.dims)
+    y = np.ravel_multi_index((1, 1, 0, 0), sk.dims)
     raws = set()
     for enc in range(40):
         labels = sk.encode(seed=enc)
@@ -307,8 +308,8 @@ def test_far_pairs_report_bottom():
     d, k = 8, 2
     base = FiniteFamilyDistanceSketch([path(2)], k=k)
     sk = ProductDistanceSketch([path(2)] * d, base, k=k)
-    x = sk.index[(0,) * d]
-    y = sk.index[(1,) * d]  # Hamming distance 8 > k
+    x = np.ravel_multi_index((0,) * d, sk.dims)
+    y = np.ravel_multi_index((1,) * d, sk.dims)  # Hamming distance 8 > k
     hits = 0
     trials = 60
     for enc in range(trials):
@@ -342,7 +343,8 @@ def test_good_events_imply_exact_output():
         if not (distinct_b and distinct_c):
             continue
         labels = sk.encode(seed=enc)
-        out = sk.decode(labels[sk.index[x]], labels[sk.index[y]])
+        xi, yi = (np.ravel_multi_index(w, sk.dims) for w in (x, y))
+        out = sk.decode(labels[xi], labels[yi])
         assert out == 2
         checked += 1
     assert checked >= 10
@@ -356,7 +358,7 @@ def test_boosted_base_labels_wider_than_a_word_encode_and_decode():
     assert sk.base.copies == 23 and sk.base.width == 69
     labels = sk.encode(1)
     assert labels.shape == (25, sk.width)
-    x, y = sk.index[(0, 0)], sk.index[(1, 0)]
+    x, y = np.ravel_multi_index((0, 0), sk.dims), np.ravel_multi_index((1, 0), sk.dims)
     assert sk.decode(labels[x], labels[y]) in (BOTTOM, 0, 1, 2)
     assert sk.decode(labels[x], labels[x]) == 0
     assert sk.decode_raw(labels[x], labels[y]) == _raw_reference(sk, labels[x], labels[y])

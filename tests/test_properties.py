@@ -28,16 +28,19 @@ from pugkit.labels import (
 from pugkit.products import adjacency_from_distance1
 from pugkit.rng import counter_hash
 from pugkit.sketch import (
+    PackedEqualityScheme,
     arboricity_scheme,
     arboricity_sketch,
     boost,
     compress_equality_scheme,
     evaluate_error,
     from_bits,
+    naive_derandomize,
     to_bits,
 )
 from pugkit.structure import quasi_chain_number
 from pugkit.twinwidth import Star, TwCertificate, parse_certificate, write_certificate
+from tests.per_pair import parse, reference_decode
 
 WALKERS = sorted(_WALKER_BUILDERS)
 
@@ -117,7 +120,8 @@ def test_query_with_any_decoder_table_exits_0_2_or_3(label_files, tmp_path, caps
 
 
 _G = random_kdegenerate(14, 2, seed=3)
-_COMP = compress_equality_scheme(arboricity_scheme(_G))
+_ARB = arboricity_scheme(_G)
+_COMP = compress_equality_scheme(_ARB)
 _ONE_SIDED = {"compressed": _COMP, "bloom": arboricity_sketch(_G),
               "boosted-compressed": boost(_COMP, 0.05),
               "boosted-bloom": boost(arboricity_sketch(_G), 0.05)}
@@ -129,8 +133,8 @@ _EDGES = np.array(list(_G.edges()), dtype=np.int64)
 def test_one_sided_under_any_seed(seed):
     # equal codes hash equal, under `_hash` and in every encoded label
     hashed = {}
-    for label, codes in zip(_COMP.encode(seed), _COMP.scheme.codes):
-        for code, value in zip(codes, _COMP.codec.parse(label)[1]):
+    for label, codes in zip(_COMP.encode(seed), _ARB.codes):
+        for code, value in zip(codes, parse(_COMP, label)[1]):
             assert hashed.setdefault(code, _COMP._hash(seed, code)) == value
     # adjacent pairs decode 1 under every encoding, in both orders
     us = np.concatenate([_EDGES[:, 0], _EDGES[:, 1]])
@@ -144,7 +148,8 @@ def test_one_sided_under_any_seed(seed):
     assert rep.adjacent.errors == 0
 
 
-_BIT_FORM = {**_ONE_SIDED, "product-adjacency": adjacency_from_distance1([path(2)] * 3)}
+_BIT_FORM = {**_ONE_SIDED, "product-adjacency": adjacency_from_distance1([path(2)] * 3),
+             "naive": naive_derandomize(_ARB).decoder}
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -155,12 +160,37 @@ def test_bit_form_decodes_as_the_labels_and_every_pair(seeds, which):
     bits = sk.encode_bits(seeds)
     mats = sk.decode_bits(bits)
     assert bits.shape == (len(seeds), sk.n, sk.width) and mats.shape == (len(seeds), sk.n, sk.n)
+    decode = reference_decode(sk)
     for seed, b, mat in zip(seeds, bits, mats):
         labels = sk.encode(seed)
         assert from_bits(b) == labels
         assert (mat == sk.decode_matrix(labels)).all()
         for u, v in itertools.permutations(range(sk.n), 2):
-            assert mat[u, v] == sk.decode(labels[u], labels[v])
+            assert mat[u, v] == decode(labels[u], labels[v])
+
+
+def _decoded(decode, bx, by):
+    """decode(bx, by), or IndexError where it raises one: an arbitrary
+    shape-id field may name no shape."""
+    try:
+        return decode(bx, by)
+    except IndexError:
+        return IndexError
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.data(), which=st.sampled_from(sorted(_BIT_FORM)))
+def test_derived_decode_equals_the_per_pair_reference(data, which):
+    # on in-width labels drawn from encodings and from arbitrary bits, in
+    # both orders and against themselves
+    sk = _BIT_FORM[which]
+    encoded = st.builds(lambda seed, v: sk.encode(seed)[v],
+                        st.integers(0, 1 << 64), st.integers(0, sk.n - 1))
+    label = encoded | st.integers(0, (1 << sk.width) - 1)
+    bx, by = data.draw(label), data.draw(label)
+    decode = reference_decode(sk)
+    for x, y in ((bx, by), (by, bx), (bx, bx)):
+        assert _decoded(sk.decode, x, y) == _decoded(decode, x, y)
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -194,9 +224,9 @@ def test_bloom_bucket_fields_past_the_filter_decode_as_per_pair(data, which):
                      max_size=sk.width // base.width).map(
         lambda parts: sum(p << i * base.width for i, p in enumerate(parts)))
     labels = data.draw(st.lists(label, min_size=1, max_size=6))
-    mat = sk.decode_matrix(labels)
+    mat, decode = sk.decode_matrix(labels), reference_decode(sk)
     for u, v in itertools.product(range(len(labels)), repeat=2):
-        assert mat[u, v] == sk.decode(labels[u], labels[v])
+        assert mat[u, v] == decode(labels[u], labels[v])
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -359,11 +389,10 @@ def test_bulk_decoders_equal_the_per_pair_walker(labels, data):
             assert mats[1, n - 1 - v, n - 1 - u] == walker(v, u)
     # one walker run per distinct (shape pair, Q) among the pairs decoded
     assert len(calls) == len({key(u, v) for u in range(n) for v in range(n) if u != v})
-    # decode_stack over the same codes packed 16 bits each
-    wide = codec.widened(16)
-    packed = [wide.pack(sh, c) for sh, c in zip(shapes, codes)]
-    stack = CompiledDecoder(wide, _q_walker).decode_stack([packed, packed[::-1]])
-    assert (stack == mats).all()
+    # the same codes as the naive packed sketch's bits, both orders stacked
+    naive = PackedEqualityScheme(EqualityScheme(labels, _q_walker))
+    bits = naive.encode_bits([0])[0]
+    assert (naive.decode_bits(np.stack([bits, bits[::-1]])) == mats).all()
     # the compressed trial decoder: each trial's pair under its own encoding
     if n:
         sk = compress_equality_scheme(EqualityScheme(labels, counted))
@@ -373,7 +402,7 @@ def test_bulk_decoders_equal_the_per_pair_walker(labels, data):
         seeds = counter_hash(data.draw(st.integers(0, 1 << 64)), 0, np.arange(len(us)))
         want, keys = [], set()
         for u, v, s in zip(us.tolist(), vs.tolist(), seeds.tolist()):
-            hashed = [sk.codec.parse(bits)[1] for bits in sk.encode(s)]
+            hashed = [parse(sk, bits)[1] for bits in sk.encode(s)]
             want.append(walker(u, v, hashed))
             keys.add(key(u, v, hashed))
         calls.clear()

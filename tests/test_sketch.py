@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pugkit import bipartite, products, sketch
 from pugkit.generators import (
     complete,
     edgeless,
@@ -18,6 +19,7 @@ from pugkit.labels import EqualityScheme, LabelNode, pair_eq_matrix
 from pugkit.sketch import (
     ArboricitySketch,
     DerandomizationError,
+    PackedEqualityScheme,
     SketchScheme,
     arboricity_scheme,
     arboricity_sketch,
@@ -36,6 +38,7 @@ from pugkit.sketch import (
     to_bits,
     wilson_interval,
 )
+from tests.per_pair import reference_decode
 
 
 class PerPair(SketchScheme):
@@ -153,11 +156,11 @@ def test_bloom_decode_matrix_matches_scalar():
     g = random_graph(10, 0.4, seed=6)
     sk = arboricity_sketch(g)
     labels = sk.encode(seed=8)
-    mat = sk.decode_matrix(labels)
+    mat, decode = sk.decode_matrix(labels), reference_decode(sk)
     for u in range(g.n):
         for v in range(g.n):
             if u != v:
-                assert mat[u][v] == sk.decode(labels[u], labels[v])
+                assert mat[u][v] == decode(labels[u], labels[v])
 
 
 def test_derandomize_forest():
@@ -168,24 +171,28 @@ def test_derandomize_forest():
     assert det.attempts <= 5
 
 
+def _naive_cases():
+    """(naive labeling, its graph): an arboricity and an equivalence graph."""
+    arb, eq = random_kdegenerate(40, 3, seed=2), equivalence_graph([5, 4, 4, 3, 1])
+    return [(naive_derandomize(arboricity_scheme(arb)), arb),
+            (naive_derandomize(bipartite.equivalence_labels(eq)), eq)]
+
+
 def test_derandomize_zero_error_scheme_first_try():
-    g = path(10)
-    det = naive_derandomize(arboricity_scheme(g))
+    # the naive labeling's sketch has delta 0 and encodes the same labels
+    # under every seed: no boost copy, and the first sample is exact
+    for det, g in _naive_cases():
+        assert isinstance(det.decoder, PackedEqualityScheme) and det.decoder.delta == 0
+        out = derandomize(det.decoder, g, seed=1)
+        assert (out.attempts, out.labels, out.width) == (1, det.labels, det.width)
 
-    class Wrap(PerPair):
-        # a deterministic "sketch": encode ignores the seed
-        def __init__(self, det):
-            self.n, self.width, self.delta = g.n, det.width, 0.0
-            self._det = det
 
-        def encode(self, seed):
-            return list(self._det.labels)
-
-        def decode(self, bx, by):
-            return self._det.decode(bx, by)
-
-    out = derandomize(Wrap(det), g, seed=1)
-    assert out.attempts == 1
+def test_naive_labeling_is_a_zero_error_sketch():
+    for det, g in _naive_cases():
+        for pairs in ("all", "adjacent", "nonadjacent"):
+            rep = evaluate_error(det.decoder, g, trials=2000, seed=3, pairs=pairs)
+            assert rep.overall.errors == 0 and rep.overall.trials == 2000
+        assert det.decoder.encode(5) == list(det.labels)
 
 
 def test_derandomize_raises_on_broken_scheme():
@@ -260,19 +267,36 @@ def test_export_pug():
             assert pug.adjacent(phi[u], phi[v]) == 1
 
     class Tiny(ArboricitySketch):
+        # one-bit labels v % 2, adjacent iff they differ
         def __init__(self, g):
             super().__init__(g)
             self.width = 1
 
-        def encode(self, seed):
-            return [v % 2 for v in range(self.n)]
+        def encode_bits(self, seeds):
+            return np.broadcast_to(np.arange(self.n) % 2, (len(seeds), self.n))[..., None]
 
-        def decode(self, bx, by):
-            return int(bx != by)
+        def decode_bits(self, bits):
+            return (bits[:, :, None, 0] != bits[:, None, :, 0]).view(np.int8)
 
     pug2 = export_pug(Tiny(g))
     assert pug2.num_nodes == 2
+    assert pug2.phi(seed=0) == [0, 1, 0, 1]
     assert pug2.edge_table() == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("kind", ["bloom", "compressed-arboricity", "compressed-equivalence"])
+def test_edge_table_equals_the_per_pair_reference(kind):
+    # the narrowest Bloom sketch takes 9 bits: a 3-bit bucket, 6 buckets;
+    # the compressed schemes have 2 and 1 shapes, so every node parses
+    if kind == "bloom":
+        sk = arboricity_sketch(path(5))
+    elif kind == "compressed-arboricity":
+        sk = compress_equality_scheme(arboricity_scheme(path(5)))
+    else:
+        sk = compress_equality_scheme(bipartite.equivalence_labels(equivalence_graph([2, 3])))
+    assert sk.width <= 9
+    decode, nodes = reference_decode(sk), range(1 << sk.width)
+    assert export_pug(sk).edge_table() == [[decode(a, b) for b in nodes] for a in nodes]
 
 
 def test_export_pug_width_guard():
@@ -351,9 +375,9 @@ def test_pug_phi_preserves_pairs():
 def test_count_errors_agrees_with_loop():
     g = random_graph(12, 0.4, seed=11)
     sk = arboricity_sketch(g)
-    labels = sk.encode(seed=5)
+    labels, decode = sk.encode(seed=5), reference_decode(sk)
     slow = sum(
-        sk.decode(labels[u], labels[v]) != int(g.has_edge(u, v))
+        decode(labels[u], labels[v]) != int(g.has_edge(u, v))
         for u in range(g.n)
         for v in range(u + 1, g.n)
     )
@@ -365,8 +389,8 @@ def test_bloom_wide_alpha_count_errors_and_derandomize():
     g = random_kdegenerate(60, 12, seed=1)
     sk = arboricity_sketch(g)
     assert sk.buckets > 63
-    labels = sk.encode(seed=2)
-    slow = sum(sk.decode(labels[u], labels[v]) != int(g.has_edge(u, v))
+    labels, decode = sk.encode(seed=2), reference_decode(sk)
+    slow = sum(decode(labels[u], labels[v]) != int(g.has_edge(u, v))
                for u in range(g.n) for v in range(u + 1, g.n))
     assert count_errors(sk, labels, g) == slow
     assert derandomize(sk, g, seed=1).check_exact(g)
@@ -415,3 +439,25 @@ def test_evaluate_error_draws_each_allowed_pair_uniformly(pairs, allowed):
     adjacent = sum(count for pair, count in rec.seen.items() if g.has_edge(*pair))
     assert (rep.adjacent.errors, rep.adjacent.trials) == (adjacent, adjacent)
     assert (rep.nonadjacent.errors, rep.nonadjacent.trials) == (0, trials - adjacent)
+
+
+def _sketch_classes():
+    """Every `SketchScheme` subclass in pugkit, at any depth."""
+    found, todo = [], SketchScheme.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("pugkit."):
+            found.append(cls)
+    return found
+
+
+def test_every_sketch_is_bulk_native_with_one_derived_per_pair_path():
+    classes = _sketch_classes()
+    assert {sketch.ArboricitySketch, sketch.BoostedScheme, sketch.CompressedEqualityScheme,
+            sketch.PackedEqualityScheme, products.ProductAdjacencySketch} <= set(classes)
+    for cls in classes:
+        for name in ("encode_bits", "decode_bits", "decode_trials"):
+            assert callable(getattr(cls, name, None)), (cls, name)
+        for name in ("decode", "encode", "decode_matrix"):
+            assert getattr(cls, name) is getattr(SketchScheme, name), (cls, name)
