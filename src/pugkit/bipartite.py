@@ -39,12 +39,14 @@ register_walker("bip-equivalence", lambda spec: _bip_equivalence_walker)
 
 
 def equivalence_labels(g: Graph) -> EqualityScheme:
-    """One code per vertex: its clique id.  Rejects non-P3-free inputs."""
+    """One code per vertex: its clique id.  Rejects non-P3-free inputs.
+
+    A component is a clique iff each of its vertices has degree |C| - 1.
+    """
     comps = g.connected_components()
     for comp in comps:
-        for u, v in itertools.combinations(comp, 2):
-            if not g.has_edge(u, v):
-                raise SchemeError("input is not an equivalence graph (induced P3)")
+        if any(g.degree(v) != len(comp) - 1 for v in comp):
+            raise SchemeError("input is not an equivalence graph (induced P3)")
     cls = [0] * g.n
     for i, comp in enumerate(comps):
         for v in comp:
@@ -57,14 +59,13 @@ def equivalence_labels(g: Graph) -> EqualityScheme:
 def bipartite_equivalence_labels(g: ColoredBipartiteGraph) -> EqualityScheme:
     """One code per vertex: its biclique id; decode = cross-part equality.
 
-    Vertices are indexed X first (0..nx-1) then Y (nx..nx+ny-1).
+    Vertices are indexed X first (0..nx-1) then Y (nx..nx+ny-1).  A
+    component (cx, cy) is a biclique iff each x in it has degree |cy|.
     """
     comps = g.connected_components()
     for cx, cy in comps:
-        for x in cx:
-            for y in cy:
-                if not g.has_edge(x, y):
-                    raise SchemeError("input is not a bipartite equivalence graph")
+        if any(g.deg_x(x) != len(cy) for x in cx):
+            raise SchemeError("input is not a bipartite equivalence graph")
     labels: list[LabelNode | None] = [None] * (g.nx + g.ny)
     for i, (cx, cy) in enumerate(comps):
         for x in cx:
@@ -97,7 +98,8 @@ def chain_graph_labels(g: ColoredBipartiteGraph, k: int) -> EqualityScheme:
     In a chain graph the Y-side neighborhoods are nested, so each X-vertex
     is adjacent to a suffix of Y sorted by degree.  Interleaving X by
     non-neighbor count and Y by degree gives the total order behind the
-    maximal intervals.
+    maximal intervals.  The labels are checked against every row of g at
+    once: x must be adjacent to exactly the y with idx_y[y] >= idx_x[x].
     """
     rank = sorted(range(g.ny), key=lambda y: (g.deg_y(y), y))
     rank_of = {y: r + 1 for r, y in enumerate(rank)}
@@ -125,19 +127,23 @@ def chain_graph_labels(g: ColoredBipartiteGraph, k: int) -> EqualityScheme:
     if max(p, q) > k + 1:
         raise SchemeError(f"more than k+1={k + 1} maximal intervals (chain number > {k})")
 
+    # at_least[i]: the Y-bitset of {y : idx_y[y] >= i}, a suffix-OR over i
+    at_least = [0] * (p + 2)
+    for y, i in idx_y.items():
+        at_least[i] |= 1 << y
+    for i in range(p, -1, -1):
+        at_least[i] |= at_least[i + 1]
+    if any(g.rows_x[x] != at_least[idx_x[x]] for x in range(g.nx)):
+        raise SchemeError("input is not a chain graph (2K2 found)")
+
     bits = _width_for(k + 2)
     labels: list[LabelNode] = []
     for x in range(g.nx):
         labels.append(LabelNode(tag=(0,) + _bits(idx_x[x], bits)))
     for y in range(g.ny):
         labels.append(LabelNode(tag=(1,) + _bits(idx_y[y], bits)))
-    scheme = EqualityScheme(labels, _chain_walker_factory(bits),
-                            decoder_spec={"name": "chain-graph", "bits": bits}, name="chain-graph")
-    for x in range(g.nx):
-        for y in range(g.ny):
-            if scheme.decode(x, g.nx + y) != int(g.has_edge(x, y)):
-                raise SchemeError("input is not a chain graph (2K2 found)")
-    return scheme
+    return EqualityScheme(labels, _chain_walker_factory(bits),
+                          decoder_spec={"name": "chain-graph", "bits": bits}, name="chain-graph")
 
 
 def is_chain_graph(g: ColoredBipartiteGraph) -> bool:

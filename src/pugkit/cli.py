@@ -22,11 +22,9 @@ from .labels import (
     LabelNode,
     SchemeError,
     build_walker,
-    flat_codes,
     parse_label_file,
     shape_arity,
     shape_from_str,
-    shape_of,
     shape_to_str,
     walker_tree,
     write_label_file,
@@ -209,9 +207,9 @@ def parse_decoder_file(text: str):
     output of the row that matches it on the row's asked cells; rows sharing
     a care mask share a dict, and care masks are tried in file order.
     """
-    lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
-    lines = [l for l in lines if l]
-    head = lines[0].split(None, 2) if lines else []
+    lines = [(no, l.split("#", 1)[0].strip()) for no, l in enumerate(text.splitlines(), 1)]
+    lines = [(no, l) for no, l in lines if l]
+    head = lines[0][1].split(None, 2) if lines else []
     if head[:2] not in (["decoder", "tree"], ["decoder", "table"]):
         raise CliError(EXIT_FORMAT, "decoder file must start with 'decoder tree|table'")
     shape_ids = {}
@@ -224,10 +222,13 @@ def parse_decoder_file(text: str):
             raise CliError(EXIT_FORMAT, f"bad decoder spec: {e!r}")
     else:
         rows = []
-        for line in lines[1:]:
+        for lineno, line in lines[1:]:
             parts = line.split()
             if parts[0] == "shape" and len(parts) == 3:
-                shape_ids[shape_from_str(parts[2])] = int(parts[1])
+                try:
+                    shape_ids[shape_from_str(parts[2])] = int(parts[1])
+                except ValueError as e:
+                    raise ValueError(f"decoder line {lineno}: {e}") from None
             elif parts[0] == "t" and len(parts) == 5:
                 rows.append((int(parts[1]), int(parts[2]), parts[3], int(parts[4])))
             else:
@@ -259,9 +260,9 @@ def parse_decoder_file(text: str):
         # the walker comes from the file, so a walker that cannot run on these
         # labels means a malformed file; a SchemeError is still the family's
         # own contract violation
-        cx, cy = flat_codes(lx), flat_codes(ly)
+        cx, cy = lx.flat_codes, ly.flat_codes
         try:
-            return walker(shape_of(lx), shape_of(ly), lambda i, j: cx[i] == cy[j])
+            return walker(lx.shape, ly.shape, lambda i, j: cx[i] == cy[j])
         except SchemeError:
             raise
         except _SPEC_ERRORS as e:

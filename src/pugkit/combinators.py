@@ -436,7 +436,8 @@ def assemble_decomposition_labels(
     `leaf_walker` decodes (`leaf_spec` is its decoder spec, or None).
 
     Per vertex: a side bit, then per tree node one tuple: leaf tuples embed
-    the leaf label; D/D-bar tuples carry the child index as an equality
+    the leaf label (`leaf_labeler` runs once per leaf, when the first
+    vertex reaches it); D/D-bar tuples carry the child index as an equality
     code; P tuples carry the own-part index in the prefix (the decoder must
     read it to select the matching cross child; the opposite-side part
     count is implicit in the child list).  Component and part ids are
@@ -444,11 +445,14 @@ def assemble_decomposition_labels(
     """
     validate_tree(g, tree)
     pb = _width_for(_max_parts(tree))
+    leaf_labels: dict[int, dict[tuple[str, int], LabelNode]] = {}
 
     def build(node: DTNode, key: tuple[str, int]) -> LabelNode:
         side, vid = key
         if node.kind == "L":
-            return LabelNode(tag=TAG_L, children=(leaf_labeler(node)[key],))
+            if id(node) not in leaf_labels:
+                leaf_labels[id(node)] = leaf_labeler(node)
+            return LabelNode(tag=TAG_L, children=(leaf_labels[id(node)][key],))
         if node.kind in ("D", "Dbar"):
             order = sorted(
                 range(len(node.children)),

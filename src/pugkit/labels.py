@@ -33,7 +33,12 @@ class SchemeError(ValueError):
 
 @dataclass(frozen=True)
 class LabelNode:
-    """One tuple of a label: prefix bits, equality codes, child tuples."""
+    """One tuple of a label: prefix bits, equality codes, child tuples.
+
+    `shape` and `flat_codes` are computed on first read and kept on the
+    node, with this node as the root: its own slots start at slot0 = 0.
+    They live outside the fields, so `==` and `hash` ignore them.
+    """
 
     tag: tuple[int, ...] = ()
     codes: tuple[int, ...] = ()
@@ -44,10 +49,24 @@ class LabelNode:
         for c in self.children:
             yield from c.walk()
 
+    @cached_property
+    def shape(self) -> "ShapeNode":
+        """The label's skeleton, slot offsets in preorder from 0 at this node."""
+        return _build_shape(self)
+
+    @cached_property
+    def flat_codes(self) -> tuple[int, ...]:
+        """The label's codes in preorder: code slot i holds flat_codes[i]."""
+        return _build_codes(self)
+
 
 @dataclass(frozen=True)
 class ShapeNode:
-    """A label's skeleton: tags and arities with preorder slot offsets."""
+    """A label's skeleton: tags and arities with preorder slot offsets.
+
+    A tuple's slot0 is its first code slot in the preorder of the whole
+    label, counted from 0 at the label's root tuple.
+    """
 
     tag: tuple[int, ...]
     arity: int
@@ -65,7 +84,7 @@ def bits_for(count: int) -> int:
     return max(count - 1, 0).bit_length()
 
 
-def shape_of(label: LabelNode) -> ShapeNode:
+def _build_shape(label: LabelNode) -> ShapeNode:
     counter = [0]
 
     def build(node: LabelNode) -> ShapeNode:
@@ -77,11 +96,22 @@ def shape_of(label: LabelNode) -> ShapeNode:
     return build(label)
 
 
-def flat_codes(label: LabelNode) -> tuple[int, ...]:
+def _build_codes(label: LabelNode) -> tuple[int, ...]:
     out: list[int] = []
     for node in label.walk():
         out.extend(node.codes)
     return tuple(out)
+
+
+def shape_of(label: LabelNode) -> ShapeNode:
+    """The label's shape, with root-relative slot offsets (slot0 = 0 at the
+    root), as cached on the label."""
+    return label.shape
+
+
+def flat_codes(label: LabelNode) -> tuple[int, ...]:
+    """The label's preorder codes, as cached on the label."""
+    return label.flat_codes
 
 
 def prefix_bits(label: LabelNode) -> tuple[int, ...]:
@@ -108,8 +138,9 @@ class EqualityScheme:
         self.labels = tuple(labels)
         self.walker = walker
         self.decoder_spec = decoder_spec
-        self.shapes = tuple(shape_of(l) for l in self.labels)
-        self.codes = tuple(flat_codes(l) for l in self.labels)
+        # a scheme reads each label once, so it skips the labels' caches
+        self.shapes = tuple(map(_build_shape, self.labels))
+        self.codes = tuple(map(_build_codes, self.labels))
         self.codec = ShapeCodec(self.shapes)
         self.decoder = CompiledDecoder(self.codec, walker)
         #: distinct code values renumbered to [0, #distinct), by sorted value
@@ -132,7 +163,7 @@ class EqualityScheme:
         """Max number of equality codes over all labels."""
         return max((len(c) for c in self.codes), default=0)
 
-    @property
+    @cached_property
     def s(self) -> int:
         """Max number of prefix bits over all labels."""
         return max((len(prefix_bits(l)) for l in self.labels), default=0)
@@ -423,7 +454,12 @@ def shape_to_str(shape: ShapeNode) -> str:
 
 
 def shape_from_str(s: str) -> ShapeNode:
-    shape, rest = _shape_from_str(s, [0])
+    """The shape written by `shape_to_str`.  Text nested deeper than the
+    interpreter's recursion limit is a ValueError, as other bad text is."""
+    try:
+        shape, rest = _shape_from_str(s, [0])
+    except RecursionError:
+        raise ValueError("shape nested too deeply") from None
     if rest:
         raise ValueError("trailing shape text")
     return shape
@@ -462,10 +498,16 @@ def parse_label_file(text: str) -> tuple[list[LabelNode], str, dict]:
         if parts[0] != "v" or len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 'v <id> <shape> <codes>'")
         codes = [] if parts[3] == "-" else [int(c) for c in parts[3].split(",")]
-        shape = shape_from_str(parts[2])
-        if shape_arity(shape) != len(codes):
-            raise ValueError(f"line {lineno}: malformed label")
-        labels.append((int(parts[1]), _label_from_shape(shape, codes)))
+        try:
+            shape = shape_from_str(parts[2])
+            if shape_arity(shape) != len(codes):
+                raise ValueError("malformed label")
+            label = _label_from_shape(shape, codes)
+        except RecursionError:
+            raise ValueError(f"line {lineno}: shape nested too deeply") from None
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
+        labels.append((int(parts[1]), label))
     if name is None:
         raise ValueError("empty label file")
     return in_id_order(labels, "vertex"), name, fields

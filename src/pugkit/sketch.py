@@ -208,20 +208,12 @@ class CompressedEqualityScheme(PackedEqualityScheme):
 
     delta = 1 / 3
 
-    def __init__(self, scheme: EqualityScheme):
-        super().__init__(scheme)
-        self._canon = scheme.canon
-
     def _alphabet(self, scheme: EqualityScheme) -> int:
         k = max(scheme.k, 1)
         return 3 * k * k
 
     def _code_values(self, seeds, values) -> np.ndarray:
         return counter_hash(seeds, _TAG_CODE, values) % np.uint64(self.alphabet)
-
-    def _hash(self, seed: int, code: int) -> int:
-        """The hashed value of a code of the scheme under `seed`."""
-        return int(self._code_values(seed, self._canon[code]))
 
 
 def compress_equality_scheme(scheme: EqualityScheme) -> CompressedEqualityScheme:

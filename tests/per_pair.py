@@ -2,10 +2,11 @@
 
 Every sketch decodes one pair through its bulk `decode_bits`; these are
 the hand-written per-pair decoders the bulk paths are checked against:
-the packed layout's `pack` / `parse`, the Bloom bit test, and the
-boost's copy split and majority vote.
+the packed layout's `pack` / `parse` and code hash, the Bloom bit test,
+and the boost's copy split and majority vote.
 """
 
+from pugkit.labels import EqualityScheme
 from pugkit.products import ProductAdjacencySketch
 from pugkit.sketch import ArboricitySketch, BoostedScheme, PackedEqualityScheme, to_bits
 
@@ -28,6 +29,11 @@ def parse(sk: PackedEqualityScheme, bits: int) -> tuple[int, list[int]]:
         vals.append(rest & mask)
         rest >>= sk.value_width
     return sid, vals
+
+
+def code_hash(sk: PackedEqualityScheme, scheme: EqualityScheme, seed: int, code: int) -> int:
+    """The field value `sk` writes, under `seed`, for a code of `scheme`."""
+    return int(sk._code_values(seed, scheme.canon[code]))
 
 
 def packed_decode(sk: PackedEqualityScheme, bx: int, by: int) -> int:

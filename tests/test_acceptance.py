@@ -31,6 +31,7 @@ from pugkit.sketch import (
     evaluate_error,
     naive_derandomize,
 )
+from tests.per_pair import code_hash
 
 SEED = 20260810
 
@@ -93,8 +94,8 @@ def test_criterion_1_compression_bound():
             continue
         s = rng.randrange(1 << 30)
         q = pair_eq_matrix(sch, u, v)
-        hu = [comp._hash(s, c) for c in sch.codes[u]]
-        hv = [comp._hash(s, c) for c in sch.codes[v]]
+        hu = [code_hash(comp, sch, s, c) for c in sch.codes[u]]
+        hv = [code_hash(comp, sch, s, c) for c in sch.codes[v]]
         for i in range(len(hu)):
             for j in range(len(hv)):
                 if q[i][j]:

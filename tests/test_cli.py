@@ -389,6 +389,20 @@ def test_query_malformed_files_exit_3(tmp_path, capsys, case):
     assert code == 3 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("where", ["label-file", "decoder-table"])
+def test_query_with_a_deeply_nested_shape_exits_3(tmp_path, capsys, where):
+    # 3,000 levels pass the interpreter's recursion limit in either parser
+    deep = "-:0" + "(-:0" * 3000 + ")" * 3000
+    labels, dec = tmp_path / "deep.lab", tmp_path / "g.dec"
+    labels.write_text(f"labels g s=0 k=0 width=0\nv 0 {deep if where == 'label-file' else '-:0'} -\n"
+                      "v 1 -:0 -\n")
+    dec.write_text('decoder tree {"name": "equivalence"}\n' if where == "label-file"
+                   else f"decoder table s=0 k=0\nshape 0 {deep}\n")
+    code, out, err = run(capsys, "query", str(labels), "0", "1", "--decoder", str(dec))
+    assert (code, out) == (3, "")
+    assert "line 2: shape nested too deeply" in err and "Traceback" not in err
+
+
 def test_query_tree_walker_scheme_error_exit_2(tmp_path, capsys, monkeypatch):
     from pugkit import labels as labels_mod
     from pugkit.generators import path

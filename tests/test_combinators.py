@@ -1,7 +1,25 @@
+from collections import Counter
+
 import pytest
 
+from pugkit import bipartite
+from pugkit.bipartite import (
+    _bicobi_walker,
+    build_chain_decomposition_graph,
+    build_p7_tree,
+    fpp_decomposition,
+    fpp_labels,
+    p7_labels,
+)
 from pugkit.combinators import (
+    TAG_D,
+    TAG_DBAR,
+    TAG_L,
+    TAG_P,
     DTNode,
+    _bits,
+    _max_parts,
+    _width_for,
     add_vertices_scheme,
     apply_part_flips,
     assemble_decomposition_labels,
@@ -18,10 +36,11 @@ from pugkit.generators import (
     edgeless,
     half_graph,
     random_forest,
+    random_fpp_free,
     random_graph,
 )
-from pugkit.graphs import Graph, bip_transform, induced_subgraph
-from pugkit.labels import EqualityScheme, SchemeError, prefix_bits
+from pugkit.graphs import Graph, bip_transform, bipartite_complement, induced_subgraph
+from pugkit.labels import EqualityScheme, LabelNode, SchemeError, prefix_bits
 from pugkit.protocols import (
     diagonal_as_equality_scheme,
     labels_to_protocol,
@@ -271,3 +290,88 @@ def test_combinators_accept_a_base_without_a_spec():
             for v in range(sch.n):
                 if u != v:
                     assert sch.decode(u, v) == int(adjacent(u, v)), (sch.name, u, v)
+
+
+def _assemble_per_vertex(g, tree, leaf_labeler):
+    """The labels `assemble_decomposition_labels` builds, built as it once
+    built them: vertex by vertex, running `leaf_labeler` at every leaf
+    each vertex reaches."""
+    pb = _width_for(_max_parts(tree))
+
+    def build(node, key):
+        side, vid = key
+        if node.kind == "L":
+            return LabelNode(tag=TAG_L, children=(leaf_labeler(node)[key],))
+        if node.kind in ("D", "Dbar"):
+            order = sorted(range(len(node.children)), key=lambda i: min(
+                node.children[i].xs + tuple(y + g.nx for y in node.children[i].ys)))
+            for code, ci in enumerate(order):
+                child = node.children[ci]
+                if vid in (child.xs if side == "x" else child.ys):
+                    tag = TAG_D if node.kind == "D" else TAG_DBAR
+                    return LabelNode(tag=tag, codes=(code,), children=(build(child, key),))
+            raise AssertionError(f"{key} not covered")
+        q = len(node.y_parts)
+        if side == "x":
+            i = next(t for t, p in enumerate(node.x_parts) if vid in p)
+            kids = tuple(build(node.children[i * q + j], key) for j in range(q))
+        else:
+            i = next(t for t, p in enumerate(node.y_parts) if vid in p)
+            kids = tuple(build(node.children[t * q + i], key) for t in range(len(node.x_parts)))
+        return LabelNode(tag=TAG_P + _bits(i, pb), children=kids)
+
+    return ([LabelNode(tag=(0,), children=(build(tree, ("x", x)),)) for x in sorted(tree.xs)]
+            + [LabelNode(tag=(1,), children=(build(tree, ("y", y)),)) for y in sorted(tree.ys)])
+
+
+def _bicobi_labeler(g):
+    """p7_labels' leaf labeler: one biclique bit for every vertex of a leaf."""
+
+    def labeler(node):
+        sub = g.induced(node.xs, node.ys)
+        bit = 1 if (sub.m > 0 and sub.is_biclique()) else 0
+        return {**{("x", x): LabelNode(tag=(bit,)) for x in node.xs},
+                **{("y", y): LabelNode(tag=(bit,)) for y in node.ys}}
+
+    return labeler
+
+
+def _fpp_cases():
+    # at p = 2, q = 3 the whole graph is one leaf; at p = 1, q = 2 a D-node
+    # splits it into many
+    for blocks, p, q in ((2, 2, 3), (2, 1, 2), (3, 1, 2)):
+        g = random_fpp_free(blocks, 4, 5, 2, seed=blocks)
+        yield g, fpp_decomposition(g, p, q), bipartite._tp_leaf_labeler(g, p, q)[0], \
+            lambda g=g, p=p, q=q: fpp_labels(g, p, q)
+
+
+def _p7_cases():
+    graphs = [build_chain_decomposition_graph(3, 1, seed=0)[0],
+              bipartite_equivalence_graph([(2, 3), (3, 1), (1, 1)]),
+              bipartite_complement(bipartite_equivalence_graph([(2, 2), (1, 3)]))]
+    for g in graphs:
+        yield g, build_p7_tree(g, c=4), _bicobi_labeler(g), lambda g=g: p7_labels(g, c=4)
+
+
+@pytest.mark.parametrize("cases", [_fpp_cases, _p7_cases], ids=["fpp", "p7"])
+def test_assembly_labels_each_leaf_once_and_matches_the_per_vertex_build(cases):
+    kinds = Counter()
+    for g, tree, labeler, build in cases():
+        calls = Counter()
+
+        def counting(node):
+            calls[id(node)] += 1
+            return labeler(node)
+
+        sch = assemble_decomposition_labels(g, tree, counting, _bicobi_walker, None)
+        assert calls == Counter({id(leaf): 1 for leaf in tree.leaves()})
+        assert sch.labels == tuple(_assemble_per_vertex(g, tree, labeler))
+        assert build().labels == sch.labels
+        kinds.update(_kinds(tree))
+    assert kinds["L"] > 6 and kinds["D"] and (cases is _fpp_cases or kinds["P"] and kinds["Dbar"])
+
+
+def _kinds(node):
+    yield node.kind
+    for c in node.children:
+        yield from _kinds(c)

@@ -30,6 +30,7 @@ from pugkit.labels import (
     LabelNode,
     SchemeError,
     ShapeCodec,
+    ShapeNode,
     flat_codes,
     parse_label_file,
     shape_arity,
@@ -454,35 +455,47 @@ def _spec_names(spec):
             yield from _spec_names(val)
 
 
-def test_every_registered_walker_rebuilds_from_its_spec():
+def _family_builds():
+    """Builders of a small scheme of every family and combinator, whose
+    specs name every registered walker."""
     from pugkit import combinators, geometric, twinwidth
     from pugkit.generators import biclique, random_fpp_free
     from pugkit.graphs import induced_subgraph
-    from pugkit.labels import _WALKER_BUILDERS, build_walker
 
     g = random_kdegenerate(10, 2, seed=4)
-    arb = arboricity_scheme(g)
     sub, _ = induced_subgraph(g, range(2, 10))
     beq = bipartite_equivalence_graph([(2, 2), (1, 2)])
     fg = random_fpp_free(2, 3, 4, 2, seed=5)
     whole = bipartite.AllenPartition(tuple(range(fg.nx)), (), tuple(range(fg.ny)), ())
     pts = geometric.random_points(10, seed=2)
     pg = geometric.permutation_graph_from(pts)
-    schemes = [
-        bipartite.equivalence_labels(equivalence_graph([2, 3])),
-        bipartite.bipartite_equivalence_labels(beq),
-        bipartite.chain_graph_labels(random_chain_graph(4, 5, seed=1), k=6),
-        bipartite.tp_free_labels(random_tp_free(5, 6, 2, seed=1), p=2, q=4),
-        bipartite.fstar_labels(fg, p=2, q=3, partition=whole),
-        bipartite.p7_labels(biclique(2, 3), c=1),
-        arb,
-        twinwidth.tw_labels(beq, twinwidth.CertTree()),
-        combinators.add_vertices_scheme(g, [0, 1], arboricity_scheme(sub), list(range(2, 10))),
-        combinators.complementation_scheme(arb, [range(5), range(5, 10)], [[1, 0], [0, 1]]),
-        combinators.twin_reduce_scheme(g, "false", lambda q, remap: arboricity_scheme(q))[0],
-        combinators.bip_lower(combinators.bip_lift(arb)),
-        geometric.permutation_labels(pg, pts, k=max(chain_number(pg, cap=6).value, 1)),
+    ivs = random_intervals(12, seed=3)
+    ig = interval_graph_from(ivs)
+    return [
+        lambda: bipartite.equivalence_labels(equivalence_graph([2, 3])),
+        lambda: bipartite.bipartite_equivalence_labels(beq),
+        lambda: bipartite.chain_graph_labels(random_chain_graph(4, 5, seed=1), k=6),
+        lambda: bipartite.tp_free_labels(random_tp_free(5, 6, 2, seed=1), p=2, q=4),
+        lambda: bipartite.fpp_labels(fg, p=1, q=2),
+        lambda: bipartite.fstar_labels(fg, p=2, q=3, partition=whole),
+        lambda: bipartite.p7_labels(biclique(2, 3), c=1),
+        lambda: arboricity_scheme(g),
+        lambda: twinwidth.tw_labels(beq, twinwidth.CertTree()),
+        lambda: combinators.add_vertices_scheme(g, [0, 1], arboricity_scheme(sub),
+                                                list(range(2, 10))),
+        lambda: combinators.complementation_scheme(arboricity_scheme(g),
+                                                   [range(5), range(5, 10)], [[1, 0], [0, 1]]),
+        lambda: combinators.twin_reduce_scheme(g, "false", lambda q, remap: arboricity_scheme(q))[0],
+        lambda: combinators.bip_lower(combinators.bip_lift(arboricity_scheme(g))),
+        lambda: geometric.permutation_labels(pg, pts, k=max(chain_number(pg, cap=6).value, 1)),
+        lambda: interval_scheme(ig, ivs, k=max(chain_number(ig, cap=6).value, 1)),
     ]
+
+
+def test_every_registered_walker_rebuilds_from_its_spec():
+    from pugkit.labels import _WALKER_BUILDERS, build_walker
+
+    schemes = [build() for build in _family_builds()]
     names = {name for sch in schemes for name in _spec_names(sch.decoder_spec)}
     assert names == set(_WALKER_BUILDERS)
     for sch in schemes:
@@ -493,3 +506,54 @@ def test_every_registered_walker_rebuilds_from_its_spec():
                     cu, cv = sch.codes[u], sch.codes[v]
                     got = walker(sch.shapes[u], sch.shapes[v], lambda i, j: cu[i] == cv[j])
                     assert got == sch.decode(u, v), (sch.name, u, v)
+
+
+def _shape_reference(label):
+    """A label's shape built afresh, with a slot counter from 0 at the root."""
+    counter = [0]
+
+    def build(node):
+        slot0 = counter[0]
+        counter[0] += len(node.codes)
+        return ShapeNode(node.tag, len(node.codes), tuple(build(c) for c in node.children), slot0)
+
+    return build(label)
+
+
+def _codes_reference(label):
+    return tuple(c for node in label.walk() for c in node.codes)
+
+
+def test_cached_shapes_and_codes_equal_a_fresh_build():
+    for build in _family_builds():
+        sch = build()
+        text = write_label_file(sch, "g")
+        for labels in (sch.labels, parse_label_file(text)[0]):
+            for label in labels:
+                for node in label.walk():
+                    assert shape_of(node) == _shape_reference(node)
+                    assert flat_codes(node) == _codes_reference(node)
+        assert [shape_of(l) for l in parse_label_file(text)[0]] == list(sch.shapes)
+        assert write_label_file(sch, "g") == text
+
+
+def test_cached_values_do_not_change_equality_or_hash():
+    def make():
+        return LabelNode(tag=(1,), codes=(3,), children=(LabelNode(codes=(4, 5)),))
+
+    a, b = make(), make()
+    assert (shape_of(a), flat_codes(a)) == (ShapeNode((1,), 1, (ShapeNode((), 2, (), 1),), 0),
+                                            (3, 4, 5))
+    assert "shape" in vars(a) and "shape" not in vars(b)
+    assert a == b and hash(a) == hash(b) and {a: 0}[b] == 0
+    assert a != LabelNode(tag=(1,), codes=(3,))
+
+
+def test_no_family_builder_checks_itself_pair_by_pair(monkeypatch):
+    def refuse(self, u, v):
+        raise AssertionError("a builder decoded one pair")
+
+    builds = _family_builds()
+    monkeypatch.setattr(EqualityScheme, "decode", refuse)
+    for build in builds:
+        build()

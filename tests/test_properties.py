@@ -12,14 +12,31 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from pugkit.bipartite import (
+    _chain_walker_factory,
+    bipartite_equivalence_labels,
+    chain_graph_labels,
+    equivalence_labels,
+    is_chain_graph,
+)
 from pugkit.cli import main, parse_sketch_file, write_sketch_file
-from pugkit.generators import biclique, path, random_forest, random_kdegenerate
+from pugkit.combinators import _bits, _width_for
+from pugkit.generators import (
+    biclique,
+    bipartite_equivalence_graph,
+    chain_graph,
+    equivalence_graph,
+    path,
+    random_forest,
+    random_kdegenerate,
+)
 from pugkit.graphs import BITSET_THRESHOLD, ColoredBipartiteGraph, Graph, write_graph
 from pugkit.labels import (
     _WALKER_BUILDERS,
     CompiledDecoder,
     EqualityScheme,
     LabelNode,
+    SchemeError,
     ShapeCodec,
     flat_codes,
     shape_arity,
@@ -40,7 +57,7 @@ from pugkit.sketch import (
 )
 from pugkit.structure import quasi_chain_number
 from pugkit.twinwidth import Star, TwCertificate, parse_certificate, write_certificate
-from tests.per_pair import parse, reference_decode
+from tests.per_pair import code_hash, parse, reference_decode
 
 WALKERS = sorted(_WALKER_BUILDERS)
 
@@ -131,11 +148,11 @@ _EDGES = np.array(list(_G.edges()), dtype=np.int64)
 @settings(derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(-(1 << 70), 1 << 70))
 def test_one_sided_under_any_seed(seed):
-    # equal codes hash equal, under `_hash` and in every encoded label
+    # equal codes hash equal, under `code_hash` and in every encoded label
     hashed = {}
     for label, codes in zip(_COMP.encode(seed), _ARB.codes):
         for code, value in zip(codes, parse(_COMP, label)[1]):
-            assert hashed.setdefault(code, _COMP._hash(seed, code)) == value
+            assert hashed.setdefault(code, code_hash(_COMP, _ARB, seed, code)) == value
     # adjacent pairs decode 1 under every encoding, in both orders
     us = np.concatenate([_EDGES[:, 0], _EDGES[:, 1]])
     vs = np.concatenate([_EDGES[:, 1], _EDGES[:, 0]])
@@ -498,3 +515,116 @@ def test_quasi_chain_number_is_min_of_qch_and_cap_plus_one(g):
     qch = quasi_chain_number(g, cap=g.nx + g.ny)
     for cap in range(g.nx + g.ny + 1):
         assert quasi_chain_number(g, cap=cap) == min(qch, cap + 1)
+
+
+# --- the family self-checks against the per-pair checks they replace ---------
+
+def _flip_one(draw, edges: set, pairs: list) -> list:
+    """`edges`, sorted, with at most one of `pairs` toggled."""
+    if pairs and draw(st.booleans()):
+        edges = edges ^ {draw(st.sampled_from(pairs))}
+    return sorted(edges)
+
+
+@st.composite
+def equivalence_inputs(draw):
+    """A union of cliques on shuffled ids, or one with a vertex pair flipped."""
+    sizes = draw(st.lists(st.integers(1, 4), max_size=4))
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in equivalence_graph(sizes).edges()}
+    return Graph(n, _flip_one(draw, edges, list(itertools.combinations(range(n), 2))))
+
+
+@st.composite
+def bip_equivalence_inputs(draw):
+    """A union of bicliques, or one with an X-Y pair flipped."""
+    blocks = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4))
+    g = bipartite_equivalence_graph(blocks)
+    pairs = list(itertools.product(range(g.nx), range(g.ny)))
+    return ColoredBipartiteGraph(g.nx, g.ny, _flip_one(draw, set(g.edges()), pairs))
+
+
+@st.composite
+def chain_inputs(draw):
+    """A chain graph on shuffled Y ids, or one with an X-Y pair flipped."""
+    ny = draw(st.integers(0, 6))
+    profile = draw(st.lists(st.integers(0, ny), max_size=6))
+    perm = draw(st.permutations(range(ny)))
+    edges = {(x, perm[y]) for x, y in chain_graph(profile, ny).edges()}
+    pairs = list(itertools.product(range(len(profile)), range(ny)))
+    return ColoredBipartiteGraph(len(profile), ny, _flip_one(draw, edges, pairs))
+
+
+def _outcome(build, *args):
+    """What a label builder does with its input: the labels, or the message
+    of the SchemeError it raises."""
+    try:
+        return build(*args).labels
+    except SchemeError as e:
+        return str(e)
+
+
+def _chain_graph_labels_per_pair(g, k):
+    """`chain_graph_labels` as it was, checking its labels by running the
+    walker on every (x, y) pair: the reference for its bitset check."""
+    rank = sorted(range(g.ny), key=lambda y: (g.deg_y(y), y))
+    rank_of = {y: r + 1 for r, y in enumerate(rank)}
+    order = sorted([(g.ny - g.deg_x(x), 1, x) for x in range(g.nx)]
+                   + [(rank_of[y], 0, y) for y in range(g.ny)], key=lambda t: (t[0], t[1]))
+    idx_x, idx_y, a_runs, prev_side = {}, {}, 0, None
+    for _, side, v in order:
+        if side == 1:
+            a_runs += prev_side != 1
+            idx_x[v] = a_runs
+        else:
+            idx_y[v] = a_runs
+        prev_side = side
+    if max(a_runs, len(set(idx_y.values()))) > k + 1:
+        raise SchemeError(f"more than k+1={k + 1} maximal intervals (chain number > {k})")
+    bits = _width_for(k + 2)
+    labels = ([LabelNode(tag=(0,) + _bits(idx_x[x], bits)) for x in range(g.nx)]
+              + [LabelNode(tag=(1,) + _bits(idx_y[y], bits)) for y in range(g.ny)])
+    scheme = EqualityScheme(labels, _chain_walker_factory(bits))
+    for x in range(g.nx):
+        for y in range(g.ny):
+            if scheme.decode(x, g.nx + y) != int(g.has_edge(x, y)):
+                raise SchemeError("input is not a chain graph (2K2 found)")
+    return scheme
+
+
+def _has_induced_2k2(g) -> bool:
+    return any(g.has_edge(x1, y1) and g.has_edge(x2, y2)
+               and not g.has_edge(x1, y2) and not g.has_edge(x2, y1)
+               for x1, x2 in itertools.permutations(range(g.nx), 2)
+               for y1, y2 in itertools.permutations(range(g.ny), 2))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(g=graphs(n_max=8) | equivalence_inputs())
+def test_equivalence_check_rejects_as_the_per_pair_check(g):
+    per_pair = all(g.has_edge(u, v) for comp in g.connected_components()
+                   for u, v in itertools.combinations(comp, 2))
+    if per_pair:
+        assert equivalence_labels(g).check_exact(g.has_edge)
+    else:
+        assert _outcome(equivalence_labels, g) == "input is not an equivalence graph (induced P3)"
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(g=bigraphs() | bip_equivalence_inputs())
+def test_bip_equivalence_check_rejects_as_the_per_pair_check(g):
+    per_pair = all(g.has_edge(x, y) for cx, cy in g.connected_components()
+                   for x in cx for y in cy)
+    if per_pair:
+        assert bipartite_equivalence_labels(g).check_exact(g.to_graph().has_edge)
+    else:
+        assert _outcome(bipartite_equivalence_labels, g) == \
+            "input is not a bipartite equivalence graph"
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(g=bigraphs() | chain_inputs(), k=st.integers(0, 7))
+def test_chain_graph_check_rejects_as_the_per_pair_check(g, k):
+    assert _outcome(chain_graph_labels, g, k) == _outcome(_chain_graph_labels_per_pair, g, k)
+    assert is_chain_graph(g) != _has_induced_2k2(g)

@@ -38,7 +38,7 @@ from pugkit.sketch import (
     to_bits,
     wilson_interval,
 )
-from tests.per_pair import reference_decode
+from tests.per_pair import code_hash, reference_decode
 
 
 class PerPair(SketchScheme):
@@ -90,8 +90,8 @@ def test_compression_one_sided():
                 if u == v:
                     continue
                 q = pair_eq_matrix(sch, u, v)
-                hu = [comp._hash(seed, c) for c in sch.codes[u]]
-                hv = [comp._hash(seed, c) for c in sch.codes[v]]
+                hu = [code_hash(comp, sch, seed, c) for c in sch.codes[u]]
+                hv = [code_hash(comp, sch, seed, c) for c in sch.codes[v]]
                 for i in range(len(hu)):
                     for j in range(len(hv)):
                         if q[i][j]:
