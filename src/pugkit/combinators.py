@@ -446,6 +446,20 @@ def assemble_decomposition_labels(
     validate_tree(g, tree)
     pb = _width_for(_max_parts(tree))
     leaf_labels: dict[int, dict[tuple[str, int], LabelNode]] = {}
+    routes: dict[int, dict[tuple[str, int], tuple[int, DTNode]]] = {}
+
+    def route(node: DTNode) -> dict[tuple[str, int], tuple[int, DTNode]]:
+        """Vertex key -> (child code, child) of a D/D-bar node: codes order
+        the children by smallest vertex, and a vertex goes to the first
+        child that holds it."""
+        order = sorted(node.children, key=lambda c: min(c.xs + tuple(y + g.nx for y in c.ys)))
+        out: dict[tuple[str, int], tuple[int, DTNode]] = {}
+        for code, child in enumerate(order):
+            for x in child.xs:
+                out.setdefault(("x", x), (code, child))
+            for y in child.ys:
+                out.setdefault(("y", y), (code, child))
+        return out
 
     def build(node: DTNode, key: tuple[str, int]) -> LabelNode:
         side, vid = key
@@ -454,17 +468,13 @@ def assemble_decomposition_labels(
                 leaf_labels[id(node)] = leaf_labeler(node)
             return LabelNode(tag=TAG_L, children=(leaf_labels[id(node)][key],))
         if node.kind in ("D", "Dbar"):
-            order = sorted(
-                range(len(node.children)),
-                key=lambda i: min(node.children[i].xs + tuple(
-                    y + g.nx for y in node.children[i].ys)),
-            )
-            for code, ci in enumerate(order):
-                child = node.children[ci]
-                if (side == "x" and vid in child.xs) or (side == "y" and vid in child.ys):
-                    tag = TAG_D if node.kind == "D" else TAG_DBAR
-                    return LabelNode(tag=tag, codes=(code,), children=(build(child, key),))
-            raise SchemeError(f"vertex {key} not covered by {node.kind}-node children")
+            if id(node) not in routes:
+                routes[id(node)] = route(node)
+            if key not in routes[id(node)]:
+                raise SchemeError(f"vertex {key} not covered by {node.kind}-node children")
+            code, child = routes[id(node)][key]
+            tag = TAG_D if node.kind == "D" else TAG_DBAR
+            return LabelNode(tag=tag, codes=(code,), children=(build(child, key),))
         # P-node
         q = len(node.y_parts)
         if side == "x":

@@ -4,14 +4,19 @@ Vertex ids are dense integers 0..n-1.  Adjacency is stored as sorted
 neighbor tuples.  Each side also has one Python-int bitset row per vertex
 (`Graph.rows`, `ColoredBipartiteGraph.rows_x` / `rows_y`), built from the
 tuples on first read; the structure searches and private-neighbourhood
-counts read these rows, and `has_edge` probes them on small graphs.
+counts read these rows, and `has_edge` probes them on small graphs.  Both
+types also keep their edge list as one read-only (m, 2) int64 array,
+`edge_array()`, which `parse_graph` fills as it parses.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 #: `has_edge` probes the bitset rows only up to this vertex count.
 BITSET_THRESHOLD = 4096
@@ -48,10 +53,18 @@ def members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _edge_array_of(edges) -> np.ndarray:
+    """`edges`, a list of pairs or an (m, 2) array, as a read-only (m, 2)
+    int64 array."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    arr.flags.writeable = False
+    return arr
+
+
 class Graph:
     """Simple undirected graph: no loops, no multi-edges, ids 0..n-1."""
 
-    __slots__ = ("n", "_nbrs", "_rows")
+    __slots__ = ("n", "_nbrs", "_rows", "_edge_array")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], *, strict: bool = False):
         if n < 0:
@@ -74,6 +87,7 @@ class Graph:
             adj[v].append(u)
         self._nbrs = tuple(tuple(sorted(a)) for a in adj)
         self._rows = None
+        self._edge_array = None
 
     @property
     def m(self) -> int:
@@ -104,6 +118,13 @@ class Graph:
             for v in self._nbrs[u]:
                 if u < v:
                     yield (u, v)
+
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) int64 array, in `edges()` order:
+        rows (u, v) with u < v, sorted."""
+        if self._edge_array is None:
+            self._edge_array = _edge_array_of(list(self.edges()))
+        return self._edge_array
 
     def vertices(self) -> range:
         return range(self.n)
@@ -181,7 +202,7 @@ class ColoredBipartiteGraph:
     own index space.
     """
 
-    __slots__ = ("nx", "ny", "_adj_x", "_adj_y", "_rows_x", "_rows_y")
+    __slots__ = ("nx", "ny", "_adj_x", "_adj_y", "_rows_x", "_rows_y", "_edge_array")
 
     def __init__(self, nx: int, ny: int, edges: Iterable[tuple[int, int]], *, strict: bool = False):
         if nx < 0 or ny < 0:
@@ -204,6 +225,7 @@ class ColoredBipartiteGraph:
         self._adj_x = tuple(tuple(sorted(a)) for a in ax)
         self._adj_y = tuple(tuple(sorted(a)) for a in ay)
         self._rows_x = self._rows_y = None
+        self._edge_array = None
 
     @property
     def m(self) -> int:
@@ -246,6 +268,13 @@ class ColoredBipartiteGraph:
         for x in range(self.nx):
             for y in self._adj_x[x]:
                 yield (x, y)
+
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) int64 array of (x, y) rows, in
+        `edges()` order: sorted."""
+        if self._edge_array is None:
+            self._edge_array = _edge_array_of(list(self.edges()))
+        return self._edge_array
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ColoredBipartiteGraph) and self.nx == other.nx
@@ -369,7 +398,25 @@ def cartesian_product(gs: Sequence[Graph], cap: int = VERTEX_CAP) -> tuple[Graph
 # ---------------------------------------------------------------------------
 # Text format:  line 1 `graph <name> <n>` or `bigraph <name> <nx> <ny>`,
 # then `e <u> <v>` lines; `#` comments; 0-based ids.
+#
+# `parse_graph` reads text in the exact form `write_graph` emits as arrays
+# (`_parse_canonical`).  Any other text, and canonical text that fails a
+# check, goes to the line loop, which is the only writer of error messages.
 # ---------------------------------------------------------------------------
+
+#: `parse_graph` tries the array path from this many edge lines on.  On
+#: smaller bodies its fixed numpy cost loses to the line loop: the two broke
+#: even at 32 edge lines for graphs and 32-40 for bigraphs (best of 31, 100
+#: random bodies each, 2-core x86_64, Python 3.11, numpy 2.4).
+ARRAY_PARSE_MIN_EDGES = 32
+
+# An id with more digits than VERTEX_CAP is out of range anyway; the bound
+# keeps every id and edge key far inside int64.
+_ID = rf"[0-9]{{1,{len(str(VERTEX_CAP))}}}"
+_NAME = r"[!-\"$-~]+"  # printable ASCII but space and '#'
+_CANONICAL_HEADER = re.compile(rf"graph ({_NAME}) ({_ID})\n|bigraph ({_NAME}) ({_ID}) ({_ID})\n")
+_CANONICAL_BODY = re.compile(rf"(?:e {_ID} {_ID}\n)*")
+
 
 def write_graph(g: Graph | ColoredBipartiteGraph, name: str) -> str:
     lines = []
@@ -382,11 +429,68 @@ def write_graph(g: Graph | ColoredBipartiteGraph, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rows_of(rows: np.ndarray, cols: np.ndarray, count: int) -> tuple[tuple[int, ...], ...]:
+    """Row r, for r in 0..count-1, as the tuple of the `cols` entries whose
+    `rows` entry is r; `rows` is sorted."""
+    flat = cols.tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=count)).tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+
+
+def _parse_canonical(text: str) -> tuple[Graph | ColoredBipartiteGraph, str] | None:
+    """`text` parsed as arrays, if it is in the form `write_graph` emits and
+    passes every check of the line loop; None otherwise.  Never raises.
+
+    The body is tokenised once; ranges, self-loops and duplicates are
+    checked on the sorted edge keys, which also give the neighbour tuples
+    and the edge array.
+    """
+    head = _CANONICAL_HEADER.match(text)
+    if head is None or _CANONICAL_BODY.fullmatch(text, head.end()) is None:
+        return None
+    ids = np.fromstring(text[head.end():].replace("e", ""), dtype=np.int64, sep=" ").reshape(-1, 2)
+    u, v = ids.T
+    if head[1] is not None:
+        n = int(head[2])
+        if n > VERTEX_CAP or (len(ids) and ids.max() >= n):
+            return None
+        # each edge in both directions, keyed tail*n + tip; a duplicate edge
+        # in either order repeats its arcs, and a self-loop's two arcs are equal
+        arcs = np.sort(np.concatenate((u * n + v, v * n + u)))
+        if (arcs[1:] == arcs[:-1]).any():
+            return None
+        tail, tip = np.divmod(arcs, n)
+        g = Graph.__new__(Graph)
+        g.n, g._nbrs, g._rows = n, _rows_of(tail, tip, n), None
+        g._edge_array = _edge_array_of(np.stack((tail, tip), axis=1)[tail < tip])
+        return g, head[1]
+    nx, ny = int(head[4]), int(head[5])
+    if max(nx, ny) > VERTEX_CAP or (len(ids) and (u.max() >= nx or v.max() >= ny)):
+        return None
+    xy = np.sort(u * ny + v)
+    if (xy[1:] == xy[:-1]).any():
+        return None
+    x, y = np.divmod(xy, ny)
+    by_y, by_y_x = np.divmod(np.sort(v * nx + u), nx)
+    g = ColoredBipartiteGraph.__new__(ColoredBipartiteGraph)
+    g.nx, g.ny = nx, ny
+    g._adj_x, g._adj_y = _rows_of(x, y, nx), _rows_of(by_y, by_y_x, ny)
+    g._rows_x = g._rows_y = None
+    g._edge_array = _edge_array_of(np.stack((x, y), axis=1))
+    return g, head[3]
+
+
 def parse_graph(text: str) -> tuple[Graph | ColoredBipartiteGraph, str]:
     """Parse the text graph format; returns (graph, name).
 
     Rejects duplicate and self edges so that round-trips are lossless.
+    Text of at least ARRAY_PARSE_MIN_EDGES edge lines is tried as arrays
+    first; every error comes from the line loop.
     """
+    if text.count("\n") > ARRAY_PARSE_MIN_EDGES:
+        parsed = _parse_canonical(text)
+        if parsed is not None:
+            return parsed
     header = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -395,18 +499,25 @@ def parse_graph(text: str) -> tuple[Graph | ColoredBipartiteGraph, str]:
             continue
         parts = line.split()
         if header is None:
-            if parts[0] == "graph" and len(parts) == 3:
-                header = ("graph", parts[1], int(parts[2]))
-            elif parts[0] == "bigraph" and len(parts) == 4:
-                header = ("bigraph", parts[1], int(parts[2]), int(parts[3]))
-            else:
+            try:
+                if parts[0] == "graph" and len(parts) == 3:
+                    header = ("graph", parts[1], int(parts[2]))
+                elif parts[0] == "bigraph" and len(parts) == 4:
+                    header = ("bigraph", parts[1], int(parts[2]), int(parts[3]))
+            except ValueError:
+                pass
+            if header is None:
                 raise GraphFormatError(f"line {lineno}: bad header {line!r}")
             if not all(0 <= size <= VERTEX_CAP for size in header[2:]):
                 raise GraphFormatError(f"line {lineno}: vertex count outside [0, {VERTEX_CAP}]")
             continue
-        if parts[0] != "e" or len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>', got {line!r}")
-        edges.append((int(parts[1]), int(parts[2])))
+        try:
+            if parts[0] == "e" and len(parts) == 3:
+                edges.append((int(parts[1]), int(parts[2])))
+                continue
+        except ValueError:
+            pass
+        raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>', got {line!r}")
     if header is None:
         raise GraphFormatError("empty graph file")
     try:

@@ -35,9 +35,10 @@ class SchemeError(ValueError):
 class LabelNode:
     """One tuple of a label: prefix bits, equality codes, child tuples.
 
-    `shape` and `flat_codes` are computed on first read and kept on the
-    node, with this node as the root: its own slots start at slot0 = 0.
-    They live outside the fields, so `==` and `hash` ignore them.
+    `shape` and `flat_codes` are computed on first read (`parse_label_file`
+    seeds them from the file) and kept on the node, with this node as the
+    root: its own slots start at slot0 = 0.  They live outside the fields,
+    so `==` and `hash` ignore them.
     """
 
     tag: tuple[int, ...] = ()
@@ -417,36 +418,6 @@ def build_walker(spec: dict) -> Walker:
 # An empty tag is '-'.  Codes are the preorder-flattened code list.
 # ---------------------------------------------------------------------------
 
-def _shape_from_str(s: str, counter: list[int]) -> tuple[ShapeNode, str]:
-    tag_s, rest = s.split(":", 1)
-    tag = () if tag_s == "-" else tuple(int(b) for b in tag_s)
-    num = ""
-    while rest and rest[0].isdigit():
-        num += rest[0]
-        rest = rest[1:]
-    arity = int(num)
-    slot0 = counter[0]
-    counter[0] += arity
-    kids = []
-    while rest.startswith("("):
-        depth = 0
-        for i, ch in enumerate(rest):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    child, leftover = _shape_from_str(rest[1:i], counter)
-                    if leftover:
-                        raise ValueError("trailing shape text")
-                    kids.append(child)
-                    rest = rest[i + 1:]
-                    break
-        else:
-            raise ValueError("unbalanced shape parentheses")
-    return ShapeNode(tag, arity, tuple(kids), slot0), rest
-
-
 def shape_to_str(shape: ShapeNode) -> str:
     tag = "".join(map(str, shape.tag)) or "-"
     kids = "".join(f"({shape_to_str(c)})" for c in shape.children)
@@ -456,11 +427,46 @@ def shape_to_str(shape: ShapeNode) -> str:
 def shape_from_str(s: str) -> ShapeNode:
     """The shape written by `shape_to_str`.  Text nested deeper than the
     interpreter's recursion limit is a ValueError, as other bad text is."""
+    close, opened = {}, []  # close[i]: the ')' matching the '(' at i
+    for i, ch in enumerate(s):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")" and opened:
+            close[opened.pop()] = i
+    slots = 0
+
+    def parse(pos: int, end: int) -> tuple[ShapeNode, int]:
+        """The shape written at s[pos:end], and the index just past its
+        last child."""
+        nonlocal slots
+        colon = s.find(":", pos, end)
+        if colon < 0:
+            # word for word what a shape text without ':' has always raised
+            raise ValueError("not enough values to unpack (expected 2, got 1)")
+        tag_s = s[pos:colon]
+        tag = () if tag_s == "-" else tuple(int(b) for b in tag_s)
+        i = colon + 1
+        while i < end and s[i].isdigit():
+            i += 1
+        arity = int(s[colon + 1:i])
+        slot0 = slots
+        slots += arity
+        kids = []
+        while i < end and s[i] == "(":
+            if i not in close:
+                raise ValueError("unbalanced shape parentheses")
+            child, stop = parse(i + 1, close[i])
+            if stop != close[i]:
+                raise ValueError("trailing shape text")
+            kids.append(child)
+            i = close[i] + 1
+        return ShapeNode(tag, arity, tuple(kids), slot0), i
+
     try:
-        shape, rest = _shape_from_str(s, [0])
+        shape, stop = parse(0, len(s))
     except RecursionError:
         raise ValueError("shape nested too deeply") from None
-    if rest:
+    if stop != len(s):
         raise ValueError("trailing shape text")
     return shape
 
@@ -482,6 +488,7 @@ def parse_label_file(text: str) -> tuple[list[LabelNode], str, dict]:
     labels: list[tuple[int, LabelNode]] = []
     name = None
     fields: dict = {}
+    shapes: dict[str, tuple[ShapeNode, int]] = {}  # shape text -> (shape, arity)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -499,14 +506,20 @@ def parse_label_file(text: str) -> tuple[list[LabelNode], str, dict]:
             raise ValueError(f"line {lineno}: expected 'v <id> <shape> <codes>'")
         codes = [] if parts[3] == "-" else [int(c) for c in parts[3].split(",")]
         try:
-            shape = shape_from_str(parts[2])
-            if shape_arity(shape) != len(codes):
+            if parts[2] not in shapes:
+                shape = shape_from_str(parts[2])
+                shapes[parts[2]] = shape, shape_arity(shape)
+            shape, arity = shapes[parts[2]]
+            if arity != len(codes):
                 raise ValueError("malformed label")
             label = _label_from_shape(shape, codes)
         except RecursionError:
             raise ValueError(f"line {lineno}: shape nested too deeply") from None
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
+        # the parsed shape is the label's own (slot0 counts from 0 at its
+        # root) and the codes are its preorder codes: seed both caches
+        label.__dict__.update(shape=shape, flat_codes=tuple(codes))
         labels.append((int(parts[1]), label))
     if name is None:
         raise ValueError("empty label file")

@@ -465,10 +465,11 @@ class DerandomizationError(RuntimeError):
 
 def count_errors(sch: SketchScheme, labels: list[int], g: Graph) -> int:
     """Pairs u < v whose bit in `sch.decode_matrix(labels)` differs from g."""
+    # g's edge rows have u < v, so adj is the strict upper triangle
+    edges = g.edge_array()
     adj = np.zeros((g.n, g.n), dtype=np.int8)
-    for u, v in g.edges():
-        adj[u, v] = 1
-    return int(np.count_nonzero(np.triu(sch.decode_matrix(labels) != adj + adj.T, 1)))
+    adj[edges[:, 0], edges[:, 1]] = 1
+    return int(np.count_nonzero(np.triu(sch.decode_matrix(labels) != adj, 1)))
 
 
 def derandomize(sch: SketchScheme, g: Graph, seed: int,
@@ -568,7 +569,7 @@ def evaluate_error(sch: SketchScheme, g: Graph, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     if pairs not in ("all", "adjacent", "nonadjacent"):
         raise ValueError("pairs must be all|adjacent|nonadjacent")
-    edges = np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2)
+    edges = g.edge_array()
     if pairs == "adjacent" and not len(edges):
         raise ValueError("graph has no edges")
     # rejection sampling below would never stop without a pair to draw
@@ -577,9 +578,9 @@ def evaluate_error(sch: SketchScheme, g: Graph, trials: int, seed: int,
         raise ValueError("graph has fewer than two vertices")
     if pairs == "nonadjacent" and len(edges) == n * (n - 1) // 2:
         raise ValueError("graph has no non-adjacent pairs")
-    # sorted edge keys min*n + max, then n*n, above every pair's key, so a
-    # search never runs off the end
-    edge_keys = np.append(np.sort(edges.min(axis=1) * n + edges.max(axis=1)), n * n)
+    # edge keys u*n + v, sorted as the edge array is, then n*n, above every
+    # pair's key, so a search never runs off the end
+    edge_keys = np.append(edges[:, 0] * n + edges[:, 1], n * n)
 
     def adjacent(u, v):
         keys = np.minimum(u, v) * n + np.maximum(u, v)

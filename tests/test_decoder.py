@@ -9,6 +9,8 @@ trial's pair on its own.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pugkit import bipartite
 from pugkit.generators import (
@@ -283,6 +285,85 @@ def test_shape_from_str_wide_arity_round_trip(label):
     scheme = EqualityScheme([label, LabelNode(codes=(1,))], lambda sx, sy, eq: 0)
     parsed, _, _ = parse_label_file(write_label_file(scheme, "wide"))
     assert parsed == list(scheme.labels)
+
+
+def _sliced_shape_from_str(s: str, counter: list[int]) -> tuple[ShapeNode, str]:
+    """The recursive shape parser that slices the rest of the text for every
+    child: the reference for `shape_from_str`'s results and messages."""
+    tag_s, rest = s.split(":", 1)
+    tag = () if tag_s == "-" else tuple(int(b) for b in tag_s)
+    num = ""
+    while rest and rest[0].isdigit():
+        num += rest[0]
+        rest = rest[1:]
+    arity = int(num)
+    slot0 = counter[0]
+    counter[0] += arity
+    kids = []
+    while rest.startswith("("):
+        depth = 0
+        for i, ch in enumerate(rest):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0:
+                    child, leftover = _sliced_shape_from_str(rest[1:i], counter)
+                    if leftover:
+                        raise ValueError("trailing shape text")
+                    kids.append(child)
+                    rest = rest[i + 1:]
+                    break
+        else:
+            raise ValueError("unbalanced shape parentheses")
+    return ShapeNode(tag, arity, tuple(kids), slot0), rest
+
+
+def _shape_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return str(e)
+
+
+def _sliced_parse(text):
+    shape, rest = _sliced_shape_from_str(text, [0])
+    if rest:
+        raise ValueError("trailing shape text")
+    return shape
+
+
+SHAPES = st.recursive(
+    st.builds("{}:{}".format, st.sampled_from(["-", "0", "1", "10"]), st.integers(0, 3)),
+    lambda inner: st.builds(lambda head, kids: head + "".join(f"({k})" for k in kids),
+                            st.builds("{}:{}".format, st.sampled_from(["-", "01"]),
+                                      st.integers(0, 2)),
+                            st.lists(inner, min_size=1, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def shape_texts(draw):
+    """Shape text with up to two characters inserted, replaced or deleted."""
+    text = draw(SHAPES)
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(["", "(", ")", ":", "-", "0", "x", "\u00b2"]))
+        text = text[:at] + piece + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(shape_texts())
+@example("1:2(-:0)(0:1(-:3))")
+@example("-:0(-:1))")
+@example("-:0((-:1)")
+@example("-:0(-)")
+@example("-:\u00b2")
+@example("1(0:0):0")
+def test_shape_from_str_matches_the_slicing_parser(text):
+    # the same shape, slot offsets included, or the same message
+    assert _shape_outcome(shape_from_str, text) == _shape_outcome(_sliced_parse, text)
 
 
 def test_parse_label_file_rejects_missing_codes():
