@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -367,8 +368,18 @@ def test_assembly_labels_each_leaf_once_and_matches_the_per_vertex_build(cases):
         assert calls == Counter({id(leaf): 1 for leaf in tree.leaves()})
         assert sch.labels == tuple(_assemble_per_vertex(g, tree, labeler))
         assert build().labels == sch.labels
+        # child codes follow the smallest vertex, not the order of the list
+        reordered = assemble_decomposition_labels(g, _d_children_reversed(tree), labeler,
+                                                  _bicobi_walker, None)
+        assert reordered.labels == sch.labels
         kinds.update(_kinds(tree))
     assert kinds["L"] > 6 and kinds["D"] and (cases is _fpp_cases or kinds["P"] and kinds["Dbar"])
+
+
+def _d_children_reversed(node):
+    """The tree with every D/D-bar node's children in reverse order."""
+    kids = tuple(map(_d_children_reversed, node.children))
+    return dataclasses.replace(node, children=kids[::-1] if node.kind in ("D", "Dbar") else kids)
 
 
 def _kinds(node):

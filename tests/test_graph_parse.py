@@ -45,7 +45,7 @@ def outcome(parse, text):
     """(view, name) of the parse, or (exception type, message)."""
     try:
         g, name = parse(text)
-    except Exception as e:  # noqa: BLE001 - the type is what is compared
+    except Exception as e:  # any type: the type is what is compared
         return type(e), str(e)
     return view(g), name
 
@@ -145,17 +145,15 @@ def test_parse_graph_matches_the_line_loop(text):
 @st.composite
 def any_graphs(draw, min_edges=0):
     """A graph or bigraph, often with more edges than ARRAY_PARSE_MIN_EDGES."""
-    if draw(st.booleans()):
-        n = draw(st.integers(2 if min_edges else 0, 16))
-        pairs = list(itertools.combinations(range(n), 2))
-        make = lambda edges: Graph(n, edges)  # noqa: E731
-    else:
+    bip = draw(st.booleans())
+    if bip:
         nx, ny = draw(st.integers(min_edges > 0, 10)), draw(st.integers(min_edges > 0, 10))
         pairs = list(itertools.product(range(nx), range(ny)))
-        make = lambda edges: ColoredBipartiteGraph(nx, ny, edges)  # noqa: E731
-    if not pairs:
-        return make([])
-    return make(draw(st.lists(st.sampled_from(pairs), min_size=min_edges, max_size=80)))
+    else:
+        n = draw(st.integers(2 if min_edges else 0, 16))
+        pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=min_edges, max_size=80)) if pairs else []
+    return ColoredBipartiteGraph(nx, ny, edges) if bip else Graph(n, edges)
 
 
 @PROPERTY
