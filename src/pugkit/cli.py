@@ -13,9 +13,9 @@ import sys
 
 import numpy as np
 
-from . import bipartite, generators, geometric, products, protocols, sketch, structure, twinwidth
-from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, in_id_order, parse_graph,
-                     write_graph)
+from . import bipartite, generators, geometric, products, sketch, structure, twinwidth
+from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, in_id_order,
+                     parse_graph, write_graph)
 from .labels import (
     Ask,
     EqualityScheme,
@@ -23,8 +23,7 @@ from .labels import (
     SchemeError,
     build_walker,
     parse_label_file,
-    shape_arity,
-    shape_from_str,
+    read_shape,
     shape_to_str,
     walker_tree,
     write_label_file,
@@ -199,49 +198,46 @@ _SPEC_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticEr
 
 
 def parse_decoder_file(text: str):
-    """Returns a decode(label_x, label_y) callable over LabelNodes.
-
-    Both file kinds decode by running a walker on the two labels: a
-    `decoder tree` rebuilds the registered walker, and a `decoder table` is
-    read as a walker that asks Q through the equality oracle and returns the
-    output of the row that matches it on the row's asked cells; rows sharing
-    a care mask share a dict, and care masks are tried in file order.
-    """
-    lines = [(no, l.split("#", 1)[0].strip()) for no, l in enumerate(text.splitlines(), 1)]
-    lines = [(no, l) for no, l in lines if l]
-    head = lines[0][1].split(None, 2) if lines else []
-    if head[:2] not in (["decoder", "tree"], ["decoder", "table"]):
-        raise CliError(EXIT_FORMAT, "decoder file must start with 'decoder tree|table'")
-    shape_ids = {}
-    if head[1] == "tree":
-        if len(head) < 3:
-            raise CliError(EXIT_FORMAT, "decoder tree needs a JSON decoder spec")
-        try:
-            walker = build_walker(json.loads(head[2]))
-        except _SPEC_ERRORS as e:
-            raise CliError(EXIT_FORMAT, f"bad decoder spec: {e!r}")
-    else:
-        rows = []
-        for lineno, line in lines[1:]:
-            parts = line.split()
-            if parts[0] == "shape" and len(parts) == 3:
+    """Returns a decode(label_x, label_y) callable over LabelNodes.  It runs a
+    `decoder tree`'s registered walker, or reads a `decoder table` as a
+    walker that returns the output of the row matching Q on the row's asked
+    cells (care masks in file order).  Only a table reads the shape lines."""
+    lines, kind, head_line, walker = LineReader(text), None, None, None
+    shape_ids, rows = {}, []  # shape -> (idx, arity); (lineno, sx, sy, out, Q field)
+    for parts in lines:
+        if kind is None:
+            if parts[0] != "decoder" or parts[1:2] not in (["tree"], ["table"]):
+                raise lines.expected("'decoder tree <spec>' or 'decoder table'")
+            kind, head_line = parts[1], lines.lineno
+            if kind == "tree":
+                if len(parts) < 3:
+                    raise lines.error("decoder tree needs a JSON decoder spec")
                 try:
-                    shape_ids[shape_from_str(parts[2])] = int(parts[1])
-                except ValueError as e:
-                    raise ValueError(f"decoder line {lineno}: {e}") from None
-            elif parts[0] == "t" and len(parts) == 5:
-                rows.append((int(parts[1]), int(parts[2]), parts[3], int(parts[4])))
-            else:
-                raise CliError(EXIT_FORMAT, f"bad decoder line {line!r}")
+                    walker = build_walker(json.loads(lines.line.split(None, 2)[2]))
+                except _SPEC_ERRORS as e:
+                    raise lines.error(f"bad decoder spec: {e!r}") from None
+        elif parts[0] == "shape":
+            _, idx, shape_text = lines.fields(parts, "'shape <idx> <shape>'")
+            shape, arity = read_shape(lines, shape_text)
+            shape_ids[shape] = lines.integer(idx), arity
+        elif parts[0] == "t" and kind == "table":
+            _, sx, sy, field, out = lines.fields(parts, "'t <sx> <sy> <Q> <out>'")
+            rows.append((lines.lineno, *map(lines.integer, (sx, sy, out)), field))
+        else:
+            raise lines.expected("a 'shape' line" if kind == "tree" else "a 'shape' or 't' line")
+    if kind is None:
+        raise GraphFormatError("empty decoder file")
+    if kind == "table":
         # (sx, sy) -> care mask -> value mask -> out: bit i*ay + j of care is
         # set where Q[i][j] is '0' or '1', and of value where it is '1'; a
         # row naming a shape id the file does not list cannot match a label
-        arities, table = {sid: shape_arity(sh) for sh, sid in shape_ids.items()}, {}
-        for sx, sy, field, out in rows:
+        arities, table = dict(shape_ids.values()), {}
+        for lineno, sx, sy, out, field in rows:
             if sx in arities and sy in arities:
-                q = "" if field == "-" else field
-                if len(q) != arities[sx] * arities[sy] or q.strip("01*"):
-                    raise CliError(EXIT_FORMAT, f"bad Q field {field!r} for shapes {sx} {sy}")
+                q, cells = "" if field == "-" else field, arities[sx] * arities[sy]
+                if len(q) != cells or q.strip("01*"):
+                    raise GraphFormatError(f"line {lineno}: expected {cells} Q cells of '0', "
+                                           f"'1' or '*', got {field!r}")
                 care, value = (int("0" + q.replace("0", "1").replace("*", "0"), 2),
                                int("0" + q.replace("*", "0"), 2))
                 table.setdefault((sx, sy), {}).setdefault(care, {})[value] = out
@@ -249,24 +245,23 @@ def parse_decoder_file(text: str):
         def walker(sx, sy, eq) -> int:
             if sx not in shape_ids or sy not in shape_ids:
                 raise CliError(EXIT_CONTRACT, "label shape unknown to decoder")
-            ax, ay = shape_arity(sx), shape_arity(sy)
+            (ix, ax), (iy, ay) = shape_ids[sx], shape_ids[sy]
             q = sum(1 << b for b in range(ax * ay) if eq(*divmod(b, ay)))
-            for care, outs in table.get((shape_ids[sx], shape_ids[sy]), {}).items():
+            for care, outs in table.get((ix, iy), {}).items():
                 if (out := outs.get(q & care)) is not None:
                     return out
             raise CliError(EXIT_CONTRACT, "pair missing from decoder table")
 
     def decode(lx: LabelNode, ly: LabelNode) -> int:
-        # the walker comes from the file, so a walker that cannot run on these
-        # labels means a malformed file; a SchemeError is still the family's
-        # own contract violation
+        # a walker that cannot run on the labels is a file fault; a SchemeError is not
         cx, cy = lx.flat_codes, ly.flat_codes
         try:
             return walker(lx.shape, ly.shape, lambda i, j: cx[i] == cy[j])
         except SchemeError:
             raise
         except _SPEC_ERRORS as e:
-            raise CliError(EXIT_FORMAT, f"decoder does not fit the labels: {e!r}")
+            raise CliError(EXIT_FORMAT, f"line {head_line}: decoder does not fit the labels "
+                                        f"({type(e).__name__})")
 
     return decode
 
@@ -318,21 +313,21 @@ def write_sketch_file(labels, width: int, gname: str) -> str:
 
 
 def parse_sketch_file(text: str):
-    lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
-    lines = [l for l in lines if l]
-    head = lines[0].split() if lines else []
-    widths = [f[len("width="):] for f in head if f.startswith("width=")]
-    if head[:1] != ["labels"] or not widths:
-        raise CliError(EXIT_FORMAT, "bad sketch header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split()
-        if parts[0] != "v" or len(parts) != 3:
-            raise CliError(EXIT_FORMAT, f"bad sketch line {line!r}")
-        rows.append(parts[1:])
+    lines, rows, width = LineReader(text), [], None
     try:
-        return in_id_order([(int(v), int(bits, 16)) for v, bits in rows], "vertex"), int(widths[0])
-    except ValueError as e:  # in_id_order's GraphFormatError is one too
+        for parts in lines:
+            if width is None:
+                widths = [f[len("width="):] for f in parts if f.startswith("width=")]
+                if parts[0] != "labels" or not widths:
+                    raise lines.expected("'labels <name> ... width=<bits>'")
+                width = lines.integer(widths[0])
+                continue
+            _, v, bits = lines.fields(parts, "'v <id> <hex-bits>'")
+            rows.append((lines.integer(v), lines.integer(bits, 16)))
+        if width is None:
+            raise GraphFormatError("empty sketch file")
+        return in_id_order(rows, "vertex"), width
+    except GraphFormatError as e:
         raise CliError(EXIT_FORMAT, f"bad sketch file: {e}")
 
 
@@ -358,10 +353,9 @@ def cmd_query(args) -> int:
         raise CliError(EXIT_FORMAT, f"cannot read labels: {e}")
     try:
         with open(args.decoder) as fh:
-            text = fh.read()
-    except OSError as e:
+            decode = parse_decoder_file(fh.read())
+    except (OSError, GraphFormatError) as e:
         raise CliError(EXIT_FORMAT, f"cannot read decoder: {e}")
-    decode = parse_decoder_file(text)
     u, v = args.u, args.v
     if not (0 <= u < len(labels) and 0 <= v < len(labels)):
         raise CliError(EXIT_FORMAT, "vertex id out of range")
@@ -413,7 +407,7 @@ def cmd_verify(args) -> int:
         try:
             with open(args.file) as fh:
                 cert, _ = twinwidth.parse_certificate(fh.read())
-        except (OSError, SchemeError, GraphFormatError) as e:
+        except (OSError, GraphFormatError) as e:
             raise CliError(EXIT_FORMAT, f"cannot read certificate: {e}")
         reasons: list[str] = []
         ok, h = twinwidth.verify_certificate(g, cert, reasons=reasons)
@@ -428,25 +422,28 @@ def cmd_verify(args) -> int:
         try:
             with open(args.file) as fh:
                 seq = _parse_partition_seq(fh.read())
+        except (OSError, GraphFormatError) as e:
+            raise CliError(EXIT_FORMAT, f"cannot read sequence: {e}")
+        try:
             width = twinwidth.verify_width(g, seq)
-        except (OSError, SchemeError) as e:
+        except SchemeError as e:
             raise CliError(EXIT_CONTRACT, f"sequence invalid: {e}")
         print(f"sequence valid: width={width}")
         return EXIT_OK
     raise CliError(EXIT_FORMAT, f"unknown verify kind {args.kind!r}")
 
 
+def write_partition_seq(seq) -> str:
+    """A width-seq file: one `p <part>|<part>|...` line per partition."""
+    return "".join("p " + "|".join(",".join(map(str, sorted(p))) for p in parts) + "\n"
+                   for parts in seq)
+
+
 def _parse_partition_seq(text: str):
-    seq = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("p "):
-            raise SchemeError(f"bad partition line {line!r}")
-        parts = [tuple(int(t) for t in blk.split(",")) for blk in line[2:].split("|")]
-        seq.append(parts)
-    return seq
+    """The partitions of a width-seq file, each part a comma list of ids."""
+    lines, form = LineReader(text), "'p <part>|<part>|...'"
+    return [[lines.int_list(part) for part in lines.fields(parts, form)[1].split("|")]
+            for parts in lines]
 
 
 def cmd_product_dist(args) -> int:
@@ -492,8 +489,7 @@ def cmd_twinwidth(args) -> int:
                        f"exact twin-width capped at n <= {twinwidth.TWIN_WIDTH_EXACT_MAX_N}")
     width, seq = twinwidth.twin_width_exact(g)
     print(f"twin-width = {width}")
-    for parts in seq:
-        print("p " + "|".join(",".join(map(str, sorted(p))) for p in parts))
+    sys.stdout.write(write_partition_seq(seq))
     return EXIT_OK
 
 

@@ -9,13 +9,12 @@ rank.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .bipartite import _chain_walker_factory, chain_graph_labels
 from .combinators import TAG_D, TAG_DBAR, TAG_L, TAG_P, _bits, _width_for, tree_walker
-from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, in_id_order
+from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, in_id_order
 from .labels import EqualityScheme, LabelNode, SchemeError, Walker, register_walker
 from .rng import rng_for
 from .sketch import arboricity_scheme
@@ -87,35 +86,34 @@ def random_points(n: int, seed: int) -> list[Point]:
 
 
 def write_realization(kind: str, items, name: str) -> str:
+    """Coordinates take 17 significant digits, so every float reads back exactly."""
     if kind == "intervals":
         lines = [f"intervals {name}"]
-        lines += [f"i {i} {l:g} {r:g}" for i, (l, r) in enumerate(items)]
+        lines += [f"i {i} {l:.17g} {r:.17g}" for i, (l, r) in enumerate(items)]
     elif kind == "points":
         lines = [f"points {name}"]
-        lines += [f"p {i} {x:g} {y:g}" for i, (x, y) in enumerate(items)]
+        lines += [f"p {i} {x:.17g} {y:.17g}" for i, (x, y) in enumerate(items)]
     else:
         raise ValueError(kind)
     return "\n".join(lines) + "\n"
 
 
 def parse_realization(text: str):
-    """Returns (kind, items, name)."""
-    kind = name = None
-    items: list[tuple[int, tuple[float, float]]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    """Returns (kind, items, name).  Coordinates are finite, and an
+    interval's left end is at most its right end."""
+    kind, name, items, lines = None, None, [], LineReader(text)
+    for parts in lines:
         if kind is None:
             if parts[0] not in ("intervals", "points") or len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: bad realization header")
-            kind, name = parts[0], parts[1]
+                raise lines.error("bad realization header")
+            kind, name = parts
             continue
-        want = "i" if kind == "intervals" else "p"
-        if parts[0] != want or len(parts) != 4:
-            raise GraphFormatError(f"line {lineno}: expected '{want} <id> <a> <b>'")
-        items.append((int(parts[1]), (float(parts[2]), float(parts[3]))))
+        if parts[0] != kind[0] or len(parts) != 4:  # 'i' or 'p' lines
+            raise lines.error(f"expected '{kind[0]} <id> <a> <b>'")
+        a, b = lines.finite(parts[2]), lines.finite(parts[3])
+        if kind == "intervals" and a > b:
+            raise lines.expected("an interval with l <= r")
+        items.append((lines.integer(parts[1]), (a, b)))
     if kind is None:
         raise GraphFormatError("empty realization file")
     return kind, in_id_order(items, kind), name

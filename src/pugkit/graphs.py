@@ -12,6 +12,7 @@ types also keep their edge list as one read-only (m, 2) int64 array,
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Sequence
@@ -26,7 +27,70 @@ VERTEX_CAP = 1 << 22
 
 
 class GraphFormatError(ValueError):
-    """Raised on malformed graph/realization/label files."""
+    """Raised on a malformed pugkit text file of any kind."""
+
+
+class LineReader:
+    """The lines of a pugkit text file, for its parser.  Iterating yields
+    each line that holds more than whitespace and a `#` comment, split on
+    whitespace, and sets `lineno` (lines count from 1, blank ones too).
+    Each field helper converts one field; what they raise names the line:
+    a GraphFormatError "line N: expected <what>, got '<token>'"."""
+
+    __slots__ = ("lines", "lineno")
+
+    def __init__(self, text: str):
+        self.lines, self.lineno = text.splitlines(), 0
+
+    def __iter__(self) -> Iterator[list[str]]:
+        for self.lineno, raw in enumerate(self.lines, 1):
+            if parts := (raw[:raw.index("#")] if "#" in raw else raw).split():
+                yield parts
+
+    @property
+    def line(self) -> str:  # without its comment and outer whitespace
+        return self.lines[self.lineno - 1].split("#", 1)[0].strip()
+
+    def error(self, message: str) -> GraphFormatError:
+        return GraphFormatError(f"line {self.lineno}: {message}")
+
+    def expected(self, what: str, got: str | None = None) -> GraphFormatError:
+        """The error for a field `got`, or else the whole line, that is not `what`."""
+        return self.error(f"expected {what}, got {self.line if got is None else got!r}")
+
+    def fields(self, parts: list[str], form: str) -> list[str]:
+        """`parts`, which must have the keyword and field count of `form`."""
+        words = form.strip("'").split()
+        if parts[0] != words[0] or len(parts) != len(words):
+            raise self.expected(form)
+        return parts
+
+    def integer(self, tok: str, base: int = 10) -> int:
+        try:
+            return int(tok, base)
+        except ValueError:
+            raise self.expected("an integer" if base == 10 else "a hex integer", tok) from None
+
+    def finite(self, tok: str) -> float:
+        try:
+            if math.isfinite(value := float(tok)):
+                return value
+        except ValueError:
+            pass
+        raise self.expected("a finite number", tok)
+
+    def int_list(self, tok: str) -> tuple[int, ...]:
+        """The comma-separated integers of `tok`; '-' is none."""
+        try:
+            return () if tok == "-" else tuple(map(int, tok.split(",")))
+        except ValueError:
+            raise self.expected("a comma list of integers or '-'", tok) from None
+
+    def keyed(self, tok: str, key: str) -> str:
+        """The value of `tok`, which must read `<key>=<value>`."""
+        if not tok.startswith(key + "="):
+            raise self.expected(f"{key}=...", tok)
+        return tok[len(key) + 1:]
 
 
 def in_id_order(items: Sequence[tuple[int, object]], what: str) -> list:
@@ -481,35 +545,23 @@ def _parse_canonical(text: str) -> tuple[Graph | ColoredBipartiteGraph, str] | N
 
 
 def parse_graph(text: str) -> tuple[Graph | ColoredBipartiteGraph, str]:
-    """Parse the text graph format; returns (graph, name).
-
-    Rejects duplicate and self edges so that round-trips are lossless.
-    Text of at least ARRAY_PARSE_MIN_EDGES edge lines is tried as arrays
-    first; every error comes from the line loop.
-    """
-    if text.count("\n") > ARRAY_PARSE_MIN_EDGES:
-        parsed = _parse_canonical(text)
-        if parsed is not None:
-            return parsed
-    header = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    """Parse the text graph format; returns (graph, name).  Duplicate and self
+    edges are rejected.  Text of more than ARRAY_PARSE_MIN_EDGES lines is
+    tried as arrays first; every error comes from the line loop."""
+    if text.count("\n") > ARRAY_PARSE_MIN_EDGES and (parsed := _parse_canonical(text)):
+        return parsed
+    header, edges, lines = None, [], LineReader(text)
+    for parts in lines:
         if header is None:
             try:
-                if parts[0] == "graph" and len(parts) == 3:
-                    header = ("graph", parts[1], int(parts[2]))
-                elif parts[0] == "bigraph" and len(parts) == 4:
-                    header = ("bigraph", parts[1], int(parts[2]), int(parts[3]))
+                if (parts[0], len(parts)) in (("graph", 3), ("bigraph", 4)):
+                    header = parts[0], parts[1], *map(int, parts[2:])
             except ValueError:
                 pass
             if header is None:
-                raise GraphFormatError(f"line {lineno}: bad header {line!r}")
+                raise lines.error(f"bad header {lines.line!r}")
             if not all(0 <= size <= VERTEX_CAP for size in header[2:]):
-                raise GraphFormatError(f"line {lineno}: vertex count outside [0, {VERTEX_CAP}]")
+                raise lines.error(f"vertex count outside [0, {VERTEX_CAP}]")
             continue
         try:
             if parts[0] == "e" and len(parts) == 3:
@@ -517,7 +569,7 @@ def parse_graph(text: str) -> tuple[Graph | ColoredBipartiteGraph, str]:
                 continue
         except ValueError:
             pass
-        raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>', got {line!r}")
+        raise lines.expected("'e <u> <v>'")
     if header is None:
         raise GraphFormatError("empty graph file")
     try:

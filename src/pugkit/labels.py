@@ -22,9 +22,12 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import in_id_order
+from .graphs import GraphFormatError, LineReader, in_id_order
 
 EqOracle = Callable[[int, int], bool]
+
+#: Guardrail on shape text: deeper nesting is a format error, so recursive walks stay shallow.
+SHAPE_DEPTH_CAP = 100
 
 
 class SchemeError(ValueError):
@@ -102,17 +105,6 @@ def _build_codes(label: LabelNode) -> tuple[int, ...]:
     for node in label.walk():
         out.extend(node.codes)
     return tuple(out)
-
-
-def shape_of(label: LabelNode) -> ShapeNode:
-    """The label's shape, with root-relative slot offsets (slot0 = 0 at the
-    root), as cached on the label."""
-    return label.shape
-
-
-def flat_codes(label: LabelNode) -> tuple[int, ...]:
-    """The label's preorder codes, as cached on the label."""
-    return label.flat_codes
 
 
 def prefix_bits(label: LabelNode) -> tuple[int, ...]:
@@ -425,50 +417,39 @@ def shape_to_str(shape: ShapeNode) -> str:
 
 
 def shape_from_str(s: str) -> ShapeNode:
-    """The shape written by `shape_to_str`.  Text nested deeper than the
-    interpreter's recursion limit is a ValueError, as other bad text is."""
-    close, opened = {}, []  # close[i]: the ')' matching the '(' at i
-    for i, ch in enumerate(s):
-        if ch == "(":
-            opened.append(i)
-        elif ch == ")" and opened:
-            close[opened.pop()] = i
+    """The shape written by `shape_to_str`; bad text is a GraphFormatError.
+    Each '(' opens a child, so `s` split at '(' is the tuples in preorder,
+    each followed by the ')'s that close tuples."""
+    stack: list[tuple] = []  # the open tuples: (tag, arity, kids, slot0)
     slots = 0
+    for piece in s.split("("):
+        head = piece.rstrip(")")
+        tag, colon, arity = head.partition(":")
+        # `int` reads exactly the decimal digits
+        if not colon or not (tag in ("-", "") or tag.isdecimal()) or not arity.isdecimal():
+            raise GraphFormatError(f"expected a shape '<tag>:<arity>', got {head!r}")
+        stack.append((() if tag == "-" else tuple(map(int, tag)), int(arity), [], slots))
+        slots += stack[-1][1]
+        if len(stack) > SHAPE_DEPTH_CAP:
+            raise GraphFormatError("shape nested too deeply")
+        for _ in range(len(piece) - len(head)):  # each ')' closes the tuple on top
+            if len(stack) == 1:
+                raise GraphFormatError("unbalanced shape parentheses")
+            tag, arity, kids, slot0 = stack.pop()
+            stack[-1][2].append(ShapeNode(tag, arity, tuple(kids), slot0))
+    if len(stack) > 1:
+        raise GraphFormatError("unbalanced shape parentheses")
+    tag, arity, kids, slot0 = stack[0]
+    return ShapeNode(tag, arity, tuple(kids), slot0)
 
-    def parse(pos: int, end: int) -> tuple[ShapeNode, int]:
-        """The shape written at s[pos:end], and the index just past its
-        last child."""
-        nonlocal slots
-        colon = s.find(":", pos, end)
-        if colon < 0:
-            # word for word what a shape text without ':' has always raised
-            raise ValueError("not enough values to unpack (expected 2, got 1)")
-        tag_s = s[pos:colon]
-        tag = () if tag_s == "-" else tuple(int(b) for b in tag_s)
-        i = colon + 1
-        while i < end and s[i].isdigit():
-            i += 1
-        arity = int(s[colon + 1:i])
-        slot0 = slots
-        slots += arity
-        kids = []
-        while i < end and s[i] == "(":
-            if i not in close:
-                raise ValueError("unbalanced shape parentheses")
-            child, stop = parse(i + 1, close[i])
-            if stop != close[i]:
-                raise ValueError("trailing shape text")
-            kids.append(child)
-            i = close[i] + 1
-        return ShapeNode(tag, arity, tuple(kids), slot0), i
 
+def read_shape(lines: LineReader, text: str) -> tuple[ShapeNode, int]:
+    """The shape `text` on the current line of `lines`, and its arity."""
     try:
-        shape, stop = parse(0, len(s))
-    except RecursionError:
-        raise ValueError("shape nested too deeply") from None
-    if stop != len(s):
-        raise ValueError("trailing shape text")
-    return shape
+        shape = shape_from_str(text)
+    except GraphFormatError as e:
+        raise lines.error(str(e)) from None
+    return shape, shape_arity(shape)
 
 
 def _label_from_shape(shape: ShapeNode, codes: Sequence[int]) -> LabelNode:
@@ -485,42 +466,28 @@ def write_label_file(scheme: EqualityScheme, graph_name: str) -> str:
 
 def parse_label_file(text: str) -> tuple[list[LabelNode], str, dict]:
     """Returns (labels, graph-name, header-fields)."""
-    labels: list[tuple[int, LabelNode]] = []
-    name = None
-    fields: dict = {}
-    shapes: dict[str, tuple[ShapeNode, int]] = {}  # shape text -> (shape, arity)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    labels, shapes = [], {}  # shapes: shape text -> (shape, arity)
+    name, fields, lines = None, {}, LineReader(text)
+    for parts in lines:
         if name is None:
             if parts[0] != "labels" or len(parts) < 2:
-                raise ValueError(f"line {lineno}: bad label header")
+                raise lines.error("bad label header")
             name = parts[1]
-            for f in parts[2:]:
-                key, _, val = f.partition("=")
-                fields[key] = int(val)
+            fields = {key: lines.integer(val)
+                      for key, _, val in (f.partition("=") for f in parts[2:])}
             continue
         if parts[0] != "v" or len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 'v <id> <shape> <codes>'")
-        codes = [] if parts[3] == "-" else [int(c) for c in parts[3].split(",")]
-        try:
-            if parts[2] not in shapes:
-                shape = shape_from_str(parts[2])
-                shapes[parts[2]] = shape, shape_arity(shape)
-            shape, arity = shapes[parts[2]]
-            if arity != len(codes):
-                raise ValueError("malformed label")
-            label = _label_from_shape(shape, codes)
-        except RecursionError:
-            raise ValueError(f"line {lineno}: shape nested too deeply") from None
-        except ValueError as e:
-            raise ValueError(f"line {lineno}: {e}") from None
-        # the parsed shape is the label's own (slot0 counts from 0 at its
-        # root) and the codes are its preorder codes: seed both caches
-        label.__dict__.update(shape=shape, flat_codes=tuple(codes))
-        labels.append((int(parts[1]), label))
+            raise lines.error("expected 'v <id> <shape> <codes>'")
+        codes = lines.int_list(parts[3])
+        if parts[2] not in shapes:
+            shapes[parts[2]] = read_shape(lines, parts[2])
+        shape, arity = shapes[parts[2]]
+        if arity != len(codes):
+            raise lines.error("malformed label")
+        # seed the label's caches: its shape (slot0 counts from its root) and codes
+        label = _label_from_shape(shape, codes)
+        label.__dict__.update(shape=shape, flat_codes=codes)
+        labels.append((lines.integer(parts[1]), label))
     if name is None:
-        raise ValueError("empty label file")
+        raise GraphFormatError("empty label file")
     return in_id_order(labels, "vertex"), name, fields

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .generators import half_graph
-from .graphs import ColoredBipartiteGraph, Graph
+from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, LineReader
 from .labels import Ask, EqTree, EqualityScheme, LabelNode, SchemeError, walker_tree
 
 
@@ -415,30 +415,28 @@ def write_protocol(tree: Node, name: str, n: int) -> str:
 
 
 def parse_protocol(text: str) -> tuple[Node, str, int]:
-    lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
-    lines = [l for l in lines if l]
-    if not lines or not lines[0].startswith("protocol "):
-        raise SchemeError("bad protocol header")
-    _, name, n_s = lines[0].split()
-    pos = [1]
+    rows = iter(lines := LineReader(text))
+    head = next(rows, None)
+    if head is None:
+        raise GraphFormatError("empty protocol file")
+    name, n = head[1], lines.integer(lines.fields(head, "'protocol <name> <n>'")[2])
 
     def parse_node() -> Node:
-        if pos[0] >= len(lines):
-            raise SchemeError("truncated protocol file")
-        parts = lines[pos[0]].split()
-        pos[0] += 1
+        parts = next(rows, None)
+        if parts is None:
+            raise GraphFormatError("truncated protocol file")
         if parts[0] == "leaf":
-            return Leaf(int(parts[1]))
+            return Leaf(lines.integer(lines.fields(parts, "'leaf <out>'")[1]))
         if parts[0] == "comm":
-            m = tuple(int(t) for t in parts[2].split("=", 1)[1].split(","))
-            return CommNode(parts[1], m, parse_node(), parse_node())
+            _, party, m = lines.fields(parts, "'comm <party> m=<ints>'")
+            return CommNode(party, lines.int_list(lines.keyed(m, "m")), parse_node(), parse_node())
         if parts[0] == "eq":
-            a = tuple(int(t) for t in parts[1].split("=", 1)[1].split(","))
-            b = tuple(int(t) for t in parts[2].split("=", 1)[1].split(","))
-            return EqNode(a, b, parse_node(), parse_node())
-        raise SchemeError(f"unknown protocol node {parts[0]!r}")
+            _, a, b = lines.fields(parts, "'eq a=<ints> b=<ints>'")
+            return EqNode(lines.int_list(lines.keyed(a, "a")), lines.int_list(lines.keyed(b, "b")),
+                          parse_node(), parse_node())
+        raise lines.expected("a 'leaf', 'comm' or 'eq' node", parts[0])
 
     tree = parse_node()
-    if pos[0] != len(lines):
-        raise SchemeError("trailing protocol lines")
-    return tree, name, int(n_s)
+    if next(rows, None) is not None:
+        raise lines.error("trailing protocol lines")
+    return tree, name, n

@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .bipartite import _bip_equivalence_walker, bipartite_equivalence_labels
 from .combinators import across_sides
-from .graphs import ColoredBipartiteGraph, Graph, in_id_order, mask_of, members
+from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, in_id_order,
+                     mask_of, members)
 from .labels import EqualityScheme, LabelNode, SchemeError, register_walker
 from .structure import quasi_chain_number
 
@@ -493,65 +494,48 @@ def write_certificate(cert: TwCertificate, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv(text: str) -> tuple[int, ...]:
-    return () if text == "-" else tuple(int(t) for t in text.split(","))
-
-
-def _field(tok: str, key: str) -> str:
-    """The value of the token `key=value`."""
-    if not tok.startswith(key + "="):
-        raise SchemeError(f"expected {key}=..., got {tok!r}")
-    return tok[len(key) + 1:]
-
-
 def parse_certificate(text: str) -> tuple[TwCertificate, str]:
     """Reads `write_certificate` text.  Flip, division and uset ids, and each
     slice's star ids, must run 0, 1, 2, ...; every star must lie in a uset's
     slice, and usets and stars must name division ids."""
-    name = None
-    order: tuple[tuple[str, int], ...] = ()
+    name, order, lines = None, (), LineReader(text)
     sections: dict[str, list] = {"flip": [], "division": [], "uset": [], "star": []}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for parts in lines:
         if name is None:
             if parts[0] != "twcert" or len(parts) != 2:
-                raise SchemeError(f"line {lineno}: bad certificate header")
+                raise lines.error("bad certificate header")
             name = parts[1]
             continue
         kind = parts[0]
         if kind == "order":
-            order = tuple((tok[0], int(tok[1:])) for tok in parts[1:])
+            order = tuple((tok[0], lines.integer(tok[1:])) for tok in parts[1:])
             continue
         if len(parts) != {"flip": 4, "division": 4, "uset": 4, "star": 5}.get(kind):
-            raise SchemeError(f"line {lineno}: bad {kind!r} line")
+            raise lines.error(f"bad {kind!r} line")
         if kind == "division":
             if parts[2] not in ("x", "y"):
-                raise SchemeError(f"line {lineno}: division side must be x or y")
-            val = (parts[2], _csv(parts[3]))
+                raise lines.error("division side must be x or y")
+            val = (parts[2], lines.int_list(parts[3]))
         elif kind == "star":
-            val = int(parts[2]), Star(int(_field(parts[3], "center")),
-                                      _csv(_field(parts[4], "leaves")))
+            val = lines.integer(parts[2]), Star(lines.integer(lines.keyed(parts[3], "center")),
+                                                lines.int_list(lines.keyed(parts[4], "leaves")))
         else:
-            a, b = ("A", "B") if kind == "flip" else ("X", "Y")
-            val = (_csv(_field(parts[2], a)), _csv(_field(parts[3], b)))
-        sections[kind].append((int(parts[1]), val))
+            keys = "AB" if kind == "flip" else "XY"
+            val = tuple(lines.int_list(lines.keyed(tok, key)) for tok, key in zip(parts[2:], keys))
+        sections[kind].append((lines.integer(parts[1]), val))
     if name is None:
-        raise SchemeError("empty certificate file")
+        raise GraphFormatError("empty certificate file")
     division = in_id_order(sections["division"], "division")
     usets = in_id_order(sections["uset"], "uset")
     slices: list[list] = [[] for _ in usets]
     for i, star in sections["star"]:
         if not 0 <= i < len(usets):
-            raise SchemeError(f"star slice {i} has no uset")
+            raise GraphFormatError(f"star slice {i} has no uset")
         slices[i].append(star)
     stars = tuple(tuple(in_id_order(sl, f"slice {i} star")) for i, sl in enumerate(slices))
     named = [p for ux, uy in usets for p in ux + uy]
     named += [p for sl in stars for st in sl for p in (st.center, *st.leaves)]
     if any(not 0 <= p < len(division) for p in named):
-        raise SchemeError("a uset or star names a part that is not a division id")
-    cert = TwCertificate(order, tuple(in_id_order(sections["flip"], "flip")), tuple(division),
-                         tuple(usets), stars)
-    return cert, name
+        raise GraphFormatError("a uset or star names a part that is not a division id")
+    return TwCertificate(order, tuple(in_id_order(sections["flip"], "flip")), tuple(division),
+                         tuple(usets), stars), name

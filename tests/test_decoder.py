@@ -24,7 +24,7 @@ from pugkit.generators import (
     random_tp_free,
 )
 from pugkit.geometric import interval_graph_from, interval_scheme, random_intervals
-from pugkit.graphs import cartesian_product
+from pugkit.graphs import GraphFormatError, cartesian_product
 from pugkit.labels import (
     Ask,
     CompiledDecoder,
@@ -33,11 +33,9 @@ from pugkit.labels import (
     SchemeError,
     ShapeCodec,
     ShapeNode,
-    flat_codes,
     parse_label_file,
     shape_arity,
     shape_from_str,
-    shape_of,
     shape_to_str,
     walker_tree,
     write_label_file,
@@ -57,6 +55,7 @@ from pugkit.sketch import (
 )
 from pugkit.structure import chain_number
 from tests.per_pair import pack, parse, reference_decode
+from tests.test_readers import LEAKS
 
 
 def _assert_bulk_matches(decode, mat, labels):
@@ -216,8 +215,8 @@ def test_memo_key_is_one_word_exactly_when_it_fits(shapes, layout):
         return (sum(eq(i, j) * (8 * i + j + 1) for i in range(8) for j in range(8))
                 + len(sx.tag) + 2 * len(sy.tag)) % 120
 
-    codec = ShapeCodec([shape_of(l) for l in labels])
-    sid, vals = codec.table(codec.ids, [flat_codes(l) for l in labels])
+    codec = ShapeCodec([l.shape for l in labels])
+    sid, vals = codec.table(codec.ids, [l.flat_codes for l in labels])
     dec = CompiledDecoder(codec, walker)
     mat = dec.decode_rows(sid[None], vals[None])[0]
     assert (codec.k, len(codec.shapes)) == (8, shapes)
@@ -225,14 +224,14 @@ def test_memo_key_is_one_word_exactly_when_it_fits(shapes, layout):
     keys = set()
     for u in range(len(labels)):
         for v in range(u + 1, len(labels)):
-            a, b = flat_codes(labels[u]), flat_codes(labels[v])
+            a, b = labels[u].flat_codes, labels[v].flat_codes
             keys.add((sid[u], sid[v], tuple(x == y for x in a for y in b)))
     # one walker run per distinct (shape pair, Q); then the per-pair walker
     assert len(calls) == len(keys)
     for u in range(len(labels)):
         for v in range(u + 1, len(labels)):
-            assert mat[u, v] == dec.decode_pair(codec.shapes[sid[u]], flat_codes(labels[u]),
-                                                codec.shapes[sid[v]], flat_codes(labels[v]))
+            assert mat[u, v] == dec.decode_pair(codec.shapes[sid[u]], labels[u].flat_codes,
+                                                codec.shapes[sid[v]], labels[v].flat_codes)
 
 
 def _raising_scheme():
@@ -264,12 +263,12 @@ def test_shape_codec_round_trip():
     scheme = EqualityScheme(labels, lambda sx, sy, eq: 0)
     sk = sketch.PackedEqualityScheme(scheme)
     codec = sk.codec
-    assert codec.shapes == [shape_of(labels[0]), shape_of(labels[1])]
+    assert codec.shapes == [labels[0].shape, labels[1].shape]
     # five distinct codes take 3 bits each
     assert (codec.k, codec.shape_bits, sk.value_width, sk.width) == (3, 1, 3, 1 + 3 * 3)
     assert sk.encode(0) == [pack(sk, sid, vals) for sid, vals in zip(codec.ids, scheme.values)]
     for l, sid in zip(labels, codec.ids):
-        vals = [c % 8 for c in flat_codes(l)]
+        vals = [c % 8 for c in l.flat_codes]
         assert parse(sk, pack(sk, sid, vals)) == (sid, vals)
 
 
@@ -279,9 +278,9 @@ def test_shape_codec_round_trip():
 ])
 def test_shape_from_str_wide_arity_round_trip(label):
     # the shape parser once had room for only 64 codes per ':' in the string
-    shape = shape_of(label)
+    shape = label.shape
     assert shape_from_str(shape_to_str(shape)) == shape
-    assert shape_arity(shape_from_str(shape_to_str(shape))) == len(flat_codes(label))
+    assert shape_arity(shape_from_str(shape_to_str(shape))) == len(label.flat_codes)
     scheme = EqualityScheme([label, LabelNode(codes=(1,))], lambda sx, sy, eq: 0)
     parsed, _, _ = parse_label_file(write_label_file(scheme, "wide"))
     assert parsed == list(scheme.labels)
@@ -289,7 +288,8 @@ def test_shape_from_str_wide_arity_round_trip(label):
 
 def _sliced_shape_from_str(s: str, counter: list[int]) -> tuple[ShapeNode, str]:
     """The recursive shape parser that slices the rest of the text for every
-    child: the reference for `shape_from_str`'s results and messages."""
+    child: the reference for the shapes `shape_from_str` reads and the texts
+    it rejects."""
     tag_s, rest = s.split(":", 1)
     tag = () if tag_s == "-" else tuple(int(b) for b in tag_s)
     num = ""
@@ -362,8 +362,16 @@ def shape_texts(draw):
 @example("-:\u00b2")
 @example("1(0:0):0")
 def test_shape_from_str_matches_the_slicing_parser(text):
-    # the same shape, slot offsets included, or the same message
-    assert _shape_outcome(shape_from_str, text) == _shape_outcome(_sliced_parse, text)
+    # the same shape, slot offsets included, or a rejection in pugkit's own
+    # words, which a label file puts on the shape's line
+    want, got = _shape_outcome(_sliced_parse, text), _shape_outcome(shape_from_str, text)
+    if isinstance(want, ShapeNode):
+        assert got == want
+    else:
+        assert isinstance(got, str) and not LEAKS.search(got), got
+        with pytest.raises(GraphFormatError, match=r"^line 2: ") as err:
+            parse_label_file(f"labels g\nv 0 {text} -\n")
+        assert not LEAKS.search(str(err.value))
 
 
 def test_parse_label_file_rejects_missing_codes():
@@ -520,7 +528,7 @@ def _probe_walker(sx, sy, eq):
 def test_walker_tree_branches_once_per_cell_and_marks_violations():
     from pugkit.cli import write_decoder_file
 
-    sh = shape_of(LabelNode(codes=(0, 1)))
+    sh = LabelNode(codes=(0, 1)).shape
     assert walker_tree(_probe_walker, sh, sh) == Ask(0, 1, Ask(1, 0, 0, None), 1)
     with pytest.raises(IndexError):
         walker_tree(lambda sx, sy, eq: eq(0, 2), sh, sh)
@@ -612,9 +620,9 @@ def test_cached_shapes_and_codes_equal_a_fresh_build():
         for labels in (sch.labels, parse_label_file(text)[0]):
             for label in labels:
                 for node in label.walk():
-                    assert shape_of(node) == _shape_reference(node)
-                    assert flat_codes(node) == _codes_reference(node)
-        assert [shape_of(l) for l in parse_label_file(text)[0]] == list(sch.shapes)
+                    assert node.shape == _shape_reference(node)
+                    assert node.flat_codes == _codes_reference(node)
+        assert [l.shape for l in parse_label_file(text)[0]] == list(sch.shapes)
         assert write_label_file(sch, "g") == text
 
 
@@ -623,7 +631,7 @@ def test_cached_values_do_not_change_equality_or_hash():
         return LabelNode(tag=(1,), codes=(3,), children=(LabelNode(codes=(4, 5)),))
 
     a, b = make(), make()
-    assert (shape_of(a), flat_codes(a)) == (ShapeNode((1,), 1, (ShapeNode((), 2, (), 1),), 0),
+    assert (a.shape, a.flat_codes) == (ShapeNode((1,), 1, (ShapeNode((), 2, (), 1),), 0),
                                             (3, 4, 5))
     assert "shape" in vars(a) and "shape" not in vars(b)
     assert a == b and hash(a) == hash(b) and {a: 0}[b] == 0

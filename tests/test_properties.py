@@ -38,9 +38,7 @@ from pugkit.labels import (
     LabelNode,
     SchemeError,
     ShapeCodec,
-    flat_codes,
     shape_arity,
-    shape_of,
 )
 from pugkit.products import adjacency_from_distance1
 from pugkit.rng import counter_hash
@@ -382,7 +380,7 @@ def _q_walker(sx, sy, eq):
 @given(labels=LABELS, data=st.data())
 def test_bulk_decoders_equal_the_per_pair_walker(labels, data):
     n = len(labels)
-    shapes, codes = [shape_of(l) for l in labels], [flat_codes(l) for l in labels]
+    shapes, codes = [l.shape for l in labels], [l.flat_codes for l in labels]
 
     def walker(u, v, vals=codes):
         return _q_walker(shapes[u], shapes[v], lambda i, j: vals[u][i] == vals[v][j])

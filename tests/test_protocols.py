@@ -10,8 +10,7 @@ from pugkit.generators import (
     random_bipartite,
     random_forest,
 )
-from pugkit.graphs import ColoredBipartiteGraph, bip_transform
-from pugkit.labels import SchemeError
+from pugkit.graphs import ColoredBipartiteGraph, GraphFormatError, bip_transform
 from pugkit.protocols import (
     CommNode,
     EqNode,
@@ -208,5 +207,5 @@ def test_protocol_file_roundtrip():
     parsed, name, n = parse_protocol(text)
     assert name == "gt6" and n == 6
     assert output_table(parsed, 6) == output_table(tree, 6)
-    with pytest.raises(SchemeError):
+    with pytest.raises(GraphFormatError, match="^line 3: trailing protocol lines$"):
         parse_protocol("protocol x 4\nleaf 0\nleaf 1\n")
