@@ -13,14 +13,16 @@ import sys
 
 import numpy as np
 
-from . import bipartite, generators, geometric, products, sketch, structure, twinwidth
+from . import bipartite, combinators, generators, geometric, products, sketch, structure, twinwidth
 from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, in_id_order,
                      parse_graph, write_graph)
 from .labels import (
     Ask,
+    CompiledDecoder,
     EqualityScheme,
     LabelNode,
     SchemeError,
+    ShapeCodec,
     build_walker,
     parse_label_file,
     read_shape,
@@ -40,12 +42,17 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_graph(path: str):
+def _read(path: str, parse, what: str):
+    """`parse` of the file's text; an unreadable or malformed file exits 3."""
     try:
         with open(path) as fh:
-            return parse_graph(fh.read())
+            return parse(fh.read())
     except (OSError, GraphFormatError) as e:
-        raise CliError(EXIT_FORMAT, f"cannot read graph {path}: {e}")
+        raise CliError(EXIT_FORMAT, f"cannot read {what}: {e}")
+
+
+def _read_graph(path: str):
+    return _read(path, parse_graph, f"graph {path}")
 
 
 def _as_graph(g) -> Graph:
@@ -67,23 +74,27 @@ def _write_out(text: str, out: str | None):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    params = {}
-    for key in ("k", "q", "s", "p", "d", "n", "a", "b", "ny", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+    # the name must read back as one field of the graph header
+    if args.name and list(LineReader(args.name)) != [[args.name]]:
+        raise CliError(EXIT_FORMAT, f"--name takes no whitespace or '#', got {args.name!r}")
+    params = {key: val for key in ("k", "q", "s", "p", "d", "n", "a", "b", "ny", "seed")
+              if (val := getattr(args, key)) is not None}
     if args.prob is not None:
         params["p"] = args.prob
-    if args.sizes:
-        params["sizes"] = [int(t) for t in args.sizes.split(",")]
-    if args.profile:
-        params["profile"] = [int(t) for t in args.profile.split(",")]
+    for key in ("sizes", "profile"):
+        if text := getattr(args, key):
+            try:
+                params[key] = [int(t) for t in text.split(",")]
+            except ValueError:
+                raise CliError(EXIT_FORMAT, f"--{key} expects a comma list of integers, "
+                                            f"got {text!r}") from None
     try:
         g = generators.generate(args.family, **params)
-    except (KeyError, ValueError) as e:
+    except KeyError as e:
+        raise CliError(EXIT_FORMAT, f"gen {args.family} requires --{e.args[0]}") from None
+    except ValueError as e:
         raise CliError(EXIT_FORMAT, f"bad generator parameters: {e}")
-    name = args.name or args.family
-    _write_out(write_graph(g, name), args.out)
+    _write_out(write_graph(g, args.name or args.family), args.out)
     return EXIT_OK
 
 
@@ -91,68 +102,47 @@ def cmd_gen(args) -> int:
 # label schemes
 # ---------------------------------------------------------------------------
 
-def _build_label_scheme(g, args) -> EqualityScheme:
-    scheme = args.scheme
-    if scheme == "equivalence":
-        _need(g, Graph, scheme)
-        return bipartite.equivalence_labels(g)
-    if scheme == "bip-equivalence":
-        _need(g, ColoredBipartiteGraph, scheme)
-        return bipartite.bipartite_equivalence_labels(g)
-    if scheme == "chain-graph":
-        _need(g, ColoredBipartiteGraph, scheme)
-        return bipartite.chain_graph_labels(g, k=_req(args, "k"))
-    if scheme == "arboricity":
-        _need(g, Graph, scheme)
-        return sketch.arboricity_scheme(g)
-    if scheme == "tp-free":
-        _need(g, ColoredBipartiteGraph, scheme)
-        return bipartite.tp_free_labels(g, p=_req(args, "p"), q=_req(args, "q"))
-    if scheme == "fpp":
-        _need(g, ColoredBipartiteGraph, scheme)
-        return bipartite.fpp_labels(g, p=_req(args, "p"), q=_req(args, "q"))
-    if scheme == "fstar":
-        _need(g, ColoredBipartiteGraph, scheme)
-        return bipartite.fstar_labels(g, p=_req(args, "p"), q=_req(args, "q"))
-    if scheme == "p7":
-        _need(g, ColoredBipartiteGraph, scheme)
-        return bipartite.p7_labels(g, c=_req(args, "c"))
-    if scheme == "interval":
-        _need(g, Graph, scheme)
-        kind, items, _ = _read_realization(args)
-        if kind != "intervals":
-            raise CliError(EXIT_FORMAT, "interval scheme needs an intervals file")
-        return geometric.interval_scheme(g, items, k=_req(args, "k"))
-    if scheme == "permutation":
-        _need(g, Graph, scheme)
-        kind, items, _ = _read_realization(args)
-        if kind != "points":
-            raise CliError(EXIT_FORMAT, "permutation scheme needs a points file")
-        return geometric.permutation_labels(g, items, k=_req(args, "k"))
-    raise CliError(EXIT_FORMAT, f"unknown label scheme {scheme!r}")
+#: Each label scheme: its input class, its builder, the flags the builder
+#: takes (checked in this order) and the kind of realization file it reads.
+LABEL_SCHEMES = {
+    "equivalence": (Graph, bipartite.equivalence_labels, (), None),
+    "bip-equivalence": (ColoredBipartiteGraph, bipartite.bipartite_equivalence_labels, (), None),
+    "chain-graph": (ColoredBipartiteGraph, bipartite.chain_graph_labels, ("k",), None),
+    "arboricity": (Graph, sketch.arboricity_scheme, (), None),
+    "tp-free": (ColoredBipartiteGraph, bipartite.tp_free_labels, ("p", "q"), None),
+    "fpp": (ColoredBipartiteGraph, bipartite.fpp_labels, ("p", "q"), None),
+    "fstar": (ColoredBipartiteGraph, bipartite.fstar_labels, ("p", "q"), None),
+    "p7": (ColoredBipartiteGraph, bipartite.p7_labels, ("c",), None),
+    "interval": (Graph, geometric.interval_scheme, ("k",), "intervals"),
+    "permutation": (Graph, geometric.permutation_labels, ("k",), "points"),
+}
+
+
+def _build_label_scheme(g, args, name: str) -> EqualityScheme:
+    """Checks the input class (exit 2), then the realization, then the flags."""
+    if name not in LABEL_SCHEMES:
+        raise CliError(EXIT_FORMAT, f"unknown label scheme {name!r}")
+    cls, build, flags, realization = LABEL_SCHEMES[name]
+    _need(g, cls, name)
+    items = []
+    if realization:
+        if not args.realization:
+            raise CliError(EXIT_FORMAT, "missing --realization file")
+        kind, got, _ = _read(args.realization, geometric.parse_realization, "realization")
+        if kind != realization:
+            article = "an" if realization == "intervals" else "a"
+            raise CliError(EXIT_FORMAT, f"{name} scheme needs {article} {realization} file")
+        items.append(got)
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise CliError(EXIT_FORMAT, f"scheme {name} requires --{flag}")
+    return build(g, *items, **{flag: getattr(args, flag) for flag in flags})
 
 
 def _need(g, cls, scheme):
     if not isinstance(g, cls):
         kind = "graph" if cls is Graph else "bigraph"
         raise CliError(EXIT_CONTRACT, f"scheme {scheme} needs a {kind} input")
-
-
-def _req(args, key):
-    val = getattr(args, key, None)
-    if val is None:
-        raise CliError(EXIT_FORMAT, f"scheme {args.scheme} requires --{key}")
-    return val
-
-
-def _read_realization(args):
-    if not args.realization:
-        raise CliError(EXIT_FORMAT, "missing --realization file")
-    try:
-        with open(args.realization) as fh:
-            return geometric.parse_realization(fh.read())
-    except (OSError, GraphFormatError) as e:
-        raise CliError(EXIT_FORMAT, f"cannot read realization: {e}")
 
 
 def write_decoder_file(scheme: EqualityScheme) -> str:
@@ -201,7 +191,8 @@ def parse_decoder_file(text: str):
     """Returns a decode(label_x, label_y) callable over LabelNodes.  It runs a
     `decoder tree`'s registered walker, or reads a `decoder table` as a
     walker that returns the output of the row matching Q on the row's asked
-    cells (care masks in file order).  Only a table reads the shape lines."""
+    cells (care masks in file order), through a `CompiledDecoder` over the
+    listed shapes.  Only a table's walker reads the shape lines."""
     lines, kind, head_line, walker = LineReader(text), None, None, None
     shape_ids, rows = {}, []  # shape -> (idx, arity); (lineno, sx, sy, out, Q field)
     for parts in lines:
@@ -252,11 +243,12 @@ def parse_decoder_file(text: str):
                     return out
             raise CliError(EXIT_CONTRACT, "pair missing from decoder table")
 
+    decoder = CompiledDecoder(ShapeCodec(list(shape_ids)), walker)
+
     def decode(lx: LabelNode, ly: LabelNode) -> int:
         # a walker that cannot run on the labels is a file fault; a SchemeError is not
-        cx, cy = lx.flat_codes, ly.flat_codes
         try:
-            return walker(lx.shape, ly.shape, lambda i, j: cx[i] == cy[j])
+            return decoder.decode_pair(lx.shape, lx.flat_codes, ly.shape, ly.flat_codes)
         except SchemeError:
             raise
         except _SPEC_ERRORS as e:
@@ -268,16 +260,12 @@ def parse_decoder_file(text: str):
 
 def cmd_label(args) -> int:
     g, gname = _read_graph(args.graph)
-    scheme = _build_label_scheme(g, args)
+    scheme = _build_label_scheme(g, args, args.scheme)
     _write_out(write_label_file(scheme, gname), args.out)
     if args.decoder_out:
-        with open(args.decoder_out, "w") as fh:
-            fh.write(write_decoder_file(scheme))
-    from .combinators import tuple_count
-    from .sketch import naive_label_width
-
-    s, k, w = naive_label_width(scheme)
-    tuples = max((tuple_count(l) for l in scheme.labels), default=0)
+        _write_out(write_decoder_file(scheme), args.decoder_out)
+    s, k, w = sketch.naive_label_width(scheme)
+    tuples = max((combinators.tuple_count(l) for l in scheme.labels), default=0)
     print(f"scheme={scheme.name} s={scheme.s} k={scheme.k} "
           f"naive-bits={scheme.s + scheme.k * w} tuples={tuples}", file=sys.stderr)
     return EXIT_OK
@@ -293,10 +281,7 @@ def _build_sketch(g, args):
         _need(g, Graph, name)
         sk = sketch.arboricity_sketch(g)
     elif name.startswith("compress:"):
-        args.scheme = name.split(":", 1)[1]
-        base = _build_label_scheme(g, args)
-        args.scheme = name
-        sk = sketch.compress_equality_scheme(base)
+        sk = sketch.compress_equality_scheme(_build_label_scheme(g, args, name[len("compress:"):]))
     else:
         raise CliError(EXIT_FORMAT, f"unknown sketch scheme {name!r}")
     if args.delta is not None:
@@ -346,16 +331,8 @@ def cmd_sketch(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_query(args) -> int:
-    try:
-        with open(args.labels) as fh:
-            labels, _, fields = parse_label_file(fh.read())
-    except (OSError, ValueError) as e:
-        raise CliError(EXIT_FORMAT, f"cannot read labels: {e}")
-    try:
-        with open(args.decoder) as fh:
-            decode = parse_decoder_file(fh.read())
-    except (OSError, GraphFormatError) as e:
-        raise CliError(EXIT_FORMAT, f"cannot read decoder: {e}")
+    labels, _, _ = _read(args.labels, parse_label_file, "labels")
+    decode = _read(args.decoder, parse_decoder_file, "decoder")
     u, v = args.u, args.v
     if not (0 <= u < len(labels) and 0 <= v < len(labels)):
         raise CliError(EXIT_FORMAT, "vertex id out of range")
@@ -382,7 +359,7 @@ def cmd_derand(args) -> int:
     g, gname = _read_graph(args.graph)
     graph = _as_graph(g)
     if args.mode == "naive":
-        det = sketch.naive_derandomize(_build_label_scheme(g, args))
+        det = sketch.naive_derandomize(_build_label_scheme(g, args, args.scheme))
     else:
         try:
             det = sketch.derandomize(_build_sketch(g, args), graph, seed=args.seed)
@@ -404,11 +381,7 @@ def cmd_verify(args) -> int:
     g, _ = _read_graph(args.graph)
     if args.kind == "twcert":
         _need(g, ColoredBipartiteGraph, "twcert")
-        try:
-            with open(args.file) as fh:
-                cert, _ = twinwidth.parse_certificate(fh.read())
-        except (OSError, GraphFormatError) as e:
-            raise CliError(EXIT_FORMAT, f"cannot read certificate: {e}")
+        cert, _ = _read(args.file, twinwidth.parse_certificate, "certificate")
         reasons: list[str] = []
         ok, h = twinwidth.verify_certificate(g, cert, reasons=reasons)
         if ok:
@@ -417,20 +390,14 @@ def cmd_verify(args) -> int:
             return EXIT_OK
         print("certificate rejected: " + "; ".join(reasons))
         return EXIT_CONTRACT
-    if args.kind == "width-seq":
-        _need(g, Graph, "width-seq")
-        try:
-            with open(args.file) as fh:
-                seq = _parse_partition_seq(fh.read())
-        except (OSError, GraphFormatError) as e:
-            raise CliError(EXIT_FORMAT, f"cannot read sequence: {e}")
-        try:
-            width = twinwidth.verify_width(g, seq)
-        except SchemeError as e:
-            raise CliError(EXIT_CONTRACT, f"sequence invalid: {e}")
-        print(f"sequence valid: width={width}")
-        return EXIT_OK
-    raise CliError(EXIT_FORMAT, f"unknown verify kind {args.kind!r}")
+    _need(g, Graph, "width-seq")
+    seq = _read(args.file, _parse_partition_seq, "sequence")
+    try:
+        width = twinwidth.verify_width(g, seq)
+    except SchemeError as e:
+        raise CliError(EXIT_CONTRACT, f"sequence invalid: {e}")
+    print(f"sequence valid: width={width}")
+    return EXIT_OK
 
 
 def write_partition_seq(seq) -> str:
@@ -440,9 +407,11 @@ def write_partition_seq(seq) -> str:
 
 
 def _parse_partition_seq(text: str):
-    """The partitions of a width-seq file, each part a comma list of ids."""
+    """The partitions of a width-seq file, each part a comma list of ids.  A
+    bare `p` is the partition with no parts, the empty graph's only one."""
     lines, form = LineReader(text), "'p <part>|<part>|...'"
-    return [[lines.int_list(part) for part in lines.fields(parts, form)[1].split("|")]
+    return [[] if parts == ["p"] else
+            [lines.int_list(part) for part in lines.fields(parts, form)[1].split("|")]
             for parts in lines]
 
 
@@ -505,7 +474,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a named graph family member")
     g.add_argument("family")
-    for flag in ("k", "q", "s", "p", "d", "n", "a", "b", "ny", "seed", "c"):
+    for flag in ("k", "q", "s", "p", "d", "n", "a", "b", "ny", "seed"):
         g.add_argument(f"--{flag}", type=int)
     g.add_argument("--prob", type=float)
     g.add_argument("--sizes")
@@ -514,13 +483,13 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen)
 
-    def add_scheme_flags(p, with_seed=False):
+    def add_scheme_flags(p, randomized=False):
         p.add_argument("--scheme", required=True)
         for flag in ("k", "p", "q", "c"):
             p.add_argument(f"--{flag}", type=int)
         p.add_argument("--realization")
-        p.add_argument("--delta", type=float)
-        if with_seed:
+        if randomized:
+            p.add_argument("--delta", type=float)
             p.add_argument("--seed", type=int, required=True)
 
     l = sub.add_parser("label", help="build deterministic equality labels")
@@ -532,7 +501,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sketch", help="sample a randomized sketch")
     s.add_argument("graph")
-    add_scheme_flags(s, with_seed=True)
+    add_scheme_flags(s, randomized=True)
     s.add_argument("--out")
     s.set_defaults(func=cmd_sketch)
 
@@ -545,7 +514,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="Monte-Carlo error estimation")
     e.add_argument("graph")
-    add_scheme_flags(e, with_seed=True)
+    add_scheme_flags(e, randomized=True)
     e.add_argument("--trials", type=int, required=True)
     e.add_argument("--pairs", choices=("all", "adjacent", "nonadjacent"),
                    default="all")
@@ -553,7 +522,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("derand", help="derandomize a sketch into labels")
     d.add_argument("graph")
-    add_scheme_flags(d, with_seed=True)
+    add_scheme_flags(d, randomized=True)
     d.add_argument("--mode", choices=("sampled", "naive"), default="sampled")
     d.add_argument("--out")
     d.set_defaults(func=cmd_derand)

@@ -50,12 +50,13 @@ def verify_width(g: Graph, seq: Sequence[Sequence[Sequence[int]]]) -> int:
     """Validate an uncontraction sequence and return its width.
 
     The sequence must start at {V}, end at singletons, and split exactly
-    one part into two at each step.
+    one part into two at each step.  On the empty graph the partition with
+    no parts is both the first and the last.
     """
     parts_seq = [_canon(p) for p in seq]
     if not parts_seq:
         raise SchemeError("empty sequence")
-    if parts_seq[0] != _canon([range(g.n)]):
+    if parts_seq[0] != _canon([range(g.n)] if g.n else []):
         raise SchemeError("sequence must start with the whole vertex set")
     if parts_seq[-1] != _canon([[v] for v in range(g.n)]):
         raise SchemeError("sequence must end with singletons")

@@ -572,3 +572,162 @@ def test_malformed_certificate_exits_2_or_3(tmp_path, edit, code):
     proc = run_subprocess("verify", "twcert", gf, cf)
     assert proc.returncode == code, proc.stderr
     assert ("rejected" in proc.stdout) if code == 2 else proc.stderr.startswith("error:")
+
+
+#: Each label scheme: its input kind, its required flags in the order they
+#: are checked, and the realization kind it reads.
+LABEL_SCHEME_ARGS = {
+    "equivalence": ("graph", (), None),
+    "bip-equivalence": ("bigraph", (), None),
+    "chain-graph": ("bigraph", ("k",), None),
+    "arboricity": ("graph", (), None),
+    "tp-free": ("bigraph", ("p", "q"), None),
+    "fpp": ("bigraph", ("p", "q"), None),
+    "fstar": ("bigraph", ("p", "q"), None),
+    "p7": ("bigraph", ("c",), None),
+    "interval": ("graph", ("k",), "intervals"),
+    "permutation": ("graph", ("k",), "points"),
+}
+#: What each command needs past the graph and the scheme.
+SCHEME_COMMAND_TAIL = {"label": [], "sketch": ["--seed", "1"],
+                       "eval": ["--seed", "1", "--trials", "9"],
+                       "derand": ["--seed", "1", "--mode", "naive"]}
+
+
+@pytest.fixture
+def scheme_inputs(tmp_path):
+    from pugkit.generators import biclique, path
+    from pugkit.geometric import write_realization
+    from pugkit.graphs import write_graph
+
+    files = {"graph": path(3), "bigraph": biclique(2, 2)}
+    for kind, g in files.items():
+        (tmp_path / kind).write_text(write_graph(g, kind))
+    for kind in ("intervals", "points"):
+        (tmp_path / kind).write_text(write_realization(kind, [(0, 1), (1, 2), (2, 3)], kind))
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", ["label", "sketch", "eval", "derand"])
+@pytest.mark.parametrize("scheme", sorted(LABEL_SCHEME_ARGS))
+def test_every_scheme_argument_error_keeps_its_code_and_text(scheme_inputs, capsys, command,
+                                                            scheme):
+    # sketch and eval take the scheme as compress:<scheme>, derand as its naive base
+    kind, flags, realization = LABEL_SCHEME_ARGS[scheme]
+    name = f"compress:{scheme}" if command in ("sketch", "eval") else scheme
+
+    def fails(graph, *extra):
+        code, _, err = run(capsys, command, str(scheme_inputs / graph), "--scheme", name,
+                           *SCHEME_COMMAND_TAIL[command], *extra)
+        return code, err
+
+    other = "bigraph" if kind == "graph" else "graph"
+    assert fails(other) == (2, f"error: scheme {scheme} needs a {kind} input\n")
+    real = ["--realization", str(scheme_inputs / realization)] if realization else []
+    if realization:
+        missing = scheme_inputs / "missing"
+        assert fails(kind) == (3, "error: missing --realization file\n")
+        assert fails(kind, "--realization", str(missing)) == (
+            3, f"error: cannot read realization: [Errno 2] No such file or directory: "
+               f"'{missing}'\n")
+        wrong = "points" if realization == "intervals" else "intervals"
+        assert fails(kind, "--realization", str(scheme_inputs / wrong)) == (
+            3, f"error: {scheme} scheme needs {'an' if wrong == 'points' else 'a'} "
+               f"{realization} file\n")
+    for at, flag in enumerate(flags):
+        given = [arg for f in flags if f != flag for arg in (f"--{f}", "1")]
+        assert fails(kind, *real, *given) == (3, f"error: scheme {scheme} requires --{flag}\n")
+        assert fails(kind, *real, *given[:2 * at]) == (
+            3, f"error: scheme {scheme} requires --{flag}\n")
+
+
+@pytest.mark.parametrize("command, name, message", [
+    ("label", "nope", "unknown label scheme 'nope'"),
+    ("derand", "nope", "unknown label scheme 'nope'"),
+    ("sketch", "compress:nope", "unknown label scheme 'nope'"),
+    ("eval", "compress:nope", "unknown label scheme 'nope'"),
+    ("sketch", "nope", "unknown sketch scheme 'nope'"),
+    ("eval", "compress:", "unknown label scheme ''"),
+])
+def test_an_unknown_scheme_exits_3(scheme_inputs, capsys, command, name, message):
+    code, _, err = run(capsys, command, str(scheme_inputs / "graph"), "--scheme", name,
+                       *SCHEME_COMMAND_TAIL[command])
+    assert (code, err) == (3, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("kind", ["table", "tree"])
+def test_decoder_files_run_their_walker_through_compiled_decoder(monkeypatch, kind):
+    from pugkit import bipartite
+    from pugkit.cli import parse_decoder_file, write_decoder_file
+    from pugkit.generators import random_forest, random_tp_free
+    from pugkit.labels import CompiledDecoder
+    from pugkit.sketch import arboricity_scheme
+
+    sch = (arboricity_scheme(random_forest(10, seed=3)) if kind == "table"
+           else bipartite.tp_free_labels(random_tp_free(9, 12, 2, seed=1), p=2, q=4))
+    text = write_decoder_file(sch)
+    assert text.startswith(f"decoder {kind}")
+    pairs = [(u, v) for u in range(sch.n) for v in range(sch.n) if u != v]
+    expected = [sch.decode(u, v) for u, v in pairs]
+    calls, decode_pair = [], CompiledDecoder.decode_pair
+
+    def counted(self, *args):
+        calls.append(args)
+        return decode_pair(self, *args)
+
+    monkeypatch.setattr(CompiledDecoder, "decode_pair", counted)
+    decode = parse_decoder_file(text)
+    assert [decode(sch.labels[u], sch.labels[v]) for u, v in pairs] == expected
+    assert len(calls) == len(pairs)
+
+
+def test_the_cli_builds_no_eq_for_a_walker():
+    import ast
+    import pathlib
+
+    import pugkit.cli
+
+    tree = ast.parse(pathlib.Path(pugkit.cli.__file__).read_text())
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Lambda) and len(node.args.args) == 2), ast.unparse(node)
+        assert not (isinstance(node, ast.FunctionDef) and node.name == "eq")
+
+
+def test_the_empty_graph_width_sequence_round_trips(tmp_path, capsys):
+    gf, sf = tmp_path / "e.graph", tmp_path / "e.seq"
+    gf.write_text("graph e 0\n")
+    code, out, _ = run(capsys, "twinwidth", str(gf))
+    assert code == 0 and out.startswith("twin-width = 0\n")
+    sf.write_text(out.split("\n", 1)[1])
+    code, out, _ = run(capsys, "verify", "width-seq", str(gf), str(sf))
+    assert (code, out) == (0, "sequence valid: width=0\n")
+
+
+@pytest.mark.parametrize("name", ["p 3", "a#b", "tab\there", "nbsp\xa0here"])
+def test_gen_rejects_a_name_no_reader_takes(tmp_path, capsys, name):
+    out = tmp_path / "p.graph"
+    code, _, err = run(capsys, "gen", "path", "--n", "3", "--name", name, "--out", str(out))
+    assert (code, err) == (3, f"error: --name takes no whitespace or '#', got {name!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["forest", "--n", "12"], "gen forest requires --seed"),
+    (["chain-graph", "--profile", "1,2,3"], "gen chain-graph requires --ny"),
+    (["half-graph"], "gen half-graph requires --k"),
+    (["chain-graph", "--profile", "1,x", "--ny", "3"],
+     "--profile expects a comma list of integers, got '1,x'"),
+    (["equivalence", "--sizes", "2,,3"], "--sizes expects a comma list of integers, got '2,,3'"),
+])
+def test_gen_messages_name_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["gen", "path", "--n", "3", "--c", "1"],
+                                  ["label", "g.graph", "--scheme", "arboricity", "--delta", "0.1"]])
+def test_flags_nothing_reads_are_unrecognized(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

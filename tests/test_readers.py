@@ -321,7 +321,7 @@ def test_protocol_files_round_trip(tree, name):
     assert protocols.parse_protocol(protocols.write_protocol(tree, name, 3)) == (tree, name, 3)
 
 
-PARTS = st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=4), min_size=1, max_size=4)
+PARTS = st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=4), min_size=0, max_size=4)
 
 
 @ROUND_TRIP
