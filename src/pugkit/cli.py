@@ -20,7 +20,6 @@ from .labels import (
     Ask,
     CompiledDecoder,
     EqualityScheme,
-    LabelNode,
     SchemeError,
     ShapeCodec,
     build_walker,
@@ -77,10 +76,8 @@ def cmd_gen(args) -> int:
     # the name must read back as one field of the graph header
     if args.name and list(LineReader(args.name)) != [[args.name]]:
         raise CliError(EXIT_FORMAT, f"--name takes no whitespace or '#', got {args.name!r}")
-    params = {key: val for key in ("k", "q", "s", "p", "d", "n", "a", "b", "ny", "seed")
+    params = {key: val for key in ("k", "q", "s", "p", "d", "n", "a", "b", "ny", "seed", "prob")
               if (val := getattr(args, key)) is not None}
-    if args.prob is not None:
-        params["p"] = args.prob
     for key in ("sizes", "profile"):
         if text := getattr(args, key):
             try:
@@ -188,7 +185,8 @@ _SPEC_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticEr
 
 
 def parse_decoder_file(text: str):
-    """Returns a decode(label_x, label_y) callable over LabelNodes.  It runs a
+    """Returns a decode(label_x, label_y) callable over the (shape, codes)
+    pairs that `parse_label_file` reads.  It runs a
     `decoder tree`'s registered walker, or reads a `decoder table` as a
     walker that returns the output of the row matching Q on the row's asked
     cells (care masks in file order), through a `CompiledDecoder` over the
@@ -245,10 +243,11 @@ def parse_decoder_file(text: str):
 
     decoder = CompiledDecoder(ShapeCodec(list(shape_ids)), walker)
 
-    def decode(lx: LabelNode, ly: LabelNode) -> int:
-        # a walker that cannot run on the labels is a file fault; a SchemeError is not
+    def decode(lx, ly) -> int:
+        # lx and ly are (shape, codes) pairs; a walker that cannot run on the
+        # labels is a file fault, a SchemeError is not
         try:
-            return decoder.decode_pair(lx.shape, lx.flat_codes, ly.shape, ly.flat_codes)
+            return decoder.decode_pair(*lx, *ly)
         except SchemeError:
             raise
         except _SPEC_ERRORS as e:
@@ -265,7 +264,7 @@ def cmd_label(args) -> int:
     if args.decoder_out:
         _write_out(write_decoder_file(scheme), args.decoder_out)
     s, k, w = sketch.naive_label_width(scheme)
-    tuples = max((combinators.tuple_count(l) for l in scheme.labels), default=0)
+    tuples = max(map(combinators.tuple_count, scheme.codec.shapes), default=0)
     print(f"scheme={scheme.name} s={scheme.s} k={scheme.k} "
           f"naive-bits={scheme.s + scheme.k * w} tuples={tuples}", file=sys.stderr)
     return EXIT_OK

@@ -495,5 +495,6 @@ def assemble_decomposition_labels(
                           decoder_spec=spec if leaf_spec else None, name=name)
 
 
-def tuple_count(label: LabelNode) -> int:
-    return sum(1 for _ in label.walk())
+def tuple_count(shape: ShapeNode) -> int:
+    """Number of tuples in a label shape."""
+    return 1 + sum(map(tuple_count, shape.children))

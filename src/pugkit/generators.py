@@ -281,13 +281,11 @@ def generate(family: str, **params):
         "biclique": lambda: biclique(params["a"], params["b"]),
         "equivalence": lambda: equivalence_graph(params["sizes"]),
         "chain-graph": lambda: chain_graph(params["profile"], params["ny"]),
-        "gnp": lambda: random_graph(params["n"], params["p"], params["seed"]),
+        "gnp": lambda: random_graph(params["n"], params["prob"], params["seed"]),
         "forest": lambda: random_forest(params["n"], params["seed"]),
         "strong-hypercube": lambda: strong_product([path(2)] * params["d"])[0],
-        "direct-power": lambda: direct_product(
-            [params.get("base") or path(params["n"])] * params["d"])[0],
-        "lex-power": lambda: lexicographic_product(
-            [params.get("base") or path(params["n"])] * params["d"])[0],
+        "direct-power": lambda: direct_product([path(params["n"])] * params["d"])[0],
+        "lex-power": lambda: lexicographic_product([path(params["n"])] * params["d"])[0],
     }
     if family not in table:
         raise ValueError(f"unknown family {family!r}")

@@ -38,10 +38,10 @@ class SchemeError(ValueError):
 class LabelNode:
     """One tuple of a label: prefix bits, equality codes, child tuples.
 
-    `shape` and `flat_codes` are computed on first read (`parse_label_file`
-    seeds them from the file) and kept on the node, with this node as the
-    root: its own slots start at slot0 = 0.  They live outside the fields,
-    so `==` and `hash` ignore them.
+    Builders and combinators compose labels as these trees.  Whatever reads
+    a label reads its shape (`label_shape`) and its codes in preorder
+    (`label_codes`): an `EqualityScheme` holds both per vertex, and a label
+    file reads back as those pairs.
     """
 
     tag: tuple[int, ...] = ()
@@ -52,16 +52,6 @@ class LabelNode:
         yield self
         for c in self.children:
             yield from c.walk()
-
-    @cached_property
-    def shape(self) -> "ShapeNode":
-        """The label's skeleton, slot offsets in preorder from 0 at this node."""
-        return _build_shape(self)
-
-    @cached_property
-    def flat_codes(self) -> tuple[int, ...]:
-        """The label's codes in preorder: code slot i holds flat_codes[i]."""
-        return _build_codes(self)
 
 
 @dataclass(frozen=True)
@@ -88,7 +78,13 @@ def bits_for(count: int) -> int:
     return max(count - 1, 0).bit_length()
 
 
-def _build_shape(label: LabelNode) -> ShapeNode:
+def shape_prefix_len(shape: ShapeNode) -> int:
+    """Number of prefix bits in a shape: its own tag's and its descendants'."""
+    return len(shape.tag) + sum(shape_prefix_len(c) for c in shape.children)
+
+
+def label_shape(label: LabelNode) -> ShapeNode:
+    """The label's skeleton, slot offsets in preorder from 0 at its root."""
     counter = [0]
 
     def build(node: LabelNode) -> ShapeNode:
@@ -100,17 +96,11 @@ def _build_shape(label: LabelNode) -> ShapeNode:
     return build(label)
 
 
-def _build_codes(label: LabelNode) -> tuple[int, ...]:
+def label_codes(label: LabelNode) -> tuple[int, ...]:
+    """The label's codes in preorder: code slot i holds label_codes(label)[i]."""
     out: list[int] = []
     for node in label.walk():
         out.extend(node.codes)
-    return tuple(out)
-
-
-def prefix_bits(label: LabelNode) -> tuple[int, ...]:
-    out: list[int] = []
-    for node in label.walk():
-        out.extend(node.tag)
     return tuple(out)
 
 
@@ -131,9 +121,8 @@ class EqualityScheme:
         self.labels = tuple(labels)
         self.walker = walker
         self.decoder_spec = decoder_spec
-        # a scheme reads each label once, so it skips the labels' caches
-        self.shapes = tuple(map(_build_shape, self.labels))
-        self.codes = tuple(map(_build_codes, self.labels))
+        self.shapes = tuple(map(label_shape, self.labels))
+        self.codes = tuple(map(label_codes, self.labels))
         self.codec = ShapeCodec(self.shapes)
         self.decoder = CompiledDecoder(self.codec, walker)
         #: distinct code values renumbered to [0, #distinct), by sorted value
@@ -158,11 +147,11 @@ class EqualityScheme:
 
     @cached_property
     def s(self) -> int:
-        """Max number of prefix bits over all labels."""
-        return max((len(prefix_bits(l)) for l in self.labels), default=0)
+        """Max number of prefix bits over all labels, read off the distinct shapes."""
+        return max(map(shape_prefix_len, self.codec.shapes), default=0)
 
     def prefix_len(self, v: int) -> int:
-        return len(prefix_bits(self.labels[v]))
+        return shape_prefix_len(self.shapes[v])
 
     def code_count(self, v: int) -> int:
         return len(self.codes[v])
@@ -452,11 +441,6 @@ def read_shape(lines: LineReader, text: str) -> tuple[ShapeNode, int]:
     return shape, shape_arity(shape)
 
 
-def _label_from_shape(shape: ShapeNode, codes: Sequence[int]) -> LabelNode:
-    own = tuple(codes[shape.slot0:shape.slot0 + shape.arity])
-    return LabelNode(shape.tag, own, tuple(_label_from_shape(c, codes) for c in shape.children))
-
-
 def write_label_file(scheme: EqualityScheme, graph_name: str) -> str:
     lines = [f"labels {graph_name} s={scheme.s} k={scheme.k} width={scheme.s + scheme.k}"]
     for v, (shape, codes) in enumerate(zip(scheme.shapes, scheme.codes)):
@@ -464,8 +448,10 @@ def write_label_file(scheme: EqualityScheme, graph_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_label_file(text: str) -> tuple[list[LabelNode], str, dict]:
-    """Returns (labels, graph-name, header-fields)."""
+def parse_label_file(text: str) -> tuple[list[tuple[ShapeNode, tuple[int, ...]]], str, dict]:
+    """Returns (labels, graph-name, header-fields).  Each label reads back
+    as its (shape, codes) pair, the pair `write_label_file` wrote from
+    `EqualityScheme.shapes` and `EqualityScheme.codes`."""
     labels, shapes = [], {}  # shapes: shape text -> (shape, arity)
     name, fields, lines = None, {}, LineReader(text)
     for parts in lines:
@@ -484,10 +470,7 @@ def parse_label_file(text: str) -> tuple[list[LabelNode], str, dict]:
         shape, arity = shapes[parts[2]]
         if arity != len(codes):
             raise lines.error("malformed label")
-        # seed the label's caches: its shape (slot0 counts from its root) and codes
-        label = _label_from_shape(shape, codes)
-        label.__dict__.update(shape=shape, flat_codes=codes)
-        labels.append((lines.integer(parts[1]), label))
+        labels.append((lines.integer(parts[1]), (shape, codes)))
     if name is None:
         raise GraphFormatError("empty label file")
     return in_id_order(labels, "vertex"), name, fields

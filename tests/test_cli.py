@@ -494,7 +494,8 @@ def test_decoder_tables_decode_every_pair(family):
         decode = parse_decoder_file(text)
         for u in range(sch.n):
             for v in range(sch.n):
-                assert decode(sch.labels[u], sch.labels[v]) == sch.decode(u, v)
+                assert decode((sch.shapes[u], sch.codes[u]),
+                              (sch.shapes[v], sch.codes[v])) == sch.decode(u, v)
 
 
 def test_sketch_prints_the_proven_boosted_delta(tmp_path, capsys):
@@ -677,7 +678,8 @@ def test_decoder_files_run_their_walker_through_compiled_decoder(monkeypatch, ki
 
     monkeypatch.setattr(CompiledDecoder, "decode_pair", counted)
     decode = parse_decoder_file(text)
-    assert [decode(sch.labels[u], sch.labels[v]) for u, v in pairs] == expected
+    labels = list(zip(sch.shapes, sch.codes))
+    assert [decode(labels[u], labels[v]) for u, v in pairs] == expected
     assert len(calls) == len(pairs)
 
 
@@ -718,10 +720,37 @@ def test_gen_rejects_a_name_no_reader_takes(tmp_path, capsys, name):
     (["chain-graph", "--profile", "1,x", "--ny", "3"],
      "--profile expects a comma list of integers, got '1,x'"),
     (["equivalence", "--sizes", "2,,3"], "--sizes expects a comma list of integers, got '2,,3'"),
+    (["gnp", "--n", "5", "--seed", "1"], "gen gnp requires --prob"),
+    (["gnp", "--n", "5", "--p", "1", "--seed", "1"], "gen gnp requires --prob"),
 ])
 def test_gen_messages_name_the_flag(capsys, argv, message):
     code, out, err = run(capsys, "gen", *argv)
     assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_gen_gnp_reads_its_probability_from_prob(capsys):
+    from pugkit.generators import random_graph
+    from pugkit.graphs import write_graph
+
+    code, out, _ = run(capsys, "gen", "gnp", "--n", "6", "--prob", "0.5", "--seed", "1")
+    assert code == 0 and out.startswith("graph gnp 6\n")
+    assert out == write_graph(random_graph(6, 0.5, 1), "gnp")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("family, product, factor_n", [
+    ("strong-hypercube", "strong_product", 2),
+    ("direct-power", "direct_product", 3),
+    ("lex-power", "lexicographic_product", 3),
+])
+def test_gen_reaches_the_product_powers(capsys, family, product, factor_n, d):
+    from pugkit import generators
+    from pugkit.graphs import parse_graph
+
+    code, out, _ = run(capsys, "gen", family, "--n", "3", "--d", str(d))
+    g, name = parse_graph(out)
+    want = getattr(generators, product)([generators.path(factor_n)] * d)[0]
+    assert (code, name, g.n, g.m) == (0, family, want.n, want.m)
 
 
 @pytest.mark.parametrize("argv", [["gen", "path", "--n", "3", "--c", "1"],

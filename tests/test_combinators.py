@@ -41,7 +41,7 @@ from pugkit.generators import (
     random_graph,
 )
 from pugkit.graphs import Graph, bip_transform, bipartite_complement, induced_subgraph
-from pugkit.labels import EqualityScheme, LabelNode, SchemeError, prefix_bits
+from pugkit.labels import EqualityScheme, LabelNode, SchemeError
 from pugkit.protocols import (
     diagonal_as_equality_scheme,
     labels_to_protocol,
@@ -248,7 +248,7 @@ def test_tuple_count_bound():
     tree = fpp_decomposition(g, 2, 3)
     d = tree.depth()
     k = 2
-    worst = max(tuple_count(l) for l in sch.labels)
+    worst = max(tuple_count(sh) for sh in sch.shapes)
     assert worst <= (k ** max(d, 1)) * 8 + 8  # generous structural bound
 
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pugkit import bipartite
+from pugkit.combinators import tuple_count
 from pugkit.generators import (
     bipartite_equivalence_graph,
     cycle,
@@ -33,6 +34,8 @@ from pugkit.labels import (
     SchemeError,
     ShapeCodec,
     ShapeNode,
+    label_codes,
+    label_shape,
     parse_label_file,
     shape_arity,
     shape_from_str,
@@ -215,8 +218,9 @@ def test_memo_key_is_one_word_exactly_when_it_fits(shapes, layout):
         return (sum(eq(i, j) * (8 * i + j + 1) for i in range(8) for j in range(8))
                 + len(sx.tag) + 2 * len(sy.tag)) % 120
 
-    codec = ShapeCodec([l.shape for l in labels])
-    sid, vals = codec.table(codec.ids, [l.flat_codes for l in labels])
+    codes = list(map(label_codes, labels))
+    codec = ShapeCodec(list(map(label_shape, labels)))
+    sid, vals = codec.table(codec.ids, codes)
     dec = CompiledDecoder(codec, walker)
     mat = dec.decode_rows(sid[None], vals[None])[0]
     assert (codec.k, len(codec.shapes)) == (8, shapes)
@@ -224,14 +228,14 @@ def test_memo_key_is_one_word_exactly_when_it_fits(shapes, layout):
     keys = set()
     for u in range(len(labels)):
         for v in range(u + 1, len(labels)):
-            a, b = labels[u].flat_codes, labels[v].flat_codes
+            a, b = codes[u], codes[v]
             keys.add((sid[u], sid[v], tuple(x == y for x in a for y in b)))
     # one walker run per distinct (shape pair, Q); then the per-pair walker
     assert len(calls) == len(keys)
     for u in range(len(labels)):
         for v in range(u + 1, len(labels)):
-            assert mat[u, v] == dec.decode_pair(codec.shapes[sid[u]], labels[u].flat_codes,
-                                                codec.shapes[sid[v]], labels[v].flat_codes)
+            assert mat[u, v] == dec.decode_pair(codec.shapes[sid[u]], codes[u],
+                                                codec.shapes[sid[v]], codes[v])
 
 
 def _raising_scheme():
@@ -263,12 +267,12 @@ def test_shape_codec_round_trip():
     scheme = EqualityScheme(labels, lambda sx, sy, eq: 0)
     sk = sketch.PackedEqualityScheme(scheme)
     codec = sk.codec
-    assert codec.shapes == [labels[0].shape, labels[1].shape]
+    assert codec.shapes == [label_shape(labels[0]), label_shape(labels[1])]
     # five distinct codes take 3 bits each
     assert (codec.k, codec.shape_bits, sk.value_width, sk.width) == (3, 1, 3, 1 + 3 * 3)
     assert sk.encode(0) == [pack(sk, sid, vals) for sid, vals in zip(codec.ids, scheme.values)]
     for l, sid in zip(labels, codec.ids):
-        vals = [c % 8 for c in l.flat_codes]
+        vals = [c % 8 for c in label_codes(l)]
         assert parse(sk, pack(sk, sid, vals)) == (sid, vals)
 
 
@@ -278,12 +282,12 @@ def test_shape_codec_round_trip():
 ])
 def test_shape_from_str_wide_arity_round_trip(label):
     # the shape parser once had room for only 64 codes per ':' in the string
-    shape = label.shape
+    shape = label_shape(label)
     assert shape_from_str(shape_to_str(shape)) == shape
-    assert shape_arity(shape_from_str(shape_to_str(shape))) == len(label.flat_codes)
+    assert shape_arity(shape_from_str(shape_to_str(shape))) == len(label_codes(label))
     scheme = EqualityScheme([label, LabelNode(codes=(1,))], lambda sx, sy, eq: 0)
     parsed, _, _ = parse_label_file(write_label_file(scheme, "wide"))
-    assert parsed == list(scheme.labels)
+    assert parsed == list(zip(scheme.shapes, scheme.codes))
 
 
 def _sliced_shape_from_str(s: str, counter: list[int]) -> tuple[ShapeNode, str]:
@@ -528,7 +532,7 @@ def _probe_walker(sx, sy, eq):
 def test_walker_tree_branches_once_per_cell_and_marks_violations():
     from pugkit.cli import write_decoder_file
 
-    sh = LabelNode(codes=(0, 1)).shape
+    sh = label_shape(LabelNode(codes=(0, 1)))
     assert walker_tree(_probe_walker, sh, sh) == Ask(0, 1, Ask(1, 0, 0, None), 1)
     with pytest.raises(IndexError):
         walker_tree(lambda sx, sy, eq: eq(0, 2), sh, sh)
@@ -613,29 +617,27 @@ def _codes_reference(label):
     return tuple(c for node in label.walk() for c in node.codes)
 
 
-def test_cached_shapes_and_codes_equal_a_fresh_build():
+def test_scheme_shapes_and_codes_equal_a_fresh_build():
+    # a label file reads back as the (shape, codes) pairs it was written from
     for build in _family_builds():
         sch = build()
-        text = write_label_file(sch, "g")
-        for labels in (sch.labels, parse_label_file(text)[0]):
-            for label in labels:
-                for node in label.walk():
-                    assert node.shape == _shape_reference(node)
-                    assert node.flat_codes == _codes_reference(node)
-        assert [l.shape for l in parse_label_file(text)[0]] == list(sch.shapes)
-        assert write_label_file(sch, "g") == text
+        assert list(sch.shapes) == list(map(_shape_reference, sch.labels))
+        assert list(sch.codes) == list(map(_codes_reference, sch.labels))
+        parsed, _, _ = parse_label_file(write_label_file(sch, "g"))
+        assert parsed == list(zip(sch.shapes, sch.codes))
 
 
-def test_cached_values_do_not_change_equality_or_hash():
-    def make():
-        return LabelNode(tag=(1,), codes=(3,), children=(LabelNode(codes=(4, 5)),))
-
-    a, b = make(), make()
-    assert (a.shape, a.flat_codes) == (ShapeNode((1,), 1, (ShapeNode((), 2, (), 1),), 0),
-                                            (3, 4, 5))
-    assert "shape" in vars(a) and "shape" not in vars(b)
-    assert a == b and hash(a) == hash(b) and {a: 0}[b] == 0
-    assert a != LabelNode(tag=(1,), codes=(3,))
+def test_prefix_figures_read_off_shapes_equal_a_walk_of_every_label():
+    # s and prefix_len read the shapes, and `pugkit label`'s tuples= reads
+    # the distinct shapes; a walk of every label's tuples is the reference
+    for build in _family_builds():
+        sch = build()
+        lens = [sum(len(node.tag) for node in l.walk()) for l in sch.labels]
+        assert [sch.prefix_len(v) for v in range(sch.n)] == lens
+        assert sch.s == max(lens, default=0)
+        counts = [sum(1 for _ in l.walk()) for l in sch.labels]
+        assert [tuple_count(sh) for sh in sch.shapes] == counts
+        assert max(map(tuple_count, sch.codec.shapes), default=0) == max(counts, default=0)
 
 
 def test_no_family_builder_checks_itself_pair_by_pair(monkeypatch):

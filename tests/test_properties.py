@@ -38,6 +38,8 @@ from pugkit.labels import (
     LabelNode,
     SchemeError,
     ShapeCodec,
+    label_codes,
+    label_shape,
     shape_arity,
 )
 from pugkit.products import adjacency_from_distance1
@@ -380,7 +382,7 @@ def _q_walker(sx, sy, eq):
 @given(labels=LABELS, data=st.data())
 def test_bulk_decoders_equal_the_per_pair_walker(labels, data):
     n = len(labels)
-    shapes, codes = [l.shape for l in labels], [l.flat_codes for l in labels]
+    shapes, codes = list(map(label_shape, labels)), list(map(label_codes, labels))
 
     def walker(u, v, vals=codes):
         return _q_walker(shapes[u], shapes[v], lambda i, j: vals[u][i] == vals[v][j])
