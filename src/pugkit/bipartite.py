@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .combinators import (
     DTNode,
@@ -52,8 +52,7 @@ def equivalence_labels(g: Graph) -> EqualityScheme:
         for v in comp:
             cls[v] = i
     labels = [LabelNode(codes=(cls[v],)) for v in range(g.n)]
-    return EqualityScheme(labels, _equivalence_walker,
-                          decoder_spec={"name": "equivalence"}, name="equivalence")
+    return EqualityScheme(labels, {"name": "equivalence"}, name="equivalence")
 
 
 def bipartite_equivalence_labels(g: ColoredBipartiteGraph) -> EqualityScheme:
@@ -72,9 +71,7 @@ def bipartite_equivalence_labels(g: ColoredBipartiteGraph) -> EqualityScheme:
             labels[x] = LabelNode(tag=(0,), codes=(i,))
         for y in cy:
             labels[g.nx + y] = LabelNode(tag=(1,), codes=(i,))
-    return EqualityScheme(labels, _bip_equivalence_walker,
-                          decoder_spec={"name": "bip-equivalence"},
-                          name="bip-equivalence")
+    return EqualityScheme(labels, {"name": "bip-equivalence"}, name="bip-equivalence")
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +139,7 @@ def chain_graph_labels(g: ColoredBipartiteGraph, k: int) -> EqualityScheme:
         labels.append(LabelNode(tag=(0,) + _bits(idx_x[x], bits)))
     for y in range(g.ny):
         labels.append(LabelNode(tag=(1,) + _bits(idx_y[y], bits)))
-    return EqualityScheme(labels, _chain_walker_factory(bits),
-                          decoder_spec={"name": "chain-graph", "bits": bits}, name="chain-graph")
+    return EqualityScheme(labels, {"name": "chain-graph", "bits": bits}, name="chain-graph")
 
 
 def is_chain_graph(g: ColoredBipartiteGraph) -> bool:
@@ -347,8 +343,7 @@ def tp_free_labels(g: ColoredBipartiteGraph, p: int, q: int,
     for y in range(g.ny):
         labels.append(LabelNode(tag=(1,) + _bits(part_of_y[y], bits),
                                 codes=(ymap[y],)))
-    return EqualityScheme(labels, _tp_walker_factory(bits),
-                          decoder_spec={"name": "tp-free", "idx_bits": bits}, name="tp-free")
+    return EqualityScheme(labels, {"name": "tp-free", "idx_bits": bits}, name="tp-free")
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +407,7 @@ def fpp_decomposition(g: ColoredBipartiteGraph, p: int, q: int) -> DTNode:
 
 
 def _tp_leaf_labeler(g: ColoredBipartiteGraph, p: int, q: int):
-    """The T_k-free leaf labeler of the F_{p,p} pipeline, its walker and spec."""
+    """The T_k-free leaf labeler of the F_{p,p} pipeline and its spec."""
     k = (q + 1) * p
 
     def labeler(node: DTNode):
@@ -426,8 +421,7 @@ def _tp_leaf_labeler(g: ColoredBipartiteGraph, p: int, q: int):
             out[("y", y)] = scheme.labels[len(xs) + j]
         return out
 
-    bits = _width_for(q + 2)
-    return labeler, _tp_walker_factory(bits), {"name": "tp-free", "idx_bits": bits}
+    return labeler, {"name": "tp-free", "idx_bits": _width_for(q + 2)}
 
 
 def fpp_labels(g: ColoredBipartiteGraph, p: int, q: int) -> EqualityScheme:
@@ -555,9 +549,8 @@ def fstar_labels(g: ColoredBipartiteGraph, p: int, q: int,
             l1 = s1.labels[len(x1) + pos_y1[y]]
             l2 = s2.labels[len(x2) + pos_y1[y]]
             labels.append(LabelNode(tag=(1, 0), children=(l1, l2)))
-    spec = {"name": "fstar", "sub1": s1.decoder_spec, "sub2": s2.decoder_spec}
-    return EqualityScheme(labels, _fstar_walker_factory(s1.walker, s2.walker),
-                          decoder_spec=spec, name="fstar")
+    return EqualityScheme(labels, {"name": "fstar", "sub1": s1.spec, "sub2": s2.spec},
+                          name="fstar")
 
 
 # ---------------------------------------------------------------------------
@@ -861,5 +854,4 @@ def p7_labels(g: ColoredBipartiteGraph, c: int) -> EqualityScheme:
             out[("y", y)] = LabelNode(tag=(bit,))
         return out
 
-    return assemble_decomposition_labels(g, tree, labeler, _bicobi_walker, {"name": "bicobi"},
-                                         name="p7")
+    return assemble_decomposition_labels(g, tree, labeler, {"name": "bicobi"}, name="p7")

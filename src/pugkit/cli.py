@@ -156,12 +156,14 @@ def write_decoder_file(scheme: EqualityScheme) -> str:
     get none.  Its Q field holds Q[i][j] at position ax*ay-1-(i*ay+j): '0',
     '1', or '*' where the path does not ask; '-' for no cells.
     """
-    if scheme.decoder_spec is None:
-        raise CliError(EXIT_CONTRACT, "scheme decoder is not serializable")
+    try:
+        spec = json.dumps(scheme.spec)
+    except (TypeError, ValueError):  # a live walker in the spec
+        raise CliError(EXIT_CONTRACT, "scheme decoder is not serializable") from None
     codec = scheme.codec
     shape_lines = [f"shape {i} {shape_to_str(sh)}" for i, sh in enumerate(codec.shapes)]
     if not (scheme.s <= 4 and scheme.k <= 4):
-        return "\n".join([f"decoder tree {json.dumps(scheme.decoder_spec)}", *shape_lines]) + "\n"
+        return "\n".join([f"decoder tree {spec}", *shape_lines]) + "\n"
     lines = [f"decoder table s={scheme.s} k={scheme.k}", *shape_lines]
     for xi, sx in enumerate(codec.shapes):
         for yi, sy in enumerate(codec.shapes):

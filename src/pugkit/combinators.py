@@ -2,26 +2,28 @@
 twin reduction, bip lifting/lowering, and the generic decomposition-tree
 label assembler.
 
-Each transform wraps the base scheme's labels as subtrees and its walker as
-a sub-walker, so transforms compose.  All slot references are absolute
-(ShapeNode.slot0), which is what makes nesting sound.
+Each transform wraps the base scheme's labels as subtrees and its spec as
+a part of its own spec, so transforms compose.  All slot references
+are absolute (ShapeNode.slot0), which is what makes nesting sound.
 
-A walker factory takes its live sub-walkers and plain parameters; only the
-adapter registered for its name reads a decoder spec.
+A walker factory takes its live sub-walkers and plain parameters; the
+adapter registered for its name builds them from the spec's parts with
+`build_walker`, so a live walker composes as a part like a JSON spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graphs import ColoredBipartiteGraph, Graph, bip_transform, bipartite_complement
+from .graphs import ColoredBipartiteGraph, Graph, bipartite_complement
 from .labels import (
     EqOracle,
     EqualityScheme,
     LabelNode,
     SchemeError,
     ShapeNode,
+    Spec,
     Walker,
     bits_for,
     build_walker,
@@ -107,9 +109,7 @@ def add_vertices_scheme(g: Graph, special: Sequence[int], base: EqualityScheme,
         else:
             tag = (0,) + _bits(mask_for(v), c)
             labels.append(LabelNode(tag=tag, children=(base.labels[base_pos[v]],)))
-    spec = {"name": "add-vertices", "c": c, "base": base.decoder_spec}
-    return EqualityScheme(labels, _add_vertices_walker(base.walker, c),
-                          decoder_spec=spec if base.decoder_spec else None,
+    return EqualityScheme(labels, {"name": "add-vertices", "c": c, "base": base.spec},
                           name=f"add-vertices({base.name})")
 
 
@@ -159,9 +159,7 @@ def complementation_scheme(base: EqualityScheme, parts: Sequence[Sequence[int]],
         i = part_of[v]
         tag = _bits(i, pw) + tuple(flips[i][j] for j in range(r))
         labels.append(LabelNode(tag=tag, children=(base.labels[v],)))
-    spec = {"name": "complementation", "r": r, "base": base.decoder_spec}
-    return EqualityScheme(labels, _complementation_walker(base.walker, r),
-                          decoder_spec=spec if base.decoder_spec else None,
+    return EqualityScheme(labels, {"name": "complementation", "r": r, "base": base.spec},
                           name=f"complement({base.name})")
 
 
@@ -217,9 +215,7 @@ def twin_reduce_scheme(g: Graph, mode: str,
     for v in range(g.n):
         q = remap[tp.representative[v]]
         labels.append(LabelNode(codes=(tp.class_index[v],), children=(base.labels[q],)))
-    spec = {"name": "twin-reduce", "mode": mode, "base": base.decoder_spec}
-    return EqualityScheme(labels, _twin_reduce_walker(base.walker, mode),
-                          decoder_spec=spec if base.decoder_spec else None,
+    return EqualityScheme(labels, {"name": "twin-reduce", "mode": mode, "base": base.spec},
                           name=f"twin-reduce({base.name})"), tp
 
 
@@ -257,9 +253,7 @@ def bip_lift(base: EqualityScheme) -> EqualityScheme:
     n = base.n
     labels = [LabelNode(tag=(0,), children=(base.labels[v],)) for v in range(n)]
     labels += [LabelNode(tag=(1,), children=(base.labels[v],)) for v in range(n)]
-    spec = {"name": "bip-lift", "base": base.decoder_spec}
-    return EqualityScheme(labels, _bip_lift_walker(base.walker),
-                          decoder_spec=spec if base.decoder_spec else None,
+    return EqualityScheme(labels, {"name": "bip-lift", "base": base.spec},
                           name=f"bip-lift({base.name})")
 
 
@@ -285,9 +279,7 @@ def bip_lower(bip_scheme: EqualityScheme) -> EqualityScheme:
         LabelNode(children=(bip_scheme.labels[v], bip_scheme.labels[n + v]))
         for v in range(n)
     ]
-    spec = {"name": "bip-lower", "base": bip_scheme.decoder_spec}
-    return EqualityScheme(labels, _bip_lower_walker(bip_scheme.walker),
-                          decoder_spec=spec if bip_scheme.decoder_spec else None,
+    return EqualityScheme(labels, {"name": "bip-lower", "base": bip_scheme.spec},
                           name=f"bip-lower({bip_scheme.name})")
 
 
@@ -428,12 +420,11 @@ def assemble_decomposition_labels(
     g: ColoredBipartiteGraph,
     tree: DTNode,
     leaf_labeler: LeafLabeler,
-    leaf_walker: Walker,
-    leaf_spec: dict | None,
+    leaf_spec: Spec,
     name: str = "decomp",
 ) -> EqualityScheme:
     """Assemble equality labels from a decomposition tree whose leaf labels
-    `leaf_walker` decodes (`leaf_spec` is its decoder spec, or None).
+    `leaf_spec` decodes (a JSON spec or a live walker, as in any spec).
 
     Per vertex: a side bit, then per tree node one tuple: leaf tuples embed
     the leaf label (`leaf_labeler` runs once per leaf, when the first
@@ -490,9 +481,8 @@ def assemble_decomposition_labels(
         labels.append(LabelNode(tag=(0,), children=(build(tree, ("x", x)),)))
     for y in sorted(tree.ys):
         labels.append(LabelNode(tag=(1,), children=(build(tree, ("y", y)),)))
-    spec = {"name": "decomp", "part_bits": pb, "leaf": leaf_spec}
-    return EqualityScheme(labels, _decomp_walker(leaf_walker, pb),
-                          decoder_spec=spec if leaf_spec else None, name=name)
+    return EqualityScheme(labels, {"name": "decomp", "part_bits": pb, "leaf": leaf_spec},
+                          name=name)
 
 
 def tuple_count(shape: ShapeNode) -> int:

@@ -147,12 +147,16 @@ def chain_graph(profile: Sequence[int], ny: int) -> ColoredBipartiteGraph:
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
+    if not 0 <= p <= 1:  # NaN fails too
+        raise ValueError(f"edge probability {p!r} is not in [0, 1]")
     rng = rng_for(seed, "gnp", n, repr(p))
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(n, edges)
 
 
 def random_bipartite(nx: int, ny: int, p: float, seed: int) -> ColoredBipartiteGraph:
+    if not 0 <= p <= 1:
+        raise ValueError(f"edge probability {p!r} is not in [0, 1]")
     rng = rng_for(seed, "bip-gnp", nx, ny, repr(p))
     edges = [(x, y) for x in range(nx) for y in range(ny) if rng.random() < p]
     return ColoredBipartiteGraph(nx, ny, edges)

@@ -448,6 +448,4 @@ def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualitySch
 
     labels_map = build(tuple(range(g.n)), 0)
     return EqualityScheme([labels_map[v] for v in range(g.n)],
-                          _perm_walker_factory(_chain_walker_factory(chain_bits)),
-                          decoder_spec={"name": "permutation", "chain_bits": chain_bits},
-                          name="permutation")
+                          {"name": "permutation", "chain_bits": chain_bits}, name="permutation")

@@ -105,26 +105,27 @@ def label_codes(label: LabelNode) -> tuple[int, ...]:
 
 
 Walker = Callable[[ShapeNode, ShapeNode, EqOracle], int]
+#: A decoder spec: a registry JSON object, whose parts may be live walkers.
+Spec = dict | Walker
 
 
 class EqualityScheme:
-    """An equality-based labeling of one graph: labels plus a walker.
+    """An equality-based labeling of one graph: labels plus one decoder spec.
 
-    `decoder_spec` is a JSON-able description sufficient to rebuild the
-    walker (see `walker_registry`); schemes built only for in-process use
-    may leave it None.
+    `spec` is the registry's JSON object naming the walker, which is
+    `build_walker(spec)`; a live walker may stand in for it or for any part
+    where no spec exists (protocols' diagonal labels, a test walker).
     """
 
-    def __init__(self, labels: Sequence[LabelNode], walker: Walker,
-                 decoder_spec: dict | None = None, name: str = "scheme"):
+    def __init__(self, labels: Sequence[LabelNode], spec: Spec, name: str = "scheme"):
         self.name = name
         self.labels = tuple(labels)
-        self.walker = walker
-        self.decoder_spec = decoder_spec
+        self.spec = spec
+        self.walker = build_walker(spec)
         self.shapes = tuple(map(label_shape, self.labels))
         self.codes = tuple(map(label_codes, self.labels))
         self.codec = ShapeCodec(self.shapes)
-        self.decoder = CompiledDecoder(self.codec, walker)
+        self.decoder = CompiledDecoder(self.codec, self.walker)
         #: distinct code values renumbered to [0, #distinct), by sorted value
         self.canon = {val: i for i, val in enumerate(sorted({c for cs in self.codes for c in cs}))}
         #: per vertex, its canonical code values
@@ -143,7 +144,7 @@ class EqualityScheme:
     @property
     def k(self) -> int:
         """Max number of equality codes over all labels."""
-        return max((len(c) for c in self.codes), default=0)
+        return self.codec.k
 
     @cached_property
     def s(self) -> int:
@@ -370,7 +371,7 @@ def narrow_values(top: int) -> np.dtype:
 
 
 # ---------------------------------------------------------------------------
-# Walker registry: decoder_spec -> walker, for rebuilding decoders from
+# Walker registry: spec -> walker, for schemes and for decoders read from
 # files.  Family modules register their walkers at import time.
 # ---------------------------------------------------------------------------
 
@@ -381,10 +382,15 @@ def register_walker(name: str, builder: Callable[[dict], Walker]) -> None:
     _WALKER_BUILDERS[name] = builder
 
 
-def build_walker(spec: dict) -> Walker:
-    name = spec.get("name") if isinstance(spec, dict) else spec
+def build_walker(spec: Spec) -> Walker:
+    """The walker of a spec: its registered builder run on a JSON object,
+    or a live walker unchanged.  A builder builds its parts' walkers here
+    too, so JSON and live parts compose alike."""
+    if callable(spec):
+        return spec
+    name = spec.get("name") if isinstance(spec, dict) else None
     if not isinstance(name, str) or name not in _WALKER_BUILDERS:
-        raise KeyError(f"unknown decoder spec {name!r}")
+        raise KeyError(f"decoder spec {spec!r} is not an object naming a registered walker")
     return _WALKER_BUILDERS[name](spec)
 
 
@@ -451,14 +457,15 @@ def write_label_file(scheme: EqualityScheme, graph_name: str) -> str:
 def parse_label_file(text: str) -> tuple[list[tuple[ShapeNode, tuple[int, ...]]], str, dict]:
     """Returns (labels, graph-name, header-fields).  Each label reads back
     as its (shape, codes) pair, the pair `write_label_file` wrote from
-    `EqualityScheme.shapes` and `EqualityScheme.codes`."""
+    `EqualityScheme.shapes` and `EqualityScheme.codes`.  The header's
+    s=, k= and width= fields, where present, must be the labels' own."""
     labels, shapes = [], {}  # shapes: shape text -> (shape, arity)
     name, fields, lines = None, {}, LineReader(text)
     for parts in lines:
         if name is None:
             if parts[0] != "labels" or len(parts) < 2:
                 raise lines.error("bad label header")
-            name = parts[1]
+            name, head_line = parts[1], lines.lineno
             fields = {key: lines.integer(val)
                       for key, _, val in (f.partition("=") for f in parts[2:])}
             continue
@@ -473,4 +480,10 @@ def parse_label_file(text: str) -> tuple[list[tuple[ShapeNode, tuple[int, ...]]]
         labels.append((lines.integer(parts[1]), (shape, codes)))
     if name is None:
         raise GraphFormatError("empty label file")
+    s = max((shape_prefix_len(sh) for sh, _ in shapes.values()), default=0)
+    k = max((arity for _, arity in shapes.values()), default=0)
+    for key, val in (("s", s), ("k", k), ("width", s + k)):
+        if fields.get(key, val) != val:
+            raise GraphFormatError(f"line {head_line}: header {key}={fields[key]} "
+                                   f"does not match the labels' {key}={val}")
     return in_id_order(labels, "vertex"), name, fields

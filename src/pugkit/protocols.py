@@ -208,7 +208,7 @@ def diagonal_as_equality_scheme(d: DiagonalLabeling, n: int) -> EqualityScheme:
         w = [int(eq(sx.slot0 + i, sy.slot0 + i)) for i in range(arity)]
         return d.eta(w)
 
-    return EqualityScheme(labels, walker, decoder_spec=None, name="diagonal")
+    return EqualityScheme(labels, walker, name="diagonal")
 
 
 # ---------------------------------------------------------------------------

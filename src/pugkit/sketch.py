@@ -363,8 +363,7 @@ def arboricity_scheme(g: Graph) -> EqualityScheme:
     for v in range(g.n):
         parents = tuple(f[v] for f in fp.parents if f[v] is not None)
         labels.append(LabelNode(codes=(v,) + parents))
-    return EqualityScheme(labels, _arboricity_walker,
-                          decoder_spec={"name": "arboricity"}, name="arboricity")
+    return EqualityScheme(labels, {"name": "arboricity"}, name="arboricity")
 
 
 class ArboricitySketch(SketchScheme):

@@ -470,7 +470,7 @@ def tw_labels(g: ColoredBipartiteGraph, tree: CertTree) -> EqualityScheme:
     labels_map = build(g, list(range(g.nx)), list(range(g.ny)), tree)
     labels = [LabelNode(tag=(0,), children=(labels_map[("x", x)],)) for x in range(g.nx)]
     labels += [LabelNode(tag=(1,), children=(labels_map[("y", y)],)) for y in range(g.ny)]
-    return EqualityScheme(labels, _tw_walker, decoder_spec={"name": "tw-cert"}, name="tw-cert")
+    return EqualityScheme(labels, {"name": "tw-cert"}, name="tw-cert")
 
 
 # ---------------------------------------------------------------------------

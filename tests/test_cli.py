@@ -353,7 +353,8 @@ def test_query_matches_scheme_decode_on_every_pair(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("case", ["missing-decoder", "short-table-row", "bare-tree",
-                                  "tree-spec-not-object", "tree-spec-wrong-type",
+                                  "tree-spec-not-object", "tree-spec-bare-name",
+                                  "tree-spec-wrong-type",
                                   "sparse-label-ids", "duplicate-label-id",
                                   "q-field-wrong-length", "q-field-bad-char"])
 def test_query_malformed_files_exit_3(tmp_path, capsys, case):
@@ -381,12 +382,17 @@ def test_query_malformed_files_exit_3(tmp_path, capsys, case):
         dec.write_text("decoder tree\n")
     elif case == "tree-spec-not-object":
         dec.write_text("decoder tree [1]\n")
+    elif case == "tree-spec-bare-name":
+        # a spec is a JSON object; write_decoder_file never writes a bare name
+        dec.write_text('decoder tree "arboricity"\n')
     elif case == "sparse-label-ids":
         labels.write_text(text.replace("\nv 7 ", "\nv 30 "))
     else:
         labels.write_text(text + text.splitlines()[1] + "\n")
     code, out, err = run(capsys, "query", str(labels), *pair, "--decoder", str(dec))
     assert code == 3 and out == "" and err.startswith("error:")
+    if case in ("tree-spec-not-object", "tree-spec-bare-name"):
+        assert "bad decoder spec" in err
 
 
 @pytest.mark.parametrize("where", ["label-file", "decoder-table"])
@@ -726,6 +732,14 @@ def test_gen_rejects_a_name_no_reader_takes(tmp_path, capsys, name):
 def test_gen_messages_name_the_flag(capsys, argv, message):
     code, out, err = run(capsys, "gen", *argv)
     assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("prob", ["2", "-1", "nan"])
+def test_gen_gnp_rejects_a_probability_outside_0_1(capsys, prob):
+    code, out, err = run(capsys, "gen", "gnp", "--n", "4", "--prob", prob, "--seed", "1")
+    assert (code, out) == (3, "")
+    assert err == f"error: bad generator parameters: edge probability {float(prob)!r} " \
+                  "is not in [0, 1]\n"
 
 
 def test_gen_gnp_reads_its_probability_from_prob(capsys):

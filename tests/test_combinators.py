@@ -12,6 +12,7 @@ from pugkit.bipartite import (
     fpp_labels,
     p7_labels,
 )
+from pugkit.cli import CliError, write_decoder_file
 from pugkit.combinators import (
     TAG_D,
     TAG_DBAR,
@@ -222,7 +223,7 @@ def test_assemble_depth0_tree():
             out[("y", y)] = leaf.labels[b.nx + y]
         return out
 
-    sch = assemble_decomposition_labels(b, tree, labeler, leaf.walker, leaf.decoder_spec)
+    sch = assemble_decomposition_labels(b, tree, labeler, leaf.spec)
     for x in range(b.nx):
         for y in range(b.ny):
             assert sch.decode(x, b.nx + y) == int(b.has_edge(x, y))
@@ -253,17 +254,17 @@ def test_tuple_count_bound():
 
 
 def _without_spec(scheme):
-    return EqualityScheme(scheme.labels, scheme.walker, decoder_spec=None, name=scheme.name)
+    return EqualityScheme(scheme.labels, scheme.walker, name=scheme.name)
 
 
 def test_combinators_accept_a_base_without_a_spec():
-    # bip(G) labels from a protocol carry no decoder spec; every combinator
-    # must still compose them, and report no spec of its own
+    # bip(G) labels from a protocol have a live walker for a spec; every
+    # combinator must still compose them, and no decoder file takes the result
     g = random_forest(6, seed=2)
     n = g.n
     diag = diagonal_as_equality_scheme(
         protocol_to_diagonal_labels(labels_to_protocol(arboricity_scheme(g)), g), n)
-    assert diag.decoder_spec is None
+    assert diag.spec is diag.walker
     bg = bip_transform(g)
     h = bg.to_graph()
     plus = Graph(2 * n + 2, list(h.edges()) + [(0, 2 * n), (n, 2 * n + 1), (2 * n, 2 * n + 1)])
@@ -283,10 +284,12 @@ def test_combinators_accept_a_base_without_a_spec():
          g.has_edge),
         (lifted, bip_transform(h).to_graph().has_edge),
         (bip_lower(diag), g.has_edge),
-        (assemble_decomposition_labels(bg, tree, leaf, diag.walker, None), h.has_edge),
+        (assemble_decomposition_labels(bg, tree, leaf, diag.walker), h.has_edge),
     ]
     for sch, adjacent in cases:
-        assert sch.decoder_spec is None, sch.name
+        with pytest.raises(CliError, match="^scheme decoder is not serializable$") as err:
+            write_decoder_file(sch)
+        assert err.value.code == 2, sch.name
         for u in range(sch.n):
             for v in range(sch.n):
                 if u != v:
@@ -364,13 +367,13 @@ def test_assembly_labels_each_leaf_once_and_matches_the_per_vertex_build(cases):
             calls[id(node)] += 1
             return labeler(node)
 
-        sch = assemble_decomposition_labels(g, tree, counting, _bicobi_walker, None)
+        sch = assemble_decomposition_labels(g, tree, counting, _bicobi_walker)
         assert calls == Counter({id(leaf): 1 for leaf in tree.leaves()})
         assert sch.labels == tuple(_assemble_per_vertex(g, tree, labeler))
         assert build().labels == sch.labels
         # child codes follow the smallest vertex, not the order of the list
         reordered = assemble_decomposition_labels(g, _d_children_reversed(tree), labeler,
-                                                  _bicobi_walker, None)
+                                                  _bicobi_walker)
         assert reordered.labels == sch.labels
         kinds.update(_kinds(tree))
     assert kinds["L"] > 6 and kinds["D"] and (cases is _fpp_cases or kinds["P"] and kinds["Dbar"])

@@ -7,6 +7,8 @@ the vectorised trial decoder must agree with encoding and decoding each
 trial's pair on its own.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -529,7 +531,8 @@ def _probe_walker(sx, sy, eq):
     return 0
 
 
-def test_walker_tree_branches_once_per_cell_and_marks_violations():
+def test_walker_tree_branches_once_per_cell_and_marks_violations(monkeypatch):
+    from pugkit import labels as labels_mod
     from pugkit.cli import write_decoder_file
 
     sh = label_shape(LabelNode(codes=(0, 1)))
@@ -537,7 +540,8 @@ def test_walker_tree_branches_once_per_cell_and_marks_violations():
     with pytest.raises(IndexError):
         walker_tree(lambda sx, sy, eq: eq(0, 2), sh, sh)
     # one row per non-violation leaf, preorder, '*' for the cells not asked
-    sch = EqualityScheme([LabelNode(codes=(0, 1))], _probe_walker, decoder_spec={"name": "probe"})
+    monkeypatch.setitem(labels_mod._WALKER_BUILDERS, "probe", lambda spec: _probe_walker)
+    sch = EqualityScheme([LabelNode(codes=(0, 1))], {"name": "probe"})
     assert write_decoder_file(sch).splitlines()[2:] == ["t 0 0 *00* 0", "t 0 0 **1* 1"]
 
 
@@ -589,10 +593,11 @@ def test_every_registered_walker_rebuilds_from_its_spec():
     from pugkit.labels import _WALKER_BUILDERS, build_walker
 
     schemes = [build() for build in _family_builds()]
-    names = {name for sch in schemes for name in _spec_names(sch.decoder_spec)}
+    names = {name for sch in schemes for name in _spec_names(sch.spec)}
     assert names == set(_WALKER_BUILDERS)
     for sch in schemes:
-        walker = build_walker(sch.decoder_spec)
+        # the spec as a `decoder tree` file carries it
+        walker = build_walker(json.loads(json.dumps(sch.spec)))
         for u in range(sch.n):
             for v in range(sch.n):
                 if u != v:

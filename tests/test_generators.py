@@ -17,6 +17,7 @@ from pugkit.generators import (
     lexicographic_product,
     p7_bipartite,
     path,
+    random_bipartite,
     random_chain_graph,
     random_forest,
     random_graph,
@@ -89,6 +90,14 @@ def test_chain_graph_profile():
     assert g.m == 6
     assert set(g.neighbors_x(0)) == {2}
     assert set(g.neighbors_x(2)) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("p", [2.0, -1.0, float("nan")])
+def test_random_graphs_take_only_a_probability(p):
+    with pytest.raises(ValueError, match=r"is not in \[0, 1\]"):
+        random_graph(4, p, seed=1)
+    with pytest.raises(ValueError, match=r"is not in \[0, 1\]"):
+        random_bipartite(2, 3, p, seed=1)
 
 
 def test_random_generators_deterministic():

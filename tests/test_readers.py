@@ -171,6 +171,7 @@ def _replace_line(text: str, lineno: int, line: str) -> str:
     ("labels", 1, "labels c5 s=x k=2", "line 1: expected an integer, got 'x'"),
     ("labels", 2, "v 0 -:1 4,x", "line 2: expected a comma list of integers or '-', got '4,x'"),
     ("labels", 2, "v x -:2 1,2", "line 2: expected an integer, got 'x'"),
+    ("labels", 1, "labels f s=1", "line 1: header s=1 does not match the labels' s=0"),
     ("dec", 3, "t 0 x 00 1", "line 3: expected an integer, got 'x'"),
     ("dec", 3, "t 0 0 0*2* 1", "line 3: expected 4 Q cells of '0', '1' or '*', got '0*2*'"),
     ("dec", 3, "t 0 0 000 1", "line 3: expected 4 Q cells of '0', '1' or '*', got '000'"),
@@ -294,6 +295,23 @@ def test_label_and_decoder_files_round_trip(family, seed, name):
     decode = parse_decoder_file(text)
     assert all(decode(parsed[u], parsed[v]) == sch.decode(u, v)
                for u in range(sch.n) for v in range(sch.n) if u != v)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("labels g s=0 k=0 width=0", "line 1: header s=0 does not match the labels' s=2"),
+    ("labels g s=2 k=1", "line 1: header k=1 does not match the labels' k=2"),
+    ("labels g width=2", "line 1: header width=2 does not match the labels' width=4"),
+    ("labels g s=2 k=2 width=4", None),
+    ("labels g k=2", None),
+    ("labels g", None),
+])
+def test_label_header_fields_match_the_labels(header, message):
+    text = f"{header}\nv 0 11:2 5,6\nv 1 -:1 5\n"
+    if message is None:
+        assert parse_label_file(text)[0][0][1] == (5, 6)
+    else:
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            parse_label_file(text)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
