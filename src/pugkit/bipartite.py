@@ -22,7 +22,7 @@ from .combinators import (
     assemble_decomposition_labels,
 )
 from .graphs import ColoredBipartiteGraph, Graph, bipartite_complement, mask_of, members
-from .labels import EqualityScheme, LabelNode, SchemeError, Walker, build_walker, register_walker
+from .labels import EqualityScheme, SchemeError, Walker, build_walker, node, register_walker
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,7 @@ def equivalence_labels(g: Graph) -> EqualityScheme:
     for i, comp in enumerate(comps):
         for v in comp:
             cls[v] = i
-    labels = [LabelNode(codes=(cls[v],)) for v in range(g.n)]
+    labels = [node((), (cls[v],)) for v in range(g.n)]
     return EqualityScheme(labels, {"name": "equivalence"}, name="equivalence")
 
 
@@ -65,12 +65,12 @@ def bipartite_equivalence_labels(g: ColoredBipartiteGraph) -> EqualityScheme:
     for cx, cy in comps:
         if any(g.deg_x(x) != len(cy) for x in cx):
             raise SchemeError("input is not a bipartite equivalence graph")
-    labels: list[LabelNode | None] = [None] * (g.nx + g.ny)
+    labels = [None] * (g.nx + g.ny)
     for i, (cx, cy) in enumerate(comps):
         for x in cx:
-            labels[x] = LabelNode(tag=(0,), codes=(i,))
+            labels[x] = node((0,), (i,))
         for y in cy:
-            labels[g.nx + y] = LabelNode(tag=(1,), codes=(i,))
+            labels[g.nx + y] = node((1,), (i,))
     return EqualityScheme(labels, {"name": "bip-equivalence"}, name="bip-equivalence")
 
 
@@ -134,11 +134,8 @@ def chain_graph_labels(g: ColoredBipartiteGraph, k: int) -> EqualityScheme:
         raise SchemeError("input is not a chain graph (2K2 found)")
 
     bits = _width_for(k + 2)
-    labels: list[LabelNode] = []
-    for x in range(g.nx):
-        labels.append(LabelNode(tag=(0,) + _bits(idx_x[x], bits)))
-    for y in range(g.ny):
-        labels.append(LabelNode(tag=(1,) + _bits(idx_y[y], bits)))
+    labels = [node((0,) + _bits(idx_x[x], bits)) for x in range(g.nx)]
+    labels += [node((1,) + _bits(idx_y[y], bits)) for y in range(g.ny)]
     return EqualityScheme(labels, {"name": "chain-graph", "bits": bits}, name="chain-graph")
 
 
@@ -325,7 +322,7 @@ def tp_free_labels(g: ColoredBipartiteGraph, p: int, q: int,
         for y in part:
             part_of_y[y] = j + 1  # B-parts are 1-indexed
 
-    labels: list[LabelNode] = []
+    labels = []
     for x in range(g.nx):
         i = part_of_x[x]
         row = g.rows_x[x]
@@ -334,15 +331,14 @@ def tp_free_labels(g: ColoredBipartiteGraph, p: int, q: int,
             non = tuple(ymap[y] for y in st.b_parts[j] if not row >> y & 1)
             if len(non) >= p:
                 raise SchemeError("condition (3) violated while labeling")
-            kids.append(LabelNode(codes=non))
+            kids.append(node((), non))
         forward = tuple(ymap[y] for y in g.neighbors_x(x) if part_of_y[y] > i)
         if len(forward) >= k:
             raise SchemeError("condition (2) violated while labeling")
-        kids.append(LabelNode(codes=forward))
-        labels.append(LabelNode(tag=(0,) + _bits(i, bits), children=tuple(kids)))
+        kids.append(node((), forward))
+        labels.append(node((0,) + _bits(i, bits), (), *kids))
     for y in range(g.ny):
-        labels.append(LabelNode(tag=(1,) + _bits(part_of_y[y], bits),
-                                codes=(ymap[y],)))
+        labels.append(node((1,) + _bits(part_of_y[y], bits), (ymap[y],)))
     return EqualityScheme(labels, {"name": "tp-free", "idx_bits": bits}, name="tp-free")
 
 
@@ -416,9 +412,9 @@ def _tp_leaf_labeler(g: ColoredBipartiteGraph, p: int, q: int):
         scheme = tp_free_labels(sub, p=k, q=q, y_ids=ys)
         out = {}
         for i, x in enumerate(xs):
-            out[("x", x)] = scheme.labels[i]
+            out[("x", x)] = scheme.label(i)
         for j, y in enumerate(ys):
-            out[("y", y)] = scheme.labels[len(xs) + j]
+            out[("y", y)] = scheme.label(len(xs) + j)
         return out
 
     return labeler, {"name": "tp-free", "idx_bits": _width_for(q + 2)}
@@ -533,22 +529,19 @@ def fstar_labels(g: ColoredBipartiteGraph, p: int, q: int,
     pos_y1 = {y: j for j, y in enumerate(sorted(y1))}
     y2v = y2[0] if y2 else None
 
-    labels: list[LabelNode] = []
+    labels = []
     for x in range(g.nx):
         adj2 = int(y2v is not None and g.has_edge(x, y2v))
         if x in pos_x1:
-            sub = s1.labels[pos_x1[x]]
-            labels.append(LabelNode(tag=(0, adj2, 0), children=(sub,)))
+            labels.append(node((0, adj2, 0), (), s1.label(pos_x1[x])))
         else:
-            sub = s2.labels[pos_x2[x]]
-            labels.append(LabelNode(tag=(0, adj2, 1), children=(sub,)))
+            labels.append(node((0, adj2, 1), (), s2.label(pos_x2[x])))
     for y in range(g.ny):
         if y == y2v:
-            labels.append(LabelNode(tag=(1, 1)))
+            labels.append(node((1, 1)))
         else:
-            l1 = s1.labels[len(x1) + pos_y1[y]]
-            l2 = s2.labels[len(x2) + pos_y1[y]]
-            labels.append(LabelNode(tag=(1, 0), children=(l1, l2)))
+            labels.append(node((1, 0), (), s1.label(len(x1) + pos_y1[y]),
+                               s2.label(len(x2) + pos_y1[y])))
     return EqualityScheme(labels, {"name": "fstar", "sub1": s1.spec, "sub2": s2.spec},
                           name="fstar")
 
@@ -844,14 +837,14 @@ def p7_labels(g: ColoredBipartiteGraph, c: int) -> EqualityScheme:
     if c >= 1 and tree.depth() > 6 * c:
         raise SchemeError(f"decomposition depth {tree.depth()} exceeds 6c={6 * c}")
 
-    def labeler(node: DTNode):
-        sub = g.induced(node.xs, node.ys)
+    def labeler(leaf: DTNode):
+        sub = g.induced(leaf.xs, leaf.ys)
         bit = 1 if (sub.m > 0 and sub.is_biclique()) else 0
         out = {}
-        for x in node.xs:
-            out[("x", x)] = LabelNode(tag=(bit,))
-        for y in node.ys:
-            out[("y", y)] = LabelNode(tag=(bit,))
+        for x in leaf.xs:
+            out[("x", x)] = node((bit,))
+        for y in leaf.ys:
+            out[("y", y)] = node((bit,))
         return out
 
     return assemble_decomposition_labels(g, tree, labeler, {"name": "bicobi"}, name="p7")

@@ -309,7 +309,7 @@ def parse_sketch_file(text: str):
                 width = lines.integer(widths[0])
                 continue
             _, v, bits = lines.fields(parts, "'v <id> <hex-bits>'")
-            rows.append((lines.integer(v), lines.integer(bits, 16)))
+            rows.append((lines.lineno, lines.integer(v), lines.integer(bits, 16)))
         if width is None:
             raise GraphFormatError("empty sketch file")
         return in_id_order(rows, "vertex"), width

@@ -20,13 +20,14 @@ from .graphs import ColoredBipartiteGraph, Graph, bipartite_complement
 from .labels import (
     EqOracle,
     EqualityScheme,
-    LabelNode,
+    Label,
     SchemeError,
     ShapeNode,
     Spec,
     Walker,
     bits_for,
     build_walker,
+    node,
     register_walker,
 )
 from .structure import TwinPartition, twin_partition
@@ -105,10 +106,10 @@ def add_vertices_scheme(g: Graph, special: Sequence[int], base: EqualityScheme,
         if v in spos:
             i = spos[v]
             tag = (1,) + _bits(i, iw) + _bits(mask_for(v), c)
-            labels.append(LabelNode(tag=tag))
+            labels.append(node(tag))
         else:
             tag = (0,) + _bits(mask_for(v), c)
-            labels.append(LabelNode(tag=tag, children=(base.labels[base_pos[v]],)))
+            labels.append(node(tag, (), base.label(base_pos[v])))
     return EqualityScheme(labels, {"name": "add-vertices", "c": c, "base": base.spec},
                           name=f"add-vertices({base.name})")
 
@@ -158,7 +159,7 @@ def complementation_scheme(base: EqualityScheme, parts: Sequence[Sequence[int]],
     for v in range(n):
         i = part_of[v]
         tag = _bits(i, pw) + tuple(flips[i][j] for j in range(r))
-        labels.append(LabelNode(tag=tag, children=(base.labels[v],)))
+        labels.append(node(tag, (), base.label(v)))
     return EqualityScheme(labels, {"name": "complementation", "r": r, "base": base.spec},
                           name=f"complement({base.name})")
 
@@ -214,7 +215,7 @@ def twin_reduce_scheme(g: Graph, mode: str,
     labels = []
     for v in range(g.n):
         q = remap[tp.representative[v]]
-        labels.append(LabelNode(codes=(tp.class_index[v],), children=(base.labels[q],)))
+        labels.append(node((), (tp.class_index[v],), base.label(q)))
     return EqualityScheme(labels, {"name": "twin-reduce", "mode": mode, "base": base.spec},
                           name=f"twin-reduce({base.name})"), tp
 
@@ -251,8 +252,7 @@ def bip_lift(base: EqualityScheme) -> EqualityScheme:
     Vertices 0..n-1 are the left copy, n..2n-1 the right copy.
     """
     n = base.n
-    labels = [LabelNode(tag=(0,), children=(base.labels[v],)) for v in range(n)]
-    labels += [LabelNode(tag=(1,), children=(base.labels[v],)) for v in range(n)]
+    labels = [node((side,), (), base.label(v)) for side in (0, 1) for v in range(n)]
     return EqualityScheme(labels, {"name": "bip-lift", "base": base.spec},
                           name=f"bip-lift({base.name})")
 
@@ -275,10 +275,7 @@ def bip_lower(bip_scheme: EqualityScheme) -> EqualityScheme:
     if bip_scheme.n % 2:
         raise SchemeError("bip scheme must have an even vertex count")
     n = bip_scheme.n // 2
-    labels = [
-        LabelNode(children=(bip_scheme.labels[v], bip_scheme.labels[n + v]))
-        for v in range(n)
-    ]
+    labels = [node((), (), bip_scheme.label(v), bip_scheme.label(n + v)) for v in range(n)]
     return EqualityScheme(labels, {"name": "bip-lower", "base": bip_scheme.spec},
                           name=f"bip-lower({bip_scheme.name})")
 
@@ -370,7 +367,7 @@ def validate_tree(g: ColoredBipartiteGraph, node: DTNode) -> None:
         validate_tree(g, c)
 
 
-LeafLabeler = Callable[[DTNode], dict[tuple[str, int], LabelNode]]
+LeafLabeler = Callable[[DTNode], dict[tuple[str, int], Label]]
 
 
 def tree_walker(leaf: Walker, p_node: Callable[[Walker, ShapeNode, ShapeNode, EqOracle], int]
@@ -436,7 +433,7 @@ def assemble_decomposition_labels(
     """
     validate_tree(g, tree)
     pb = _width_for(_max_parts(tree))
-    leaf_labels: dict[int, dict[tuple[str, int], LabelNode]] = {}
+    leaf_labels: dict[int, dict[tuple[str, int], Label]] = {}
     routes: dict[int, dict[tuple[str, int], tuple[int, DTNode]]] = {}
 
     def route(node: DTNode) -> dict[tuple[str, int], tuple[int, DTNode]]:
@@ -452,35 +449,31 @@ def assemble_decomposition_labels(
                 out.setdefault(("y", y), (code, child))
         return out
 
-    def build(node: DTNode, key: tuple[str, int]) -> LabelNode:
+    def build(dt: DTNode, key: tuple[str, int]) -> Label:
         side, vid = key
-        if node.kind == "L":
-            if id(node) not in leaf_labels:
-                leaf_labels[id(node)] = leaf_labeler(node)
-            return LabelNode(tag=TAG_L, children=(leaf_labels[id(node)][key],))
-        if node.kind in ("D", "Dbar"):
-            if id(node) not in routes:
-                routes[id(node)] = route(node)
-            if key not in routes[id(node)]:
-                raise SchemeError(f"vertex {key} not covered by {node.kind}-node children")
-            code, child = routes[id(node)][key]
-            tag = TAG_D if node.kind == "D" else TAG_DBAR
-            return LabelNode(tag=tag, codes=(code,), children=(build(child, key),))
+        if dt.kind == "L":
+            if id(dt) not in leaf_labels:
+                leaf_labels[id(dt)] = leaf_labeler(dt)
+            return node(TAG_L, (), leaf_labels[id(dt)][key])
+        if dt.kind in ("D", "Dbar"):
+            if id(dt) not in routes:
+                routes[id(dt)] = route(dt)
+            if key not in routes[id(dt)]:
+                raise SchemeError(f"vertex {key} not covered by {dt.kind}-node children")
+            code, child = routes[id(dt)][key]
+            return node(TAG_D if dt.kind == "D" else TAG_DBAR, (code,), build(child, key))
         # P-node
-        q = len(node.y_parts)
+        q = len(dt.y_parts)
         if side == "x":
-            i = next(t for t, p in enumerate(node.x_parts) if vid in p)
-            kids = tuple(build(node.children[i * q + j], key) for j in range(q))
+            i = next(t for t, p in enumerate(dt.x_parts) if vid in p)
+            kids = [build(dt.children[i * q + j], key) for j in range(q)]
         else:
-            i = next(t for t, p in enumerate(node.y_parts) if vid in p)
-            kids = tuple(build(node.children[t * q + i], key) for t in range(len(node.x_parts)))
-        return LabelNode(tag=TAG_P + _bits(i, pb), children=kids)
+            i = next(t for t, p in enumerate(dt.y_parts) if vid in p)
+            kids = [build(dt.children[t * q + i], key) for t in range(len(dt.x_parts))]
+        return node(TAG_P + _bits(i, pb), (), *kids)
 
-    labels = []
-    for x in sorted(tree.xs):
-        labels.append(LabelNode(tag=(0,), children=(build(tree, ("x", x)),)))
-    for y in sorted(tree.ys):
-        labels.append(LabelNode(tag=(1,), children=(build(tree, ("y", y)),)))
+    labels = [node((0,), (), build(tree, ("x", x))) for x in sorted(tree.xs)]
+    labels += [node((1,), (), build(tree, ("y", y))) for y in sorted(tree.ys)]
     return EqualityScheme(labels, {"name": "decomp", "part_bits": pb, "leaf": leaf_spec},
                           name=name)
 

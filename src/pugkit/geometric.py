@@ -15,7 +15,7 @@ from typing import Sequence
 from .bipartite import _chain_walker_factory, chain_graph_labels
 from .combinators import TAG_D, TAG_DBAR, TAG_L, TAG_P, _bits, _width_for, tree_walker
 from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, in_id_order
-from .labels import EqualityScheme, LabelNode, SchemeError, Walker, register_walker
+from .labels import EqualityScheme, Label, SchemeError, Walker, node, register_walker
 from .rng import rng_for
 from .sketch import arboricity_scheme
 from .structure import interval_clique_number, twin_partition
@@ -113,10 +113,10 @@ def parse_realization(text: str):
         a, b = lines.finite(parts[2]), lines.finite(parts[3])
         if kind == "intervals" and a > b:
             raise lines.expected("an interval with l <= r")
-        items.append((lines.integer(parts[1]), (a, b)))
+        items.append((lines.lineno, lines.integer(parts[1]), (a, b)))
     if kind is None:
         raise GraphFormatError("empty realization file")
-    return kind, in_id_order(items, kind), name
+    return kind, in_id_order(items, kind[:-1]), name
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +351,16 @@ def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualitySch
     chain_bits = _width_for(k + 2)
     max_depth = 2 * (2 * k + 1)
 
-    def chain_leaf_label(sub: ColoredBipartiteGraph, xs, ys) -> dict[int, LabelNode]:
+    def chain_leaf_label(sub: ColoredBipartiteGraph, xs, ys) -> dict[int, Label]:
         scheme = chain_graph_labels(sub, k)
         out = {}
         for i, v in enumerate(sorted(xs)):
-            out[v] = scheme.labels[i]
+            out[v] = scheme.label(i)
         for j, w in enumerate(sorted(ys)):
-            out[w] = scheme.labels[sub.nx + j]
+            out[w] = scheme.label(sub.nx + j)
         return out
 
-    def try_chain_leaf(vs: Sequence[int]) -> dict[int, LabelNode] | None:
+    def try_chain_leaf(vs: Sequence[int]) -> dict[int, Label] | None:
         bip = _bipartition_as_chain(g, vs)
         if bip is None:
             return None
@@ -371,12 +371,12 @@ def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualitySch
         except SchemeError:
             return None
 
-    def build(vs: tuple[int, ...], depth: int) -> dict[int, LabelNode]:
+    def build(vs: tuple[int, ...], depth: int) -> dict[int, Label]:
         if depth > max_depth:
             raise SchemeError(f"decomposition depth exceeds 2(2k+1)={max_depth}")
         leaf = try_chain_leaf(vs)
         if leaf is not None:
-            return {v: LabelNode(tag=TAG_L, children=(leaf[v],)) for v in vs}
+            return {v: node(TAG_L, (), leaf[v]) for v in vs}
         from .graphs import induced_subgraph
 
         sub, remap = induced_subgraph(g, vs)
@@ -398,7 +398,7 @@ def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualitySch
         for code, comp in enumerate(comps):
             child = build(tuple(comp), depth + 1)
             for v in comp:
-                out[v] = LabelNode(tag=tag, codes=(code,), children=(child[v],))
+                out[v] = node(tag, (code,), child[v])
         return out
 
     def _pnode(vs, dec: PermDecomposition, depth):
@@ -414,7 +414,7 @@ def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualitySch
                         if g.has_edge(u, w) != bool(bflag):
                             raise SchemeError(
                                 "non-J cross pair is not uniformly pure")
-        chain_schemes: dict[tuple[int, int], dict[int, LabelNode]] = {}
+        chain_schemes: dict[tuple[int, int], dict[int, Label]] = {}
         for i in range(nparts):
             for j in dec.j_sets.get(i, ()):
                 key = (min(i, j), max(i, j))
@@ -424,7 +424,7 @@ def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualitySch
                 sub = _cross_bigraph(g, xs, ys)
                 labels = chain_leaf_label(sub, xs, ys)
                 chain_schemes[key] = labels
-        dummy_chain = LabelNode(tag=(0,) + _bits(0, chain_bits))
+        dummy_chain = node((0,) + _bits(0, chain_bits))
         out = {}
         for i, part in enumerate(dec.parts):
             js = list(dec.j_sets.get(i, ()))
@@ -442,8 +442,7 @@ def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualitySch
                         kids.append(dummy_chain)
                         codes.append(nparts + slot)  # sentinel, never matches
                 kids.append(child[v])
-                out[v] = LabelNode(tag=TAG_P + (bflag,), codes=tuple(codes),
-                                   children=tuple(kids))
+                out[v] = node(TAG_P + (bflag,), tuple(codes), *kids)
         return out
 
     labels_map = build(tuple(range(g.n)), 0)

@@ -93,12 +93,18 @@ class LineReader:
         return tok[len(key) + 1:]
 
 
-def in_id_order(items: Sequence[tuple[int, object]], what: str) -> list:
-    """The values of (id, value) items by id; the ids must be 0..len-1, each once."""
-    items = sorted(items, key=lambda item: item[0])
-    if [i for i, _ in items] != list(range(len(items))):
-        raise GraphFormatError(f"{what} ids are not 0..{len(items) - 1}, each once")
-    return [value for _, value in items]
+def in_id_order(items: Sequence[tuple[int, int, object]], what: str) -> list:
+    """The values of (line, id, value) items by id.  The ids must be
+    0..len-1, each once: else the error names the line of the first id, in
+    file order, that is outside that range or repeats an earlier one."""
+    out, seen = [None] * len(items), bytearray(len(items))
+    for line, i, value in items:
+        if not 0 <= i < len(items):
+            raise GraphFormatError(f"line {line}: {what} id {i} is not in 0..{len(items) - 1}")
+        if seen[i]:
+            raise GraphFormatError(f"line {line}: {what} id {i} appears twice")
+        out[i], seen[i] = value, 1
+    return out
 
 
 def mask_of(ids: Iterable[int]) -> int:

@@ -2,10 +2,12 @@
 
 A label is a tree of tuples, each tuple holding a few prefix bits (readable
 by the decoder) and a few equality codes (readable only through equality
-comparisons).  A scheme bundles one label per vertex with a walker that
-decides adjacency from the two label shapes and an equality oracle over
-code slots; the walker never sees raw code values, which is what makes the
-one-sided compression argument go through.
+comparisons).  `node` builds one as its (shape, codes) pair: the shape is
+the tree of tags and arities with each tuple's first code slot, and the
+codes are the label's codes in preorder.  A scheme bundles one label per
+vertex with a walker that decides adjacency from the two label shapes and
+an equality oracle over code slots; the walker never sees raw code values,
+which is what makes the one-sided compression argument go through.
 
 `ShapeCodec` interns a scheme's label shapes and lays its codes out as a
 padded code table, and `CompiledDecoder` evaluates the walker over pairs
@@ -16,9 +18,9 @@ read their bit fields back into such a table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,26 +37,6 @@ class SchemeError(ValueError):
 
 
 @dataclass(frozen=True)
-class LabelNode:
-    """One tuple of a label: prefix bits, equality codes, child tuples.
-
-    Builders and combinators compose labels as these trees.  Whatever reads
-    a label reads its shape (`label_shape`) and its codes in preorder
-    (`label_codes`): an `EqualityScheme` holds both per vertex, and a label
-    file reads back as those pairs.
-    """
-
-    tag: tuple[int, ...] = ()
-    codes: tuple[int, ...] = ()
-    children: tuple["LabelNode", ...] = ()
-
-    def walk(self) -> Iterator["LabelNode"]:
-        yield self
-        for c in self.children:
-            yield from c.walk()
-
-
-@dataclass(frozen=True)
 class ShapeNode:
     """A label's skeleton: tags and arities with preorder slot offsets.
 
@@ -66,6 +48,37 @@ class ShapeNode:
     arity: int
     children: tuple["ShapeNode", ...]
     slot0: int
+
+
+#: A label: its shape and its codes in preorder, code slot i holding codes[i].
+Label = tuple[ShapeNode, tuple[int, ...]]
+
+
+def node(tag: tuple[int, ...] = (), codes: tuple[int, ...] = (), *children: Label) -> Label:
+    """The label of one tuple with prefix bits `tag` and equality codes
+    `codes` over the labels `children`: its (shape, codes) pair.  Its code
+    slots are its own codes, then each child's in order, so every slot
+    offset is counted from 0 at this tuple.  Shapes are interned: a shape
+    equal to one in the intern table is that object, so a scheme holds one
+    shape object per distinct shape, not one per label."""
+    kids, all_codes = [], tuple(codes)
+    for shape, kid_codes in children:
+        kids.append(_placed(shape, len(all_codes)))
+        all_codes += kid_codes
+    return _shape(tuple(tag), len(codes), tuple(kids), 0), all_codes
+
+
+# The intern tables are bounded, so a long-lived process keeps at most this
+# many shapes; an evicted shape is built again, equal to the first.
+_shape = lru_cache(maxsize=1 << 14)(ShapeNode)
+
+
+@lru_cache(maxsize=1 << 14)
+def _placed(shape: ShapeNode, slot0: int) -> ShapeNode:
+    """`shape`, interned, with every slot offset moved so that its root's is `slot0`."""
+    move = slot0 - shape.slot0
+    return _shape(shape.tag, shape.arity,
+                  tuple(_placed(c, c.slot0 + move) for c in shape.children), slot0)
 
 
 def shape_arity(shape: ShapeNode) -> int:
@@ -83,63 +96,63 @@ def shape_prefix_len(shape: ShapeNode) -> int:
     return len(shape.tag) + sum(shape_prefix_len(c) for c in shape.children)
 
 
-def label_shape(label: LabelNode) -> ShapeNode:
-    """The label's skeleton, slot offsets in preorder from 0 at its root."""
-    counter = [0]
-
-    def build(node: LabelNode) -> ShapeNode:
-        slot0 = counter[0]
-        counter[0] += len(node.codes)
-        kids = tuple(build(c) for c in node.children)
-        return ShapeNode(node.tag, len(node.codes), kids, slot0)
-
-    return build(label)
-
-
-def label_codes(label: LabelNode) -> tuple[int, ...]:
-    """The label's codes in preorder: code slot i holds label_codes(label)[i]."""
-    out: list[int] = []
-    for node in label.walk():
-        out.extend(node.codes)
-    return tuple(out)
-
-
 Walker = Callable[[ShapeNode, ShapeNode, EqOracle], int]
 #: A decoder spec: a registry JSON object, whose parts may be live walkers.
 Spec = dict | Walker
 
 
 class EqualityScheme:
-    """An equality-based labeling of one graph: labels plus one decoder spec.
+    """An equality-based labeling of one graph: one label per vertex, as
+    `node` builds it, plus one decoder spec.
 
     `spec` is the registry's JSON object naming the walker, which is
     `build_walker(spec)`; a live walker may stand in for it or for any part
-    where no spec exists (protocols' diagonal labels, a test walker).
+    where no spec exists (protocols' diagonal labels, a test walker).  A
+    scheme keeps its labels' shapes and codes and its spec.  The walker,
+    codec, decoder, canonical values and code table are built the first
+    time something reads them, so a scheme made only to be a part of
+    another pays for its labels alone.
     """
 
-    def __init__(self, labels: Sequence[LabelNode], spec: Spec, name: str = "scheme"):
+    def __init__(self, labels: Iterable[Label], spec: Spec, name: str = "scheme"):
         self.name = name
-        self.labels = tuple(labels)
         self.spec = spec
-        self.walker = build_walker(spec)
-        self.shapes = tuple(map(label_shape, self.labels))
-        self.codes = tuple(map(label_codes, self.labels))
-        self.codec = ShapeCodec(self.shapes)
-        self.decoder = CompiledDecoder(self.codec, self.walker)
-        #: distinct code values renumbered to [0, #distinct), by sorted value
-        self.canon = {val: i for i, val in enumerate(sorted({c for cs in self.codes for c in cs}))}
-        #: per vertex, its canonical code values
-        self.values = [[self.canon[c] for c in codes] for codes in self.codes]
+        self.shapes, self.codes = tuple(zip(*labels)) or ((), ())
+
+    def label(self, v: int) -> Label:
+        return self.shapes[v], self.codes[v]
+
+    @cached_property
+    def walker(self) -> Walker:
+        return build_walker(self.spec)
+
+    @cached_property
+    def codec(self) -> ShapeCodec:
+        return ShapeCodec(self.shapes)
+
+    @cached_property
+    def decoder(self) -> CompiledDecoder:
+        return CompiledDecoder(self.codec, self.walker)
+
+    @cached_property
+    def canon(self) -> dict[int, int]:
+        """Distinct code values renumbered to [0, #distinct), by sorted value."""
+        return {val: i for i, val in enumerate(sorted({c for cs in self.codes for c in cs}))}
+
+    @cached_property
+    def values(self) -> list[list[int]]:
+        """Per vertex, its canonical code values."""
+        canon = self.canon
+        return [[canon[c] for c in codes] for codes in self.codes]
 
     @cached_property
     def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The padded code table of the canonical values: the bulk decoder
-        input.  Built on first use, since many schemes are only parts."""
+        """The padded code table of the canonical values: the bulk decoder input."""
         return self.codec.table(self.codec.ids, self.values)
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.shapes)
 
     @property
     def k(self) -> int:
@@ -153,9 +166,6 @@ class EqualityScheme:
 
     def prefix_len(self, v: int) -> int:
         return shape_prefix_len(self.shapes[v])
-
-    def code_count(self, v: int) -> int:
-        return len(self.codes[v])
 
     def decode(self, u: int, v: int) -> int:
         return self.decoder.decode_pair(self.shapes[u], self.codes[u],
@@ -173,12 +183,6 @@ class EqualityScheme:
             if (mat[u, u + 1:] != want).any():
                 return False
         return True
-
-
-def pair_eq_matrix(scheme: EqualityScheme, u: int, v: int) -> list[list[bool]]:
-    """The full equality matrix Q_{u,v} (row = u's slots, column = v's)."""
-    cu, cv = scheme.codes[u], scheme.codes[v]
-    return [[a == b for b in cv] for a in cu]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +481,7 @@ def parse_label_file(text: str) -> tuple[list[tuple[ShapeNode, tuple[int, ...]]]
         shape, arity = shapes[parts[2]]
         if arity != len(codes):
             raise lines.error("malformed label")
-        labels.append((lines.integer(parts[1]), (shape, codes)))
+        labels.append((lines.lineno, lines.integer(parts[1]), (shape, codes)))
     if name is None:
         raise GraphFormatError("empty label file")
     s = max((shape_prefix_len(sh) for sh, _ in shapes.values()), default=0)

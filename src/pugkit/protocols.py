@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from .generators import half_graph
 from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, LineReader
-from .labels import Ask, EqTree, EqualityScheme, LabelNode, SchemeError, walker_tree
+from .labels import Ask, EqTree, EqualityScheme, SchemeError, node, walker_tree
 
 
 @dataclass
@@ -200,8 +200,7 @@ def protocol_to_diagonal_labels(tree: Node, g: Graph) -> DiagonalLabeling:
 
 def diagonal_as_equality_scheme(d: DiagonalLabeling, n: int) -> EqualityScheme:
     """Wrap diagonal labels as an (0, t+1)-equality scheme over bip(G)."""
-    labels = [LabelNode(codes=c) for c in d.codes_x]
-    labels += [LabelNode(codes=c) for c in d.codes_y]
+    labels = [node((), c) for c in d.codes_x + d.codes_y]
     arity = d.t + 1
 
     def walker(sx, sy, eq):

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import Graph
-from .labels import EqualityScheme, LabelNode, bits_for, register_walker
+from .labels import EqualityScheme, bits_for, node, register_walker
 from .rng import _MASK64, counter_hash, derive_seed
 from .structure import forest_partition
 
@@ -357,12 +357,13 @@ register_walker("arboricity", lambda spec: _arboricity_walker)
 
 
 def arboricity_scheme(g: Graph) -> EqualityScheme:
-    """Equality labels (self id, then one parent id per forest)."""
-    fp = forest_partition(g)
-    labels = []
-    for v in range(g.n):
-        parents = tuple(f[v] for f in fp.parents if f[v] is not None)
-        labels.append(LabelNode(codes=(v,) + parents))
+    """Equality labels (self id, then one parent id per forest): one
+    tuple of codes, so one shape per arity."""
+    parents = forest_partition(g)
+    rows = np.column_stack([np.arange(g.n), parents]).tolist()
+    arities = (1 + np.count_nonzero(parents >= 0, axis=1)).tolist()
+    shapes = [node((), (0,) * a)[0] for a in range(parents.shape[1] + 2)]
+    labels = [(shapes[a], tuple(row[:a])) for row, a in zip(rows, arities)]
     return EqualityScheme(labels, {"name": "arboricity"}, name="arboricity")
 
 
@@ -378,18 +379,16 @@ class ArboricitySketch(SketchScheme):
     def __init__(self, g: Graph):
         self.g = g
         self.n = g.n
-        fp = forest_partition(g)
-        self.alpha = max(fp.num_forests, 1)
+        parents = forest_partition(g)
+        self.alpha = max(parents.shape[1], 1)
         self.buckets = 6 * self.alpha
         self.r_bits = bits_for(self.buckets)
         self.width = self.r_bits + self.buckets
         self.delta = 1 / 3
         # parents padded with -1 to alpha columns: the encoder's and the
         # trial decoder's input
-        self._parent_ids = np.full((self.n, self.alpha), -1, dtype=np.int64)
-        for v in range(self.n):
-            ps = [f[v] for f in fp.parents if f[v] is not None]
-            self._parent_ids[v, :len(ps)] = ps
+        self._parent_ids = np.pad(parents, ((0, 0), (0, self.alpha - parents.shape[1])),
+                                  constant_values=-1)
 
     def _bucket(self, seed, vs) -> np.ndarray:
         """r(v) in [buckets] of each vertex id in `vs` under `seed`."""

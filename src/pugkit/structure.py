@@ -11,6 +11,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import ColoredBipartiteGraph, Graph, members
 
 
@@ -229,75 +231,62 @@ def twin_partition(g: Graph, mode: str) -> TwinPartition:
     return TwinPartition(classes, mode, tuple(rep), tuple(idx))
 
 
-@dataclass(frozen=True)
-class ForestPartition:
-    """Edge partition into forests, one parent slot per (forest, vertex)."""
-
-    parents: tuple[tuple[int | None, ...], ...]  # [forest][vertex] -> parent id
-
-    @property
-    def num_forests(self) -> int:
-        return len(self.parents)
-
-    def covers_exactly(self, g: Graph) -> bool:
-        seen = set()
-        for forest in self.parents:
-            for v, p in enumerate(forest):
-                if p is None:
-                    continue
-                e = (v, p) if v < p else (p, v)
-                if e in seen or not g.has_edge(v, p):
-                    return False
-                seen.add(e)
-        return len(seen) == g.m
-
-
 def peel_order(g: Graph) -> tuple[list[int], int]:
     """Minimum-degree peeling order and the degeneracy.
 
     Ties broken by lowest vertex id so the forests are reproducible.  A heap
     holds (degree, vertex) entries, one pushed per degree change, so peeling
-    takes O((n + m) log n).  Degrees only drop, so a vertex's current entry
-    pops before its stale ones, which are skipped once it is peeled.
+    takes O((n + m) log n); an entry is the int degree * n + vertex, which
+    orders as the pair does and compares faster.  Degrees only drop, so a
+    vertex's current entry pops before its stale ones, which are skipped
+    once it is peeled.
     """
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    heap = [(d, v) for v, d in enumerate(deg)]
+    n = g.n
+    nbrs = [g.neighbors(v) for v in range(n)]
+    deg = list(map(len, nbrs))
+    alive = [True] * n
+    heap = [d * n + v for v, d in enumerate(deg)]
     heapq.heapify(heap)
     order = []
     degeneracy = 0
     while heap:
-        d, v = heapq.heappop(heap)
+        d, v = divmod(heapq.heappop(heap), n)
         if not alive[v]:
             continue
         degeneracy = max(degeneracy, d)
         alive[v] = False
         order.append(v)
-        for w in g.neighbors(v):
+        for w in nbrs[v]:
             if alive[w]:
                 deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+                heapq.heappush(heap, deg[w] * n + w)
     return order, degeneracy
 
 
-def forest_partition(g: Graph) -> ForestPartition:
-    """Partition E into `degeneracy` forests via min-degree peeling.
+def forest_partition(g: Graph) -> np.ndarray:
+    """Partition E into `degeneracy` forests via min-degree peeling: the
+    (n, degeneracy) int64 parent table, row v holding v's parent in each
+    forest and -1 where it has none.
 
     When a vertex is peeled it has at most alpha live neighbors; those
-    edges become its parent links, one per forest slot.  Parents sit later
-    in the peel order, so each slot's parent map is acyclic.
+    edges become its parent links, in increasing id order, so its parents
+    fill a prefix of its row.  Parents sit later in the peel order, so each
+    forest's parent map is acyclic.  One numpy pass over the edge array:
+    orient each edge from the endpoint peeled first, sort by (child,
+    parent), and rank each edge within its child.
     """
     order, alpha = peel_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    alpha = max(alpha, 1) if g.m > 0 else max(alpha, 0)
-    if alpha == 0:
-        return ForestPartition(())
-    parents: list[list[int | None]] = [[None] * g.n for _ in range(alpha)]
-    for v in order:
-        later = sorted(w for w in g.neighbors(v) if pos[w] > pos[v])
-        for slot, w in enumerate(later):
-            parents[slot][v] = w
-    return ForestPartition(tuple(tuple(f) for f in parents))
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[order] = np.arange(g.n)
+    edges = g.edge_array()
+    first = pos[edges[:, 0]] < pos[edges[:, 1]]
+    child = np.where(first, edges[:, 0], edges[:, 1])
+    parent = np.where(first, edges[:, 1], edges[:, 0])
+    by = np.lexsort((parent, child))
+    child, parent = child[by], parent[by]
+    parents = np.full((g.n, alpha), -1, dtype=np.int64)
+    parents[child, np.arange(len(child)) - np.searchsorted(child, child)] = parent
+    return parents
 
 
 def interval_clique_number(realization: list[tuple[float, float]]) -> int:

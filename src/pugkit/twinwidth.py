@@ -17,7 +17,7 @@ from .bipartite import _bip_equivalence_walker, bipartite_equivalence_labels
 from .combinators import across_sides
 from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, in_id_order,
                      mask_of, members)
-from .labels import EqualityScheme, LabelNode, SchemeError, register_walker
+from .labels import EqualityScheme, Label, SchemeError, node, register_walker
 from .structure import quasi_chain_number
 
 
@@ -385,16 +385,16 @@ def tw_labels(g: ColoredBipartiteGraph, tree: CertTree) -> EqualityScheme:
     """
 
     def build(sub: ColoredBipartiteGraph, xs: list[int], ys: list[int],
-              node: CertTree) -> dict[tuple[str, int], LabelNode]:
-        if node.cert is None:
+              ct: CertTree) -> dict[tuple[str, int], Label]:
+        if ct.cert is None:
             scheme = bipartite_equivalence_labels(sub)
             out = {}
             for i, x in enumerate(xs):
-                out[("x", x)] = LabelNode(tag=(0,), children=(scheme.labels[i],))
+                out[("x", x)] = node((0,), (), scheme.label(i))
             for j, y in enumerate(ys):
-                out[("y", y)] = LabelNode(tag=(0,), children=(scheme.labels[sub.nx + j],))
+                out[("y", y)] = node((0,), (), scheme.label(sub.nx + j))
             return out
-        cert = node.cert
+        cert = ct.cert
         reasons: list[str] = []
         if not verify_certificate(sub, cert, reasons=reasons)[0]:
             raise SchemeError(f"certificate failed verification: {reasons}")
@@ -432,7 +432,7 @@ def tw_labels(g: ColoredBipartiteGraph, tree: CertTree) -> EqualityScheme:
                 gxs = [xs[v] for v in cxs]
                 gys = [ys[v] for v in cys]
                 csub = sub.induced(cxs, cys)
-                child = node.children.get((i, s_idx))
+                child = ct.children.get((i, s_idx))
                 if child is None:
                     child = CertTree()
                 child_labels[(i, sid)] = build(csub, gxs, gys, child)
@@ -459,17 +459,16 @@ def tw_labels(g: ColoredBipartiteGraph, tree: CertTree) -> EqualityScheme:
                     sid = star_of_part[i].get(pid)
                     if sid is None:
                         codes.append(fresh())
-                        kids.append(LabelNode())
+                        kids.append(node())
                     else:
                         codes.append(sid)
                         kids.append(child_labels[(i, sid)][gkey])
-                out[gkey] = LabelNode(tag=(1,) + fbits, codes=tuple(codes),
-                                      children=tuple(kids))
+                out[gkey] = node((1,) + fbits, tuple(codes), *kids)
         return out
 
     labels_map = build(g, list(range(g.nx)), list(range(g.ny)), tree)
-    labels = [LabelNode(tag=(0,), children=(labels_map[("x", x)],)) for x in range(g.nx)]
-    labels += [LabelNode(tag=(1,), children=(labels_map[("y", y)],)) for y in range(g.ny)]
+    labels = [node((0,), (), labels_map[("x", x)]) for x in range(g.nx)]
+    labels += [node((1,), (), labels_map[("y", y)]) for y in range(g.ny)]
     return EqualityScheme(labels, {"name": "tw-cert"}, name="tw-cert")
 
 
@@ -518,18 +517,19 @@ def parse_certificate(text: str) -> tuple[TwCertificate, str]:
                 raise lines.error("division side must be x or y")
             val = (parts[2], lines.int_list(parts[3]))
         elif kind == "star":
-            val = lines.integer(parts[2]), Star(lines.integer(lines.keyed(parts[3], "center")),
-                                                lines.int_list(lines.keyed(parts[4], "leaves")))
+            val = (lines.lineno, lines.integer(parts[2]),
+                   Star(lines.integer(lines.keyed(parts[3], "center")),
+                        lines.int_list(lines.keyed(parts[4], "leaves"))))
         else:
             keys = "AB" if kind == "flip" else "XY"
             val = tuple(lines.int_list(lines.keyed(tok, key)) for tok, key in zip(parts[2:], keys))
-        sections[kind].append((lines.integer(parts[1]), val))
+        sections[kind].append((lines.lineno, lines.integer(parts[1]), val))
     if name is None:
         raise GraphFormatError("empty certificate file")
     division = in_id_order(sections["division"], "division")
     usets = in_id_order(sections["uset"], "uset")
     slices: list[list] = [[] for _ in usets]
-    for i, star in sections["star"]:
+    for _, i, star in sections["star"]:
         if not 0 <= i < len(usets):
             raise GraphFormatError(f"star slice {i} has no uset")
         slices[i].append(star)

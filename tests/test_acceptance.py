@@ -18,7 +18,7 @@ from pugkit.combinators import (
     twin_reduce_scheme,
 )
 from pugkit.graphs import ColoredBipartiteGraph, Graph, bip_transform, cartesian_product, induced_subgraph
-from pugkit.labels import SchemeError, pair_eq_matrix
+from pugkit.labels import SchemeError
 from pugkit.rng import derive_seed, rng_for
 from pugkit.sketch import (
     arboricity_scheme,
@@ -93,12 +93,12 @@ def test_criterion_1_compression_bound():
         if u == v:
             continue
         s = rng.randrange(1 << 30)
-        q = pair_eq_matrix(sch, u, v)
-        hu = [code_hash(comp, sch, s, c) for c in sch.codes[u]]
-        hv = [code_hash(comp, sch, s, c) for c in sch.codes[v]]
+        cu, cv = sch.codes[u], sch.codes[v]
+        hu = [code_hash(comp, sch, s, c) for c in cu]
+        hv = [code_hash(comp, sch, s, c) for c in cv]
         for i in range(len(hu)):
             for j in range(len(hv)):
-                if q[i][j]:
+                if cu[i] == cv[j]:
                     assert hu[i] == hv[j]
     report(1, True, "compressed error <= 1/3+0.02 on " + ", ".join(details)
            + "; one-sided property exact")

@@ -180,9 +180,9 @@ def test_tp_free_code_budget():
         g = random_tp_free(9, 12, p, seed=seed)
         sch = tp_free_labels(g, p=p, q=q)
         for x in range(g.nx):
-            assert sch.code_count(x) <= q * (p - 1) + (k - 1)
+            assert len(sch.codes[x]) <= q * (p - 1) + (k - 1)
         for y in range(g.ny):
-            assert sch.code_count(g.nx + y) == 1
+            assert len(sch.codes[g.nx + y]) == 1
 
 
 def test_tp_free_rejects_deep_structure():

@@ -252,6 +252,7 @@ def test_sketch_file_roundtrip(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     "labels g s=0 k=0 width=4\nv 3 a\n",  # ids not 0..n-1
+    "labels g s=0 k=0 width=4\nv 0 a\nv 0 b\n",
     "",
     "labels g s=0 k=0\nv 0 a\n",  # no width=
     "labels g s=0 k=0 width=x\nv 0 a\n",

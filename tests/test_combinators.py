@@ -42,7 +42,7 @@ from pugkit.generators import (
     random_graph,
 )
 from pugkit.graphs import Graph, bip_transform, bipartite_complement, induced_subgraph
-from pugkit.labels import EqualityScheme, LabelNode, SchemeError
+from pugkit.labels import EqualityScheme, SchemeError, node
 from pugkit.protocols import (
     diagonal_as_equality_scheme,
     labels_to_protocol,
@@ -203,12 +203,11 @@ def test_bip_lift_lower_roundtrip():
             assert lifted.decode(g.n + u, g.n + v) == 0
     lowered = bip_lower(lifted)
     assert lowered.check_exact(g.has_edge)
-    assert lowered.code_count(0) == 2 * base.code_count(0)
+    assert len(lowered.codes[0]) == 2 * len(base.codes[0])
 
 
 def test_assemble_depth0_tree():
     from pugkit.bipartite import bipartite_equivalence_labels
-    from pugkit.labels import LabelNode
 
     b = bipartite_equivalence_graph([(2, 2), (1, 2)])
     tree = DTNode("L", tuple(range(b.nx)), tuple(range(b.ny)))
@@ -218,9 +217,9 @@ def test_assemble_depth0_tree():
     def labeler(node):
         out = {}
         for x in range(b.nx):
-            out[("x", x)] = leaf.labels[x]
+            out[("x", x)] = leaf.label(x)
         for y in range(b.ny):
-            out[("y", y)] = leaf.labels[b.nx + y]
+            out[("y", y)] = leaf.label(b.nx + y)
         return out
 
     sch = assemble_decomposition_labels(b, tree, labeler, leaf.spec)
@@ -254,7 +253,7 @@ def test_tuple_count_bound():
 
 
 def _without_spec(scheme):
-    return EqualityScheme(scheme.labels, scheme.walker, name=scheme.name)
+    return EqualityScheme(zip(scheme.shapes, scheme.codes), scheme.walker, name=scheme.name)
 
 
 def test_combinators_accept_a_base_without_a_spec():
@@ -273,8 +272,8 @@ def test_combinators_accept_a_base_without_a_spec():
     lifted = bip_lift(diag)
 
     def leaf(node):
-        return {**{("x", x): diag.labels[x] for x in node.xs},
-                **{("y", y): diag.labels[n + y] for y in node.ys}}
+        return {**{("x", x): diag.label(x) for x in node.xs},
+                **{("y", y): diag.label(n + y) for y in node.ys}}
 
     tree = DTNode("L", tuple(range(n)), tuple(range(n)))
     cases = [
@@ -302,40 +301,40 @@ def _assemble_per_vertex(g, tree, leaf_labeler):
     each vertex reaches."""
     pb = _width_for(_max_parts(tree))
 
-    def build(node, key):
+    def build(dt, key):
         side, vid = key
-        if node.kind == "L":
-            return LabelNode(tag=TAG_L, children=(leaf_labeler(node)[key],))
-        if node.kind in ("D", "Dbar"):
-            order = sorted(range(len(node.children)), key=lambda i: min(
-                node.children[i].xs + tuple(y + g.nx for y in node.children[i].ys)))
+        if dt.kind == "L":
+            return node(TAG_L, (), leaf_labeler(dt)[key])
+        if dt.kind in ("D", "Dbar"):
+            order = sorted(range(len(dt.children)), key=lambda i: min(
+                dt.children[i].xs + tuple(y + g.nx for y in dt.children[i].ys)))
             for code, ci in enumerate(order):
-                child = node.children[ci]
+                child = dt.children[ci]
                 if vid in (child.xs if side == "x" else child.ys):
-                    tag = TAG_D if node.kind == "D" else TAG_DBAR
-                    return LabelNode(tag=tag, codes=(code,), children=(build(child, key),))
+                    tag = TAG_D if dt.kind == "D" else TAG_DBAR
+                    return node(tag, (code,), build(child, key))
             raise AssertionError(f"{key} not covered")
-        q = len(node.y_parts)
+        q = len(dt.y_parts)
         if side == "x":
-            i = next(t for t, p in enumerate(node.x_parts) if vid in p)
-            kids = tuple(build(node.children[i * q + j], key) for j in range(q))
+            i = next(t for t, p in enumerate(dt.x_parts) if vid in p)
+            kids = [build(dt.children[i * q + j], key) for j in range(q)]
         else:
-            i = next(t for t, p in enumerate(node.y_parts) if vid in p)
-            kids = tuple(build(node.children[t * q + i], key) for t in range(len(node.x_parts)))
-        return LabelNode(tag=TAG_P + _bits(i, pb), children=kids)
+            i = next(t for t, p in enumerate(dt.y_parts) if vid in p)
+            kids = [build(dt.children[t * q + i], key) for t in range(len(dt.x_parts))]
+        return node(TAG_P + _bits(i, pb), (), *kids)
 
-    return ([LabelNode(tag=(0,), children=(build(tree, ("x", x)),)) for x in sorted(tree.xs)]
-            + [LabelNode(tag=(1,), children=(build(tree, ("y", y)),)) for y in sorted(tree.ys)])
+    return ([node((0,), (), build(tree, ("x", x))) for x in sorted(tree.xs)]
+            + [node((1,), (), build(tree, ("y", y))) for y in sorted(tree.ys)])
 
 
 def _bicobi_labeler(g):
     """p7_labels' leaf labeler: one biclique bit for every vertex of a leaf."""
 
-    def labeler(node):
-        sub = g.induced(node.xs, node.ys)
+    def labeler(leaf):
+        sub = g.induced(leaf.xs, leaf.ys)
         bit = 1 if (sub.m > 0 and sub.is_biclique()) else 0
-        return {**{("x", x): LabelNode(tag=(bit,)) for x in node.xs},
-                **{("y", y): LabelNode(tag=(bit,)) for y in node.ys}}
+        return {**{("x", x): node((bit,)) for x in leaf.xs},
+                **{("y", y): node((bit,)) for y in leaf.ys}}
 
     return labeler
 
@@ -369,12 +368,14 @@ def test_assembly_labels_each_leaf_once_and_matches_the_per_vertex_build(cases):
 
         sch = assemble_decomposition_labels(g, tree, counting, _bicobi_walker)
         assert calls == Counter({id(leaf): 1 for leaf in tree.leaves()})
-        assert sch.labels == tuple(_assemble_per_vertex(g, tree, labeler))
-        assert build().labels == sch.labels
+        labels = list(zip(sch.shapes, sch.codes))
+        assert labels == _assemble_per_vertex(g, tree, labeler)
+        built = build()
+        assert (built.shapes, built.codes) == (sch.shapes, sch.codes)
         # child codes follow the smallest vertex, not the order of the list
         reordered = assemble_decomposition_labels(g, _d_children_reversed(tree), labeler,
                                                   _bicobi_walker)
-        assert reordered.labels == sch.labels
+        assert (reordered.shapes, reordered.codes) == (sch.shapes, sch.codes)
         kinds.update(_kinds(tree))
     assert kinds["L"] > 6 and kinds["D"] and (cases is _fpp_cases or kinds["P"] and kinds["Dbar"])
 

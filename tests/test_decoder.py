@@ -8,6 +8,7 @@ trial's pair on its own.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,12 +33,10 @@ from pugkit.labels import (
     Ask,
     CompiledDecoder,
     EqualityScheme,
-    LabelNode,
     SchemeError,
     ShapeCodec,
     ShapeNode,
-    label_codes,
-    label_shape,
+    node,
     parse_label_file,
     shape_arity,
     shape_from_str,
@@ -192,7 +191,7 @@ def test_walker_runs_once_per_key_and_memo_is_per_scheme():
         calls.append(1)
         return int(eq(0, 0))
 
-    labels = [LabelNode(codes=(v % 3,)) for v in range(12)]
+    labels = [node((), (v % 3,)) for v in range(12)]
     det = naive_derandomize(EqualityScheme(labels, walker))
     mat = det.decode_matrix(list(det.labels))
     assert len(calls) == 2  # one shape pair, Q in {0, 1}
@@ -212,7 +211,7 @@ def test_memo_key_is_one_word_exactly_when_it_fits(shapes, layout):
     x, z = tuple(range(8)), tuple(range(100, 108))
     y = [tuple(i if s == j else 200 + 8 * (8 * i + j) + s for s in range(8))
          for i in range(8) for j in range(8)]
-    labels = [LabelNode(tag=tag, codes=c) for tag in [(), (1,)][:shapes] for c in [x, z, *y]]
+    labels = [node(tag, c) for tag in [(), (1,)][:shapes] for c in [x, z, *y]]
     calls = []
 
     def walker(sx, sy, eq):
@@ -220,8 +219,8 @@ def test_memo_key_is_one_word_exactly_when_it_fits(shapes, layout):
         return (sum(eq(i, j) * (8 * i + j + 1) for i in range(8) for j in range(8))
                 + len(sx.tag) + 2 * len(sy.tag)) % 120
 
-    codes = list(map(label_codes, labels))
-    codec = ShapeCodec(list(map(label_shape, labels)))
+    codes = [c for _, c in labels]
+    codec = ShapeCodec([sh for sh, _ in labels])
     sid, vals = codec.table(codec.ids, codes)
     dec = CompiledDecoder(codec, walker)
     mat = dec.decode_rows(sid[None], vals[None])[0]
@@ -246,7 +245,7 @@ def _raising_scheme():
             raise SchemeError("equal ids are outside this family")
         return 0
 
-    return EqualityScheme([LabelNode(codes=(v % 4,)) for v in range(10)], walker)
+    return EqualityScheme([node((), (v % 4,)) for v in range(10)], walker)
 
 
 def test_walker_scheme_error_raised_from_bulk_path():
@@ -264,30 +263,29 @@ def test_walker_scheme_error_raised_from_bulk_path():
 
 
 def test_shape_codec_round_trip():
-    labels = [LabelNode(tag=(1,), codes=(1, 2), children=(LabelNode(codes=(3,)),)),
-              LabelNode(codes=(4,)), LabelNode(codes=(5,))]
+    labels = [node((1,), (1, 2), node((), (3,))), node((), (4,)), node((), (5,))]
     scheme = EqualityScheme(labels, lambda sx, sy, eq: 0)
     sk = sketch.PackedEqualityScheme(scheme)
     codec = sk.codec
-    assert codec.shapes == [label_shape(labels[0]), label_shape(labels[1])]
+    assert codec.shapes == [labels[0][0], labels[1][0]]
     # five distinct codes take 3 bits each
     assert (codec.k, codec.shape_bits, sk.value_width, sk.width) == (3, 1, 3, 1 + 3 * 3)
     assert sk.encode(0) == [pack(sk, sid, vals) for sid, vals in zip(codec.ids, scheme.values)]
-    for l, sid in zip(labels, codec.ids):
-        vals = [c % 8 for c in label_codes(l)]
+    for (_, codes), sid in zip(labels, codec.ids):
+        vals = [c % 8 for c in codes]
         assert parse(sk, pack(sk, sid, vals)) == (sid, vals)
 
 
 @pytest.mark.parametrize("label", [
-    LabelNode(codes=tuple(range(100))),
-    LabelNode(tag=(1, 0), codes=(1,), children=(LabelNode(codes=tuple(range(100))),)),
+    node((), tuple(range(100))),
+    node((1, 0), (1,), node((), tuple(range(100)))),
 ])
 def test_shape_from_str_wide_arity_round_trip(label):
     # the shape parser once had room for only 64 codes per ':' in the string
-    shape = label_shape(label)
+    shape, codes = label
     assert shape_from_str(shape_to_str(shape)) == shape
-    assert shape_arity(shape_from_str(shape_to_str(shape))) == len(label_codes(label))
-    scheme = EqualityScheme([label, LabelNode(codes=(1,))], lambda sx, sy, eq: 0)
+    assert shape_arity(shape_from_str(shape_to_str(shape))) == len(codes)
+    scheme = EqualityScheme([label, node((), (1,))], lambda sx, sy, eq: 0)
     parsed, _, _ = parse_label_file(write_label_file(scheme, "wide"))
     assert parsed == list(zip(scheme.shapes, scheme.codes))
 
@@ -429,7 +427,7 @@ def test_check_exact_rejects_a_wrong_label():
     sch = arboricity_scheme(g)
     assert sch.check_exact(g.has_edge)
     # vertex 0 now carries vertex 3's label, so it decodes 3's edge to 2
-    wrong = EqualityScheme((sch.labels[3],) + sch.labels[1:], sch.walker)
+    wrong = EqualityScheme([sch.label(3)] + [sch.label(v) for v in range(1, sch.n)], sch.walker)
     assert not wrong.check_exact(g.has_edge)
 
 
@@ -535,13 +533,13 @@ def test_walker_tree_branches_once_per_cell_and_marks_violations(monkeypatch):
     from pugkit import labels as labels_mod
     from pugkit.cli import write_decoder_file
 
-    sh = label_shape(LabelNode(codes=(0, 1)))
+    sh, _ = node((), (0, 1))
     assert walker_tree(_probe_walker, sh, sh) == Ask(0, 1, Ask(1, 0, 0, None), 1)
     with pytest.raises(IndexError):
         walker_tree(lambda sx, sy, eq: eq(0, 2), sh, sh)
     # one row per non-violation leaf, preorder, '*' for the cells not asked
     monkeypatch.setitem(labels_mod._WALKER_BUILDERS, "probe", lambda spec: _probe_walker)
-    sch = EqualityScheme([LabelNode(codes=(0, 1))], {"name": "probe"})
+    sch = EqualityScheme([node((), (0, 1))], {"name": "probe"})
     assert write_decoder_file(sch).splitlines()[2:] == ["t 0 0 *00* 0", "t 0 0 **1* 1"]
 
 
@@ -606,30 +604,33 @@ def test_every_registered_walker_rebuilds_from_its_spec():
                     assert got == sch.decode(u, v), (sch.name, u, v)
 
 
-def _shape_reference(label):
-    """A label's shape built afresh, with a slot counter from 0 at the root."""
-    counter = [0]
-
-    def build(node):
-        slot0 = counter[0]
-        counter[0] += len(node.codes)
-        return ShapeNode(node.tag, len(node.codes), tuple(build(c) for c in node.children), slot0)
-
-    return build(label)
-
-
-def _codes_reference(label):
-    return tuple(c for node in label.walk() for c in node.codes)
+def _tuples(shape):
+    """The tuples of a shape in preorder, walked with a stack."""
+    stack = [shape]
+    while stack:
+        top = stack.pop()
+        yield top
+        stack.extend(reversed(top.children))
 
 
 def test_scheme_shapes_and_codes_equal_a_fresh_build():
-    # a label file reads back as the (shape, codes) pairs it was written from
+    # a label file reads back as the (shape, codes) pairs it was written
+    # from; its reader counts every slot offset afresh from 0 at the root
     for build in _family_builds():
         sch = build()
-        assert list(sch.shapes) == list(map(_shape_reference, sch.labels))
-        assert list(sch.codes) == list(map(_codes_reference, sch.labels))
         parsed, _, _ = parse_label_file(write_label_file(sch, "g"))
         assert parsed == list(zip(sch.shapes, sch.codes))
+
+
+def test_node_places_children_after_its_own_codes():
+    leaf = node((1,), (7, 8))
+    shape, codes = node((0,), (5,), leaf, node(), leaf)
+    assert codes == (5, 7, 8, 7, 8)
+    assert shape == ShapeNode((0,), 1, (ShapeNode((1,), 2, (), 1), ShapeNode((), 0, (), 3),
+                                        ShapeNode((1,), 2, (), 3)), 0)
+    # interned: an equal shape is the same object, wherever it was built
+    assert node((1,), (0, 0))[0] is leaf[0]
+    assert node((0,), (1,), node((1,), (2, 3)), node(), leaf)[0] is shape
 
 
 def test_prefix_figures_read_off_shapes_equal_a_walk_of_every_label():
@@ -637,12 +638,38 @@ def test_prefix_figures_read_off_shapes_equal_a_walk_of_every_label():
     # the distinct shapes; a walk of every label's tuples is the reference
     for build in _family_builds():
         sch = build()
-        lens = [sum(len(node.tag) for node in l.walk()) for l in sch.labels]
+        lens = [sum(len(t.tag) for t in _tuples(sh)) for sh in sch.shapes]
         assert [sch.prefix_len(v) for v in range(sch.n)] == lens
         assert sch.s == max(lens, default=0)
-        counts = [sum(1 for _ in l.walk()) for l in sch.labels]
+        counts = [sum(1 for _ in _tuples(sh)) for sh in sch.shapes]
         assert [tuple_count(sh) for sh in sch.shapes] == counts
         assert max(map(tuple_count, sch.codec.shapes), default=0) == max(counts, default=0)
+
+
+def test_only_the_outer_scheme_builds_a_codec_and_only_once_decoded(monkeypatch):
+    # bip_lower(bip_lift(arboricity)), fstar over two fpp parts, and fpp
+    # over tp-free leaves among them: their parts never build either
+    from pugkit import labels as labels_mod
+
+    built = Counter()
+
+    def counted(cls):
+        class Counted(cls):
+            def __init__(self, *args):
+                built[cls.__name__] += 1
+                super().__init__(*args)
+
+        return Counted
+
+    for cls in (ShapeCodec, CompiledDecoder):
+        monkeypatch.setattr(labels_mod, cls.__name__, counted(cls))
+    for build in _family_builds():
+        sch = build()
+        assert not built, sch.name
+        sch.decode(0, 1)
+        sch.check_exact(lambda u, v: sch.decode(u, v))
+        assert built == {"ShapeCodec": 1, "CompiledDecoder": 1}, sch.name
+        built.clear()
 
 
 def test_no_family_builder_checks_itself_pair_by_pair(monkeypatch):

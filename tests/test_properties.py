@@ -27,6 +27,7 @@ from pugkit.generators import (
     chain_graph,
     equivalence_graph,
     path,
+    random_equivalence,
     random_forest,
     random_kdegenerate,
 )
@@ -35,11 +36,9 @@ from pugkit.labels import (
     _WALKER_BUILDERS,
     CompiledDecoder,
     EqualityScheme,
-    LabelNode,
     SchemeError,
     ShapeCodec,
-    label_codes,
-    label_shape,
+    node,
     shape_arity,
 )
 from pugkit.products import adjacency_from_distance1
@@ -356,17 +355,16 @@ def test_verify_with_any_certificate_exits_0_2_or_3(tmp_path, capsys, data):
 # code values at both edges of `narrow_values`: the table narrows to int8
 # up to 127 and to int16 up to 32767
 EDGE_VALUES = st.sampled_from([0, 1, *range(125, 130), *range(32765, 32770)])
-ARITY_0 = st.sampled_from([(), (1,), (0, 1)]).map(lambda tag: LabelNode(tag=tag))
+ARITY_0 = st.sampled_from([(), (1,), (0, 1)]).map(node)
 LABELS = st.one_of(
     st.lists(ARITY_0, max_size=5),  # a k = 0 scheme: the shapes alone decide
-    st.lists(ARITY_0 | st.builds(lambda *c: LabelNode(codes=c), EDGE_VALUES)
-             | st.builds(lambda *c: LabelNode(codes=c), EDGE_VALUES, EDGE_VALUES)
-             | st.builds(lambda a, b, c: LabelNode(tag=(1,), codes=(a,),
-                                                  children=(LabelNode(codes=(b, c)),)),
+    st.lists(ARITY_0 | st.builds(lambda *c: node((), c), EDGE_VALUES)
+             | st.builds(lambda *c: node((), c), EDGE_VALUES, EDGE_VALUES)
+             | st.builds(lambda a, b, c: node((1,), (a,), node((), (b, c))),
                          EDGE_VALUES, EDGE_VALUES, EDGE_VALUES)
              # k = 8 fills the 64-bit memo key with Q alone; with a second
              # shape the decoder keys by bytes
-             | st.builds(lambda *c: LabelNode(codes=c), *[EDGE_VALUES] * 8), max_size=7))
+             | st.builds(lambda *c: node((), c), *[EDGE_VALUES] * 8), max_size=7))
 
 
 def _q_walker(sx, sy, eq):
@@ -382,7 +380,7 @@ def _q_walker(sx, sy, eq):
 @given(labels=LABELS, data=st.data())
 def test_bulk_decoders_equal_the_per_pair_walker(labels, data):
     n = len(labels)
-    shapes, codes = list(map(label_shape, labels)), list(map(label_codes, labels))
+    shapes, codes = [sh for sh, _ in labels], [c for _, c in labels]
 
     def walker(u, v, vals=codes):
         return _q_walker(shapes[u], shapes[v], lambda i, j: vals[u][i] == vals[v][j])
@@ -560,7 +558,8 @@ def _outcome(build, *args):
     """What a label builder does with its input: the labels, or the message
     of the SchemeError it raises."""
     try:
-        return build(*args).labels
+        sch = build(*args)
+        return sch.shapes, sch.codes
     except SchemeError as e:
         return str(e)
 
@@ -583,8 +582,8 @@ def _chain_graph_labels_per_pair(g, k):
     if max(a_runs, len(set(idx_y.values()))) > k + 1:
         raise SchemeError(f"more than k+1={k + 1} maximal intervals (chain number > {k})")
     bits = _width_for(k + 2)
-    labels = ([LabelNode(tag=(0,) + _bits(idx_x[x], bits)) for x in range(g.nx)]
-              + [LabelNode(tag=(1,) + _bits(idx_y[y], bits)) for y in range(g.ny)])
+    labels = ([node((0,) + _bits(idx_x[x], bits)) for x in range(g.nx)]
+              + [node((1,) + _bits(idx_y[y], bits)) for y in range(g.ny)])
     scheme = EqualityScheme(labels, _chain_walker_factory(bits))
     for x in range(g.nx):
         for y in range(g.ny):
@@ -628,3 +627,19 @@ def test_bip_equivalence_check_rejects_as_the_per_pair_check(g):
 def test_chain_graph_check_rejects_as_the_per_pair_check(g, k):
     assert _outcome(chain_graph_labels, g, k) == _outcome(_chain_graph_labels_per_pair, g, k)
     assert is_chain_graph(g) != _has_induced_2k2(g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(n=st.integers(50, 800), seed=st.integers(0, 1 << 16))
+@example(n=50, seed=0)
+@example(n=800, seed=0)
+def test_sketch_width_does_not_grow_with_n(n, seed):
+    # a sketch's size is a constant of the family, not of n: forests and
+    # 3-degenerate graphs (arboricity 1 and 3, every arity present) and
+    # equivalence graphs (one code) over a 16x range of n
+    forest, kdeg = random_forest(n, seed), random_kdegenerate(n, 3, seed)
+    assert compress_equality_scheme(arboricity_scheme(forest)).width == 9
+    assert compress_equality_scheme(arboricity_scheme(kdeg)).width == 26
+    assert (arboricity_sketch(forest).width, arboricity_sketch(kdeg).width) == (9, 23)
+    equiv = random_equivalence(n, 5, seed)
+    assert compress_equality_scheme(equivalence_labels(equiv)).width == 2

@@ -31,10 +31,10 @@ from pugkit.twinwidth import parse_certificate, twin_width_exact, write_certific
 #: Python's own words for a failed conversion, which no message may hold.
 LEAKS = re.compile(r"invalid literal|unpack|could not convert|index out of range")
 LINE = re.compile(r"line \d+: ")
-#: The checks that a whole file fails and no one line does: ids that do not
-#: run 0..n-1, a graph's edge checks (their texts are the line loop's, kept
-#: word for word), and a certificate's cross-references.
-WHOLE_FILE = re.compile(r"ids are not 0\.\.|edge \(-?\d+,-?\d+\) out of range|self-loop at "
+#: The checks that a whole file fails and no one line does: a graph's edge
+#: checks (their texts are the line loop's, kept word for word) and a
+#: certificate's cross-references.
+WHOLE_FILE = re.compile(r"edge \(-?\d+,-?\d+\) out of range|self-loop at "
                         r"|duplicate edge \(|star slice -?\d+ has no uset|not a division id")
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40,
@@ -172,6 +172,8 @@ def _replace_line(text: str, lineno: int, line: str) -> str:
     ("labels", 2, "v 0 -:1 4,x", "line 2: expected a comma list of integers or '-', got '4,x'"),
     ("labels", 2, "v x -:2 1,2", "line 2: expected an integer, got 'x'"),
     ("labels", 1, "labels f s=1", "line 1: header s=1 does not match the labels' s=0"),
+    ("labels", 3, "v 0 -:1 5", "line 3: vertex id 0 appears twice"),
+    ("labels", 2, "v 8 -:1 5", "line 2: vertex id 8 is not in 0..7"),
     ("dec", 3, "t 0 x 00 1", "line 3: expected an integer, got 'x'"),
     ("dec", 3, "t 0 0 0*2* 1", "line 3: expected 4 Q cells of '0', '1' or '*', got '0*2*'"),
     ("dec", 3, "t 0 0 000 1", "line 3: expected 4 Q cells of '0', '1' or '*', got '000'"),
@@ -223,6 +225,8 @@ def test_a_decoder_table_shape_nested_past_the_cap_exits_3(files, tmp_path, caps
     ("i 0 1 1e400", "line 2: expected a finite number, got '1e400'"),
     ("i 0 2 0", "line 2: expected an interval with l <= r, got 'i 0 2 0'"),
     ("i x 0 1", "line 2: expected an integer, got 'x'"),
+    ("i 1 0 1", "line 3: interval id 1 appears twice"),
+    ("i -1 0 1", "line 2: interval id -1 is not in 0..5"),
 ])
 def test_a_malformed_realization_line_exits_3(files, tmp_path, capsys, line, message):
     rf = tmp_path / "r.real"
@@ -253,12 +257,16 @@ def test_certificate_and_protocol_faults_name_their_line():
     from tests.test_twinwidth import make_two_level_instance
 
     text = write_certificate(make_two_level_instance()[1], "two")
-    for line, message in (("flip 0 C=1 B=-", "line 3: expected A=..., got 'C=1'"),
-                          ("flip 0 A=1,x B=-",
-                           "line 3: expected a comma list of integers or '-', got '1,x'"),
-                          ("order x0 y", "line 2: expected an integer, got ''")):
+    for lineno, line, message in (
+            (3, "flip 0 C=1 B=-", "line 3: expected A=..., got 'C=1'"),
+            (3, "flip 0 A=1,x B=-", "line 3: expected a comma list of integers or '-', got '1,x'"),
+            (2, "order x0 y", "line 2: expected an integer, got ''"),
+            (3, "flip 1 A=2,3 B=0,1", "line 3: flip id 1 is not in 0..0"),
+            (4, "division 1 x 0,1", "line 5: division id 1 appears twice"),
+            (10, "uset 2 X=1 Y=4", "line 10: uset id 2 is not in 0..1"),
+            (12, "star 1 1 center=1 leaves=4", "line 12: slice 1 star id 1 is not in 0..0")):
         with pytest.raises(GraphFormatError) as err:
-            parse_certificate(_replace_line(text, 2 if line.startswith("order") else 3, line))
+            parse_certificate(_replace_line(text, lineno, line))
         assert str(err.value) == message
     text = protocols.write_protocol(protocols.gt_protocol(3), "gt", 3)
     for lineno, line, message in (

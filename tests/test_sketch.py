@@ -15,7 +15,7 @@ from pugkit.generators import (
     random_graph,
     random_kdegenerate,
 )
-from pugkit.labels import EqualityScheme, LabelNode, pair_eq_matrix
+from pugkit.labels import EqualityScheme, node
 from pugkit.sketch import (
     ArboricitySketch,
     DerandomizationError,
@@ -89,12 +89,12 @@ def test_compression_one_sided():
             for v in range(1, 12, 4):
                 if u == v:
                     continue
-                q = pair_eq_matrix(sch, u, v)
-                hu = [code_hash(comp, sch, seed, c) for c in sch.codes[u]]
-                hv = [code_hash(comp, sch, seed, c) for c in sch.codes[v]]
+                cu, cv = sch.codes[u], sch.codes[v]
+                hu = [code_hash(comp, sch, seed, c) for c in cu]
+                hv = [code_hash(comp, sch, seed, c) for c in cv]
                 for i in range(len(hu)):
                     for j in range(len(hv)):
-                        if q[i][j]:
+                        if cu[i] == cv[j]:
                             assert hu[i] == hv[j]
 
 
@@ -214,7 +214,7 @@ def test_derandomize_raises_on_broken_scheme():
 
 def test_naive_derandomize_widths():
     # (s=0,k=1) scheme on n=8 -> 3-bit codes
-    labels = [LabelNode(codes=(v,)) for v in range(8)]
+    labels = [node((), (v,)) for v in range(8)]
     sch = EqualityScheme(labels, lambda sx, sy, eq: int(eq(0, 0)))
     det = naive_derandomize(sch)
     s, k, w = naive_label_width(sch)

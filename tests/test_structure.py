@@ -19,6 +19,7 @@ from pugkit.generators import (
 )
 from pugkit.graphs import ColoredBipartiteGraph, Graph, bip_transform, induced_subgraph
 from pugkit.rng import rng_for
+from pugkit.sketch import arboricity_sketch
 from pugkit.structure import (
     chain_number,
     forest_partition,
@@ -244,6 +245,20 @@ def test_twin_partition_is_twin_relation():
             assert set(g.neighbors(x)) - {y} == set(g.neighbors(y)) - {x}
 
 
+def _covers_exactly(parents, g):
+    """Every parent link is an edge of g, and every edge is one link."""
+    seen = set()
+    for v, row in enumerate(parents.tolist()):
+        for p in row:
+            if p < 0:
+                continue
+            e = (v, p) if v < p else (p, v)
+            if e in seen or not g.has_edge(v, p):
+                return False
+            seen.add(e)
+    return len(seen) == g.m
+
+
 def _forest_is_acyclic(parent_map, n):
     # union-find over parent edges
     root = list(range(n))
@@ -255,7 +270,7 @@ def _forest_is_acyclic(parent_map, n):
         return a
 
     for v, p in enumerate(parent_map):
-        if p is None:
+        if p < 0:
             continue
         ra, rb = find(v), find(p)
         if ra == rb:
@@ -271,19 +286,19 @@ def _forest_is_acyclic(parent_map, n):
     (hypercube(4), 4),
 ])
 def test_forest_partition_counts(g, expect):
-    fp = forest_partition(g)
-    assert fp.num_forests == expect
-    assert fp.covers_exactly(g)
-    for forest in fp.parents:
+    parents = forest_partition(g)
+    assert parents.shape == (g.n, expect)
+    assert _covers_exactly(parents, g)
+    for forest in parents.T.tolist():
         assert _forest_is_acyclic(forest, g.n)
 
 
 def test_forest_partition_random():
     for seed in range(8):
         g = random_graph(20, 0.3, seed=seed)
-        fp = forest_partition(g)
-        assert fp.covers_exactly(g)
-        for forest in fp.parents:
+        parents = forest_partition(g)
+        assert _covers_exactly(parents, g)
+        for forest in parents.T.tolist():
             assert _forest_is_acyclic(forest, g.n)
 
 
@@ -344,3 +359,32 @@ def test_peel_order_matches_scan():
         graphs.append(random_graph(n, rng.random(), seed=rng.randrange(1 << 30)))
     for g in graphs:
         assert peel_order(g) == scan_peel_order(g)
+
+
+def slot_loop_parents(g: Graph) -> list[list[int]]:
+    """Reference: each vertex, in peel order, takes its later neighbours
+    by id as its parents in forests 0, 1, ...; row v of the (n, degeneracy)
+    table, -1 where v has no parent."""
+    order, alpha = scan_peel_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    parents = [[-1] * alpha for _ in range(g.n)]
+    for v in order:
+        later = sorted(w for w in g.neighbors(v) if pos[w] > pos[v])
+        for slot, w in enumerate(later):
+            parents[v][slot] = w
+    return parents
+
+
+def test_forest_slots_match_the_slot_loop():
+    rng = rng_for(12, "slots")
+    graphs = [edgeless(0), edgeless(1), edgeless(6), complete(5),
+              Graph(9, [(0, v) for v in range(1, 9)]), random_kdegenerate(300, 2, seed=1)]
+    for _ in range(120):
+        n = rng.randrange(2, 60)
+        graphs.append(random_graph(n, rng.random() ** 2, seed=rng.randrange(1 << 30)))
+    for g in graphs:
+        want = slot_loop_parents(g)
+        assert forest_partition(g).tolist() == want
+        # the Bloom sketch pads a forest-free graph to one column of -1
+        padded = [row or [-1] for row in want]
+        assert arboricity_sketch(g)._parent_ids.tolist() == padded
