@@ -18,11 +18,10 @@ from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, LineReader,
                      parse_graph, write_graph)
 from .labels import (
     Ask,
-    CompiledDecoder,
     EqualityScheme,
     SchemeError,
-    ShapeCodec,
     build_walker,
+    decode_pair,
     parse_label_file,
     read_shape,
     shape_to_str,
@@ -191,8 +190,8 @@ def parse_decoder_file(text: str):
     pairs that `parse_label_file` reads.  It runs a
     `decoder tree`'s registered walker, or reads a `decoder table` as a
     walker that returns the output of the row matching Q on the row's asked
-    cells (care masks in file order), through a `CompiledDecoder` over the
-    listed shapes.  Only a table's walker reads the shape lines."""
+    cells (care masks in file order), through `labels.decode_pair`.  Only
+    a table's walker reads the shape lines."""
     lines, kind, head_line, walker = LineReader(text), None, None, None
     shape_ids, rows = {}, []  # shape -> (idx, arity); (lineno, sx, sy, out, Q field)
     for parts in lines:
@@ -243,13 +242,11 @@ def parse_decoder_file(text: str):
                     return out
             raise CliError(EXIT_CONTRACT, "pair missing from decoder table")
 
-    decoder = CompiledDecoder(ShapeCodec(list(shape_ids)), walker)
-
     def decode(lx, ly) -> int:
         # lx and ly are (shape, codes) pairs; a walker that cannot run on the
         # labels is a file fault, a SchemeError is not
         try:
-            return decoder.decode_pair(*lx, *ly)
+            return decode_pair(walker, *lx, *ly)
         except SchemeError:
             raise
         except _SPEC_ERRORS as e:

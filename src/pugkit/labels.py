@@ -168,8 +168,8 @@ class EqualityScheme:
         return shape_prefix_len(self.shapes[v])
 
     def decode(self, u: int, v: int) -> int:
-        return self.decoder.decode_pair(self.shapes[u], self.codes[u],
-                                        self.shapes[v], self.codes[v])
+        return decode_pair(self.walker, self.shapes[u], self.codes[u],
+                           self.shapes[v], self.codes[v])
 
     def check_exact(self, adjacency: Callable[[int, int], bool]) -> bool:
         """Exhaustive all-pairs check against an adjacency oracle: all pairs
@@ -268,18 +268,25 @@ class ShapeCodec:
         return sid, vals
 
 
+def decode_pair(walker: Walker, shape_x: ShapeNode, vals_x: Sequence[int],
+                shape_y: ShapeNode, vals_y: Sequence[int]) -> int:
+    """The walker run lazily on one pair of labels, asking only the
+    equality tests it needs: the one place, with `walker_tree`, that gives
+    a walker its `eq`."""
+    return walker(shape_x, shape_y, lambda i, j: vals_x[i] == vals_y[j])
+
+
 class CompiledDecoder:
-    """The one evaluator of a scheme's walker on codes, for one pair or in bulk.
+    """The bulk evaluator of a scheme's walker on code tables.
 
     An equality-based decoder sees only the two shapes and the equality
-    pattern Q of their codes.  `decode_pair` runs the walker lazily on one
-    pair, asking only the equality tests the walker needs.  `decode_pairs`
-    is the bulk core and the only code that knows Q's layout: over pairs of
-    rows of a padded code table (`ShapeCodec.table`) it keys each pair by
-    its shape-id pair and Q bits, and runs the walker once per distinct
-    key; later pairs with that key read the memo.  The key is one 64-bit
-    word when the shape pair and the k*k bits of Q fit in one, and a byte
-    string otherwise; the codec fixes which, so one memo holds one kind.
+    pattern Q of their codes.  `decode_pairs` is the bulk core and the only
+    code that knows Q's layout: over pairs of rows of a padded code table
+    (`ShapeCodec.table`) it keys each pair by its shape-id pair and Q bits,
+    and runs the walker through `decode_pair` once per distinct key; later
+    pairs with that key read the memo.  The key is one 64-bit word when the
+    shape pair and the k*k bits of Q fit in one, and a byte string
+    otherwise; the codec fixes which, so one memo holds one kind.
     `decode_rows` decodes all pairs of whole tables through it.  Labels as
     bits decode here too: the packed sketches (`sketch.PackedEqualityScheme`)
     read their bit fields back into tables for `decode_rows`, and hand their
@@ -287,17 +294,25 @@ class CompiledDecoder:
     dies with the scheme that owns it.
     """
 
-    #: Q cells compared per block; bounds the size of the decode temporaries.
-    BLOCK_CELLS = 1 << 16
+    #: Bytes of decode temporaries per block of pairs.  A pair costs about
+    #: one byte per cell of its Q, and at least PAIR_BYTES for its row
+    #: indices, its key and the dedupe's arrays, so blocks of small k stay
+    #: bounded and blocks of large k still hold hundreds of pairs.
+    BLOCK_BYTES = 1 << 20
+    PAIR_BYTES = 64
 
     def __init__(self, codec: ShapeCodec, walker: Walker):
         self.codec = codec
         self.walker = walker
         self.memo: dict[int | bytes, int] = {}
 
-    def decode_pair(self, shape_x: ShapeNode, vals_x: Sequence[int],
-                    shape_y: ShapeNode, vals_y: Sequence[int]) -> int:
-        return self.walker(shape_x, shape_y, lambda i, j: vals_x[i] == vals_y[j])
+    @staticmethod
+    def counts_keys(span: int, pairs: int) -> bool:
+        """Whether a block of `pairs` word keys, all in range(span), finds
+        its distinct keys with a table indexed by key, of O(span) work,
+        rather than with a sort of O(pairs log pairs).  It never does for
+        one pair, so a one-pair decode allocates no table."""
+        return span < pairs
 
     def decode_rows(self, sid: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Decode every pair u < v of each of c code tables of n rows.
@@ -308,14 +323,15 @@ class CompiledDecoder:
         triangle mirrors it.
         """
         c, n, k = vals.shape
-        upper = np.broadcast_to(np.triu(np.ones((n, n), dtype=bool), 1), (c, n, n))
-        # row s*n + u against row s*n + v, for each set s and u < v; a mask
-        # over whole arrays builds them without int64 index temporaries
-        rows = np.arange(c * n, dtype=np.int32).reshape(c, n, 1)
-        x = np.broadcast_to(rows, (c, n, n))[upper]
-        y = np.broadcast_to(rows.reshape(c, 1, n), (c, n, n))[upper]
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        # row s*n + u against row s*n + v, for each set s and u < v: one
+        # table's pairs, offset to each table's first row
+        rows, start = np.arange(n, dtype=np.int32), np.arange(c, dtype=np.int32)[:, None] * n
+        x = (start + np.broadcast_to(rows[:, None], (n, n))[upper]).ravel()
+        y = (start + np.broadcast_to(rows, (n, n))[upper]).ravel()
         out = np.zeros((c, n, n), dtype=np.int8)
-        out[upper] = self.decode_pairs(sid.reshape(c * n), vals.reshape(c * n, k), x, y)
+        out[np.broadcast_to(upper, (c, n, n))] = self.decode_pairs(
+            sid.reshape(c * n), vals.reshape(c * n, k), x, y)
         return out + out.transpose(0, 2, 1)
 
     def decode_pairs(self, sid: np.ndarray, vals: np.ndarray,
@@ -326,45 +342,70 @@ class CompiledDecoder:
         vals[r], >= 0 on the shape's slots and -1 after them.  No code value
         is -1, so the cells of Q outside a pair's arities depend only on its
         shape pair, and the key stays exact.  When k*k bits plus the bits of
-        a shape-pair id fit in 64, the key is one uint64: the shape pair
-        above bit (i*k + j) for each cell (i, j) of Q, built cell by cell
-        with no (pairs, k, k) temporary.  Otherwise it is the shape pair's
-        8 bytes followed by Q's packed bits.  Either way the walker runs
-        once per distinct key.  Pairs are decoded in blocks of about
-        `BLOCK_CELLS` Q cells, each gathering its own rows.  A walker run
-        reads its pair's code values as Python ints.
+        a shape-pair id fit in 64, the key is one word: the shape pair above
+        bit (i*k + j) for each cell (i, j) of Q, built cell by cell with no
+        (pairs, k, k) temporary.  Otherwise it is the shape pair's 8 bytes
+        followed by Q's packed bits.  Pairs go in blocks of about
+        `BLOCK_BYTES` of temporaries.  A block finds its distinct word keys
+        with a table indexed by key when `counts_keys` allows it for the
+        keys' range, #shapes^2 << k*k, and its own pair count, and with a
+        sort otherwise; byte keys are always sorted.  The walker runs once
+        per distinct key the memo lacks, on one pair with that key; the
+        distinct rows of all of a block's new keys are read out as Python
+        ints in one gather.
         """
         k, shapes, arities, memo = self.codec.k, self.codec.shapes, self.codec.arities, self.memo
-        word = k * k + bits_for(len(shapes) ** 2) <= 64
+        cells, shape_pairs = k * k, len(shapes) ** 2
+        word = cells + bits_for(shape_pairs) <= 64
         narrow = vals.astype(narrow_values(int(vals.max(initial=0))))
+        if word:
+            narrow = narrow.T.copy()  # one row per code slot: Q is built cell by cell
         out = np.empty(len(x), dtype=np.int8)
-        step = max(1, self.BLOCK_CELLS // max(k * k, 1))
+        step = max(1, self.BLOCK_BYTES // max(cells, self.PAIR_BYTES))
         for lo in range(0, len(x), step):
             bx, by = x[lo:lo + step], y[lo:lo + step]
-            pair = sid[bx] * len(shapes) + sid[by]
+            pair = sid.take(bx) * len(shapes) + sid.take(by)
+            counted = word and self.counts_keys(shape_pairs << cells, len(bx))
             if word:
-                nx, ny = narrow[bx], narrow[by]
-                keys = pair.astype(np.uint64) << np.uint64(k * k)
+                nx, ny = narrow.take(bx, axis=1), narrow.take(by, axis=1)
+                keys = pair.astype(np.uint64) << np.uint64(cells)
                 for i in range(k):
                     for j in range(k):
-                        keys |= (nx[:, i] == ny[:, j]).astype(np.uint64) << np.uint64(i * k + j)
+                        keys |= (nx[i] == ny[j]).astype(np.uint64) << np.uint64(i * k + j)
             else:
-                q = (narrow[bx][:, :, None] == narrow[by][:, None, :]).reshape(len(bx), k * k)
+                q = narrow.take(bx, axis=0)[:, :, None] == narrow.take(by, axis=0)[:, None, :]
                 keys = np.concatenate([pair.reshape(-1, 1).view(np.uint8),
-                                       np.packbits(q, axis=1)], axis=1)
-                keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))
-            uniq, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-            keys = uniq.tolist()
-            res = [memo.get(key) for key in keys]
+                                       np.packbits(q.reshape(len(bx), cells), axis=1)], axis=1)
+                keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1]))).ravel()
+            if counted:
+                # slot[key] is some pair with that key, or -1; the keys are
+                # then the slots that are set, in order
+                slot = np.full(shape_pairs << cells, -1, dtype=np.intp)
+                slot[keys] = np.arange(len(keys))
+                uniq = np.flatnonzero(slot >= 0)
+                reps = slot[uniq]
+            else:
+                uniq, reps, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            found = uniq.tolist()
+            res = [memo.get(key) for key in found]
             new = [i for i, bit in enumerate(res) if bit is None]
-            # the walker runs on the code values of the first pair with each new key
-            rows_x, rows_y = bx[first[new]], by[first[new]]
-            for i, rx, ry, sx, sy in zip(new, rows_x.tolist(), rows_y.tolist(),
-                                         sid[rows_x].tolist(), sid[rows_y].tolist()):
-                res[i] = memo[keys[i]] = self.decode_pair(
-                    shapes[sx], vals[rx, :arities[sx]].tolist(),
-                    shapes[sy], vals[ry, :arities[sy]].tolist())
-            out[lo:lo + step] = np.array(res, dtype=np.int8)[inverse]
+            if new:
+                # the distinct table rows of the new keys' pairs, read out
+                # once as Python ints and cut to their arities
+                pick = reps[new]
+                rows, at = np.unique(np.concatenate([bx.take(pick), by.take(pick)]),
+                                     return_inverse=True)
+                ids = sid.take(rows).tolist()
+                codes = [r[:arities[i]] for r, i in zip(vals.take(rows, axis=0).tolist(), ids)]
+                at = at.tolist()
+                for i, rx, ry in zip(new, at, at[len(new):]):
+                    res[i] = memo[found[i]] = decode_pair(
+                        self.walker, shapes[ids[rx]], codes[rx], shapes[ids[ry]], codes[ry])
+            if counted:
+                slot[uniq] = res
+                out[lo:lo + step] = slot.take(keys)
+            else:
+                out[lo:lo + step] = np.array(res, dtype=np.int8)[inverse]
         return out
 
 

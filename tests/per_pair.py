@@ -6,7 +6,7 @@ the packed layout's `pack` / `parse` and code hash, the Bloom bit test,
 and the boost's copy split and majority vote.
 """
 
-from pugkit.labels import EqualityScheme
+from pugkit.labels import EqualityScheme, decode_pair
 from pugkit.products import ProductAdjacencySketch
 from pugkit.sketch import ArboricitySketch, BoostedScheme, PackedEqualityScheme, to_bits
 
@@ -40,7 +40,7 @@ def packed_decode(sk: PackedEqualityScheme, bx: int, by: int) -> int:
     """Both labels parsed, then the walker run on their values."""
     (sx, vx), (sy, vy) = parse(sk, bx), parse(sk, by)
     shapes = sk.codec.shapes
-    return sk.decoder.decode_pair(shapes[sx], vx, shapes[sy], vy)
+    return decode_pair(sk.decoder.walker, shapes[sx], vx, shapes[sy], vy)
 
 
 def bloom_decode(sk: ArboricitySketch, bx: int, by: int) -> int:

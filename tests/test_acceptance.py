@@ -8,16 +8,15 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 
-from pugkit import bipartite, generators, geometric, products, protocols, sketch, structure
+from pugkit import bipartite, generators, geometric, products, protocols, structure
 from pugkit.combinators import (
     add_vertices_scheme,
     apply_part_flips,
     complementation_scheme,
     twin_reduce_scheme,
 )
-from pugkit.graphs import ColoredBipartiteGraph, Graph, bip_transform, cartesian_product, induced_subgraph
+from pugkit.graphs import ColoredBipartiteGraph, Graph, bip_transform, induced_subgraph
 from pugkit.labels import SchemeError
 from pugkit.rng import derive_seed, rng_for
 from pugkit.sketch import (
@@ -29,7 +28,6 @@ from pugkit.sketch import (
     compress_equality_scheme,
     count_errors,
     evaluate_error,
-    naive_derandomize,
 )
 from tests.per_pair import code_hash
 

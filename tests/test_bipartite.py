@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from pugkit import bipartite
@@ -29,7 +27,6 @@ from pugkit.bipartite import (
 from pugkit.generators import (
     biclique,
     bipartite_equivalence_graph,
-    chain_graph,
     cobiclique,
     equivalence_graph,
     half_graph_bipartite,

@@ -664,30 +664,31 @@ def test_an_unknown_scheme_exits_3(scheme_inputs, capsys, command, name, message
 
 
 @pytest.mark.parametrize("kind", ["table", "tree"])
-def test_decoder_files_run_their_walker_through_compiled_decoder(monkeypatch, kind):
-    from pugkit import bipartite
-    from pugkit.cli import parse_decoder_file, write_decoder_file
+def test_decoder_files_run_their_walker_through_decode_pair(monkeypatch, kind):
+    from pugkit import bipartite, cli
     from pugkit.generators import random_forest, random_tp_free
-    from pugkit.labels import CompiledDecoder
+    from pugkit.labels import ShapeCodec
     from pugkit.sketch import arboricity_scheme
 
     sch = (arboricity_scheme(random_forest(10, seed=3)) if kind == "table"
            else bipartite.tp_free_labels(random_tp_free(9, 12, 2, seed=1), p=2, q=4))
-    text = write_decoder_file(sch)
+    text = cli.write_decoder_file(sch)
     assert text.startswith(f"decoder {kind}")
     pairs = [(u, v) for u in range(sch.n) for v in range(sch.n) if u != v]
     expected = [sch.decode(u, v) for u, v in pairs]
-    calls, decode_pair = [], CompiledDecoder.decode_pair
+    calls, built, decode_pair = [], [], cli.decode_pair
 
-    def counted(self, *args):
+    def counted(*args):
         calls.append(args)
-        return decode_pair(self, *args)
+        return decode_pair(*args)
 
-    monkeypatch.setattr(CompiledDecoder, "decode_pair", counted)
-    decode = parse_decoder_file(text)
+    monkeypatch.setattr(cli, "decode_pair", counted)
+    monkeypatch.setattr(ShapeCodec, "__init__", lambda self, shapes: built.append(1))
+    decode = cli.parse_decoder_file(text)
     labels = list(zip(sch.shapes, sch.codes))
     assert [decode(labels[u], labels[v]) for u, v in pairs] == expected
     assert len(calls) == len(pairs)
+    assert not built  # one pair needs no code table
 
 
 def test_the_cli_builds_no_eq_for_a_walker():

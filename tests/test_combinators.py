@@ -35,7 +35,6 @@ from pugkit.combinators import (
 from pugkit.generators import (
     bipartite_equivalence_graph,
     complete,
-    edgeless,
     half_graph,
     random_forest,
     random_fpp_free,

@@ -41,9 +41,11 @@ from pugkit.labels import (
     shape_arity,
     shape_from_str,
     shape_to_str,
+    decode_pair,
     walker_tree,
     write_label_file,
 )
+from pugkit import labels as labels_mod
 from pugkit import sketch
 from pugkit.products import adjacency_from_distance1
 from pugkit.rng import counter_hash
@@ -175,13 +177,83 @@ def test_deterministic_labeling_decodes_through_its_decoder(mode):
 
 
 def test_bulk_decode_blocks_do_not_change_the_output(monkeypatch):
+    # a compressed sketch with word keys, then two schemes whose k*k > 64
+    # cells of Q make byte keys, each decoded whole and one pair per block
     g = random_kdegenerate(30, 2, seed=4)
-    sk = compress_equality_scheme(arboricity_scheme(g))
-    labels = sk.encode(3)
-    whole = sk.decode_matrix(labels)
-    monkeypatch.setattr(CompiledDecoder, "BLOCK_CELLS", 1)  # one pair per block
-    # a fresh scheme, so that its walker runs start from an empty memo
-    assert (compress_equality_scheme(arboricity_scheme(g)).decode_matrix(labels) == whole).all()
+    labels = compress_equality_scheme(arboricity_scheme(g)).encode(3)
+
+    def decode(name):
+        # a fresh scheme, so that its walker runs start from an empty memo
+        if name == "arboricity":
+            sk = compress_equality_scheme(arboricity_scheme(g))
+            return sk.decode_matrix(labels), sk.decoder.memo
+        sch = _scheme(name)
+        sid, vals = sch.table
+        return sch.decoder.decode_rows(sid[None], vals[None])[0], sch.decoder.memo
+
+    cases = {name: decode(name) for name in ("arboricity", "tp-free", "interval")}
+    monkeypatch.setattr(CompiledDecoder, "BLOCK_BYTES", 1)  # one pair per block
+    for name, (whole, memo) in cases.items():
+        blocks, block_memo = decode(name)
+        assert (blocks == whole).all(), name
+        assert block_memo.keys() == memo.keys(), name
+        assert {type(key) for key in memo} == {int if name == "arboricity" else bytes}, name
+
+
+def _counted_walker_runs(monkeypatch):
+    """A list that grows by one for every walker run of the bulk decoder."""
+    runs, decode_pair = [], labels_mod.decode_pair
+
+    def counted(*args):
+        runs.append(1)
+        return decode_pair(*args)
+
+    monkeypatch.setattr(labels_mod, "decode_pair", counted)
+    return runs
+
+
+@pytest.mark.parametrize("name", ["arboricity", "equivalence", "compressed"])
+def test_counted_and_sorted_dedupe_decode_alike(monkeypatch, name):
+    runs = _counted_walker_runs(monkeypatch)
+
+    def decode(counted):
+        monkeypatch.setattr(CompiledDecoder, "counts_keys",
+                            staticmethod(lambda span, pairs: counted))
+        runs.clear()
+        if name == "compressed":
+            # three tables in one call, each under its own seed
+            sk = compress_equality_scheme(arboricity_scheme(random_kdegenerate(24, 2, seed=2)))
+            return sk.decode_bits(sk.encode_bits([0, 1, 2])), len(runs)
+        sch = (arboricity_scheme(random_kdegenerate(30, 2, seed=3)) if name == "arboricity"
+               else bipartite.equivalence_labels(equivalence_graph([5, 4, 4, 3, 2, 1])))
+        sid, vals = sch.table
+        return sch.decoder.decode_rows(sid[None], vals[None]), len(runs)
+
+    (by_sort, sort_runs), (by_count, count_runs) = decode(False), decode(True)
+    assert (by_sort == by_count).all()
+    assert sort_runs == count_runs > 0
+    # the rule itself: a one-pair block never builds a key table
+    monkeypatch.undo()
+    assert not any(CompiledDecoder.counts_keys(span, 1) for span in (1, 2, 1 << 20))
+
+
+@pytest.mark.parametrize("counted", [False, True])
+@pytest.mark.parametrize("n, k", [(0, 0), (1, 0), (1, 1), (6, 0), (6, 1)])
+def test_bulk_decode_of_empty_single_and_codeless_tables(monkeypatch, n, k, counted):
+    monkeypatch.setattr(CompiledDecoder, "counts_keys", staticmethod(lambda span, pairs: counted))
+    labels = [node((v % 2,), (v // 3,) * k) for v in range(n)]
+
+    def walker(sx, sy, eq):
+        return int(sx.tag != sy.tag or bool(k and eq(0, 0)))
+
+    sch = EqualityScheme(labels, walker)
+    sid, vals = sch.table
+    assert vals.shape == (n, k if n else 0)
+    mats = sch.decoder.decode_rows(np.stack([sid, sid]), np.stack([vals, vals]))
+    assert mats.shape == (2, n, n)
+    for u in range(n):
+        for v in range(n):
+            assert mats[0, u, v] == mats[1, u, v] == (u != v and sch.decode(u, v))
 
 
 def test_walker_runs_once_per_key_and_memo_is_per_scheme():
@@ -235,8 +307,8 @@ def test_memo_key_is_one_word_exactly_when_it_fits(shapes, layout):
     assert len(calls) == len(keys)
     for u in range(len(labels)):
         for v in range(u + 1, len(labels)):
-            assert mat[u, v] == dec.decode_pair(codec.shapes[sid[u]], codes[u],
-                                                codec.shapes[sid[v]], codes[v])
+            assert mat[u, v] == decode_pair(walker, codec.shapes[sid[u]], codes[u],
+                                            codec.shapes[sid[v]], codes[v])
 
 
 def _raising_scheme():
@@ -530,7 +602,6 @@ def _probe_walker(sx, sy, eq):
 
 
 def test_walker_tree_branches_once_per_cell_and_marks_violations(monkeypatch):
-    from pugkit import labels as labels_mod
     from pugkit.cli import write_decoder_file
 
     sh, _ = node((), (0, 1))
@@ -649,7 +720,6 @@ def test_prefix_figures_read_off_shapes_equal_a_walk_of_every_label():
 def test_only_the_outer_scheme_builds_a_codec_and_only_once_decoded(monkeypatch):
     # bip_lower(bip_lift(arboricity)), fstar over two fpp parts, and fpp
     # over tp-free leaves among them: their parts never build either
-    from pugkit import labels as labels_mod
 
     built = Counter()
 

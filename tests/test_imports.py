@@ -1,0 +1,35 @@
+"""A static check in place of a linter: every module-level import of the
+package and of its tests binds a name that the module reads."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the module-level imports of `source` that no
+    expression in it reads, as '<line>: <name>'."""
+    tree = ast.parse(source)
+    bound = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                bound[alias.asname or alias.name.split(".")[0]] = stmt.lineno
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            for alias in stmt.names:
+                bound[alias.asname or alias.name] = stmt.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_the_scan_finds_an_unused_import():
+    source = "import os.path\nimport sys\nfrom a import b as c, d\n\n\ndef f():\n    return sys, d\n"
+    assert unused_imports(source) == ["1: os", "3: c"]
+
+
+def test_no_module_level_import_is_unused():
+    files = sorted([*(ROOT / "src" / "pugkit").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    assert len(files) > 20
+    found = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in files}
+    assert {path: names for path, names in found.items() if names} == {}

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from pugkit.bipartite import bipartite_equivalence_labels
 from pugkit.generators import (
     bipartite_equivalence_graph,
     equivalence_graph,

@@ -9,7 +9,6 @@ from pugkit.generators import (
     complete,
     edgeless,
     equivalence_graph,
-    hypercube,
     path,
     random_forest,
     random_graph,

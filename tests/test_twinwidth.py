@@ -1,8 +1,5 @@
-import itertools
-
 import pytest
 
-from pugkit.bipartite import bipartite_equivalence_labels
 from pugkit.generators import (
     biclique,
     bipartite_equivalence_graph,
