@@ -182,10 +182,10 @@ class PackedEqualityScheme(SketchScheme):
         # trial's seed
         sid, vals = self.table
         t, w = len(us), np.concatenate([us, vs])
-        rows = vals[w]
+        rows = vals.take(w, axis=0)
         values = self._code_values(np.tile(np.asarray(seeds, dtype=np.uint64), 2)[:, None], rows)
         values = np.where(rows < 0, -1, values.astype(np.int64))
-        return self.decoder.decode_pairs(sid[w], values, np.arange(t), np.arange(t, 2 * t))
+        return self.decoder.decode_pairs(sid.take(w), values, np.arange(t), np.arange(t, 2 * t))
 
     def decode_bits(self, bits: np.ndarray) -> np.ndarray:
         # the fields read back into code tables, -1 past each arity as

@@ -59,6 +59,12 @@ def chain_number(g: Graph, cap: int = 8) -> ChainNumberResult:
     The search keeps two bitset candidate pools: future a's must avoid
     every chosen b (cand_a) and future b's must reach every chosen a
     (cand_b); branches die as soon as either pool is too small.
+
+    A node tries each a in degree order, read from one list of (vertex,
+    bit, row) triples, and walks the low bits of its b pool inline.  The
+    used set and b pool that every b of one a shares are built once per a.
+    The chain so far lives in two lists shared by every node, and a node
+    is given only the number of pairs still to place.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -66,44 +72,49 @@ def chain_number(g: Graph, cap: int = 8) -> ChainNumberResult:
     rows = g.rows
     full = (1 << n) - 1
     # high-degree vertices make good a_1 candidates (a_1 reaches every b_j)
-    by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    best_witness: list[ChainWitness | None] = [None]
+    by_degree = [(v, 1 << v, rows[v]) for v in sorted(range(n), key=lambda v: (-g.degree(v), v))]
+    a: list[int] = []
+    b: list[int] = []
 
-    def extend(a: list[int], b: list[int], used: int, cand_a: int,
-               cand_b: int, target: int) -> bool:
-        t = len(a)
-        if t == target:
-            best_witness[0] = ChainWitness(tuple(a), tuple(b))
+    def extend(used: int, cand_a: int, cand_b: int, remaining: int) -> bool:
+        # extend the chain a, b by `remaining` more pairs
+        if not remaining:
             return True
-        remaining = target - t
         pool_a = cand_a & ~used
         pool_b = cand_b & ~used
         if pool_a.bit_count() < remaining or pool_b.bit_count() < remaining:
             return False
-        for av in by_degree:
-            if not pool_a >> av & 1:
+        rest = remaining - 1
+        for av, abit, arow in by_degree:
+            if not pool_a & abit:
                 continue
-            pool = rows[av] & pool_b
+            pool = arow & pool_b
             if pool.bit_count() < remaining:
                 continue
-            for bv in members(pool):
-                a.append(av)
+            used_a = used | abit
+            next_b = cand_b & arow
+            a.append(av)
+            while pool:
+                low = pool & -pool
+                bv = low.bit_length() - 1
                 b.append(bv)
-                if extend(a, b, used | 1 << av | 1 << bv,
-                          cand_a & ~rows[bv], cand_b & rows[av], target):
+                if extend(used_a | low, cand_a & ~rows[bv], next_b, rest):
                     return True
-                a.pop()
                 b.pop()
+                pool ^= low
+            a.pop()
         return False
 
     value = 0
     witness = None
     k = 1
     while k <= cap + 1:
-        if 2 * k > n or not extend([], [], 0, full, full, k):
+        if 2 * k > n or not extend(0, full, full, k):
             break
         value = k
-        witness = best_witness[0]
+        witness = ChainWitness(tuple(a), tuple(b))
+        a.clear()
+        b.clear()
         k += 1
     exact = value <= cap
     return ChainNumberResult(value, exact, witness)
@@ -118,13 +129,12 @@ def quasi_chain_number(g: ColoredBipartiteGraph, cap: int = 64) -> int:
 
     Sequences x_1..x_k, y_1..y_k allow repeated vertices; each step demands
     (x_i complete to earlier y's and y_i anticomplete to earlier x's) or the
-    converse.  Any valid step adds a new vertex to one of the running sets,
-    so states are (X-bitset, Y-bitset) pairs and qch <= nx + ny.  The memo
-    holds each state's exact remaining length, and the cap is tested on
-    depth + length, so a state first reached at a shallower depth cannot
-    hide a binding cap.
+    converse.  Any valid step adds a new vertex to one of the running sets
+    xs, ys, so qch <= nx + ny.  The memo holds each state's exact remaining
+    length, and the cap is tested on depth + length, also on a memo hit, so
+    a state first reached at a shallower depth cannot hide a binding cap.
 
-    The remaining length `further(xs, ys)` is antitone under inclusion: a
+    The remaining length of a state (xs, ys) is antitone under inclusion: a
     larger set of earlier vertices only removes candidates, so any sequence
     from a larger state also runs from a smaller one.  Only the
     inclusion-minimal successors are therefore expanded.  Within one step
@@ -134,14 +144,22 @@ def quasi_chain_number(g: ColoredBipartiteGraph, cap: int = 64) -> int:
     neither side has a candidate already in its set, and without the pairs
     whose x or y is a single-vertex step of either direction.  Steps are
     deduplicated in first-seen order, so the node order is deterministic.
-    Every step adds a fresh vertex, so a state's length is at most
-    nx + ny - |xs| - |ys|, and its loop stops once that bound is reached.
 
     `further` carries four running bitsets instead of scanning rows: the X
     vertices complete to ys and those touching ys, and the Y vertices
     complete to xs and those touching xs.  Adding a vertex ANDs or ORs its
     row into the other side's pair, and each direction's candidates are
-    then two mask operations.
+    then two mask operations.  The X vertices that can still be added,
+    cx = x_all | full_x & ~x_any, only shrink along a sequence (cy
+    likewise), and the future reads xs and ys only through them.  So the
+    memo is keyed on the canonical state (x_all, x_any, y_all, y_any,
+    xs & cx, ys & cy), and every step adds a fresh candidate, so a state's
+    length is at most |cx - xs| + |cy - ys|; its loop stops once that bound
+    is reached.  A successor is looked up in the memo before `further` is
+    called on it, so a memo hit costs no call.  Bit lists of masks are
+    cached in a dict per call, not a table over all masks.  Both dicts hang
+    off the recursive closure, a reference cycle that outlives the call
+    until a full collection, so they are cleared on the way out.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -149,57 +167,75 @@ def quasi_chain_number(g: ColoredBipartiteGraph, cap: int = 64) -> int:
         return 0
     rows_x, rows_y = g.rows_x, g.rows_y
     full_x, full_y = (1 << g.nx) - 1, (1 << g.ny) - 1
-    size = g.nx + g.ny
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[tuple[int, ...], int] = {}
+    bits: dict[int, tuple[int, ...]] = {}
 
-    def further(xs: int, ys: int, x_all: int, x_any: int, y_all: int,
-                y_any: int, depth: int) -> int:
-        best = memo.get((xs, ys))
-        if best is None:
-            # x complete to ys and y anticomplete to xs, or the converse.
-            # A fresh vertex that is a step on its own (-1 on the other
-            # side) dominates every pair step that adds it.
-            add_x = add_y = 0
-            products = []
-            for cand_x, cand_y in ((x_all, full_y & ~y_any), (full_x & ~x_any, y_all)):
-                if cand_x & xs:
-                    add_y |= cand_y & ~ys
-                if cand_y & ys:
-                    add_x |= cand_x & ~xs
-                if not (cand_x & xs or cand_y & ys):
-                    products.append((cand_x, cand_y))
-            steps = [(-1, y) for y in members(add_y)] + [(x, -1) for x in members(add_x)]
-            steps += dict.fromkeys((x, y) for cand_x, cand_y in products
-                                   for x in members(cand_x & ~add_x)
-                                   for y in members(cand_y & ~add_y))
-            best = 0
-            if steps:
-                if depth + 1 > cap:
+    def bits_of(mask: int) -> tuple[int, ...]:
+        out = bits.get(mask)
+        if out is None:
+            out = bits[mask] = tuple(members(mask))
+        return out
+
+    def further(state: tuple[int, ...], cx: int, cy: int, depth: int) -> int:
+        # the length of a canonical state that is not in the memo yet
+        x_all, x_any, y_all, y_any, xs, ys = state
+        # x complete to ys and y anticomplete to xs, or the converse.
+        # A fresh vertex that is a step on its own (-1 on the other
+        # side) dominates every pair step that adds it.
+        add_x = add_y = 0
+        products = []
+        for cand_x, cand_y in ((x_all, full_y & ~y_any), (full_x & ~x_any, y_all)):
+            if cand_x & xs:
+                add_y |= cand_y & ~ys
+            if cand_y & ys:
+                add_x |= cand_x & ~xs
+            if not (cand_x & xs or cand_y & ys):
+                products.append((cand_x, cand_y))
+        steps = [(-1, y) for y in bits_of(add_y)] + [(x, -1) for x in bits_of(add_x)]
+        pairs = [(x, y) for cand_x, cand_y in products
+                 for x in bits_of(cand_x & ~add_x)
+                 for y in bits_of(cand_y & ~add_y)]
+        steps += dict.fromkeys(pairs) if len(products) > 1 else pairs
+        best = 0
+        if steps:
+            deeper = depth + 1
+            if deeper > cap:
+                raise _CapReached
+            bound = (cx & ~xs).bit_count() + (cy & ~ys).bit_count()
+            for x, y in steps:
+                nxs, nys, nx_all, nx_any, ny_all, ny_any = xs, ys, x_all, x_any, y_all, y_any
+                if x >= 0:
+                    nxs |= 1 << x
+                    ny_all &= rows_x[x]
+                    ny_any |= rows_x[x]
+                if y >= 0:
+                    nys |= 1 << y
+                    nx_all &= rows_y[y]
+                    nx_any |= rows_y[y]
+                ncx = nx_all | full_x & ~nx_any
+                ncy = ny_all | full_y & ~ny_any
+                nxt = (nx_all, nx_any, ny_all, ny_any, nxs & ncx, nys & ncy)
+                length = memo.get(nxt)
+                if length is None:
+                    length = further(nxt, ncx, ncy, deeper)
+                elif deeper + length > cap:
                     raise _CapReached
-                bound = size - xs.bit_count() - ys.bit_count()
-                for x, y in steps:
-                    nxs, nys, nx_all, nx_any, ny_all, ny_any = xs, ys, x_all, x_any, y_all, y_any
-                    if x >= 0:
-                        nxs |= 1 << x
-                        ny_all &= rows_x[x]
-                        ny_any |= rows_x[x]
-                    if y >= 0:
-                        nys |= 1 << y
-                        nx_all &= rows_y[y]
-                        nx_any |= rows_y[y]
-                    best = max(best, 1 + further(nxs, nys, nx_all, nx_any, ny_all,
-                                                 ny_any, depth + 1))
+                if length >= best:
+                    best = length + 1
                     if best == bound:
                         break
-            memo[xs, ys] = best
+        memo[state] = best
         if depth + best > cap:
             raise _CapReached
         return best
 
     try:
-        return further(0, 0, full_x, 0, full_y, 0, 0)
+        return further((full_x, 0, full_y, 0, 0, 0), full_x, full_y, 0)
     except _CapReached:
         return cap + 1
+    finally:
+        memo.clear()
+        bits.clear()
 
 
 @dataclass(frozen=True)

@@ -298,7 +298,26 @@ def test_criterion_5_exact_schemes():
 
 def _bipartite_classes(a: int, b: int) -> list[int]:
     """Representative masks of all a-by-b bipartite graphs up to row and
-    column permutations (vectorized canonical forms)."""
+    column permutations (vectorized canonical forms).
+
+    Row i of a mask is its b-bit nibble at bit i * b.  Under a fixed column
+    permutation, the least mask over row permutations puts the largest
+    nibble at row 0 and the smallest at row a - 1, so only column
+    permutations are enumerated and each mask's nibbles are sorted."""
+    masks = np.arange(1 << (a * b), dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(a * b)[None, :]) & 1).reshape(-1, a, b)
+    col_weights = 1 << np.arange(b, dtype=np.int64)
+    row_shifts = b * np.arange(a, dtype=np.int64)
+    canon = masks.copy()
+    for cp in itertools.permutations(range(b)):
+        nibbles = (bits[:, :, list(cp)] * col_weights).sum(axis=2)
+        nibbles = -np.sort(-nibbles, axis=1)
+        np.minimum(canon, (nibbles << row_shifts).sum(axis=1), out=canon)
+    return [int(m) for m in np.unique(canon)]
+
+
+def _bipartite_classes_by_all_permutations(a: int, b: int) -> list[int]:
+    """Reference: the least mask over every row and column permutation."""
     total = 1 << (a * b)
     masks = np.arange(total, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(a * b)[None, :]) & 1
@@ -309,8 +328,13 @@ def _bipartite_classes(a: int, b: int) -> list[int]:
             idx = np.array([rp[i] * b + cp[j] for i in range(a) for j in range(b)])
             packed = (bits[:, idx] * weights[None, :]).sum(axis=1)
             np.minimum(canon, packed, out=canon)
-    reps = np.unique(canon)
-    return [int(m) for m in reps]
+    return [int(m) for m in np.unique(canon)]
+
+
+def test_bipartite_classes_match_every_permutation():
+    sizes = [(a, b) for b in range(1, 4) for a in range(1, b + 1)] + [(3, 4)]
+    for a, b in sizes:
+        assert _bipartite_classes(a, b) == _bipartite_classes_by_all_permutations(a, b), (a, b)
 
 
 def _all_bipartite_sandwich(nx_max: int, ny_max: int):

@@ -1,4 +1,7 @@
+import gc
 import itertools
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +19,14 @@ from pugkit.generators import (
     random_bipartite,
     random_graph,
     random_kdegenerate,
+    threshold_graph,
 )
-from pugkit.graphs import ColoredBipartiteGraph, Graph, bip_transform, induced_subgraph
+from pugkit.graphs import ColoredBipartiteGraph, Graph, bip_transform, induced_subgraph, members
 from pugkit.rng import rng_for
 from pugkit.sketch import arboricity_sketch
 from pugkit.structure import (
+    ChainNumberResult,
+    ChainWitness,
     chain_number,
     forest_partition,
     interval_clique_number,
@@ -332,6 +338,169 @@ def test_interval_clique_vs_pairwise_oracle():
 def test_co_half_graph_chain():
     assert chain_number(co_half_graph(4), cap=4).value == 4
     assert chain_number(bip_transform(cycle(4)).to_graph(), cap=4).value <= 2 * chain_number(cycle(4), cap=4).value
+
+
+def reference_chain_number(g: Graph, cap: int) -> ChainNumberResult:
+    """Reference: the same branch-and-bound with a `members` walk per a,
+    the used set and b pool rebuilt per b, and the chain and target passed
+    to every node."""
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+    by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    found: list[ChainWitness | None] = [None]
+
+    def extend(a, b, used, cand_a, cand_b, target):
+        if len(a) == target:
+            found[0] = ChainWitness(tuple(a), tuple(b))
+            return True
+        remaining = target - len(a)
+        pool_a, pool_b = cand_a & ~used, cand_b & ~used
+        if pool_a.bit_count() < remaining or pool_b.bit_count() < remaining:
+            return False
+        for av in by_degree:
+            if not pool_a >> av & 1:
+                continue
+            pool = rows[av] & pool_b
+            if pool.bit_count() < remaining:
+                continue
+            for bv in members(pool):
+                a.append(av)
+                b.append(bv)
+                if extend(a, b, used | 1 << av | 1 << bv,
+                          cand_a & ~rows[bv], cand_b & rows[av], target):
+                    return True
+                a.pop()
+                b.pop()
+        return False
+
+    value, witness = 0, None
+    for k in range(1, cap + 2):
+        if 2 * k > n or not extend([], [], 0, full, full, k):
+            break
+        value, witness = k, found[0]
+    return ChainNumberResult(value, value <= cap, witness)
+
+
+def test_chain_number_matches_the_reference_search():
+    rng = rng_for(28, "chain-parity")
+    cases = []
+    for n, p in ((36, 0.15), (40, 0.15), (45, 0.15), (50, 0.12), (60, 0.1)):
+        for cap in (4, 5):
+            for _ in range(3):
+                cases.append((random_graph(n, p, seed=rng.randrange(1 << 30)), cap))
+    for k in range(1, 8):
+        for gen in (half_graph, co_half_graph, threshold_graph):
+            for cap in (k - 1, k, k + 1):
+                cases.append((gen(k), cap))
+    for _ in range(30):
+        g = random_graph(rng.randrange(15), rng.random(), seed=rng.randrange(1 << 30))
+        cases += [(g, cap) for cap in range(7)]
+    assert len(cases) >= 300
+    for g, cap in cases:
+        assert chain_number(g, cap=cap) == reference_chain_number(g, cap), (g.rows, cap)
+
+
+class _PairKeyedCapReached(Exception):
+    pass
+
+
+def pair_keyed_quasi_chain_number(g: ColoredBipartiteGraph, cap: int) -> int:
+    """Reference: the memo keyed on (xs, ys) as they stand, each state
+    bounded by nx + ny - |xs| - |ys|, and every successor looked up in the
+    memo inside its own call."""
+    if g.nx == 0 or g.ny == 0:
+        return 0
+    rows_x, rows_y = g.rows_x, g.rows_y
+    full_x, full_y = (1 << g.nx) - 1, (1 << g.ny) - 1
+    memo: dict[tuple[int, int], int] = {}
+
+    def further(xs, ys, x_all, x_any, y_all, y_any, depth):
+        best = memo.get((xs, ys))
+        if best is None:
+            add_x = add_y = 0
+            products = []
+            for cand_x, cand_y in ((x_all, full_y & ~y_any), (full_x & ~x_any, y_all)):
+                if cand_x & xs:
+                    add_y |= cand_y & ~ys
+                if cand_y & ys:
+                    add_x |= cand_x & ~xs
+                if not (cand_x & xs or cand_y & ys):
+                    products.append((cand_x, cand_y))
+            steps = [(-1, y) for y in members(add_y)] + [(x, -1) for x in members(add_x)]
+            steps += dict.fromkeys((x, y) for cand_x, cand_y in products
+                                   for x in members(cand_x & ~add_x)
+                                   for y in members(cand_y & ~add_y))
+            best = 0
+            if steps:
+                if depth + 1 > cap:
+                    raise _PairKeyedCapReached
+                bound = g.nx + g.ny - xs.bit_count() - ys.bit_count()
+                for x, y in steps:
+                    nxs, nys, nx_all, nx_any, ny_all, ny_any = xs, ys, x_all, x_any, y_all, y_any
+                    if x >= 0:
+                        nxs |= 1 << x
+                        ny_all &= rows_x[x]
+                        ny_any |= rows_x[x]
+                    if y >= 0:
+                        nys |= 1 << y
+                        nx_all &= rows_y[y]
+                        nx_any |= rows_y[y]
+                    best = max(best, 1 + further(nxs, nys, nx_all, nx_any, ny_all,
+                                                 ny_any, depth + 1))
+                    if best == bound:
+                        break
+            memo[xs, ys] = best
+        if depth + best > cap:
+            raise _PairKeyedCapReached
+        return best
+
+    try:
+        return further(0, 0, full_x, 0, full_y, 0, 0)
+    except _PairKeyedCapReached:
+        return cap + 1
+
+
+def test_qch_matches_the_pair_keyed_search_at_every_cap():
+    rng = rng_for(28, "qch-parity")
+    sizes = [(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(24)]
+    sizes += [(8, 8)] * 4 + [(10, 6), (6, 10)] * 2
+    for nx, ny in sizes:
+        g = random_bipartite(nx, ny, 0.2 + 0.6 * rng.random(), seed=rng.randrange(1 << 30))
+        for cap in range(nx + ny + 1):
+            assert quasi_chain_number(g, cap=cap) == pair_keyed_quasi_chain_number(g, cap), \
+                (g.rows_x, cap)
+
+
+def test_qch_on_large_sides_needs_no_table_over_subsets():
+    # a 30 x 30 bigraph: any table sized 2^30 would not fit in the time
+    g = random_bipartite(30, 30, 0.5, seed=28)
+    start = time.perf_counter()
+    assert quasi_chain_number(g, cap=3) == 4
+    assert time.perf_counter() - start < 1.0
+
+
+def test_qch_releases_its_memo_on_return():
+    # `further` is a recursive closure, so its memo would stay reachable
+    # through a reference cycle until a full collection.  Without the
+    # collector, what a call leaves allocated must be a small part of its
+    # peak, on the plain path (cap 64) and on the capped one (cap 8).
+    # Each call is made twice, so tuple free lists are warm before the
+    # measured call.
+    g = random_bipartite(10, 10, 0.4, seed=2)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for cap, want in ((64, 9), (8, 9)):
+            quasi_chain_number(g, cap=cap)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert quasi_chain_number(g, cap=cap) == want
+            left, peak = tracemalloc.get_traced_memory()
+            assert left - before < (peak - before) / 4, (cap, left - before, peak - before)
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 def scan_peel_order(g: Graph) -> tuple[list[int], int]:
