@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
 from . import bipartite, combinators, generators, geometric, products, sketch, structure, twinwidth
 from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, in_id_order,
-                     parse_graph, write_graph)
+                     members, parse_graph, write_graph)
 from .labels import (
     Ask,
     EqualityScheme,
@@ -144,26 +146,27 @@ def _need(g, cls, scheme):
 def write_decoder_file(scheme: EqualityScheme) -> str:
     """Decoder file grammar:
 
-    decoder tree <json decoder-spec>
-        shape <idx> <shape-string>       (one per distinct label shape)
+    decoder tree <json decoder-spec>     (the header line alone)
     decoder table s=<s> k=<k>            (small schemes only)
-        shape <idx> <shape-string>
+        shape <idx> <shape-string>       (one per distinct label shape)
         t <sx> <sy> <Q-field> <out>
 
     A table row is a leaf of the walker's decision tree (`walker_tree`) on
     the shape pair, in preorder with the 0-branch first; SchemeError leaves
     get none.  Its Q field holds Q[i][j] at position ax*ay-1-(i*ay+j): '0',
-    '1', or '*' where the path does not ask; '-' for no cells.
+    '1', or '*' where the path does not ask; '-' for no cells.  A tree
+    file's walker reads no shapes, so it lists none; `parse_decoder_file`
+    still reads and checks the `shape` lines of older tree files.
     """
     try:
         spec = json.dumps(scheme.spec)
     except (TypeError, ValueError):  # a live walker in the spec
         raise CliError(EXIT_CONTRACT, "scheme decoder is not serializable") from None
-    codec = scheme.codec
-    shape_lines = [f"shape {i} {shape_to_str(sh)}" for i, sh in enumerate(codec.shapes)]
     if not (scheme.s <= 4 and scheme.k <= 4):
-        return "\n".join([f"decoder tree {spec}", *shape_lines]) + "\n"
-    lines = [f"decoder table s={scheme.s} k={scheme.k}", *shape_lines]
+        return f"decoder tree {spec}\n"
+    codec = scheme.codec
+    lines = [f"decoder table s={scheme.s} k={scheme.k}",
+             *(f"shape {i} {shape_to_str(sh)}" for i, sh in enumerate(codec.shapes))]
     for xi, sx in enumerate(codec.shapes):
         for yi, sy in enumerate(codec.shapes):
             ay = codec.arities[yi]
@@ -190,8 +193,10 @@ def parse_decoder_file(text: str):
     pairs that `parse_label_file` reads.  It runs a
     `decoder tree`'s registered walker, or reads a `decoder table` as a
     walker that returns the output of the row matching Q on the row's asked
-    cells (care masks in file order), through `labels.decode_pair`.  Only
-    a table's walker reads the shape lines."""
+    cells (care masks in file order), through `labels.decode_pair`; that
+    walker asks only the cells that some row of the shape pair names.  Only
+    a table's walker reads the shape lines; a tree file's, if any, are
+    still read and checked."""
     lines, kind, head_line, walker = LineReader(text), None, None, None
     shape_ids, rows = {}, []  # shape -> (idx, arity); (lineno, sx, sy, out, Q field)
     for parts in lines:
@@ -221,7 +226,7 @@ def parse_decoder_file(text: str):
         # (sx, sy) -> care mask -> value mask -> out: bit i*ay + j of care is
         # set where Q[i][j] is '0' or '1', and of value where it is '1'; a
         # row naming a shape id the file does not list cannot match a label
-        arities, table = dict(shape_ids.values()), {}
+        arities, by_ids = dict(shape_ids.values()), {}
         for lineno, sx, sy, out, field in rows:
             if sx in arities and sy in arities:
                 q, cells = "" if field == "-" else field, arities[sx] * arities[sy]
@@ -230,14 +235,27 @@ def parse_decoder_file(text: str):
                                            f"'1' or '*', got {field!r}")
                 care, value = (int("0" + q.replace("0", "1").replace("*", "0"), 2),
                                int("0" + q.replace("*", "0"), 2))
-                table.setdefault((sx, sy), {}).setdefault(care, {})[value] = out
+                by_ids.setdefault((sx, sy), {}).setdefault(care, {})[value] = out
+        # the (idx, arity) entries of two label shapes -> the cells that the
+        # care masks of their rows name, as (bit, i, j), and their (care,
+        # outs) rows; built on first use.  A row matches on q & care alone,
+        # so q needs no other cell.
+        asked = {}
 
         def walker(sx, sy, eq) -> int:
-            if sx not in shape_ids or sy not in shape_ids:
+            kx, ky = shape_ids.get(sx), shape_ids.get(sy)
+            if kx is None or ky is None:
                 raise CliError(EXIT_CONTRACT, "label shape unknown to decoder")
-            (ix, ax), (iy, ay) = shape_ids[sx], shape_ids[sy]
-            q = sum(1 << b for b in range(ax * ay) if eq(*divmod(b, ay)))
-            for care, outs in table.get((ix, iy), {}).items():
+            if (pair := asked.get((kx, ky))) is None:
+                cares, (ax, ay) = by_ids.get((kx[0], ky[0]), {}), (kx[1], ky[1])
+                pair = asked[kx, ky] = (
+                    [(1 << b, *divmod(b, ay)) for b in members(reduce(or_, cares, 0))
+                     if b < ax * ay], list(cares.items()))
+            q = 0
+            for bit, i, j in pair[0]:
+                if eq(i, j):
+                    q |= bit
+            for care, outs in pair[1]:
                 if (out := outs.get(q & care)) is not None:
                     return out
             raise CliError(EXIT_CONTRACT, "pair missing from decoder table")

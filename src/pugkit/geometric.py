@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bipartite import _chain_walker_factory, chain_graph_labels
 from .combinators import TAG_D, TAG_DBAR, TAG_L, TAG_P, _bits, _width_for, tree_walker
 from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, in_id_order
@@ -29,30 +31,62 @@ Interval = tuple[float, float]
 Point = tuple[float, float]
 
 
+#: Cells of the pair comparison that `realization_edges` holds at a time:
+#: it compares a block of rows with every later vertex, so memory stays
+#: O(BLOCK_CELLS) whatever n is.
+BLOCK_CELLS = 1 << 18
+
+
+def _intervals_meet(l1, r1, l2, r2):
+    return (l1 <= r2) & (l2 <= r1)
+
+
+def _points_compare(x1, y1, x2, y2):
+    """Comparability under the coordinatewise partial order."""
+    return ((x1 <= x2) & (y1 <= y2)) | ((x2 <= x1) & (y2 <= y1))
+
+
+def realization_edges(kind: str, items: Sequence[tuple[float, float]]) -> np.ndarray:
+    """The edges of the graph that `items` realize, as an (m, 2) int64
+    array of rows (u, v) with u < v, sorted: the layout of
+    `Graph.edge_array`.  `kind` is "intervals" (adjacent when the closed
+    intervals meet; an interval with l > r is a ValueError naming the
+    first) or "points" (adjacent when comparable coordinatewise)."""
+    coords = np.asarray(items, dtype=np.float64).reshape(-1, 2)
+    a, b = coords[:, 0], coords[:, 1]
+    if kind == "intervals":
+        if (bad := np.flatnonzero(a > b)).size:
+            raise ValueError(f"malformed interval at {bad[0]}")
+        adjacent = _intervals_meet
+    else:
+        adjacent = _points_compare
+    n = len(coords)
+    step = max(1, BLOCK_CELLS // max(n, 1))
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        # rows lo..hi-1 against the columns lo+1..n-1, kept where v > u
+        hit = adjacent(a[lo:hi, None], b[lo:hi, None], a[None, lo + 1:], b[None, lo + 1:])
+        hit &= np.arange(lo + 1, n) > np.arange(lo, hi)[:, None]
+        u, v = np.nonzero(hit)
+        blocks.append(np.stack((u + lo, v + lo + 1), axis=1).astype(np.int64, copy=False))
+    return np.concatenate(blocks)
+
+
 def interval_graph_from(realization: Sequence[Interval]) -> Graph:
-    n = len(realization)
-    edges = []
-    for u in range(n):
-        lu, ru = realization[u]
-        if lu > ru:
-            raise ValueError(f"malformed interval at {u}")
-        for v in range(u + 1, n):
-            lv, rv = realization[v]
-            if lu <= rv and lv <= ru:
-                edges.append((u, v))
-    return Graph(n, edges)
+    return Graph(len(realization), realization_edges("intervals", realization).tolist())
 
 
 def permutation_graph_from(points: Sequence[Point]) -> Graph:
     """Adjacency = comparability under the coordinatewise partial order."""
-    n = len(points)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            (x1, y1), (x2, y2) = points[u], points[v]
-            if (x1 <= x2 and y1 <= y2) or (x2 <= x1 and y2 <= y1):
-                edges.append((u, v))
-    return Graph(n, edges)
+    return Graph(len(points), realization_edges("points", points).tolist())
+
+
+def _check_realization(g: Graph, kind: str, items: Sequence[tuple[float, float]]) -> None:
+    """SchemeError unless `items` realize exactly the graph g."""
+    edges = realization_edges(kind, items)
+    if not (isinstance(g, Graph) and g.n == len(items) and np.array_equal(g.edge_array(), edges)):
+        raise SchemeError("realization does not match the graph")
 
 
 def distinct_ranks(points: Sequence[Point]) -> list[tuple[int, int]]:
@@ -130,8 +164,7 @@ def interval_scheme(g: Graph, realization: Sequence[Interval], k: int) -> Equali
     quotient's clique number against 4(k+1)^2 (a violation refutes the
     chain bound), then labels the quotient by its degeneracy forests.
     """
-    if interval_graph_from(realization) != g:
-        raise SchemeError("realization does not match the graph")
+    _check_realization(g, "intervals", realization)
     from .combinators import twin_reduce_scheme
 
     cap = 4 * (k + 1) ** 2
@@ -346,8 +379,7 @@ def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualitySch
     chain-graph labels in the prefix, and part plus J-set ids as codes.
     Depth is bounded by 2(2k+1).
     """
-    if permutation_graph_from(points) != g:
-        raise SchemeError("realization does not match the graph")
+    _check_realization(g, "points", points)
     chain_bits = _width_for(k + 2)
     max_depth = 2 * (2 * k + 1)
 

@@ -493,9 +493,12 @@ def read_shape(lines: LineReader, text: str) -> tuple[ShapeNode, int]:
 
 
 def write_label_file(scheme: EqualityScheme, graph_name: str) -> str:
+    """The label file of `scheme`; each distinct shape is rendered once."""
+    codec = scheme.codec
+    texts = [shape_to_str(sh) for sh in codec.shapes]
     lines = [f"labels {graph_name} s={scheme.s} k={scheme.k} width={scheme.s + scheme.k}"]
-    for v, (shape, codes) in enumerate(zip(scheme.shapes, scheme.codes)):
-        lines.append(f"v {v} {shape_to_str(shape)} {','.join(map(str, codes)) or '-'}")
+    for v, (i, codes) in enumerate(zip(codec.ids, scheme.codes)):
+        lines.append(f"v {v} {texts[i]} {','.join(map(str, codes)) or '-'}")
     return "\n".join(lines) + "\n"
 
 

@@ -409,8 +409,8 @@ class ArboricitySketch(SketchScheme):
     def decode_trials(self, us: np.ndarray, vs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         # columns: u, v, then u's parents and v's parents (-1 padding)
         us, vs, a = np.asarray(us), np.asarray(vs), self.alpha
-        ids = np.concatenate([us[:, None], vs[:, None], self._parent_ids[us],
-                              self._parent_ids[vs]], axis=1)
+        ids = np.concatenate([us[:, None], vs[:, None], self._parent_ids.take(us, axis=0),
+                              self._parent_ids.take(vs, axis=0)], axis=1)
         r = self._bucket(np.asarray(seeds, dtype=np.uint64)[:, None], ids)
         marked = (r[:, 2:] == np.repeat(r[:, 1::-1], a, axis=1)) & (ids[:, 2:] >= 0)
         return marked.any(axis=1).astype(np.int8)

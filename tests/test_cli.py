@@ -489,20 +489,47 @@ def full_mask_table(scheme) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("family", sorted(_table_schemes()))
-def test_decoder_tables_decode_every_pair(family):
-    from pugkit.cli import parse_decoder_file, write_decoder_file
+def named_cells(text: str, arities) -> dict[tuple[int, int], set[tuple[int, int]]]:
+    """Per shape-id pair of a decoder table, the cells (i, j) that some row
+    spells as '0' or '1'."""
+    named = {}
+    for line in text.splitlines():
+        if line.startswith("t "):
+            _, sx, sy, field, _ = line.split()
+            q, ay = "" if field == "-" else field, arities[int(sy)]
+            named.setdefault((int(sx), int(sy)), set()).update(
+                divmod(len(q) - 1 - pos, ay) for pos, c in enumerate(q) if c in "01")
+    return named
 
+
+@pytest.mark.parametrize("family", sorted(_table_schemes()))
+def test_decoder_tables_decode_every_pair(family, monkeypatch):
+    from pugkit import cli
+    from pugkit.labels import decode_pair
+
+    asked = []
+
+    def watched_decode_pair(walker, *labels):
+        # the table walker's eq, recording each cell it asks
+        def watched(sx, sy, eq):
+            return walker(sx, sy, lambda i, j: asked.append((i, j)) or eq(i, j))
+        return decode_pair(watched, *labels)
+
+    monkeypatch.setattr(cli, "decode_pair", watched_decode_pair)
     sch = _table_schemes()[family]()
-    tree_rows, full = write_decoder_file(sch), full_mask_table(sch)
+    tree_rows, full = cli.write_decoder_file(sch), full_mask_table(sch)
     assert tree_rows.startswith("decoder table")
     assert tree_rows.count("\nt ") <= full.count("\nt ")
+    ids = sch.codec.ids
     for text in (tree_rows, full):
-        decode = parse_decoder_file(text)
+        decode, named = cli.parse_decoder_file(text), named_cells(text, sch.codec.arities)
         for u in range(sch.n):
             for v in range(sch.n):
+                asked.clear()
                 assert decode((sch.shapes[u], sch.codes[u]),
                               (sch.shapes[v], sch.codes[v])) == sch.decode(u, v)
+                # only the cells that the shape pair's rows name are asked
+                assert set(asked) <= named.get((ids[u], ids[v]), set())
 
 
 def test_sketch_prints_the_proven_boosted_delta(tmp_path, capsys):

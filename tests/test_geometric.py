@@ -13,7 +13,7 @@ from pugkit.geometric import (
     random_points,
     write_realization,
 )
-from pugkit.graphs import induced_subgraph
+from pugkit.graphs import Graph, induced_subgraph
 from pugkit.labels import SchemeError
 from pugkit.rng import rng_for
 from pugkit.structure import chain_number, interval_clique_number, twin_partition
@@ -229,3 +229,83 @@ def test_realization_files_roundtrip():
     pts = random_points(5, seed=2)
     kind2, items2, name2 = parse_realization(write_realization("points", pts, "ps"))
     assert kind2 == "points" and items2 == pts
+
+
+# ---------------------------------------------------------------------------
+# Realization edge arrays against the pairwise loops they replaced.
+# ---------------------------------------------------------------------------
+
+def pairwise_interval_edges(realization):
+    """The reference: every pair u < v tested in turn, as the first
+    implementation did."""
+    edges = []
+    for u, (lu, ru) in enumerate(realization):
+        if lu > ru:
+            raise ValueError(f"malformed interval at {u}")
+        for v in range(u + 1, len(realization)):
+            lv, rv = realization[v]
+            if lu <= rv and lv <= ru:
+                edges.append((u, v))
+    return edges
+
+
+def pairwise_point_edges(points):
+    edges = []
+    for u, (x1, y1) in enumerate(points):
+        for v in range(u + 1, len(points)):
+            x2, y2 = points[v]
+            if (x1 <= x2 and y1 <= y2) or (x2 <= x1 and y2 <= y1):
+                edges.append((u, v))
+    return edges
+
+
+def tied_realization(seed: int, n: int, kind: str):
+    """Coordinates drawn from a few values, so endpoints are shared and
+    coordinates tie; intervals may have length 0."""
+    rng = rng_for(seed, "tied", n, kind)
+    items = []
+    for _ in range(n):
+        a, b = rng.randrange(6) / 2, rng.randrange(6) / 2
+        items.append((min(a, b), max(a, b)) if kind == "intervals" else (a, b))
+    return items
+
+
+@pytest.mark.parametrize("block_cells", [None, 7])
+def test_realization_edges_match_the_pairwise_loops(monkeypatch, block_cells):
+    from pugkit import geometric
+
+    if block_cells is not None:  # a 20-vertex realization spans several row blocks
+        monkeypatch.setattr(geometric, "BLOCK_CELLS", block_cells)
+    for seed in range(30):
+        n = seed % 21
+        iv, pts = tied_realization(seed, n, "intervals"), tied_realization(seed, n, "points")
+        want_iv = [list(e) for e in pairwise_interval_edges(iv)]
+        want_pts = [list(e) for e in pairwise_point_edges(pts)]
+        assert geometric.realization_edges("intervals", iv).tolist() == want_iv
+        assert interval_graph_from(iv).edge_array().tolist() == want_iv
+        assert geometric.realization_edges("points", pts).tolist() == want_pts
+        assert permutation_graph_from(pts).edge_array().tolist() == want_pts
+    assert geometric.realization_edges("points", []).shape == (0, 2)
+
+
+def test_a_malformed_interval_is_named():
+    iv = [(0.0, 1.0), (3.0, 2.0), (5.0, 4.0)]
+    with pytest.raises(ValueError, match=r"^malformed interval at 1$"):
+        pairwise_interval_edges(iv)
+    with pytest.raises(ValueError, match=r"^malformed interval at 1$"):
+        interval_graph_from(iv)
+    with pytest.raises(ValueError, match=r"^malformed interval at 1$"):
+        interval_scheme(complete(3), iv, k=1)
+
+
+def test_a_realization_of_another_graph_is_refused():
+    iv, pts = random_intervals(12, seed=4), random_points(12, seed=4)
+    gi, gp = interval_graph_from(iv), permutation_graph_from(pts)
+    other = list(gi.edges())[1:]
+    for g in (Graph(12, other), Graph(13, list(gi.edges())), edgeless(11)):
+        with pytest.raises(SchemeError, match="realization does not match"):
+            interval_scheme(g, iv, k=3)
+    other = list(gp.edges())[1:]
+    for g in (Graph(12, other), Graph(13, list(gp.edges())), edgeless(11)):
+        with pytest.raises(SchemeError, match="realization does not match"):
+            permutation_labels(g, pts, k=3)

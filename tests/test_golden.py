@@ -8,9 +8,13 @@ retry case's derandomization seed were re-recorded when the sketch encoders
 moved to `counter_hash` streams; the other digests did not change.  The
 `decoder.table` digest was re-recorded when decoder tables went from one row
 per full Q mask to one row per leaf of the walker's equality decision tree.
+The `decoder.tree` digest was re-recorded when tree decoder files stopped
+listing shapes, which their walker never reads: a tree file is now its
+header line alone.
 
-`python -m tests.test_golden` prints the current outputs as JSON, so that a
-re-record can be reviewed against `GOLDEN`.
+`python -m tests.test_golden` prints the current outputs as JSON, then the
+names of the digests that differ from `GOLDEN`, so that a re-record can be
+reviewed by name.
 """
 
 import hashlib
@@ -71,7 +75,7 @@ GOLDEN = {
     "decoder.table":
         "c9d3a6ffc97c6d660216304e8bc70a401e47cf8f4ef0503b9e53e7780c63e97c",
     "decoder.tree":
-        "3ef82d30de23ca2256cceb52bd6afc7194a7c161fbbf0b2f381ee8bd4d244130",
+        "481880eb9623b11e8e64573505b71b15d0d5b8ca7256f508ab787468b6b69ba0",
     "sketch.bloom":
         "b28d7403d43f17895bbcd3b3351624d64bf7f283a309efab981c70263a8b0ff7",
     "attempts.bloom": "1",
@@ -92,5 +96,13 @@ def test_outputs_match_golden_digests():
     assert golden_outputs() == GOLDEN
 
 
+def differing(outputs: dict[str, str]) -> list[str]:
+    """The names whose output is not the pinned one, or that only one side has."""
+    return sorted(name for name in outputs.keys() | GOLDEN.keys()
+                  if outputs.get(name) != GOLDEN.get(name))
+
+
 if __name__ == "__main__":
-    print(json.dumps(golden_outputs(), indent=2))
+    outputs = golden_outputs()
+    print(json.dumps(outputs, indent=2))
+    print("differ from GOLDEN:", ", ".join(differing(outputs)) or "none")

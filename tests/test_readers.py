@@ -165,6 +165,12 @@ def _replace_line(text: str, lineno: int, line: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _insert_line(text: str, lineno: int, line: str) -> str:
+    lines = text.splitlines()
+    lines.insert(lineno - 1, line)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("what, lineno, line, message", [
     ("labels", 2, "v 0 -0 -", "line 2: expected a shape '<tag>:<arity>', got '-0'"),
     ("labels", 2, "v 0 1x:0 -", "line 2: expected a shape '<tag>:<arity>', got '1x:0'"),
@@ -190,8 +196,10 @@ def test_a_malformed_query_file_names_its_line(files, tmp_path, capsys, what, li
     name = "tp" if what == "tree" else "forest"
     paths = {"labels": files["tmp"] / f"{name}.labels", "dec": files["tmp"] / f"{name}.dec"}
     target = "labels" if what == "labels" else "dec"
+    # a tree file is its header line alone: its bad line goes in after it
+    edit = _insert_line if what == "tree" else _replace_line
     bad = tmp_path / "bad"
-    bad.write_text(_replace_line(paths[target].read_text(), lineno, line))
+    bad.write_text(edit(paths[target].read_text(), lineno, line))
     paths[target] = bad
     code = main(["query", str(paths["labels"]), "0", "1", "--decoder", str(paths["dec"])])
     err = capsys.readouterr().err
@@ -203,7 +211,7 @@ def test_a_tree_decoder_reads_its_body(files, tmp_path, capsys):
     tmp, dec = files["tmp"], tmp_path / "t.dec"
     dec.write_text('decoder tree {"name": "arboricity"}\nGARBAGE here\n')
     assert exits_0_2_or_3(capsys, "query", tmp / "forest.labels", 0, 7, "--decoder", dec) == 3
-    # the shape lines `write_decoder_file` puts in a tree file are read, not used
+    # the shape lines of older tree files are read and checked, not used
     dec.write_text('decoder tree {"name": "arboricity"}\nshape 5 -:9\n')
     code = main(["query", str(tmp / "forest.labels"), "0", "7", "--decoder", str(dec)])
     assert code == 0
