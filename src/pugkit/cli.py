@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: argparse, dispatch and exit codes.  Each file
+format lives with its type, and the commands call those codecs.
 
 Exit codes: 0 success, 2 family-contract violation (SchemeError and
 friends), 3 format error.  Every randomized command requires an explicit
@@ -8,28 +9,16 @@ friends), 3 format error.  Every randomized command requires an explicit
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from functools import reduce
-from operator import or_
 
 import numpy as np
 
 from . import bipartite, combinators, generators, geometric, products, sketch, structure, twinwidth
-from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, in_id_order,
-                     members, parse_graph, write_graph)
-from .labels import (
-    Ask,
-    EqualityScheme,
-    SchemeError,
-    build_walker,
-    decode_pair,
-    parse_label_file,
-    read_shape,
-    shape_to_str,
-    walker_tree,
-    write_label_file,
-)
+from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, parse_graph,
+                     write_graph)
+from .labels import (EqualityScheme, SchemeError, parse_decoder_file, parse_label_file,
+                     write_decoder_file, write_label_file)
+from .sketch import write_sketch_file
 
 EXIT_OK = 0
 EXIT_CONTRACT = 2
@@ -143,137 +132,6 @@ def _need(g, cls, scheme):
         raise CliError(EXIT_CONTRACT, f"scheme {scheme} needs a {kind} input")
 
 
-def write_decoder_file(scheme: EqualityScheme) -> str:
-    """Decoder file grammar:
-
-    decoder tree <json decoder-spec>     (the header line alone)
-    decoder table s=<s> k=<k>            (small schemes only)
-        shape <idx> <shape-string>       (one per distinct label shape)
-        t <sx> <sy> <Q-field> <out>
-
-    A table row is a leaf of the walker's decision tree (`walker_tree`) on
-    the shape pair, in preorder with the 0-branch first; SchemeError leaves
-    get none.  Its Q field holds Q[i][j] at position ax*ay-1-(i*ay+j): '0',
-    '1', or '*' where the path does not ask; '-' for no cells.  A tree
-    file's walker reads no shapes, so it lists none; `parse_decoder_file`
-    still reads and checks the `shape` lines of older tree files.
-    """
-    try:
-        spec = json.dumps(scheme.spec)
-    except (TypeError, ValueError):  # a live walker in the spec
-        raise CliError(EXIT_CONTRACT, "scheme decoder is not serializable") from None
-    if not (scheme.s <= 4 and scheme.k <= 4):
-        return f"decoder tree {spec}\n"
-    codec = scheme.codec
-    lines = [f"decoder table s={scheme.s} k={scheme.k}",
-             *(f"shape {i} {shape_to_str(sh)}" for i, sh in enumerate(codec.shapes))]
-    for xi, sx in enumerate(codec.shapes):
-        for yi, sy in enumerate(codec.shapes):
-            ay = codec.arities[yi]
-
-            def emit(node, q):
-                if isinstance(node, Ask):
-                    pos = len(q) - 1 - (node.i * ay + node.j)
-                    emit(node.zero, q[:pos] + "0" + q[pos + 1:])
-                    emit(node.one, q[:pos] + "1" + q[pos + 1:])
-                elif node is not None:
-                    lines.append(f"t {xi} {yi} {q or '-'} {node}")
-
-            emit(walker_tree(scheme.walker, sx, sy), "*" * (codec.arities[xi] * ay))
-    return "\n".join(lines) + "\n"
-
-
-#: What a walker raises when built from wrong-typed spec parameters or run
-#: on labels it does not fit.
-_SPEC_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError, RecursionError)
-
-
-def parse_decoder_file(text: str):
-    """Returns a decode(label_x, label_y) callable over the (shape, codes)
-    pairs that `parse_label_file` reads.  It runs a
-    `decoder tree`'s registered walker, or reads a `decoder table` as a
-    walker that returns the output of the row matching Q on the row's asked
-    cells (care masks in file order), through `labels.decode_pair`; that
-    walker asks only the cells that some row of the shape pair names.  Only
-    a table's walker reads the shape lines; a tree file's, if any, are
-    still read and checked."""
-    lines, kind, head_line, walker = LineReader(text), None, None, None
-    shape_ids, rows = {}, []  # shape -> (idx, arity); (lineno, sx, sy, out, Q field)
-    for parts in lines:
-        if kind is None:
-            if parts[0] != "decoder" or parts[1:2] not in (["tree"], ["table"]):
-                raise lines.expected("'decoder tree <spec>' or 'decoder table'")
-            kind, head_line = parts[1], lines.lineno
-            if kind == "tree":
-                if len(parts) < 3:
-                    raise lines.error("decoder tree needs a JSON decoder spec")
-                try:
-                    walker = build_walker(json.loads(lines.line.split(None, 2)[2]))
-                except _SPEC_ERRORS as e:
-                    raise lines.error(f"bad decoder spec: {e!r}") from None
-        elif parts[0] == "shape":
-            _, idx, shape_text = lines.fields(parts, "'shape <idx> <shape>'")
-            shape, arity = read_shape(lines, shape_text)
-            shape_ids[shape] = lines.integer(idx), arity
-        elif parts[0] == "t" and kind == "table":
-            _, sx, sy, field, out = lines.fields(parts, "'t <sx> <sy> <Q> <out>'")
-            rows.append((lines.lineno, *map(lines.integer, (sx, sy, out)), field))
-        else:
-            raise lines.expected("a 'shape' line" if kind == "tree" else "a 'shape' or 't' line")
-    if kind is None:
-        raise GraphFormatError("empty decoder file")
-    if kind == "table":
-        # (sx, sy) -> care mask -> value mask -> out: bit i*ay + j of care is
-        # set where Q[i][j] is '0' or '1', and of value where it is '1'; a
-        # row naming a shape id the file does not list cannot match a label
-        arities, by_ids = dict(shape_ids.values()), {}
-        for lineno, sx, sy, out, field in rows:
-            if sx in arities and sy in arities:
-                q, cells = "" if field == "-" else field, arities[sx] * arities[sy]
-                if len(q) != cells or q.strip("01*"):
-                    raise GraphFormatError(f"line {lineno}: expected {cells} Q cells of '0', "
-                                           f"'1' or '*', got {field!r}")
-                care, value = (int("0" + q.replace("0", "1").replace("*", "0"), 2),
-                               int("0" + q.replace("*", "0"), 2))
-                by_ids.setdefault((sx, sy), {}).setdefault(care, {})[value] = out
-        # the (idx, arity) entries of two label shapes -> the cells that the
-        # care masks of their rows name, as (bit, i, j), and their (care,
-        # outs) rows; built on first use.  A row matches on q & care alone,
-        # so q needs no other cell.
-        asked = {}
-
-        def walker(sx, sy, eq) -> int:
-            kx, ky = shape_ids.get(sx), shape_ids.get(sy)
-            if kx is None or ky is None:
-                raise CliError(EXIT_CONTRACT, "label shape unknown to decoder")
-            if (pair := asked.get((kx, ky))) is None:
-                cares, (ax, ay) = by_ids.get((kx[0], ky[0]), {}), (kx[1], ky[1])
-                pair = asked[kx, ky] = (
-                    [(1 << b, *divmod(b, ay)) for b in members(reduce(or_, cares, 0))
-                     if b < ax * ay], list(cares.items()))
-            q = 0
-            for bit, i, j in pair[0]:
-                if eq(i, j):
-                    q |= bit
-            for care, outs in pair[1]:
-                if (out := outs.get(q & care)) is not None:
-                    return out
-            raise CliError(EXIT_CONTRACT, "pair missing from decoder table")
-
-    def decode(lx, ly) -> int:
-        # lx and ly are (shape, codes) pairs; a walker that cannot run on the
-        # labels is a file fault, a SchemeError is not
-        try:
-            return decode_pair(walker, *lx, *ly)
-        except SchemeError:
-            raise
-        except _SPEC_ERRORS as e:
-            raise CliError(EXIT_FORMAT, f"line {head_line}: decoder does not fit the labels "
-                                        f"({type(e).__name__})")
-
-    return decode
-
-
 def cmd_label(args) -> int:
     g, gname = _read_graph(args.graph)
     scheme = _build_label_scheme(g, args, args.scheme)
@@ -305,33 +163,6 @@ def _build_sketch(g, args):
     return sk
 
 
-def write_sketch_file(labels, width: int, gname: str) -> str:
-    digits = max((width + 3) // 4, 1)
-    lines = [f"labels {gname} s=0 k=0 width={width}"]
-    for v, bits in enumerate(labels):
-        lines.append(f"v {v} {bits:0{digits}x}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_sketch_file(text: str):
-    lines, rows, width = LineReader(text), [], None
-    try:
-        for parts in lines:
-            if width is None:
-                widths = [f[len("width="):] for f in parts if f.startswith("width=")]
-                if parts[0] != "labels" or not widths:
-                    raise lines.expected("'labels <name> ... width=<bits>'")
-                width = lines.integer(widths[0])
-                continue
-            _, v, bits = lines.fields(parts, "'v <id> <hex-bits>'")
-            rows.append((lines.lineno, lines.integer(v), lines.integer(bits, 16)))
-        if width is None:
-            raise GraphFormatError("empty sketch file")
-        return in_id_order(rows, "vertex"), width
-    except GraphFormatError as e:
-        raise CliError(EXIT_FORMAT, f"bad sketch file: {e}")
-
-
 def cmd_sketch(args) -> int:
     g, gname = _read_graph(args.graph)
     sk = _build_sketch(g, args)
@@ -352,7 +183,10 @@ def cmd_query(args) -> int:
     u, v = args.u, args.v
     if not (0 <= u < len(labels) and 0 <= v < len(labels)):
         raise CliError(EXIT_FORMAT, "vertex id out of range")
-    print(f"{u} {v} {decode(labels[u], labels[v])}")
+    try:
+        print(f"{u} {v} {decode(labels[u], labels[v])}")
+    except GraphFormatError as e:  # the decoder does not fit the labels
+        raise CliError(EXIT_FORMAT, str(e)) from None
     return EXIT_OK
 
 
@@ -407,28 +241,13 @@ def cmd_verify(args) -> int:
         print("certificate rejected: " + "; ".join(reasons))
         return EXIT_CONTRACT
     _need(g, Graph, "width-seq")
-    seq = _read(args.file, _parse_partition_seq, "sequence")
+    seq = _read(args.file, twinwidth.parse_partition_seq, "sequence")
     try:
         width = twinwidth.verify_width(g, seq)
     except SchemeError as e:
         raise CliError(EXIT_CONTRACT, f"sequence invalid: {e}")
     print(f"sequence valid: width={width}")
     return EXIT_OK
-
-
-def write_partition_seq(seq) -> str:
-    """A width-seq file: one `p <part>|<part>|...` line per partition."""
-    return "".join("p " + "|".join(",".join(map(str, sorted(p))) for p in parts) + "\n"
-                   for parts in seq)
-
-
-def _parse_partition_seq(text: str):
-    """The partitions of a width-seq file, each part a comma list of ids.  A
-    bare `p` is the partition with no parts, the empty graph's only one."""
-    lines, form = LineReader(text), "'p <part>|<part>|...'"
-    return [[] if parts == ["p"] else
-            [lines.int_list(part) for part in lines.fields(parts, form)[1].split("|")]
-            for parts in lines]
 
 
 def cmd_product_dist(args) -> int:
@@ -474,7 +293,7 @@ def cmd_twinwidth(args) -> int:
                        f"exact twin-width capped at n <= {twinwidth.TWIN_WIDTH_EXACT_MAX_N}")
     width, seq = twinwidth.twin_width_exact(g)
     print(f"twin-width = {width}")
-    sys.stdout.write(write_partition_seq(seq))
+    sys.stdout.write(twinwidth.write_partition_seq(seq))
     return EXIT_OK
 
 

@@ -25,6 +25,9 @@ BITSET_THRESHOLD = 4096
 #: Guardrail on vertex counts: of product graphs and of graph file headers.
 VERTEX_CAP = 1 << 22
 
+#: Guardrail on the one-byte cells of a label array: of product sketch label grids.
+CELL_CAP = 1 << 28
+
 
 class GraphFormatError(ValueError):
     """Raised on a malformed pugkit text file of any kind."""

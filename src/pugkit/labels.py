@@ -12,19 +12,22 @@ which is what makes the one-sided compression argument go through.
 `ShapeCodec` interns a scheme's label shapes and lays its codes out as a
 padded code table, and `CompiledDecoder` evaluates the walker over pairs
 of table rows.  Labels as bits are the packed sketches of `sketch`, which
-read their bit fields back into such a table.
+read their bit fields back into such a table.  Label and decoder files,
+a scheme's labels and walker on disk, are read and written here too.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, repeat
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graphs import GraphFormatError, LineReader, in_id_order
+from .graphs import GraphFormatError, LineReader, in_id_order, members
 
 EqOracle = Callable[[int, int], bool]
 
@@ -440,14 +443,19 @@ def build_walker(spec: Spec) -> Walker:
 
 
 # ---------------------------------------------------------------------------
-# Label file format.
+# Label and decoder file formats.
 #
 #   labels <graph-name> s=<s> k=<k> width=<c>
-#   v <id> <prefix-bits> <code,code,...>
+#   v <id> <shape> <code,code,...>
 #
-# The prefix-bits field serializes the label tree: tuples are separated by
-# '.', children delimited by '(' ')':  tag-bits[(child)(child)...]
-# An empty tag is '-'.  Codes are the preorder-flattened code list.
+# A shape serializes the label tree as tag-bits:arity(child)(child)..., an
+# empty tag as '-'.  Codes are the preorder-flattened code list, '-' for
+# none.  A decoder file is a scheme's walker on disk:
+#
+#   decoder tree <json decoder-spec>     (the header line alone)
+#   decoder table s=<s> k=<k>            (small schemes only)
+#       shape <idx> <shape-string>       (one per distinct label shape)
+#       t <sx> <sy> <Q-field> <out>
 # ---------------------------------------------------------------------------
 
 def shape_to_str(shape: ShapeNode) -> str:
@@ -535,3 +543,127 @@ def parse_label_file(text: str) -> tuple[list[tuple[ShapeNode, tuple[int, ...]]]
             raise GraphFormatError(f"line {head_line}: header {key}={fields[key]} "
                                    f"does not match the labels' {key}={val}")
     return in_id_order(labels, "vertex"), name, fields
+
+
+def write_decoder_file(scheme: EqualityScheme) -> str:
+    """The decoder file of `scheme`.  A table row is a leaf of the walker's
+    decision tree (`walker_tree`) on the shape pair, in preorder with the
+    0-branch first; SchemeError leaves get none.  Its Q field holds Q[i][j] at
+    position ax*ay-1-(i*ay+j): '0', '1', or '*' where the path does not ask;
+    '-' for no cells.  A tree file's walker reads no shapes, so it lists none;
+    `parse_decoder_file` still reads and checks the `shape` lines of older
+    tree files.  A spec that `json.dumps` cannot write is a SchemeError."""
+    try:
+        spec = json.dumps(scheme.spec)
+    except (TypeError, ValueError):  # a live walker in the spec
+        raise SchemeError("scheme decoder is not serializable") from None
+    if not (scheme.s <= 4 and scheme.k <= 4):
+        return f"decoder tree {spec}\n"
+    codec = scheme.codec
+    lines = [f"decoder table s={scheme.s} k={scheme.k}",
+             *(f"shape {i} {shape_to_str(sh)}" for i, sh in enumerate(codec.shapes))]
+    for xi, sx in enumerate(codec.shapes):
+        for yi, sy in enumerate(codec.shapes):
+            ay = codec.arities[yi]
+
+            def emit(node, q):
+                if isinstance(node, Ask):
+                    pos = len(q) - 1 - (node.i * ay + node.j)
+                    emit(node.zero, q[:pos] + "0" + q[pos + 1:])
+                    emit(node.one, q[:pos] + "1" + q[pos + 1:])
+                elif node is not None:
+                    lines.append(f"t {xi} {yi} {q or '-'} {node}")
+
+            emit(walker_tree(scheme.walker, sx, sy), "*" * (codec.arities[xi] * ay))
+    return "\n".join(lines) + "\n"
+
+
+#: What a walker raises when built from wrong-typed spec parameters or run
+#: on labels it does not fit.
+_SPEC_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError, RecursionError)
+
+
+def parse_decoder_file(text: str) -> Callable[[Label, Label], int]:
+    """Returns a decode(label_x, label_y) callable over the (shape, codes)
+    pairs that `parse_label_file` reads.  It runs a `decoder tree`'s
+    registered walker, or reads a `decoder table` as a walker that returns
+    the output of the row matching Q on the row's asked cells (care masks
+    in file order), through `decode_pair`; that walker asks only the cells
+    that some row of the shape pair names.  Only a table's walker reads the
+    shape lines; a tree file's, if any, are still read and checked.  A
+    walker that cannot run on the labels is a GraphFormatError."""
+    lines, kind, head_line, walker = LineReader(text), None, None, None
+    shape_ids, rows = {}, []  # shape -> (idx, arity); (lineno, sx, sy, out, Q field)
+    for parts in lines:
+        if kind is None:
+            if parts[0] != "decoder" or parts[1:2] not in (["tree"], ["table"]):
+                raise lines.expected("'decoder tree <spec>' or 'decoder table'")
+            kind, head_line = parts[1], lines.lineno
+            if kind == "tree":
+                if len(parts) < 3:
+                    raise lines.error("decoder tree needs a JSON decoder spec")
+                try:
+                    walker = build_walker(json.loads(lines.line.split(None, 2)[2]))
+                except _SPEC_ERRORS as e:
+                    raise lines.error(f"bad decoder spec: {e!r}") from None
+        elif parts[0] == "shape":
+            _, idx, shape_text = lines.fields(parts, "'shape <idx> <shape>'")
+            shape, arity = read_shape(lines, shape_text)
+            shape_ids[shape] = lines.integer(idx), arity
+        elif parts[0] == "t" and kind == "table":
+            _, sx, sy, field, out = lines.fields(parts, "'t <sx> <sy> <Q> <out>'")
+            rows.append((lines.lineno, *map(lines.integer, (sx, sy, out)), field))
+        else:
+            raise lines.expected("a 'shape' line" if kind == "tree" else "a 'shape' or 't' line")
+    if kind is None:
+        raise GraphFormatError("empty decoder file")
+    if kind == "table":
+        # (sx, sy) -> care mask -> value mask -> out: bit i*ay + j of care is
+        # set where Q[i][j] is '0' or '1', and of value where it is '1'; a
+        # row naming a shape id the file does not list cannot match a label
+        arities, by_ids = dict(shape_ids.values()), {}
+        for lineno, sx, sy, out, field in rows:
+            if sx in arities and sy in arities:
+                q, cells = "" if field == "-" else field, arities[sx] * arities[sy]
+                if len(q) != cells or q.strip("01*"):
+                    raise GraphFormatError(f"line {lineno}: expected {cells} Q cells of '0', "
+                                           f"'1' or '*', got {field!r}")
+                care, value = (int("0" + q.replace("0", "1").replace("*", "0"), 2),
+                               int("0" + q.replace("*", "0"), 2))
+                by_ids.setdefault((sx, sy), {}).setdefault(care, {})[value] = out
+        # the (idx, arity) entries of two label shapes -> the cells that the
+        # care masks of their rows name, as (bit, i, j), and their (care,
+        # outs) rows; built on first use.  A row matches on q & care alone,
+        # so q needs no other cell.
+        asked = {}
+
+        def walker(sx, sy, eq) -> int:
+            kx, ky = shape_ids.get(sx), shape_ids.get(sy)
+            if kx is None or ky is None:
+                raise SchemeError("label shape unknown to decoder")
+            if (pair := asked.get((kx, ky))) is None:
+                cares, (ax, ay) = by_ids.get((kx[0], ky[0]), {}), (kx[1], ky[1])
+                pair = asked[kx, ky] = (
+                    [(1 << b, *divmod(b, ay)) for b in members(reduce(or_, cares, 0))
+                     if b < ax * ay], list(cares.items()))
+            q = 0
+            for bit, i, j in pair[0]:
+                if eq(i, j):
+                    q |= bit
+            for care, outs in pair[1]:
+                if (out := outs.get(q & care)) is not None:
+                    return out
+            raise SchemeError("pair missing from decoder table")
+
+    def decode(lx, ly) -> int:
+        # lx and ly are (shape, codes) pairs; a walker that cannot run on the
+        # labels is a file fault, a SchemeError is not
+        try:
+            return decode_pair(walker, *lx, *ly)
+        except SchemeError:
+            raise
+        except _SPEC_ERRORS as e:
+            raise GraphFormatError(f"line {head_line}: decoder does not fit the labels "
+                                   f"({type(e).__name__})")
+
+    return decode

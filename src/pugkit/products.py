@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, product_size
+from .graphs import CELL_CAP, Graph, product_size
 from .labels import bits_for
 from .rng import counter_hash, derive_seed
 from .sketch import (_TAG_FACTOR, _TAG_GRID_ROW, _TAG_GRID_SLOT, SketchScheme, _read_fields,
@@ -142,23 +142,25 @@ class ProductDistanceSketch:
 
     def grid_bits(self, seeds, ids) -> np.ndarray:
         """The (len(seeds), r, width) uint8 labels of the product vertices
-        `ids` under each seed: the r ids are shared by all seeds, or an
-        (len(seeds), r) array holds each seed's own."""
+        `ids` under each seed: r ids shared by all seeds, or an (len(seeds),
+        r) array of each seed's own.  ValueError past `CELL_CAP` cells."""
         seeds = _seed_words(seeds)
-        s, t, axis = len(seeds), self.t, np.arange(len(self.factors))
-        ids = np.broadcast_to(np.asarray(ids, dtype=np.int64), (s, np.shape(ids)[-1]))
+        s, r, t, axis = len(seeds), np.shape(ids)[-1], self.t, np.arange(len(self.factors))
+        if s * r * self.width > CELL_CAP:
+            raise ValueError(f"{s * r} labels of {self.width} cells exceed the cell cap {CELL_CAP}")
+        ids = np.broadcast_to(np.asarray(ids, dtype=np.int64), (s, r))
         coords = np.stack(np.unravel_index(ids, self.dims), axis=-1)
         buckets = counter_hash(seeds[:, None], _TAG_GRID_ROW, axis) % np.uint64(self.m)
         slots = counter_hash(seeds[:, None, None], _TAG_GRID_SLOT, axis, coords) % np.uint64(t)
         cells = (buckets[:, None, :] * np.uint64(t) + slots).astype(np.intp)
         factor_seeds = counter_hash(seeds[:, None], _TAG_FACTOR, axis)
-        grid = np.zeros((s, ids.shape[1], self.m * t, self.base.width + 1), dtype=np.uint8)
-        si, ri = np.ogrid[:s, :ids.shape[1]]
+        grid = np.zeros((s, r, self.m * t, self.base.width + 1), dtype=np.uint8)
+        si, ri = np.ogrid[:s, :r]
         for i, gid in enumerate(self.gids):
             labels = self.base.encode_factor_bits(gid, factor_seeds[:, i])[si, coords[..., i]]
             grid[si, ri, cells[..., i], 0] ^= 1
             grid[si, ri, cells[..., i], 1:] ^= labels
-        return grid.reshape(s, ids.shape[1], self.width)
+        return grid.reshape(s, r, self.width)
 
     def encode(self, seed: int) -> np.ndarray:
         """The (n, width) uint8 labels of every product vertex under `seed`."""

@@ -27,7 +27,7 @@ sketch's zero-error encoding, read by that sketch.
 
 A boosted label holds copy i at bits [i*w, (i+1)*w), encoded under
 `copy_seeds`' seed i, for sketches and distance sketches alike
-(`boost_bits`).
+(`boost_bits`).  Sketch files hold a label set as hex bit strings.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, GraphFormatError, LineReader, in_id_order
 from .labels import EqualityScheme, bits_for, node, register_walker
 from .rng import _MASK64, counter_hash, derive_seed
 from .structure import forest_partition
@@ -433,7 +433,7 @@ def arboricity_sketch(g: Graph) -> ArboricitySketch:
 
 
 # ---------------------------------------------------------------------------
-# Derandomization.
+# Derandomization and sketch files.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -503,6 +503,33 @@ def naive_derandomize(scheme: EqualityScheme) -> DeterministicLabeling:
 def naive_label_width(scheme: EqualityScheme) -> tuple[int, int, int]:
     """(s, k, per-code bits) of the naive derandomization."""
     return scheme.s, scheme.k, bits_for(max(len(scheme.canon), 2))
+
+
+def write_sketch_file(labels, width: int, gname: str) -> str:
+    digits = max((width + 3) // 4, 1)
+    lines = [f"labels {gname} s=0 k=0 width={width}"]
+    for v, bits in enumerate(labels):
+        lines.append(f"v {v} {bits:0{digits}x}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_sketch_file(text: str) -> tuple[list[int], int]:
+    """The labels and the width of a `write_sketch_file` text: `labels
+    <name> ... width=<bits>`, then `v <id> <hex-bits>` per vertex.  A
+    malformed file is a GraphFormatError."""
+    lines, rows, width = LineReader(text), [], None
+    for parts in lines:
+        if width is None:
+            widths = [f[len("width="):] for f in parts if f.startswith("width=")]
+            if parts[0] != "labels" or not widths:
+                raise lines.expected("'labels <name> ... width=<bits>'")
+            width = lines.integer(widths[0])
+            continue
+        _, v, bits = lines.fields(parts, "'v <id> <hex-bits>'")
+        rows.append((lines.lineno, lines.integer(v), lines.integer(bits, 16)))
+    if width is None:
+        raise GraphFormatError("empty sketch file")
+    return in_id_order(rows, "vertex"), width
 
 
 # ---------------------------------------------------------------------------
@@ -650,3 +677,4 @@ class PugView:
 
 def export_pug(sch: SketchScheme) -> PugView:
     return PugView(sch)
+

@@ -4,7 +4,7 @@ the certificate-driven labeling.
 
 Certificates are inputs (files or hand-constructed); synthesizing the
 division/flip data is out of scope -- the library verifies, it does not
-guess.
+guess.  Certificate and width-seq files are read and written here.
 """
 
 from __future__ import annotations
@@ -473,7 +473,7 @@ def tw_labels(g: ColoredBipartiteGraph, tree: CertTree) -> EqualityScheme:
 
 
 # ---------------------------------------------------------------------------
-# Certificate text format.
+# Certificate and width-seq text formats.
 # ---------------------------------------------------------------------------
 
 def write_certificate(cert: TwCertificate, name: str) -> str:
@@ -540,3 +540,18 @@ def parse_certificate(text: str) -> tuple[TwCertificate, str]:
         raise GraphFormatError("a uset or star names a part that is not a division id")
     return TwCertificate(order, tuple(in_id_order(sections["flip"], "flip")), tuple(division),
                          tuple(usets), stars), name
+
+
+def write_partition_seq(seq) -> str:
+    """A width-seq file: one `p <part>|<part>|...` line per partition."""
+    return "".join("p " + "|".join(",".join(map(str, sorted(p))) for p in parts) + "\n"
+                   for parts in seq)
+
+
+def parse_partition_seq(text: str) -> list[list[tuple[int, ...]]]:
+    """The partitions of a width-seq file, each part a comma list of ids.  A
+    bare `p` is the partition with no parts, the empty graph's only one."""
+    lines, form = LineReader(text), "'p <part>|<part>|...'"
+    return [[] if parts == ["p"] else
+            [lines.int_list(part) for part in lines.fields(parts, form)[1].split("|")]
+            for parts in lines]

@@ -144,8 +144,8 @@ def test_eval_takes_a_bigraph_input(tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["naive", "sampled"])
 def test_derand_takes_a_bigraph_input_and_verifies_it(tmp_path, capsys, mode):
     from pugkit import bipartite, sketch
-    from pugkit.cli import parse_sketch_file
     from pugkit.graphs import parse_graph
+    from pugkit.sketch import parse_sketch_file
 
     g = tmp_path / "cg.graph"
     g.write_text(_CHAIN_BIGRAPH)
@@ -242,7 +242,7 @@ def test_twinwidth_cmd(tmp_path, capsys):
 
 
 def test_sketch_file_roundtrip(tmp_path, capsys):
-    from pugkit.cli import parse_sketch_file, write_sketch_file
+    from pugkit.sketch import parse_sketch_file, write_sketch_file
 
     labels = [0x1f, 0x00, 0xabc]
     text = write_sketch_file(labels, width=12, gname="demo")
@@ -258,11 +258,11 @@ def test_sketch_file_roundtrip(tmp_path, capsys):
     "labels g s=0 k=0 width=x\nv 0 a\n",
 ])
 def test_sketch_file_malformed(text):
-    from pugkit.cli import EXIT_FORMAT, CliError, parse_sketch_file
+    from pugkit.graphs import GraphFormatError
+    from pugkit.sketch import parse_sketch_file
 
-    with pytest.raises(CliError) as err:
+    with pytest.raises(GraphFormatError):  # a format error: the CLI exits 3
         parse_sketch_file(text)
-    assert err.value.code == EXIT_FORMAT
 
 
 def test_product_dist_cmd(tmp_path, capsys):
@@ -294,6 +294,28 @@ def test_product_dist_rejects_empty_and_oversized_powers(tmp_path, capsys):
                              "--seed", "1", "--query", "0:1")
         assert code == 3 and out == "" and "Traceback" not in err, d
         assert time.perf_counter() - start < 5, d
+
+
+def test_product_dist_refuses_a_label_grid_past_the_cell_cap(tmp_path, capsys, monkeypatch):
+    # one query pair is two labels of `width` cells each
+    from pugkit import products
+
+    g = tmp_path / "p3.graph"
+    run(capsys, "gen", "path", "--n", "3", "--out", str(g))
+    # k = 300 asks for two labels of 6.6e9 cells each: refused before allocating
+    code, _, err = run(capsys, "product-dist", str(g), "--d", "1", "--k", "300", "--seed", "1",
+                       "--query", "0:1")
+    assert code == 3 and "exceed the cell cap" in err and "Traceback" not in err
+    argv = ["product-dist", str(g), "--d", "2", "--k", "1", "--seed", "1", "--query", "0,0:1,2"]
+    code, want, _ = run(capsys, *argv)
+    header, width = want.splitlines(keepends=True)[0], int(want.split()[5][len("width="):])
+    assert code == 0
+    monkeypatch.setattr(products, "CELL_CAP", 2 * width)
+    assert run(capsys, *argv) == (0, want, "")
+    monkeypatch.setattr(products, "CELL_CAP", 2 * width - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, header)
+    assert "exceed the cell cap" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("address", [
@@ -504,8 +526,8 @@ def named_cells(text: str, arities) -> dict[tuple[int, int], set[tuple[int, int]
 
 @pytest.mark.parametrize("family", sorted(_table_schemes()))
 def test_decoder_tables_decode_every_pair(family, monkeypatch):
-    from pugkit import cli
-    from pugkit.labels import decode_pair
+    from pugkit import labels
+    from pugkit.labels import decode_pair, parse_decoder_file, write_decoder_file
 
     asked = []
 
@@ -515,19 +537,20 @@ def test_decoder_tables_decode_every_pair(family, monkeypatch):
             return walker(sx, sy, lambda i, j: asked.append((i, j)) or eq(i, j))
         return decode_pair(watched, *labels)
 
-    monkeypatch.setattr(cli, "decode_pair", watched_decode_pair)
     sch = _table_schemes()[family]()
-    tree_rows, full = cli.write_decoder_file(sch), full_mask_table(sch)
+    want = [[sch.decode(u, v) for v in range(sch.n)] for u in range(sch.n)]
+    monkeypatch.setattr(labels, "decode_pair", watched_decode_pair)
+    tree_rows, full = write_decoder_file(sch), full_mask_table(sch)
     assert tree_rows.startswith("decoder table")
     assert tree_rows.count("\nt ") <= full.count("\nt ")
     ids = sch.codec.ids
     for text in (tree_rows, full):
-        decode, named = cli.parse_decoder_file(text), named_cells(text, sch.codec.arities)
+        decode, named = parse_decoder_file(text), named_cells(text, sch.codec.arities)
         for u in range(sch.n):
             for v in range(sch.n):
                 asked.clear()
                 assert decode((sch.shapes[u], sch.codes[u]),
-                              (sch.shapes[v], sch.codes[v])) == sch.decode(u, v)
+                              (sch.shapes[v], sch.codes[v])) == want[u][v]
                 # only the cells that the shape pair's rows name are asked
                 assert set(asked) <= named.get((ids[u], ids[v]), set())
 
@@ -692,40 +715,46 @@ def test_an_unknown_scheme_exits_3(scheme_inputs, capsys, command, name, message
 
 @pytest.mark.parametrize("kind", ["table", "tree"])
 def test_decoder_files_run_their_walker_through_decode_pair(monkeypatch, kind):
-    from pugkit import bipartite, cli
+    from pugkit import bipartite, labels
     from pugkit.generators import random_forest, random_tp_free
-    from pugkit.labels import ShapeCodec
+    from pugkit.labels import ShapeCodec, parse_decoder_file, write_decoder_file
     from pugkit.sketch import arboricity_scheme
 
     sch = (arboricity_scheme(random_forest(10, seed=3)) if kind == "table"
            else bipartite.tp_free_labels(random_tp_free(9, 12, 2, seed=1), p=2, q=4))
-    text = cli.write_decoder_file(sch)
+    text = write_decoder_file(sch)
     assert text.startswith(f"decoder {kind}")
     pairs = [(u, v) for u in range(sch.n) for v in range(sch.n) if u != v]
     expected = [sch.decode(u, v) for u, v in pairs]
-    calls, built, decode_pair = [], [], cli.decode_pair
+    calls, built, decode_pair = [], [], labels.decode_pair
 
     def counted(*args):
         calls.append(args)
         return decode_pair(*args)
 
-    monkeypatch.setattr(cli, "decode_pair", counted)
+    monkeypatch.setattr(labels, "decode_pair", counted)
     monkeypatch.setattr(ShapeCodec, "__init__", lambda self, shapes: built.append(1))
-    decode = cli.parse_decoder_file(text)
-    labels = list(zip(sch.shapes, sch.codes))
-    assert [decode(labels[u], labels[v]) for u, v in pairs] == expected
+    decode = parse_decoder_file(text)
+    pair_labels = list(zip(sch.shapes, sch.codes))
+    assert [decode(pair_labels[u], pair_labels[v]) for u, v in pairs] == expected
     assert len(calls) == len(pairs)
     assert not built  # one pair needs no code table
 
 
 def test_the_cli_builds_no_eq_for_a_walker():
+    # nor do the decoder-file codecs it calls: they hand walkers to decode_pair
     import ast
     import pathlib
 
     import pugkit.cli
+    import pugkit.labels
 
-    tree = ast.parse(pathlib.Path(pugkit.cli.__file__).read_text())
-    for node in ast.walk(tree):
+    cli = ast.parse(pathlib.Path(pugkit.cli.__file__).read_text())
+    codecs = [node for node in ast.parse(pathlib.Path(pugkit.labels.__file__).read_text()).body
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("write_decoder_file", "parse_decoder_file")]
+    assert len(codecs) == 2
+    for node in (n for root in (cli, *codecs) for n in ast.walk(root)):
         assert not (isinstance(node, ast.Lambda) and len(node.args.args) == 2), ast.unparse(node)
         assert not (isinstance(node, ast.FunctionDef) and node.name == "eq")
 

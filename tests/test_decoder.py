@@ -43,6 +43,7 @@ from pugkit.labels import (
     shape_to_str,
     decode_pair,
     walker_tree,
+    write_decoder_file,
     write_label_file,
 )
 from pugkit import labels as labels_mod
@@ -602,8 +603,6 @@ def _probe_walker(sx, sy, eq):
 
 
 def test_walker_tree_branches_once_per_cell_and_marks_violations(monkeypatch):
-    from pugkit.cli import write_decoder_file
-
     sh, _ = node((), (0, 1))
     assert walker_tree(_probe_walker, sh, sh) == Ask(0, 1, Ask(1, 0, 0, None), 1)
     with pytest.raises(IndexError):

@@ -20,15 +20,16 @@ reviewed by name.
 import hashlib
 import json
 
-from pugkit import bipartite, cli
+from pugkit import bipartite
 from pugkit.generators import random_forest, random_kdegenerate, random_tp_free
-from pugkit.labels import write_label_file
+from pugkit.labels import write_decoder_file, write_label_file
 from pugkit.sketch import (
     arboricity_scheme,
     arboricity_sketch,
     compress_equality_scheme,
     derandomize,
     naive_derandomize,
+    write_sketch_file,
 )
 
 
@@ -45,12 +46,12 @@ def golden_outputs() -> dict[str, str]:
     tp = bipartite.tp_free_labels(tp_g, p=2, q=4)
     out["labels.arboricity"] = _digest(write_label_file(arb, "kdeg2"))
     out["labels.tp-free"] = _digest(write_label_file(tp, "tp"))
-    out["decoder.table"] = _digest(cli.write_decoder_file(arb))
-    out["decoder.tree"] = _digest(cli.write_decoder_file(tp))
+    out["decoder.table"] = _digest(write_decoder_file(arb))
+    out["decoder.tree"] = _digest(write_decoder_file(tp))
 
     def sampled(name, sk, g, seed):
         det = derandomize(sk, g, seed=seed)
-        out[f"sketch.{name}"] = _digest(cli.write_sketch_file(list(det.labels), det.width, name))
+        out[f"sketch.{name}"] = _digest(write_sketch_file(list(det.labels), det.width, name))
         out[f"attempts.{name}"] = str(det.attempts)
 
     g = random_kdegenerate(30, 2, seed=7)
@@ -63,7 +64,7 @@ def golden_outputs() -> dict[str, str]:
                     ("kdeg3", random_kdegenerate(50, 3, seed=2))):
         det = naive_derandomize(arboricity_scheme(g))
         out[f"sketch.naive-{name}"] = _digest(
-            cli.write_sketch_file(list(det.labels), det.width, name))
+            write_sketch_file(list(det.labels), det.width, name))
     return out
 
 

@@ -33,3 +33,38 @@ def test_no_module_level_import_is_unused():
     assert len(files) > 20
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in files}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+
+def cli_reach(source: str) -> set[str]:
+    """What `source` takes from the CLI: 'pugkit.cli' if it imports that
+    module or a name from it, 'CliError' if it names that class."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["pugkit" if node.level else None, node.module]))
+            found.update({base, *(f"{base}.{alias.name}" for alias in node.names)} & {"pugkit.cli"})
+        elif isinstance(node, ast.Import):
+            found.update({alias.name for alias in node.names} & {"pugkit.cli"})
+        if "CliError" in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None)):
+            found.add("CliError")
+    return found
+
+
+def test_only_the_cli_knows_the_cli():
+    """Each file format lives with its type: no package module but `cli.py`
+    imports `pugkit.cli` or names `CliError`, and `cli.py` defines no file
+    reader or writer."""
+    assert cli_reach("from .cli import main\nfrom . import cli\nimport pugkit.cli as c\n") == \
+        {"pugkit.cli"}
+    assert cli_reach("from . import labels\nraise x.CliError(3, 'm')\n") == {"CliError"}
+    for path in sorted((ROOT / "src" / "pugkit").glob("*.py")):
+        source = path.read_text()
+        if path.name == "cli.py":
+            codecs = [node.name for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name.startswith(("write_", "parse_"))]
+            assert codecs == [], codecs
+        else:
+            assert cli_reach(source) == set(), path.name

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from pugkit.cli import parse_sketch_file, write_sketch_file
 from pugkit.generators import cycle, path
 from pugkit.graphs import cartesian_product
 from pugkit.products import (
@@ -25,7 +24,9 @@ from pugkit.sketch import (
     derandomize,
     exact_majority_copies,
     majority_failure,
+    parse_sketch_file,
     to_bits,
+    write_sketch_file,
 )
 
 

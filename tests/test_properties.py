@@ -19,7 +19,7 @@ from pugkit.bipartite import (
     equivalence_labels,
     is_chain_graph,
 )
-from pugkit.cli import main, parse_sketch_file, write_sketch_file
+from pugkit.cli import main
 from pugkit.combinators import _bits, _width_for
 from pugkit.generators import (
     biclique,
@@ -52,7 +52,9 @@ from pugkit.sketch import (
     evaluate_error,
     from_bits,
     naive_derandomize,
+    parse_sketch_file,
     to_bits,
+    write_sketch_file,
 )
 from pugkit.structure import quasi_chain_number
 from pugkit.twinwidth import Star, TwCertificate, parse_certificate, write_certificate

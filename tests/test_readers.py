@@ -17,16 +17,17 @@ from hypothesis import strategies as st
 
 import pugkit
 from pugkit import bipartite, protocols
-from pugkit.cli import (_parse_partition_seq, main, parse_decoder_file, write_decoder_file,
-                        write_partition_seq)
+from pugkit.cli import main
 from pugkit.generators import complete, path, random_forest, random_kdegenerate, random_tp_free
 from pugkit.geometric import (interval_graph_from, parse_realization, random_intervals,
                               write_realization)
 from pugkit.graphs import Graph, GraphFormatError, write_graph
-from pugkit.labels import (SHAPE_DEPTH_CAP, parse_label_file, shape_arity, shape_from_str,
+from pugkit.labels import (SHAPE_DEPTH_CAP, SchemeError, node, parse_decoder_file,
+                           parse_label_file, shape_arity, shape_from_str, write_decoder_file,
                            write_label_file)
 from pugkit.sketch import arboricity_scheme
-from pugkit.twinwidth import parse_certificate, twin_width_exact, write_certificate
+from pugkit.twinwidth import (parse_certificate, parse_partition_seq, twin_width_exact,
+                              write_certificate, write_partition_seq)
 
 #: Python's own words for a failed conversion, which no message may hold.
 LEAKS = re.compile(r"invalid literal|unpack|could not convert|index out of range")
@@ -313,6 +314,19 @@ def test_label_and_decoder_files_round_trip(family, seed, name):
                for u in range(sch.n) for v in range(sch.n) if u != v)
 
 
+def test_a_parsed_decoder_raises_the_library_errors():
+    # a shape the table does not list breaks the family contract (exit 2); a
+    # tree walker that cannot run on the labels is a fault of the file (exit 3)
+    sch = arboricity_scheme(path(4))
+    decode = parse_decoder_file(write_decoder_file(sch))
+    with pytest.raises(SchemeError, match="^label shape unknown to decoder$"):
+        decode(node((1,), (0, 1, 2)), (sch.shapes[0], sch.codes[0]))
+    decode = parse_decoder_file('decoder tree {"name": "equivalence"}\n')
+    with pytest.raises(GraphFormatError,
+                       match=r"^line 1: decoder does not fit the labels \(IndexError\)$"):
+        decode(node(), node())
+
+
 @pytest.mark.parametrize("header, message", [
     ("labels g s=0 k=0 width=0", "line 1: header s=0 does not match the labels' s=2"),
     ("labels g s=2 k=1", "line 1: header k=1 does not match the labels' k=2"),
@@ -361,8 +375,8 @@ PARTS = st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=4), min_size=
 @given(st.lists(PARTS, min_size=1, max_size=4))
 @example([[[0, 1, 2]], [[0], [1, 2]], [[0], [1], [2]]])
 def test_width_seq_files_round_trip(seq):
-    assert _parse_partition_seq(write_partition_seq(seq)) == [[tuple(sorted(p)) for p in parts]
-                                                              for parts in seq]
+    assert parse_partition_seq(write_partition_seq(seq)) == [[tuple(sorted(p)) for p in parts]
+                                                             for parts in seq]
 
 
 # ---------------------------------------------------------------------------

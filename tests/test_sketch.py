@@ -319,6 +319,16 @@ def test_majority_failure_exact():
             if 2 * wrong >= copies:
                 brute += (p ** wrong) * ((1 - p) ** (copies - wrong))
         assert abs(majority_failure(copies, p) - brute) < 1e-12
+    # the exact tail, at the boundary p = 0 and p = 1 and on both sides of
+    # p = 1/2, where the sum runs down from the tail's top term
+    from fractions import Fraction
+    from math import comb
+
+    for p in map(Fraction, ("0", "1/3", "1/2", "3/5", "1")):
+        for copies in range(62):
+            tail = sum(comb(copies, i) * p**i * (1 - p)**(copies - i)
+                       for i in range((copies + 1) // 2, copies + 1))
+            assert abs(majority_failure(copies, float(p)) - tail) <= 1e-12 * tail, (copies, p)
     k = exact_majority_copies(1e-3, 1 / 3)
     assert majority_failure(k, 1 / 3) <= 1e-3
     assert k % 2 == 1 and majority_failure(k - 2, 1 / 3) > 1e-3
