@@ -23,6 +23,7 @@ from .combinators import (
 )
 from .graphs import ColoredBipartiteGraph, Graph, bipartite_complement, mask_of, members
 from .labels import EqualityScheme, SchemeError, Walker, build_walker, node, register_walker
+from .rng import rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +725,6 @@ def build_chain_decomposition_graph(k: int, sizes: int, seed: int = 0
     vertices per part: the required complete/anticomplete blocks, bicliques
     on the (A_i,B_i)/(C_i,D_i) diagonals, and near-complete (A_i,B_{i-1})
     blocks so the non-neighbour bullets hold."""
-    from .rng import rng_for
-
     rng = rng_for(seed, "chain-decomp", k, sizes)
     a = [tuple(range(i * sizes, (i + 1) * sizes)) for i in range(k)]
     c = [tuple(range((k + i) * sizes, (k + i + 1) * sizes)) for i in range(k)]

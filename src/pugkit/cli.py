@@ -200,6 +200,7 @@ def cmd_eval(args) -> int:
                        ("overall", rep.overall)):
         lo, hi = est.wilson()
         print(f"{label} {est.trials} {est.errors} {est.rate:.6f} {lo:.6f} {hi:.6f}")
+    print(f"sketch={args.scheme} width={sk.width} delta<={sk.delta:g}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -258,7 +259,6 @@ def cmd_product_dist(args) -> int:
         raise CliError(EXIT_CONTRACT, "product sketches need a graph input")
     base = products.FiniteFamilyDistanceSketch([g], k=args.k)
     sk = products.ProductDistanceSketch([g] * args.d, base, k=args.k)
-    print(f"product d={args.d} k={args.k} m={sk.m} t={sk.t} width={sk.width}")
     queries, ids = [], []
     for pair in args.query or []:
         try:
@@ -271,6 +271,7 @@ def cmd_product_dist(args) -> int:
     # only the queried vertices' labels are encoded
     rows = sk.grid_bits([args.seed], ids)[0]
     outs = sk.decode_pairs(rows, range(0, len(ids), 2), range(1, len(ids), 2))
+    print(f"product d={args.d} k={args.k} m={sk.m} t={sk.t} width={sk.width}")
     for (us, vs), out in zip(queries, outs.tolist()):
         print(f"{us} {vs} {'bot' if out == products.BOTTOM else out}")
     return EXIT_OK

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graphs import ColoredBipartiteGraph, Graph, bipartite_complement
+from .graphs import ColoredBipartiteGraph, Graph, bipartite_complement, induced_subgraph
 from .labels import (
     EqOracle,
     EqualityScheme,
@@ -208,8 +208,6 @@ def twin_reduce_scheme(g: Graph, mode: str,
     """
     tp = twin_partition(g, mode)
     reps = sorted(set(tp.representative))
-    from .graphs import induced_subgraph
-
     quotient, remap = induced_subgraph(g, reps)
     base = base_builder(quotient, remap)
     labels = []

@@ -15,8 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from .bipartite import _chain_walker_factory, chain_graph_labels
-from .combinators import TAG_D, TAG_DBAR, TAG_L, TAG_P, _bits, _width_for, tree_walker
-from .graphs import ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, in_id_order
+from .combinators import (TAG_D, TAG_DBAR, TAG_L, TAG_P, _bits, _width_for, tree_walker,
+                          twin_reduce_scheme)
+from .graphs import (ColoredBipartiteGraph, Graph, GraphFormatError, LineReader, in_id_order,
+                     induced_subgraph)
 from .labels import EqualityScheme, Label, SchemeError, Walker, node, register_walker
 from .rng import rng_for
 from .sketch import arboricity_scheme
@@ -165,8 +167,6 @@ def interval_scheme(g: Graph, realization: Sequence[Interval], k: int) -> Equali
     chain bound), then labels the quotient by its degeneracy forests.
     """
     _check_realization(g, "intervals", realization)
-    from .combinators import twin_reduce_scheme
-
     cap = 4 * (k + 1) ** 2
 
     def base_builder(quotient: Graph, remap: dict[int, int]) -> EqualityScheme:
@@ -409,8 +409,6 @@ def permutation_labels(g: Graph, points: Sequence[Point], k: int) -> EqualitySch
         leaf = try_chain_leaf(vs)
         if leaf is not None:
             return {v: node(TAG_L, (), leaf[v]) for v in vs}
-        from .graphs import induced_subgraph
-
         sub, remap = induced_subgraph(g, vs)
         inv = {i: v for v, i in remap.items()}
         comps = sub.connected_components()

@@ -321,7 +321,9 @@ class ColoredBipartiteGraph:
     def has_edge(self, x: int, y: int) -> bool:
         if self.nx <= BITSET_THRESHOLD >= self.ny:
             return bool((self._rows_x or self.rows_x)[x] >> y & 1)
-        return y in self._adj_x[x]
+        a = self._adj_x[x]
+        i = bisect_left(a, y)
+        return i < len(a) and a[i] == y
 
     def neighbors_x(self, x: int) -> tuple[int, ...]:
         """Neighbors of X-vertex x, as Y-ids."""

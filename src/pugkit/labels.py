@@ -110,11 +110,11 @@ class EqualityScheme:
 
     `spec` is the registry's JSON object naming the walker, which is
     `build_walker(spec)`; a live walker may stand in for it or for any part
-    where no spec exists (protocols' diagonal labels, a test walker).  A
-    scheme keeps its labels' shapes and codes and its spec.  The walker,
-    codec, decoder, canonical values and code table are built the first
-    time something reads them, so a scheme made only to be a part of
-    another pays for its labels alone.
+    where no spec exists (a test walker).  A scheme keeps its labels'
+    shapes and codes and its spec.  The walker, codec, decoder, canonical
+    values and code table are built the first time something reads them,
+    so a scheme made only to be a part of another pays for its labels
+    alone.
     """
 
     def __init__(self, labels: Iterable[Label], spec: Spec, name: str = "scheme"):
@@ -236,6 +236,28 @@ def walker_tree(walker: Walker, sx: ShapeNode, sy: ShapeNode) -> EqTree:
         return node
 
     return grow([])
+
+
+def _eq_tree_walker(spec: dict) -> Walker:
+    """The walker of an equality decision tree written as JSON: an ask is
+    `[i, j, zero, one]` on cell (i, j) of the two root tuples' codes, a
+    leaf is 0 or 1.  It asks only the cells on its path.  A cell outside
+    the two tuples, a malformed ask or another leaf raises an error of
+    `_SPEC_ERRORS`, since the tree may come from a decoder file."""
+    root = spec["tree"]
+
+    def walker(sx: ShapeNode, sy: ShapeNode, eq: EqOracle) -> int:
+        cur = root
+        while isinstance(cur, list):
+            i, j, zero, one = cur
+            if not (type(i) is int and type(j) is int and 0 <= i < sx.arity and 0 <= j < sy.arity):
+                raise IndexError(f"cell ({i!r}, {j!r}) is outside a {sx.arity}x{sy.arity} pattern")
+            cur = one if eq(sx.slot0 + i, sy.slot0 + j) else zero
+        if type(cur) is not int or cur not in (0, 1):
+            raise ValueError(f"equality tree leaf {cur!r} is not 0 or 1")
+        return cur
+
+    return walker
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +450,9 @@ _WALKER_BUILDERS: dict[str, Callable[[dict], Walker]] = {}
 
 def register_walker(name: str, builder: Callable[[dict], Walker]) -> None:
     _WALKER_BUILDERS[name] = builder
+
+
+register_walker("eq-tree", _eq_tree_walker)
 
 
 def build_walker(spec: Spec) -> Walker:

@@ -134,32 +134,14 @@ def labels_to_protocol(scheme: EqualityScheme) -> Node:
 # Protocol -> diagonal labels.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DiagonalLabeling:
-    """k-diagonal equality labels on bip(G): codes only, and an eta that
-    reads just the diagonal of the equality matrix."""
-
-    codes_x: list[tuple[int, ...]]
-    codes_y: list[tuple[int, ...]]
-    eta: Callable[[Sequence[int]], int]
-    t: int  # inner-node count; labels carry t+1 codes
-
-    def decode(self, x_codes: Sequence[int], y_codes: Sequence[int]) -> int:
-        w = [int(a == b) for a, b in zip(x_codes, y_codes)]
-        return self.eta(w)
-
-    def decode_pair(self, u: int, v: int, n: int) -> int:
-        """Adjacency of bip-vertices u, v (0..n-1 left, n..2n-1 right)."""
-        cu = self.codes_x[u] if u < n else self.codes_y[u - n]
-        cv = self.codes_x[v] if v < n else self.codes_y[v - n]
-        return self.decode(cu, cv)
-
-
-def protocol_to_diagonal_labels(tree: Node, g: Graph) -> DiagonalLabeling:
+def protocol_to_diagonal_labels(tree: Node, g: Graph) -> EqualityScheme:
     """From a protocol computing adjacency of g, build diagonal labels for
-    bip(g): code i of a left vertex is a_i(x), of a right vertex b_i(y),
-    plus a final side code (left 0 / right 1); eta simulates the tree from
-    the diagonal and forces 0 on same-side pairs.
+    bip(g), X vertices 0..n-1 and then Y vertices n..2n-1.  Code i of a left
+    vertex is a_i(x) and of a right vertex b_i(y), for the i-th equality
+    node of the normalized tree in preorder, plus a final side code (left
+    0 / right 1).  The decoder spec is that tree as an `eq-tree` asking
+    only diagonal cells, under a first ask of the side code that sends
+    same-side pairs to 0.
 
     The conversion needs the tree to be correct on the diagonal too, since
     (x, x') pairs of bip(g) are never edges; trees built from pairwise
@@ -168,46 +150,23 @@ def protocol_to_diagonal_labels(tree: Node, g: Graph) -> DiagonalLabeling:
     if any(run_protocol(tree, x, x)[0] != 0 for x in range(g.n)):
         ids = tuple(range(g.n))
         tree = EqNode(ids, ids, tree, Leaf(0))
-    norm = normalize_to_equality_nodes(tree)
     nodes: list[EqNode] = []
-    index: dict[int, int] = {}
 
-    def number(node: Node):
-        if isinstance(node, Leaf):
-            return
-        index[id(node)] = len(nodes)
-        nodes.append(node)
-        number(node.zero)
-        number(node.one)
+    def number(nd: Node):
+        """`nd` as an eq-tree, its equality nodes numbered in preorder."""
+        if isinstance(nd, Leaf):
+            if nd.value not in (0, 1):
+                raise SchemeError(f"protocol leaf {nd.value} is not an adjacency bit")
+            return nd.value
+        i = len(nodes)
+        nodes.append(nd)
+        return [i, i, number(nd.zero), number(nd.one)]
 
-    number(norm)
+    body = number(normalize_to_equality_nodes(tree))
     t = len(nodes)
-
-    codes_x = [tuple(nd.a[x] for nd in nodes) + (0,) for x in range(g.n)]
-    codes_y = [tuple(nd.b[y] for nd in nodes) + (1,) for y in range(g.n)]
-
-    def eta(w: Sequence[int]) -> int:
-        if w[t]:
-            return 0
-        cur: Node = norm
-        while not isinstance(cur, Leaf):
-            bit = w[index[id(cur)]]
-            cur = cur.one if bit else cur.zero
-        return cur.value
-
-    return DiagonalLabeling(codes_x, codes_y, eta, t)
-
-
-def diagonal_as_equality_scheme(d: DiagonalLabeling, n: int) -> EqualityScheme:
-    """Wrap diagonal labels as an (0, t+1)-equality scheme over bip(G)."""
-    labels = [node((), c) for c in d.codes_x + d.codes_y]
-    arity = d.t + 1
-
-    def walker(sx, sy, eq):
-        w = [int(eq(sx.slot0 + i, sy.slot0 + i)) for i in range(arity)]
-        return d.eta(w)
-
-    return EqualityScheme(labels, walker, name="diagonal")
+    labels = [node((), tuple(nd.a[x] for nd in nodes) + (0,)) for x in range(g.n)]
+    labels += [node((), tuple(nd.b[y] for nd in nodes) + (1,)) for y in range(g.n)]
+    return EqualityScheme(labels, {"name": "eq-tree", "tree": [t, t, body, 0]}, name="diagonal")
 
 
 # ---------------------------------------------------------------------------

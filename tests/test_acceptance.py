@@ -475,7 +475,7 @@ def test_criterion_9_protocol_roundtrips():
                     expect = int(bg.has_edge(v, u - g.n))
                 else:
                     expect = 0
-                assert diag.decode_pair(u, v, g.n) == expect
+                assert diag.decode(u, v) == expect
         checked += 1
     report(9, True, f"{checked} graphs: protocol round-trip exact, "
                     "normalize preserves tables")

@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 import time
 
 import pytest
@@ -32,6 +34,36 @@ def test_gen_hypercube_and_z(tmp_path, capsys):
     code2, _, _ = run(capsys, "gen", "z", "--q", "2", "--s", "2", "--out", str(out2))
     assert code2 == 0
     assert out2.read_text().startswith("bigraph z 2 4")
+
+
+@pytest.mark.parametrize("kind", ["tree", "table"])
+def test_diagonal_labels_query_through_their_decoder_file(tmp_path, capsys, kind):
+    # a protocol's diagonal labels name a registered walker, so their
+    # decoder file reads back, in the library and in `pugkit query`
+    from pugkit.generators import equivalence_graph, random_forest
+    from pugkit.labels import parse_decoder_file, parse_label_file, write_decoder_file, write_label_file
+    from pugkit.protocols import EqNode, Leaf, labels_to_protocol, protocol_to_diagonal_labels
+    from pugkit.sketch import arboricity_scheme
+
+    if kind == "tree":
+        g = random_forest(30, seed=3)
+        tree = labels_to_protocol(arboricity_scheme(g))
+    else:
+        g = equivalence_graph([2, 3, 1])
+        same = tuple(min((v, *g.neighbors(v))) for v in range(g.n))
+        tree = EqNode(same, same, Leaf(0), Leaf(1))
+    diag = protocol_to_diagonal_labels(tree, g)
+    labels, dec = tmp_path / "diag.labels", tmp_path / "diag.dec"
+    labels.write_text(write_label_file(diag, "bip"))
+    dec.write_text(write_decoder_file(diag))
+    assert dec.read_text().startswith(f"decoder {kind}")
+    decode, parsed = parse_decoder_file(dec.read_text()), parse_label_file(labels.read_text())[0]
+    pairs = list(itertools.permutations(range(diag.n), 2))
+    assert [decode(parsed[u], parsed[v]) for u, v in pairs] == \
+        [diag.decode(u, v) for u, v in pairs]
+    for u, v in random.Random(1).sample(pairs, 20):
+        code, out, _ = run(capsys, "query", str(labels), str(u), str(v), "--decoder", str(dec))
+        assert (code, out) == (0, f"{u} {v} {diag.decode(u, v)}\n")
 
 
 def test_gen_bad_params(capsys):
@@ -96,6 +128,19 @@ def test_sketch_and_eval(tmp_path, capsys):
     assert lines[0].startswith("class")
     adjacent = [l for l in lines if l.startswith("adjacent")][0]
     assert int(adjacent.split()[2]) == 0  # one-sided
+
+
+@pytest.mark.parametrize("scheme", [["arboricity-bloom"], ["compress:arboricity"],
+                                    ["compress:arboricity", "--delta", "0.01"]])
+def test_eval_reports_the_sketch_width_as_sketch_does(tmp_path, capsys, scheme):
+    g = tmp_path / "g.graph"
+    run(capsys, "gen", "forest", "--n", "20", "--seed", "2", "--out", str(g))
+    _, _, want = run(capsys, "sketch", str(g), "--scheme", *scheme, "--seed", "7",
+                     "--out", str(tmp_path / "sk.txt"))
+    code, out, err = run(capsys, "eval", str(g), "--scheme", *scheme, "--seed", "3",
+                         "--trials", "50")
+    assert code == 0 and out.startswith("class trials") and len(out.splitlines()) == 4
+    assert err == want and want.startswith(f"sketch={scheme[0]} width=")
 
 
 def test_sketch_product_adjacency_is_an_unknown_scheme(tmp_path, capsys):
@@ -308,13 +353,13 @@ def test_product_dist_refuses_a_label_grid_past_the_cell_cap(tmp_path, capsys, m
     assert code == 3 and "exceed the cell cap" in err and "Traceback" not in err
     argv = ["product-dist", str(g), "--d", "2", "--k", "1", "--seed", "1", "--query", "0,0:1,2"]
     code, want, _ = run(capsys, *argv)
-    header, width = want.splitlines(keepends=True)[0], int(want.split()[5][len("width="):])
+    width = int(want.split()[5][len("width="):])
     assert code == 0
     monkeypatch.setattr(products, "CELL_CAP", 2 * width)
     assert run(capsys, *argv) == (0, want, "")
     monkeypatch.setattr(products, "CELL_CAP", 2 * width - 1)
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (3, header)
+    assert (code, out) == (3, "")
     assert "exceed the cell cap" in err and "Traceback" not in err
 
 
@@ -329,7 +374,8 @@ def test_product_dist_bad_address_exits_3(tmp_path, capsys, address):
     run(capsys, "gen", "path", "--n", "3", "--out", str(g))
     code, out, err = run(capsys, "product-dist", str(g), "--d", "2", "--k", "1", "--seed", "1",
                          "--query", "0,0:1,1", "--query", address)
-    assert code == 3 and "bad product vertex address" in err and "Traceback" not in err
+    assert code == 3 and out == "" and "bad product vertex address" in err
+    assert "Traceback" not in err
 
 
 def test_format_error_exit(tmp_path, capsys):

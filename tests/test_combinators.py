@@ -41,11 +41,7 @@ from pugkit.generators import (
 )
 from pugkit.graphs import Graph, bip_transform, bipartite_complement, induced_subgraph
 from pugkit.labels import EqualityScheme, SchemeError, node, write_decoder_file
-from pugkit.protocols import (
-    diagonal_as_equality_scheme,
-    labels_to_protocol,
-    protocol_to_diagonal_labels,
-)
+from pugkit.protocols import labels_to_protocol, protocol_to_diagonal_labels
 from pugkit.sketch import arboricity_scheme
 
 
@@ -255,12 +251,12 @@ def _without_spec(scheme):
 
 
 def test_combinators_accept_a_base_without_a_spec():
-    # bip(G) labels from a protocol have a live walker for a spec; every
-    # combinator must still compose them, and no decoder file takes the result
+    # bip(G) labels from a protocol, with their live walker standing in for
+    # the spec; every combinator must still compose them, and no decoder
+    # file takes the result
     g = random_forest(6, seed=2)
     n = g.n
-    diag = diagonal_as_equality_scheme(
-        protocol_to_diagonal_labels(labels_to_protocol(arboricity_scheme(g)), g), n)
+    diag = _without_spec(protocol_to_diagonal_labels(labels_to_protocol(arboricity_scheme(g)), g))
     assert diag.spec is diag.walker
     bg = bip_transform(g)
     h = bg.to_graph()

@@ -623,7 +623,7 @@ def _spec_names(spec):
 def _family_builds():
     """Builders of a small scheme of every family and combinator, whose
     specs name every registered walker."""
-    from pugkit import combinators, geometric, twinwidth
+    from pugkit import combinators, geometric, protocols, twinwidth
     from pugkit.generators import biclique, random_fpp_free
     from pugkit.graphs import induced_subgraph
 
@@ -636,6 +636,9 @@ def _family_builds():
     pg = geometric.permutation_graph_from(pts)
     ivs = random_intervals(12, seed=3)
     ig = interval_graph_from(ivs)
+    eqg = equivalence_graph([2, 3])
+    # same class: a protocol for adjacency, but for the diagonal
+    same = tuple(min((v, *eqg.neighbors(v))) for v in range(eqg.n))
     return [
         lambda: bipartite.equivalence_labels(equivalence_graph([2, 3])),
         lambda: bipartite.bipartite_equivalence_labels(beq),
@@ -654,6 +657,8 @@ def _family_builds():
         lambda: combinators.bip_lower(combinators.bip_lift(arboricity_scheme(g))),
         lambda: geometric.permutation_labels(pg, pts, k=max(chain_number(pg, cap=6).value, 1)),
         lambda: interval_scheme(ig, ivs, k=max(chain_number(ig, cap=6).value, 1)),
+        lambda: protocols.protocol_to_diagonal_labels(
+            protocols.EqNode(same, same, protocols.Leaf(0), protocols.Leaf(1)), eqg),
     ]
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from pugkit import graphs
 from pugkit.generators import (
     biclique,
     cycle,
@@ -8,6 +9,7 @@ from pugkit.generators import (
     half_graph_bipartite,
     hypercube,
     path,
+    random_bipartite,
 )
 from pugkit.graphs import (
     ColoredBipartiteGraph,
@@ -104,6 +106,16 @@ def test_bip_transform():
     assert e.m == 0
     g = cycle(5)
     assert bip_transform(g).m == 2 * g.m
+
+
+def test_bigraph_has_edge_agrees_with_its_rows_past_the_bitset_threshold(monkeypatch):
+    # above the threshold has_edge bisects the neighbour tuple
+    monkeypatch.setattr(graphs, "BITSET_THRESHOLD", 4)
+    for seed, (nx, ny) in enumerate([(3, 4), (4, 4), (5, 3), (2, 7), (6, 6)]):
+        for p in (0.0, 0.3, 0.7, 1.0):
+            b = random_bipartite(nx, ny, p, seed=seed)
+            assert [[b.has_edge(x, y) for y in range(ny)] for x in range(nx)] == \
+                [[bool(b.rows_x[x] >> y & 1) for y in range(ny)] for x in range(nx)]
 
 
 def test_cartesian_product_counts():

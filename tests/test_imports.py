@@ -1,5 +1,6 @@
 """A static check in place of a linter: every module-level import of the
-package and of its tests binds a name that the module reads."""
+package and of its tests binds a name that the module reads, and no
+function of the package imports anything."""
 
 import ast
 import pathlib
@@ -33,6 +34,30 @@ def test_no_module_level_import_is_unused():
     assert len(files) > 20
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in files}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def function_imports(source: str) -> list[str]:
+    """The import statements inside the functions of `source`, as
+    '<line>: <first name bound>'."""
+    found = {node for fn in ast.walk(ast.parse(source))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return [f"{node.lineno}: {node.names[0].asname or node.names[0].name}"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_the_scan_finds_an_import_in_a_function():
+    source = ("import os\n\n\ndef f():\n    from .rng import rng_for\n    return os\n\n\n"
+              "class C:\n    def g(self):\n        def h():\n            import sys as s\n")
+    assert function_imports(source) == ["5: rng_for", "12: s"]
+
+
+def test_no_package_function_imports():
+    # every package import is at module level, where `unused_imports` and
+    # a reader see it
+    found = {path.name: function_imports(path.read_text())
+             for path in sorted((ROOT / "src" / "pugkit").glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 

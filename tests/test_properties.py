@@ -63,7 +63,7 @@ from tests.per_pair import code_hash, parse, reference_decode
 WALKERS = sorted(_WALKER_BUILDERS)
 
 # every parameter a registered walker factory reads from its spec
-PARAMS = ["bits", "idx_bits", "c", "r", "mode", "part_bits", "chain_bits",
+PARAMS = ["bits", "idx_bits", "c", "r", "mode", "part_bits", "chain_bits", "tree",
           "base", "leaf", "sub1", "sub2"]
 
 JSON = st.recursive(

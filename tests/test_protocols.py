@@ -10,13 +10,13 @@ from pugkit.generators import (
     random_forest,
 )
 from pugkit.graphs import ColoredBipartiteGraph, GraphFormatError, bip_transform
+from pugkit.labels import SchemeError
 from pugkit.protocols import (
     CommNode,
     EqNode,
     EquivalenceInterpretation,
     Leaf,
     depth,
-    diagonal_as_equality_scheme,
     gt_protocol,
     labels_to_protocol,
     normalize_to_equality_nodes,
@@ -116,12 +116,12 @@ def test_labels_to_protocol_matches_decode_on_every_pair(family):
 
 
 def test_protocol_to_diagonal_labels_roundtrip():
-    g = random_forest(12, seed=9)
-    sch = arboricity_scheme(g)
-    tree = labels_to_protocol(sch)
+    n = 12
+    g = random_forest(n, seed=9)
+    tree = labels_to_protocol(arboricity_scheme(g))
     diag = protocol_to_diagonal_labels(tree, g)
+    assert diag.n == 2 * n and diag.spec["name"] == "eq-tree"
     bg = bip_transform(g)
-    n = g.n
     for u in range(2 * n):
         for v in range(2 * n):
             if u == v:
@@ -132,31 +132,60 @@ def test_protocol_to_diagonal_labels_roundtrip():
                 expect = int(bg.has_edge(v, u - n))
             else:
                 expect = 0
-            assert diag.decode_pair(u, v, n) == expect
-    # code count = t + 1 with t <= 2^d for the (possibly guard-wrapped) tree
-    assert len(diag.codes_x[0]) == diag.t + 1
-    assert diag.t <= 2 ** (depth(tree) + 1)
+            assert diag.decode(u, v) == expect
+    # every label has k = t + 1 codes, t <= 2^d for the (possibly
+    # guard-wrapped) tree
+    assert {len(codes) for codes in diag.codes} == {diag.k}
+    assert diag.k - 1 <= 2 ** (depth(tree) + 1)
 
 
 def test_diagonal_as_equality_scheme():
+    # protocol_to_diagonal_labels returns the EqualityScheme itself: its
+    # decode answers the bipartite double cover on cross pairs, 0 on
+    # same-side pairs
     g = random_forest(8, seed=2)
     tree = labels_to_protocol(arboricity_scheme(g))
-    diag = protocol_to_diagonal_labels(tree, g)
-    sch = diagonal_as_equality_scheme(diag, g.n)
+    sch = protocol_to_diagonal_labels(tree, g)
     bg = bip_transform(g)
     for u in range(g.n):
         for v in range(g.n):
             assert sch.decode(u, g.n + v) == int(bg.has_edge(u, v))
     for u, v in itertools.combinations(range(g.n), 2):
         assert sch.decode(u, v) == 0
+        assert sch.decode(g.n + u, g.n + v) == 0
+
+
+def _leaves(tree):
+    return 1 if isinstance(tree, Leaf) else _leaves(tree.zero) + _leaves(tree.one)
+
+
+def test_diagonal_labels_give_back_a_protocol_of_the_same_size():
+    # the eq-tree walker asks only the cells on its path, so its decision
+    # tree is the protocol's, under the side-code ask and a possible
+    # identity guard: at most 2 more leaves and 2 more levels
+    g = random_forest(30, seed=3)
+    tree = labels_to_protocol(arboricity_scheme(g))
+    diag = protocol_to_diagonal_labels(tree, g)
+    back = labels_to_protocol(diag)
+    assert _leaves(back) <= _leaves(tree) + 2
+    assert depth(back) <= depth(tree) + 2
+    for u in range(diag.n):
+        for v in range(diag.n):
+            assert run_protocol(back, u, v)[0] == diag.decode(u, v)
+
+
+def test_diagonal_labels_refuse_a_leaf_that_is_not_a_bit():
+    ids = tuple(range(4))
+    with pytest.raises(SchemeError, match="^protocol leaf 2 is not an adjacency bit$"):
+        protocol_to_diagonal_labels(EqNode(ids, ids, Leaf(0), Leaf(2)), random_forest(4, seed=1))
 
 
 def test_same_side_pairs_decode_zero_via_side_code():
     g = random_forest(6, seed=4)
     diag = protocol_to_diagonal_labels(labels_to_protocol(arboricity_scheme(g)), g)
     for u, v in itertools.combinations(range(g.n), 2):
-        assert diag.decode_pair(u, v, g.n) == 0
-        assert diag.decode_pair(g.n + u, g.n + v, g.n) == 0
+        assert diag.decode(u, v) == 0
+        assert diag.decode(g.n + u, g.n + v) == 0
 
 
 def test_verify_equivalence_interpretation():

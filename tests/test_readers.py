@@ -8,6 +8,7 @@ strips comments.
 """
 
 import ast
+import json
 import pathlib
 import re
 
@@ -325,6 +326,28 @@ def test_a_parsed_decoder_raises_the_library_errors():
     with pytest.raises(GraphFormatError,
                        match=r"^line 1: decoder does not fit the labels \(IndexError\)$"):
         decode(node(), node())
+
+
+@pytest.mark.parametrize("tree, want", [
+    ([0, 0, [9, 9, 0, 0], 1], 1),      # the bad ask is off the path, so never read
+    ([1, 1, 0, 1], 0),
+    ([0, 2, 0, 1], "IndexError"),      # a cell past the tuple
+    ([-1, 0, 0, 1], "IndexError"),     # no wrap to the last code
+    ([0, True, 0, 1], "IndexError"),
+    ([0, 0, 1], "ValueError"),         # an ask of three fields
+    ([0, 0, 0, 2], "ValueError"),      # a leaf that is not a bit
+    (True, "ValueError"),
+    ("1", "ValueError"),
+])
+def test_an_eq_tree_decoder_reads_only_its_path_and_rejects_bad_nodes(tree, want):
+    decode = parse_decoder_file(f"decoder tree {json.dumps({'name': 'eq-tree', 'tree': tree})}\n")
+    x, y = node((), (5, 6)), node((), (5, 7))
+    if isinstance(want, int):
+        assert decode(x, y) == want
+        return
+    with pytest.raises(GraphFormatError,
+                       match=rf"^line 1: decoder does not fit the labels \({want}\)$"):
+        decode(x, y)
 
 
 @pytest.mark.parametrize("header, message", [
