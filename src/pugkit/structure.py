@@ -8,8 +8,8 @@ building blocks consumed by the concrete schemes.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -270,39 +270,49 @@ def twin_partition(g: Graph, mode: str) -> TwinPartition:
 def peel_order(g: Graph) -> tuple[list[int], int]:
     """Minimum-degree peeling order and the degeneracy.
 
-    Ties broken by lowest vertex id so the forests are reproducible.  A heap
-    holds (degree, vertex) entries, one pushed per degree change, so peeling
-    takes O((n + m) log n); an entry is the int degree * n + vertex, which
-    orders as the pair does and compares faster.  Degrees only drop, so a
-    vertex's current entry pops before its stale ones, which are skipped
-    once it is peeled.
+    Ties broken by lowest vertex id so the forests are reproducible.  A
+    bucket queue: one heap of vertex ids per degree, filled in id order so
+    each starts as a heap, and a pointer `low` to the lowest bucket that can
+    hold a live vertex.  A decrement pushes the neighbour into the bucket of
+    its new degree and moves the pointer down to it if it falls below.
+    Degrees only drop, so a vertex enters each bucket at most once; a popped
+    id whose degree is not the bucket's is a stale entry and is skipped, and
+    a peeled vertex's degree is set to -1 so that all its entries are stale.
     """
     n = g.n
-    nbrs = [g.neighbors(v) for v in range(n)]
+    nbrs = list(map(g.neighbors, range(n)))
     deg = list(map(len, nbrs))
-    alive = [True] * n
-    heap = [d * n + v for v, d in enumerate(deg)]
-    heapq.heapify(heap)
+    buckets = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)
     order = []
-    degeneracy = 0
-    while heap:
-        d, v = divmod(heapq.heappop(heap), n)
-        if not alive[v]:
+    low = degeneracy = 0
+    while len(order) < n:
+        bucket = buckets[low]
+        if not bucket:
+            low += 1
             continue
-        degeneracy = max(degeneracy, d)
-        alive[v] = False
+        v = heappop(bucket)
+        if deg[v] != low:
+            continue
+        if low > degeneracy:
+            degeneracy = low
+        deg[v] = -1
         order.append(v)
         for w in nbrs[v]:
-            if alive[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, deg[w] * n + w)
+            d = deg[w] - 1
+            if d >= 0:
+                deg[w] = d
+                heappush(buckets[d], w)
+                if d < low:
+                    low = d
     return order, degeneracy
 
 
 def forest_partition(g: Graph) -> np.ndarray:
-    """Partition E into `degeneracy` forests via min-degree peeling: the
-    (n, degeneracy) int64 parent table, row v holding v's parent in each
-    forest and -1 where it has none.
+    """Partition E into `degeneracy` forests via the bucket-queue
+    min-degree peel of `peel_order`: the (n, degeneracy) int64 parent
+    table, row v holding v's parent in each forest and -1 where it has none.
 
     When a vertex is peeled it has at most alpha live neighbors; those
     edges become its parent links, in increasing id order, so its parents

@@ -10,7 +10,11 @@ moved to `counter_hash` streams; the other digests did not change.  The
 per full Q mask to one row per leaf of the walker's equality decision tree.
 The `decoder.tree` digest was re-recorded when tree decoder files stopped
 listing shapes, which their walker never reads: a tree file is now its
-header line alone.
+header line alone.  The `labels.interval` digest (an interval graph whose
+twin quotient has degeneracy 29) and the `labels.arboricity-forest700`
+digest (a 700-vertex forest) were recorded with the heap peel, before
+`peel_order` became a bucket queue, and pin that the two peels give the
+same forests.
 
 `python -m tests.test_golden` prints the current outputs as JSON, then the
 names of the digests that differ from `GOLDEN`, so that a re-record can be
@@ -22,6 +26,7 @@ import json
 
 from pugkit import bipartite
 from pugkit.generators import random_forest, random_kdegenerate, random_tp_free
+from pugkit.geometric import interval_graph_from, interval_scheme, random_intervals
 from pugkit.labels import write_decoder_file, write_label_file
 from pugkit.sketch import (
     arboricity_scheme,
@@ -48,6 +53,11 @@ def golden_outputs() -> dict[str, str]:
     out["labels.tp-free"] = _digest(write_label_file(tp, "tp"))
     out["decoder.table"] = _digest(write_decoder_file(arb))
     out["decoder.tree"] = _digest(write_decoder_file(tp))
+    iv = random_intervals(150, seed=1)
+    out["labels.interval"] = _digest(
+        write_label_file(interval_scheme(interval_graph_from(iv), iv, k=2), "interval"))
+    out["labels.arboricity-forest700"] = _digest(
+        write_label_file(arboricity_scheme(random_forest(700, seed=6)), "forest700"))
 
     def sampled(name, sk, g, seed):
         det = derandomize(sk, g, seed=seed)
@@ -77,6 +87,10 @@ GOLDEN = {
         "c9d3a6ffc97c6d660216304e8bc70a401e47cf8f4ef0503b9e53e7780c63e97c",
     "decoder.tree":
         "481880eb9623b11e8e64573505b71b15d0d5b8ca7256f508ab787468b6b69ba0",
+    "labels.interval":
+        "9aab023ea0a4b50c746d0178d4e53782ed92d40d3fa5e125a09e48d248a1d9e5",
+    "labels.arboricity-forest700":
+        "ef4dff5ca2458377bb996e873c13e32ae99bb5c892fc12846197621ce9178d3d",
     "sketch.bloom":
         "b28d7403d43f17895bbcd3b3351624d64bf7f283a309efab981c70263a8b0ff7",
     "attempts.bloom": "1",

@@ -12,15 +12,18 @@ from pugkit.generators import (
     complete,
     cycle,
     edgeless,
+    equivalence_graph,
     half_graph,
     half_graph_bipartite,
     hypercube,
     path,
     random_bipartite,
+    random_forest,
     random_graph,
     random_kdegenerate,
     threshold_graph,
 )
+from pugkit.geometric import interval_graph_from, random_intervals
 from pugkit.graphs import ColoredBipartiteGraph, Graph, bip_transform, induced_subgraph, members
 from pugkit.rng import rng_for
 from pugkit.sketch import arboricity_sketch
@@ -528,6 +531,19 @@ def test_peel_order_matches_scan():
         graphs.append(random_graph(n, rng.random(), seed=rng.randrange(1 << 30)))
     for g in graphs:
         assert peel_order(g) == scan_peel_order(g)
+    # bench-scale inputs; the interval graphs have degeneracy 31 and 47, so
+    # the bucket pointer climbs and falls back across many buckets
+    graphs = [random_forest(705, seed=1), random_kdegenerate(400, 3, seed=4),
+              edgeless(0), edgeless(1), path(2), path(300),
+              Graph(40, [(0, v) for v in range(1, 40)]),
+              Graph(40, [(v, 39) for v in range(39)]),
+              equivalence_graph([45, 30, 1, 12]),
+              interval_graph_from(random_intervals(150, seed=1)),
+              interval_graph_from(random_intervals(200, seed=2))]
+    for g in graphs:
+        assert peel_order(g) == scan_peel_order(g)
+        assert forest_partition(g).tolist() == slot_loop_parents(g)
+    assert [peel_order(g)[1] for g in graphs[-2:]] == [31, 47]
 
 
 def slot_loop_parents(g: Graph) -> list[list[int]]:
