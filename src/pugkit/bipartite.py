@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .combinators import (
     DTNode,
     _bits,
@@ -22,7 +24,15 @@ from .combinators import (
     assemble_decomposition_labels,
 )
 from .graphs import ColoredBipartiteGraph, Graph, bipartite_complement, mask_of, members
-from .labels import EqualityScheme, SchemeError, Walker, build_walker, node, register_walker
+from .labels import (
+    EqualityScheme,
+    SchemeError,
+    TableScheme,
+    Walker,
+    build_walker,
+    node,
+    register_walker,
+)
 from .rng import rng_for
 
 
@@ -39,8 +49,9 @@ register_walker("equivalence", lambda spec: _equivalence_walker)
 register_walker("bip-equivalence", lambda spec: _bip_equivalence_walker)
 
 
-def equivalence_labels(g: Graph) -> EqualityScheme:
-    """One code per vertex: its clique id.  Rejects non-P3-free inputs.
+def equivalence_labels(g: Graph) -> TableScheme:
+    """One code per vertex: its clique id, the index of its component.
+    Rejects non-P3-free inputs.
 
     A component is a clique iff each of its vertices has degree |C| - 1.
     """
@@ -52,8 +63,9 @@ def equivalence_labels(g: Graph) -> EqualityScheme:
     for i, comp in enumerate(comps):
         for v in comp:
             cls[v] = i
-    labels = [node((), (cls[v],)) for v in range(g.n)]
-    return EqualityScheme(labels, {"name": "equivalence"}, name="equivalence")
+    return TableScheme([node((), (0,))[0]], np.zeros(g.n, dtype=np.int64),
+                       np.array(cls, dtype=np.int64).reshape(g.n, 1),
+                       {"name": "equivalence"}, name="equivalence")
 
 
 def bipartite_equivalence_labels(g: ColoredBipartiteGraph) -> EqualityScheme:

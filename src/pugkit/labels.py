@@ -114,7 +114,8 @@ class EqualityScheme:
     shapes and codes and its spec.  The walker, codec, decoder, canonical
     values and code table are built the first time something reads them,
     so a scheme made only to be a part of another pays for its labels
-    alone.
+    alone.  A `TableScheme` is the other way round: it keeps its code table
+    and builds the labels' shapes and codes when they are read.
     """
 
     def __init__(self, labels: Iterable[Label], spec: Spec, name: str = "scheme"):
@@ -186,6 +187,59 @@ class EqualityScheme:
             if (mat[u, u + 1:] != want).any():
                 return False
         return True
+
+
+class TableScheme(EqualityScheme):
+    """An equality scheme built from its canonical code table: distinct
+    `shapes`, each vertex's index into them (`ids`), and an (n, >= k) int64
+    array `vals` whose row v holds vertex v's codes, then -1.  The distinct
+    code values must be exactly 0..V-1, their own canonical values.
+
+    It keeps the table, with the shapes renumbered in the order in which
+    vertices first show them, as `ShapeCodec` interns labels, and its spec.
+    Its codec, `canon` and `table` come from the arrays, with no pass over
+    labels and no shape hashed.  Its `shapes` and `codes`, the same as
+    `node` labels of these codes would hold, are built when first read: by
+    a label file, `decode` or `label`.
+    """
+
+    def __init__(self, shapes: Sequence[ShapeNode], ids: np.ndarray, vals: np.ndarray,
+                 spec: Spec, name: str = "scheme"):
+        self.name = name
+        self.spec = spec
+        seen = list(dict.fromkeys(ids.tolist()))  # the shapes used, in first-seen order
+        rank = np.zeros(len(shapes), dtype=np.int64)
+        rank[seen] = np.arange(len(seen))
+        self.distinct = [shapes[i] for i in seen]
+        self.arities = [shape_arity(sh) for sh in self.distinct]
+        self.sid = rank[ids]
+        self.vals = np.ascontiguousarray(vals[:, :max(self.arities, default=0)], dtype=np.int64)
+
+    @cached_property
+    def shapes(self) -> tuple[ShapeNode, ...]:
+        return tuple(map(self.distinct.__getitem__, self.sid.tolist()))
+
+    @cached_property
+    def codes(self) -> tuple[tuple[int, ...], ...]:
+        cut = map(self.arities.__getitem__, self.sid.tolist())
+        return tuple(tuple(row[:a]) for row, a in zip(self.vals.tolist(), cut))
+
+    @cached_property
+    def codec(self) -> ShapeCodec:
+        return ShapeCodec(self.distinct, self.sid.tolist())
+
+    @cached_property
+    def canon(self) -> dict[int, int]:
+        top = int(self.vals.max(initial=-1)) + 1
+        return dict(zip(range(top), range(top)))
+
+    @property
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.sid, self.vals
+
+    @property
+    def n(self) -> int:
+        return len(self.sid)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +323,20 @@ class ShapeCodec:
     table layout: one row per label, its shape id and one value per code
     slot, padded to the largest arity `k`.  `shape_bits` is what a shape id
     takes as a bit field.
+
+    Built from the labels' shapes, it interns them, hashing each.  Given
+    `ids`, `shapes` are the distinct shapes, already in first-seen order,
+    and ids[r] is label r's index into them; nothing is hashed.
     """
 
-    def __init__(self, shapes: Sequence[ShapeNode]):
-        self.index: dict[ShapeNode, int] = {}
-        #: the shape id of each of `shapes`, in order
-        self.ids = [self.index.setdefault(sh, len(self.index)) for sh in shapes]
-        self.shapes = list(self.index)
+    def __init__(self, shapes: Sequence[ShapeNode], ids: list[int] | None = None):
+        if ids is None:
+            index: dict[ShapeNode, int] = {}
+            ids = [index.setdefault(sh, len(index)) for sh in shapes]
+            shapes = index
+        #: the shape id of each label, in order
+        self.ids = ids
+        self.shapes = list(shapes)
         self.arities = [shape_arity(sh) for sh in self.shapes]
         self.k = max(self.arities, default=0)
         self.shape_bits = bits_for(len(self.shapes))

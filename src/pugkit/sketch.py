@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import Graph, GraphFormatError, LineReader, in_id_order
-from .labels import EqualityScheme, bits_for, node, register_walker
+from .labels import EqualityScheme, TableScheme, bits_for, node, register_walker
 from .rng import _MASK64, counter_hash, derive_seed
 from .structure import forest_partition
 
@@ -356,15 +356,15 @@ def _arboricity_walker(sx, sy, eq) -> int:
 register_walker("arboricity", lambda spec: _arboricity_walker)
 
 
-def arboricity_scheme(g: Graph) -> EqualityScheme:
+def arboricity_scheme(g: Graph) -> TableScheme:
     """Equality labels (self id, then one parent id per forest): one
-    tuple of codes, so one shape per arity."""
+    tuple of codes, so one shape per arity.  The code table is the forest
+    parent table with each vertex's own id in front, -1 past its parents."""
     parents = forest_partition(g)
-    rows = np.column_stack([np.arange(g.n), parents]).tolist()
-    arities = (1 + np.count_nonzero(parents >= 0, axis=1)).tolist()
     shapes = [node((), (0,) * a)[0] for a in range(parents.shape[1] + 2)]
-    labels = [(shapes[a], tuple(row[:a])) for row, a in zip(rows, arities)]
-    return EqualityScheme(labels, {"name": "arboricity"}, name="arboricity")
+    return TableScheme(shapes, 1 + np.count_nonzero(parents >= 0, axis=1),
+                       np.column_stack([np.arange(g.n, dtype=np.int64), parents]),
+                       {"name": "arboricity"}, name="arboricity")
 
 
 class ArboricitySketch(SketchScheme):

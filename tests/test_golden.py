@@ -14,7 +14,11 @@ header line alone.  The `labels.interval` digest (an interval graph whose
 twin quotient has degeneracy 29) and the `labels.arboricity-forest700`
 digest (a 700-vertex forest) were recorded with the heap peel, before
 `peel_order` became a bucket queue, and pin that the two peels give the
-same forests.
+same forests.  The three equivalence digests (`labels.equivalence`,
+`sketch.naive-equivalence` and `sketch.compress-equivalence` with its
+attempt count) were recorded with the per-vertex `node()` builders, before
+the arboricity and equivalence schemes were built from their code tables,
+and pin that the table-built schemes give the same files.
 
 `python -m tests.test_golden` prints the current outputs as JSON, then the
 names of the digests that differ from `GOLDEN`, so that a re-record can be
@@ -25,8 +29,9 @@ import hashlib
 import json
 
 from pugkit import bipartite
-from pugkit.generators import random_forest, random_kdegenerate, random_tp_free
+from pugkit.generators import equivalence_graph, random_forest, random_kdegenerate, random_tp_free
 from pugkit.geometric import interval_graph_from, interval_scheme, random_intervals
+from pugkit.graphs import Graph
 from pugkit.labels import write_decoder_file, write_label_file
 from pugkit.sketch import (
     arboricity_scheme,
@@ -75,6 +80,18 @@ def golden_outputs() -> dict[str, str]:
         det = naive_derandomize(arboricity_scheme(g))
         out[f"sketch.naive-{name}"] = _digest(
             write_sketch_file(list(det.labels), det.width, name))
+
+    # seven cliques with their vertex ids spread by v -> 5v mod 38, so the
+    # clique ids do not follow the vertex ids
+    eq = equivalence_graph([7, 1, 12, 3, 9, 1, 5])
+    eq = Graph(eq.n, [(5 * u % eq.n, 5 * v % eq.n) for u, v in eq.edge_array().tolist()])
+    out["labels.equivalence"] = _digest(
+        write_label_file(bipartite.equivalence_labels(eq), "equivalence"))
+    det = naive_derandomize(bipartite.equivalence_labels(eq))
+    out["sketch.naive-equivalence"] = _digest(
+        write_sketch_file(list(det.labels), det.width, "equivalence"))
+    g = equivalence_graph([4, 2, 6, 1, 3])
+    sampled("compress-equivalence", compress_equality_scheme(bipartite.equivalence_labels(g)), g, 9)
     return out
 
 
@@ -104,6 +121,13 @@ GOLDEN = {
         "06266e1f79a1ee62c7e5cded3a4382f32fe21b844a7edc9e00a2dbf5c8c684a6",
     "sketch.naive-kdeg3":
         "0ef9162a46b25cf66a522f178f0ee06110f90a5e497b21d238dd9c5246286b4f",
+    "labels.equivalence":
+        "1f7463f1ccc70d71a42e7cfeeba99c80778faf0e2328446b4c9be17aeff8278e",
+    "sketch.naive-equivalence":
+        "5c14501322681877338528a5955e46b49f1b26f7e7f7f16f325f49434628f79f",
+    "sketch.compress-equivalence":
+        "148f12545312701dbe9eb12928374924ed7b2d41df492d32bedd131125be4894",
+    "attempts.compress-equivalence": "1",
 }
 
 
