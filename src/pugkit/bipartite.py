@@ -68,8 +68,9 @@ def equivalence_labels(g: Graph) -> TableScheme:
                        {"name": "equivalence"}, name="equivalence")
 
 
-def bipartite_equivalence_labels(g: ColoredBipartiteGraph) -> EqualityScheme:
-    """One code per vertex: its biclique id; decode = cross-part equality.
+def bipartite_equivalence_labels(g: ColoredBipartiteGraph) -> TableScheme:
+    """One code per vertex: its biclique id, the index of its component,
+    under its side's tag; decode = cross-part equality.
 
     Vertices are indexed X first (0..nx-1) then Y (nx..nx+ny-1).  A
     component (cx, cy) is a biclique iff each x in it has degree |cy|.
@@ -78,13 +79,16 @@ def bipartite_equivalence_labels(g: ColoredBipartiteGraph) -> EqualityScheme:
     for cx, cy in comps:
         if any(g.deg_x(x) != len(cy) for x in cx):
             raise SchemeError("input is not a bipartite equivalence graph")
-    labels = [None] * (g.nx + g.ny)
+    cls = [0] * (g.nx + g.ny)
     for i, (cx, cy) in enumerate(comps):
         for x in cx:
-            labels[x] = node((0,), (i,))
+            cls[x] = i
         for y in cy:
-            labels[g.nx + y] = node((1,), (i,))
-    return EqualityScheme(labels, {"name": "bip-equivalence"}, name="bip-equivalence")
+            cls[g.nx + y] = i
+    return TableScheme([node((0,), (0,))[0], node((1,), (0,))[0]],
+                       np.repeat(np.arange(2, dtype=np.int64), [g.nx, g.ny]),
+                       np.array(cls, dtype=np.int64).reshape(-1, 1),
+                       {"name": "bip-equivalence"}, name="bip-equivalence")
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ vertex with a walker that decides adjacency from the two label shapes and
 an equality oracle over code slots; the walker never sees raw code values,
 which is what makes the one-sided compression argument go through.
 
-`ShapeCodec` interns a scheme's label shapes and lays its codes out as a
-padded code table, and `CompiledDecoder` evaluates the walker over pairs
-of table rows.  Labels as bits are the packed sketches of `sketch`, which
+A scheme's one canonical code table, `EqualityScheme.table`, holds each
+vertex's shape id and its codes renumbered to 0..V-1 by sorted value,
+padded with -1; `ShapeCodec` holds the distinct shapes and lays codes out
+in that table, and `CompiledDecoder` evaluates the walker over pairs of
+table rows.  Labels as bits are the packed sketches of `sketch`, which
 read their bit fields back into such a table.  Label and decoder files,
 a scheme's labels and walker on disk, are read and written here too.
 """
@@ -111,11 +113,14 @@ class EqualityScheme:
     `spec` is the registry's JSON object naming the walker, which is
     `build_walker(spec)`; a live walker may stand in for it or for any part
     where no spec exists (a test walker).  A scheme keeps its labels'
-    shapes and codes and its spec.  The walker, codec, decoder, canonical
-    values and code table are built the first time something reads them,
-    so a scheme made only to be a part of another pays for its labels
-    alone.  A `TableScheme` is the other way round: it keeps its code table
-    and builds the labels' shapes and codes when they are read.
+    shapes and codes and its spec, and builds all else the first time
+    something reads it, so a scheme made only to be a part of another pays
+    for its labels alone.  Its one code table is the distinct shapes in
+    first-seen order (`distinct`), each vertex's index into them (`sid`),
+    and an (n, k) int64 array (`vals`) of each vertex's codes, each written
+    as its rank among the distinct codes, then -1; the ranks are 0..V-1,
+    V the `alphabet`.  A `TableScheme` is given those three arrays and
+    builds its labels' shapes and codes when they are read.
     """
 
     def __init__(self, labels: Iterable[Label], spec: Spec, name: str = "scheme"):
@@ -131,28 +136,42 @@ class EqualityScheme:
         return build_walker(self.spec)
 
     @cached_property
+    def sid(self) -> np.ndarray:
+        index: dict[ShapeNode, int] = {}
+        return np.array([index.setdefault(sh, len(index)) for sh in self.shapes], dtype=np.int64)
+
+    @cached_property
+    def distinct(self) -> list[ShapeNode]:
+        # the shape of each id's first vertex
+        return list(map(self.shapes.__getitem__, np.unique(self.sid, return_index=True)[1].tolist()))
+
+    @cached_property
+    def vals(self) -> np.ndarray:
+        # int64 unless a code overflows it, and then Python ints: the
+        # numbering is by value either way
+        try:
+            codes = np.fromiter(chain.from_iterable(self.codes), dtype=np.int64)
+        except OverflowError:
+            codes = np.array(list(chain.from_iterable(self.codes)), dtype=object)
+        return self.codec.table(self.sid, np.unique(codes, return_inverse=True)[1])
+
+    @cached_property
     def codec(self) -> ShapeCodec:
-        return ShapeCodec(self.shapes)
+        return ShapeCodec(self.distinct)
 
     @cached_property
     def decoder(self) -> CompiledDecoder:
         return CompiledDecoder(self.codec, self.walker)
 
-    @cached_property
-    def canon(self) -> dict[int, int]:
-        """Distinct code values renumbered to [0, #distinct), by sorted value."""
-        return {val: i for i, val in enumerate(sorted({c for cs in self.codes for c in cs}))}
-
-    @cached_property
-    def values(self) -> list[list[int]]:
-        """Per vertex, its canonical code values."""
-        canon = self.canon
-        return [[canon[c] for c in codes] for codes in self.codes]
-
-    @cached_property
+    @property
     def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The padded code table of the canonical values: the bulk decoder input."""
-        return self.codec.table(self.codec.ids, self.values)
+        """The code table (`sid`, `vals`): the bulk decoder's input."""
+        return self.sid, self.vals
+
+    @property
+    def alphabet(self) -> int:
+        """V, the number of canonical code values."""
+        return int(self.vals.max(initial=-1)) + 1
 
     @property
     def n(self) -> int:
@@ -190,17 +209,17 @@ class EqualityScheme:
 
 
 class TableScheme(EqualityScheme):
-    """An equality scheme built from its canonical code table: distinct
+    """An equality scheme given its canonical code table: candidate
     `shapes`, each vertex's index into them (`ids`), and an (n, >= k) int64
     array `vals` whose row v holds vertex v's codes, then -1.  The distinct
     code values must be exactly 0..V-1, their own canonical values.
 
-    It keeps the table, with the shapes renumbered in the order in which
-    vertices first show them, as `ShapeCodec` interns labels, and its spec.
-    Its codec, `canon` and `table` come from the arrays, with no pass over
-    labels and no shape hashed.  Its `shapes` and `codes`, the same as
-    `node` labels of these codes would hold, are built when first read: by
-    a label file, `decode` or `label`.
+    It keeps its spec and the table as the `distinct`, `sid` and `vals`
+    that a label-built scheme builds from its labels: the shapes used,
+    renumbered in the order in which vertices first show them, and `vals`
+    cut to k columns.  No shape is hashed.  Its `shapes` and `codes`, the
+    same as `node` labels of these codes would hold, are built when first
+    read: by a label file, `decode` or `label`.
     """
 
     def __init__(self, shapes: Sequence[ShapeNode], ids: np.ndarray, vals: np.ndarray,
@@ -211,9 +230,9 @@ class TableScheme(EqualityScheme):
         rank = np.zeros(len(shapes), dtype=np.int64)
         rank[seen] = np.arange(len(seen))
         self.distinct = [shapes[i] for i in seen]
-        self.arities = [shape_arity(sh) for sh in self.distinct]
         self.sid = rank[ids]
-        self.vals = np.ascontiguousarray(vals[:, :max(self.arities, default=0)], dtype=np.int64)
+        k = max(map(shape_arity, self.distinct), default=0)
+        self.vals = np.ascontiguousarray(vals[:, :k], dtype=np.int64)
 
     @cached_property
     def shapes(self) -> tuple[ShapeNode, ...]:
@@ -221,21 +240,8 @@ class TableScheme(EqualityScheme):
 
     @cached_property
     def codes(self) -> tuple[tuple[int, ...], ...]:
-        cut = map(self.arities.__getitem__, self.sid.tolist())
+        cut = map([shape_arity(sh) for sh in self.distinct].__getitem__, self.sid.tolist())
         return tuple(tuple(row[:a]) for row, a in zip(self.vals.tolist(), cut))
-
-    @cached_property
-    def codec(self) -> ShapeCodec:
-        return ShapeCodec(self.distinct, self.sid.tolist())
-
-    @cached_property
-    def canon(self) -> dict[int, int]:
-        top = int(self.vals.max(initial=-1)) + 1
-        return dict(zip(range(top), range(top)))
-
-    @property
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.sid, self.vals
 
     @property
     def n(self) -> int:
@@ -319,39 +325,26 @@ def _eq_tree_walker(spec: dict) -> Walker:
 # ---------------------------------------------------------------------------
 
 class ShapeCodec:
-    """A scheme's label shapes, interned in first-seen order, and the code
-    table layout: one row per label, its shape id and one value per code
-    slot, padded to the largest arity `k`.  `shape_bits` is what a shape id
-    takes as a bit field.
-
-    Built from the labels' shapes, it interns them, hashing each.  Given
-    `ids`, `shapes` are the distinct shapes, already in first-seen order,
-    and ids[r] is label r's index into them; nothing is hashed.
+    """A scheme's distinct label shapes and the code table layout: one row
+    per label, its shape id and one value per code slot, padded to the
+    largest arity `k`.  `shape_bits` is what a shape id takes as a bit
+    field.
     """
 
-    def __init__(self, shapes: Sequence[ShapeNode], ids: list[int] | None = None):
-        if ids is None:
-            index: dict[ShapeNode, int] = {}
-            ids = [index.setdefault(sh, len(index)) for sh in shapes]
-            shapes = index
-        #: the shape id of each label, in order
-        self.ids = ids
+    def __init__(self, shapes: Sequence[ShapeNode]):
         self.shapes = list(shapes)
         self.arities = [shape_arity(sh) for sh in self.shapes]
         self.k = max(self.arities, default=0)
         self.shape_bits = bits_for(len(self.shapes))
 
-    def table(self, ids: Sequence[int], rows: Sequence[Sequence[int]]
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """The padded code table of labels with shape ids `ids` and code
-        values `rows`, all >= 0: an int64 array of the shape ids, and a
-        (len(ids), k) int64 array whose row r holds rows[r], then -1 up to k.
+    def table(self, sid: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The padded value array of labels with shape ids `sid` whose code
+        values, all >= 0, are `values` in label order: a (len(sid), k)
+        int64 array whose row r holds label r's values, then -1 up to k.
         """
-        sid = np.array(ids, dtype=np.int64)
         vals = np.full((len(sid), self.k), -1, dtype=np.int64)
-        vals[np.arange(self.k) < np.array(self.arities, dtype=np.int64)[sid][:, None]] = \
-            np.fromiter(chain.from_iterable(rows), dtype=np.int64)
-        return sid, vals
+        vals[np.arange(self.k) < np.array(self.arities, dtype=np.int64)[sid][:, None]] = values
+        return vals
 
 
 def decode_pair(walker: Walker, shape_x: ShapeNode, vals_x: Sequence[int],
@@ -368,7 +361,7 @@ class CompiledDecoder:
     An equality-based decoder sees only the two shapes and the equality
     pattern Q of their codes.  `decode_pairs` is the bulk core and the only
     code that knows Q's layout: over pairs of rows of a padded code table
-    (`ShapeCodec.table`) it keys each pair by its shape-id pair and Q bits,
+    (`EqualityScheme.table`) it keys each pair by its shape-id pair and Q bits,
     and runs the walker through `decode_pair` once per distinct key; later
     pairs with that key read the memo.  The key is one 64-bit word when the
     shape pair and the k*k bits of Q fit in one, and a byte string
@@ -403,8 +396,8 @@ class CompiledDecoder:
     def decode_rows(self, sid: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Decode every pair u < v of each of c code tables of n rows.
 
-        sid is (c, n) and vals (c, n, k): table s is (sid[s], vals[s]), as
-        `ShapeCodec.table` builds it.  Returns a (c, n, n) int8 array whose
+        sid is (c, n) and vals (c, n, k): table s is (sid[s], vals[s]), laid
+        out as `EqualityScheme.table`.  Returns a (c, n, n) int8 array whose
         strict upper triangle holds the decoded bit of (u, v) and whose lower
         triangle mirrors it.
         """
@@ -588,10 +581,9 @@ def read_shape(lines: LineReader, text: str) -> tuple[ShapeNode, int]:
 
 def write_label_file(scheme: EqualityScheme, graph_name: str) -> str:
     """The label file of `scheme`; each distinct shape is rendered once."""
-    codec = scheme.codec
-    texts = [shape_to_str(sh) for sh in codec.shapes]
+    texts = [shape_to_str(sh) for sh in scheme.codec.shapes]
     lines = [f"labels {graph_name} s={scheme.s} k={scheme.k} width={scheme.s + scheme.k}"]
-    for v, (i, codes) in enumerate(zip(codec.ids, scheme.codes)):
+    for v, (i, codes) in enumerate(zip(scheme.sid.tolist(), scheme.codes)):
         lines.append(f"v {v} {texts[i]} {','.join(map(str, codes)) or '-'}")
     return "\n".join(lines) + "\n"
 

@@ -110,10 +110,10 @@ def labels_to_protocol(scheme: EqualityScheme) -> Node:
     k^2; for a single shape it is the query depth alone.  Shape ids no
     vertex has, and patterns where the walker raises SchemeError, output 0.
     """
-    codec = scheme.codec
-    # walker_tree asks only slots that both shapes have, so the -1 filler
-    # for a slot a vertex lacks is never compared on its path
-    code = [tuple(cs[i] if i < len(cs) else -1 for cs in scheme.codes) for i in range(scheme.k)]
+    codec, (sid, vals) = scheme.codec, scheme.table
+    # code i of every vertex; walker_tree asks only slots that both shapes
+    # have, so the table's -1 padding is never compared on a path
+    code = list(map(tuple, vals.T.tolist()))
 
     def eq_tree(node: EqTree) -> Node:
         if isinstance(node, Ask):
@@ -125,9 +125,8 @@ def labels_to_protocol(scheme: EqualityScheme) -> Node:
             return Leaf(0)
         return eq_tree(walker_tree(scheme.walker, codec.shapes[sx], codec.shapes[sy]))
 
-    bits = codec.shape_bits
-    return announce("A", codec.ids, bits, lambda sx: announce("B", codec.ids, bits,
-                                                              lambda sy: pair_tree(sx, sy)))
+    ids, bits = sid.tolist(), codec.shape_bits
+    return announce("A", ids, bits, lambda sx: announce("B", ids, bits, lambda sy: pair_tree(sx, sy)))
 
 
 # ---------------------------------------------------------------------------

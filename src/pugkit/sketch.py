@@ -159,8 +159,8 @@ class PackedEqualityScheme(SketchScheme):
         self.width = self.codec.shape_bits + self.codec.k * self.value_width
 
     def _alphabet(self, scheme: EqualityScheme) -> int:
-        """How many values a code field takes: the distinct codes."""
-        return len(scheme.canon)
+        """How many values a code field takes: the scheme's alphabet."""
+        return scheme.alphabet
 
     def _code_values(self, seeds, values) -> np.ndarray:
         """The field value of each canonical code value in `values` under
@@ -189,7 +189,7 @@ class PackedEqualityScheme(SketchScheme):
 
     def decode_bits(self, bits: np.ndarray) -> np.ndarray:
         # the fields read back into code tables, -1 past each arity as
-        # `ShapeCodec.table` pads, and all tables decoded in one call
+        # `EqualityScheme.table` pads, and all tables decoded in one call
         codec, sb = self.codec, self.codec.shape_bits
         sid = _read_fields(bits[..., :sb], 1, sb)[..., 0]
         vals = _read_fields(bits[..., sb:], codec.k, self.value_width)
@@ -502,7 +502,7 @@ def naive_derandomize(scheme: EqualityScheme) -> DeterministicLabeling:
 
 def naive_label_width(scheme: EqualityScheme) -> tuple[int, int, int]:
     """(s, k, per-code bits) of the naive derandomization."""
-    return scheme.s, scheme.k, bits_for(max(len(scheme.canon), 2))
+    return scheme.s, scheme.k, bits_for(max(scheme.alphabet, 2))
 
 
 def write_sketch_file(labels, width: int, gname: str) -> str:

@@ -32,8 +32,10 @@ def parse(sk: PackedEqualityScheme, bits: int) -> tuple[int, list[int]]:
 
 
 def code_hash(sk: PackedEqualityScheme, scheme: EqualityScheme, seed: int, code: int) -> int:
-    """The field value `sk` writes, under `seed`, for a code of `scheme`."""
-    return int(sk._code_values(seed, scheme.canon[code]))
+    """The field value `sk` writes, under `seed`, for a code of `scheme`:
+    that of its rank among the scheme's distinct codes."""
+    rank = sorted({c for cs in scheme.codes for c in cs}).index(code)
+    return int(sk._code_values(seed, rank))
 
 
 def packed_decode(sk: PackedEqualityScheme, bx: int, by: int) -> int:

@@ -589,7 +589,7 @@ def test_decoder_tables_decode_every_pair(family, monkeypatch):
     tree_rows, full = write_decoder_file(sch), full_mask_table(sch)
     assert tree_rows.startswith("decoder table")
     assert tree_rows.count("\nt ") <= full.count("\nt ")
-    ids = sch.codec.ids
+    ids = sch.sid.tolist()
     for text in (tree_rows, full):
         decode, named = parse_decoder_file(text), named_cells(text, sch.codec.arities)
         for u in range(sch.n):

@@ -7,6 +7,7 @@ the vectorised trial decoder must agree with encoding and decoding each
 trial's pair on its own.
 """
 
+import itertools
 import json
 from collections import Counter
 
@@ -293,8 +294,10 @@ def test_memo_key_is_one_word_exactly_when_it_fits(shapes, layout):
                 + len(sx.tag) + 2 * len(sy.tag)) % 120
 
     codes = [c for _, c in labels]
-    codec = ShapeCodec([sh for sh, _ in labels])
-    sid, vals = codec.table(codec.ids, codes)
+    distinct = list(dict.fromkeys(sh for sh, _ in labels))
+    codec = ShapeCodec(distinct)
+    sid = np.array([distinct.index(sh) for sh, _ in labels])
+    vals = codec.table(sid, np.fromiter(itertools.chain.from_iterable(codes), dtype=np.int64))
     dec = CompiledDecoder(codec, walker)
     mat = dec.decode_rows(sid[None], vals[None])[0]
     assert (codec.k, len(codec.shapes)) == (8, shapes)
@@ -343,8 +346,11 @@ def test_shape_codec_round_trip():
     assert codec.shapes == [labels[0][0], labels[1][0]]
     # five distinct codes take 3 bits each
     assert (codec.k, codec.shape_bits, sk.value_width, sk.width) == (3, 1, 3, 1 + 3 * 3)
-    assert sk.encode(0) == [pack(sk, sid, vals) for sid, vals in zip(codec.ids, scheme.values)]
-    for (_, codes), sid in zip(labels, codec.ids):
+    # the codes 1..5 are written as their ranks 0..4
+    ids, ranks = [0, 1, 1], [[0, 1, 2], [3], [4]]
+    assert scheme.sid.tolist() == ids
+    assert sk.encode(0) == [pack(sk, sid, vals) for sid, vals in zip(ids, ranks)]
+    for (_, codes), sid in zip(labels, ids):
         vals = [c % 8 for c in codes]
         assert parse(sk, pack(sk, sid, vals)) == (sid, vals)
 

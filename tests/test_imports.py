@@ -1,6 +1,6 @@
 """A static check in place of a linter: every module-level import of the
-package and of its tests binds a name that the module reads, and no
-function of the package imports anything."""
+package, its tests and its bench harness binds a name that the module
+reads, and no function of the package imports anything."""
 
 import ast
 import pathlib
@@ -30,7 +30,8 @@ def test_the_scan_finds_an_unused_import():
 
 
 def test_no_module_level_import_is_unused():
-    files = sorted([*(ROOT / "src" / "pugkit").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    files = sorted([*(ROOT / "src" / "pugkit").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                    *(ROOT / "bench").glob("*.py")])
     assert len(files) > 20
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in files}
     assert {path: names for path, names in found.items() if names} == {}

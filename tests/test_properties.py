@@ -395,8 +395,9 @@ def test_bulk_decoders_equal_the_per_pair_walker(labels, data):
         return _q_walker(sx, sy, eq)
 
     # decode_rows over two stacked tables of the raw codes, the second reversed
-    codec, calls = ShapeCodec(shapes), []
-    sid, vals = codec.table(codec.ids, codes)
+    distinct, calls = list(dict.fromkeys(shapes)), []
+    codec, sid = ShapeCodec(distinct), np.array([distinct.index(sh) for sh in shapes], dtype=int)
+    vals = codec.table(sid, np.fromiter(itertools.chain.from_iterable(codes), dtype=np.int64))
     rev = np.arange(n)[::-1]
     mats = CompiledDecoder(codec, counted).decode_rows(np.stack([sid, sid[rev]]),
                                                        np.stack([vals, vals[rev]]))

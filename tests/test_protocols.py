@@ -8,6 +8,7 @@ from pugkit.generators import (
     half_graph_bipartite,
     random_bipartite,
     random_forest,
+    random_kdegenerate,
 )
 from pugkit.graphs import ColoredBipartiteGraph, GraphFormatError, bip_transform
 from pugkit.labels import SchemeError
@@ -101,7 +102,7 @@ def test_labels_to_protocol_forests():
 @pytest.mark.parametrize("family", ["forest", "equivalence", "kdeg2", "tp-free"])
 def test_labels_to_protocol_matches_decode_on_every_pair(family):
     from pugkit.bipartite import equivalence_labels, tp_free_labels
-    from pugkit.generators import random_equivalence, random_kdegenerate, random_tp_free
+    from pugkit.generators import random_equivalence, random_tp_free
 
     sch = {"forest": lambda: arboricity_scheme(random_forest(16, seed=4)),
            "equivalence": lambda: equivalence_labels(random_equivalence(14, 4, seed=4)),
@@ -110,6 +111,17 @@ def test_labels_to_protocol_matches_decode_on_every_pair(family):
            }[family]()
     tree = labels_to_protocol(sch)
     assert depth(tree) <= 2 * sch.codec.shape_bits + sch.k ** 2
+    for x in range(sch.n):
+        for y in range(sch.n):
+            assert run_protocol(tree, x, y)[0] == sch.decode(x, y)
+
+
+def test_labels_to_protocol_reads_the_code_table():
+    # the equality nodes' columns are the scheme's code table, so a
+    # table-built scheme builds no per-vertex codes for them
+    sch = arboricity_scheme(random_kdegenerate(24, 3, seed=5))
+    tree = labels_to_protocol(sch)
+    assert "codes" not in vars(sch)
     for x in range(sch.n):
         for y in range(sch.n):
             assert run_protocol(tree, x, y)[0] == sch.decode(x, y)

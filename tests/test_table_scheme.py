@@ -1,15 +1,21 @@
 """Table-built schemes against the per-vertex `node()` builders they
-replaced: the arboricity and equivalence schemes must hold the same labels,
-codec, canonical values and code table, so every file and sketch they feed
-stays byte-identical."""
+replaced: the arboricity, equivalence and bipartite equivalence schemes
+must hold the same labels, codec, alphabet and code table, so every file
+and sketch they feed stays byte-identical.  A label-built scheme's code
+table numbers its codes by rank, whatever their size."""
 
 import numpy as np
 import pytest
 
-from pugkit.bipartite import equivalence_labels
-from pugkit.generators import equivalence_graph, random_forest, random_kdegenerate
-from pugkit.graphs import Graph
-from pugkit.labels import EqualityScheme, TableScheme, node
+from pugkit.bipartite import bipartite_equivalence_labels, equivalence_labels
+from pugkit.generators import (
+    bipartite_equivalence_graph,
+    equivalence_graph,
+    random_forest,
+    random_kdegenerate,
+)
+from pugkit.graphs import ColoredBipartiteGraph, Graph
+from pugkit.labels import EqualityScheme, TableScheme, node, shape_arity
 from pugkit.sketch import (
     CompressedEqualityScheme,
     arboricity_scheme,
@@ -42,6 +48,18 @@ def node_equivalence_labels(g: Graph) -> EqualityScheme:
     return EqualityScheme(labels, {"name": "equivalence"}, name="equivalence")
 
 
+def node_bipartite_equivalence_labels(g: ColoredBipartiteGraph) -> EqualityScheme:
+    """The bipartite equivalence scheme as one `node()` label per vertex:
+    its side's tag and the index of its component, X first, then Y."""
+    labels = [None] * (g.nx + g.ny)
+    for i, (cx, cy) in enumerate(g.connected_components()):
+        for x in cx:
+            labels[x] = node((0,), (i,))
+        for y in cy:
+            labels[g.nx + y] = node((1,), (i,))
+    return EqualityScheme(labels, {"name": "bip-equivalence"}, name="bip-equivalence")
+
+
 def star(n: int, centre: int, first: int = 0) -> Graph:
     """The star on vertices first..n-1 with its centre at `centre`; the
     vertices below `first` are isolated."""
@@ -57,11 +75,19 @@ ARBORICITY = {**EMPTY, "star0": star(40, 0), "star39": star(40, 39),
               "forest705": random_forest(705, seed=1), "kdeg400": random_kdegenerate(400, 3, seed=1)}
 EQUIVALENCE = {**EMPTY, "classes": equivalence_graph([45, 30, 1, 12]),
                "singletons": equivalence_graph([1, 1, 1])}
+# isolated vertices on either side are components of their own, and
+# with nx = 0 the first shape seen is Y's
+BIPARTITE = {"empty": ColoredBipartiteGraph(0, 0, []), "nx=0": ColoredBipartiteGraph(0, 3, []),
+             "ny=0": ColoredBipartiteGraph(2, 0, []),
+             "isolated": bipartite_equivalence_graph([(0, 2), (3, 2), (1, 0), (2, 4), (0, 1)]),
+             "star": ColoredBipartiteGraph(2, 3, [(1, 0), (1, 2)])}
 CASES = ([(node_arboricity_scheme, arboricity_scheme, name, g) for name, g in ARBORICITY.items()]
          + [(node_arboricity_scheme, arboricity_scheme, name, g) for name, g in EQUIVALENCE.items()
             if name not in EMPTY]
          + [(node_equivalence_labels, equivalence_labels, name, g)
-            for name, g in EQUIVALENCE.items()])
+            for name, g in EQUIVALENCE.items()]
+         + [(node_bipartite_equivalence_labels, bipartite_equivalence_labels, name, g)
+            for name, g in BIPARTITE.items()])
 
 
 def assert_same_arrays(got, want):
@@ -76,17 +102,17 @@ def test_table_built_scheme_equals_the_node_built_one(reference, build, name, g)
     assert isinstance(got, TableScheme)
     assert (got.name, got.spec, got.n) == (want.name, want.spec, want.n)
     assert got.shapes == want.shapes and got.codes == want.codes
-    assert got.codec.shapes == want.codec.shapes and got.codec.ids == want.codec.ids
+    assert got.codec.shapes == want.codec.shapes
     assert (got.codec.arities, got.codec.k, got.codec.shape_bits) == \
         (want.codec.arities, want.codec.k, want.codec.shape_bits)
-    assert got.canon == want.canon
+    assert got.alphabet == want.alphabet
     assert_same_arrays(got.table, want.table)
     assert (got.s, got.k) == (want.s, want.k)
     assert naive_label_width(got) == naive_label_width(want)
     sid, vals = want.table
     np.testing.assert_array_equal(got.decoder.decode_rows(sid[None], vals[None]),
                                   want.decoder.decode_rows(sid[None], vals[None]))
-    assert [got.label(v) for v in range(g.n)] == [want.label(v) for v in range(g.n)]
+    assert [got.label(v) for v in range(got.n)] == [want.label(v) for v in range(want.n)]
 
 
 def test_the_first_shape_seen_gets_id_zero():
@@ -105,3 +131,28 @@ def test_the_bulk_path_builds_no_per_vertex_labels():
         assert "shapes" not in vars(sch) and "codes" not in vars(sch)
         assert sch.decode(0, 1) == g.has_edge(0, 1)
         assert "shapes" in vars(sch) and "codes" in vars(sch)
+
+
+@pytest.mark.parametrize("top", [2**63 + 1, 2**70], ids=["2**63+1", "2**70"])
+def test_codes_of_any_size_are_numbered_by_rank(top):
+    # codes past int64 on both sides, and two that a float would merge:
+    # the table, decoding, and the naive and compressed labels are those of
+    # the same labels with each code replaced by its rank
+    raw = [(top, -3), (2**63, -3), (2**63 + 1, 5), (top, 2**63), (5,)]
+    rank = {c: i for i, c in enumerate(sorted({c for cs in raw for c in cs}))}
+
+    def scheme(codes):
+        labels = [node((len(cs) % 2,), cs[:1], node((), cs[1:])) for cs in codes]
+        return EqualityScheme(labels, lambda sx, sy, eq: int(eq(0, shape_arity(sy) - 1)))
+
+    got, want = scheme(raw), scheme([tuple(rank[c] for c in cs) for cs in raw])
+    assert [row[:len(cs)] for row, cs in zip(got.table[1].tolist(), raw)] == \
+        [[rank[c] for c in cs] for cs in raw]
+    assert_same_arrays(got.table, want.table)
+    assert got.alphabet == want.alphabet == len(rank)
+    pairs = [(u, v) for u in range(got.n) for v in range(got.n)]
+    assert [got.decode(u, v) for u, v in pairs] == [want.decode(u, v) for u, v in pairs]
+    assert naive_derandomize(got).labels == naive_derandomize(want).labels
+    for seed in range(3):
+        assert CompressedEqualityScheme(got).encode(seed) == \
+            CompressedEqualityScheme(want).encode(seed)
